@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .distributions import MixedDistribution, affine_transform
 from .errors import ValidationError
-from .measures import Cte, erm
+from .measures import Cte, _check_alpha, _check_discount, erm
 from .mdp import FiniteHorizonMdp, Transition
 from .tree import Edge, IrmSpec, ScenarioTree, TreeNode, deterministic_tree, irm_root_value
 
@@ -87,10 +87,8 @@ def installment_recursive_value(alpha: float, lam: float) -> float:
     installment tree: the discounted total on the billed branch, scaled
     by probability/(1-alpha) until alpha reaches the no-bill mass.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError(f"tail level must lie in [0, 1), got {alpha!r}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"discount factor must lie in [0, 1], got {lam!r}")
+    _check_alpha(alpha)
+    _check_discount(lam)
     total = PAYMENT_AMOUNT * geometric_sum(lam, PAYMENT_DAYS)
     if alpha >= 1.0 - PAYMENT_PROBABILITY:
         return total
@@ -101,8 +99,7 @@ def preference_boundary(lam: float) -> float:
     """Tail level above which the upfront plan wins: the installment
     value crosses the upfront price at 1 - probability * discounted-days.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"discount factor must lie in [0, 1], got {lam!r}")
+    _check_discount(lam)
     return 1.0 - PAYMENT_PROBABILITY * geometric_sum(lam, PAYMENT_DAYS)
 
 
@@ -114,8 +111,7 @@ def preference_boundary_alternate(lam: float) -> float:
     twenty-day one so the discrepancy stays visible.  They coincide at
     lam = 1.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"discount factor must lie in [0, 1], got {lam!r}")
+    _check_discount(lam)
     days = PAYMENT_DAYS - 1
     return 1.0 - (1.0 - UPFRONT_SAVING) * geometric_sum(lam, days) / days
 

@@ -7,6 +7,7 @@ property or assertion fails, 2 on bad input.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -17,7 +18,6 @@ from . import casebook
 from .distributions import MixedDistribution
 from .errors import RiskModelError
 from .measures import (
-    Composite,
     Cte,
     Erm,
     Expectation,
@@ -27,13 +27,13 @@ from .measures import (
     deu,
     erm,
     evaluate,
+    fold_functional,
     mean,
     cte,
     rf_from_json_dict,
     rf_label,
 )
 from .mdp import (
-    FiniteHorizonMdp,
     mdp_from_json_dict,
     solution_to_json_dict,
     solve_dp,
@@ -152,16 +152,30 @@ def _load_json_file(path: str) -> dict:
 
 
 def _contains_erm(rf: RiskFunctional) -> bool:
-    if isinstance(rf, Erm):
-        return True
-    if isinstance(rf, Composite):
-        return any(_contains_erm(term) for _, term in rf.terms)
-    return False
+    return fold_functional(rf, lambda f, terms: isinstance(f, Erm) or any(v for _, v in terms))
+
+
+class _Command(click.Command):
+    """Reports a library error or a malformed --rf-json as a usage error,
+    so bad input exits 2 with a message instead of a traceback.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except RiskModelError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except json.JSONDecodeError as exc:
+            # files go through _load_json_file, so this is the --rf-json text
+            raise click.UsageError(f"--rf-json is not valid JSON: {exc}", ctx) from exc
 
 
 @click.group()
 def main() -> None:
     """Exact risk evaluation on finite stochastic models."""
+
+
+main.command_class = _Command
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +196,25 @@ def payments(lam: float, alpha: float, fmt: str, out: Optional[str]) -> None:
     per-period expected-disutility values that always favor the
     installment plan regardless of risk.
     """
-    try:
-        spec = IrmSpec.repeat(Cte(alpha), casebook.PAYMENT_DAYS)
-        a_val = irm_root_value(casebook.upfront_tree(), spec, lam)
-        b_val = irm_root_value(casebook.installment_tree(), spec, lam)
-        closed = casebook.installment_recursive_value(alpha, lam)
-        cut20 = casebook.preference_boundary(lam)
-        cut19 = casebook.preference_boundary_alternate(lam)
-        deu_rows = []
-        for g in DEU_GAMMAS:
-            u = Exponential(g)
-            a_deu = deu(u, lam, casebook.upfront_marginals())
-            b_deu = deu(u, lam, casebook.installment_marginals())
-            deu_rows.append(
-                {
-                    "gamma": g,
-                    "upfront": a_deu,
-                    "installments": b_deu,
-                    "preferred": "upfront" if a_deu < b_deu else "installments",
-                }
-            )
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    spec = IrmSpec.repeat(Cte(alpha), casebook.PAYMENT_DAYS)
+    a_val = irm_root_value(casebook.upfront_tree(), spec, lam)
+    b_val = irm_root_value(casebook.installment_tree(), spec, lam)
+    closed = casebook.installment_recursive_value(alpha, lam)
+    cut20 = casebook.preference_boundary(lam)
+    cut19 = casebook.preference_boundary_alternate(lam)
+    deu_rows = []
+    for g in DEU_GAMMAS:
+        u = Exponential(g)
+        a_deu = deu(u, lam, casebook.upfront_marginals())
+        b_deu = deu(u, lam, casebook.installment_marginals())
+        deu_rows.append(
+            {
+                "gamma": g,
+                "upfront": a_deu,
+                "installments": b_deu,
+                "preferred": "upfront" if a_deu < b_deu else "installments",
+            }
+        )
     data = {
         "lambda": lam,
         "alpha": alpha,
@@ -261,10 +272,7 @@ def fig1(lambda_steps: int, alpha_steps: int, fmt: str, out: Optional[str]) -> N
     column and the sweep fails if any column's flip strays more than one
     cell from it.
     """
-    try:
-        grid = casebook.preference_region(lambda_steps, alpha_steps)
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    grid = casebook.preference_region(lambda_steps, alpha_steps)
     worst = grid.boundary_discrepancy_cells()
     if fmt == "json":
         data = {
@@ -313,27 +321,24 @@ def xy(gamma: float, lam: float, fmt: str, out: Optional[str]) -> None:
     ]
     names = ("one_year", "two_year")
     measures = [Erm(gamma), Expectation()]
-    try:
-        blocks = []
-        for rf in measures:
-            points = preference_over_time(rf, lam, options)
-            blocks.append(
-                {
-                    "measure": rf_label(rf),
-                    "points": [
-                        {
-                            "t": p.time,
-                            "one_year": p.values[0],
-                            "two_year": p.values[1],
-                            "chosen": names[p.chosen],
-                        }
-                        for p in points
-                    ],
-                    "flip": len({p.chosen for p in points}) > 1,
-                }
-            )
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    blocks = []
+    for rf in measures:
+        points = preference_over_time(rf, lam, options)
+        blocks.append(
+            {
+                "measure": rf_label(rf),
+                "points": [
+                    {
+                        "t": p.time,
+                        "one_year": p.values[0],
+                        "two_year": p.values[1],
+                        "chosen": names[p.chosen],
+                    }
+                    for p in points
+                ],
+                "flip": len({p.chosen for p in points}) > 1,
+            }
+        )
     data = {"lambda": lam, "gamma": gamma, "measures": blocks}
     if fmt == "json":
         _emit(_json_text(data), out)
@@ -376,28 +381,25 @@ def paths(
     gammas = gammas or DEFAULT_PATH_GAMMAS
     hw, lr = casebook.highway_time(), casebook.local_roads_time()
     hw_tree, lr_tree = casebook.highway_tree(), casebook.local_roads_tree()
-    try:
-        stats = []
-        for alpha in alphas:
-            spec = IrmSpec.repeat(Cte(alpha), 2)
-            stats.append(
-                {
-                    "alpha": alpha,
-                    "highway": {
-                        "mean": mean(hw),
-                        "cte": cte(alpha, hw),
-                        "icte": irm_root_value(hw_tree, spec, lam),
-                    },
-                    "local_roads": {
-                        "mean": mean(lr),
-                        "cte": cte(alpha, lr),
-                        "icte": irm_root_value(lr_tree, spec, lam),
-                    },
-                }
-            )
-        curve = [(g, erm(g, hw), erm(g, lr)) for g in gammas]
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    stats = []
+    for alpha in alphas:
+        spec = IrmSpec.repeat(Cte(alpha), 2)
+        stats.append(
+            {
+                "alpha": alpha,
+                "highway": {
+                    "mean": mean(hw),
+                    "cte": cte(alpha, hw),
+                    "icte": irm_root_value(hw_tree, spec, lam),
+                },
+                "local_roads": {
+                    "mean": mean(lr),
+                    "cte": cte(alpha, lr),
+                    "icte": irm_root_value(lr_tree, spec, lam),
+                },
+            }
+        )
+    curve = [(g, erm(g, hw), erm(g, lr)) for g in gammas]
     violations = [g for g, p, q in curve if p < q - ORDERING_TOL]
     data = {
         "lambda": lam,
@@ -450,10 +452,7 @@ def lemma1(
     scales = scales or casebook.DEFAULT_SCALE_GRID
     shifts = shifts or casebook.DEFAULT_SHIFT_GRID
     gammas = gammas or casebook.DEFAULT_GAMMA_GRID
-    try:
-        rows = casebook.ordered_pair_gaps(xs, scales, shifts, gammas)
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    rows = casebook.ordered_pair_gaps(xs, scales, shifts, gammas)
     worst = min(gap for _, _, _, _, gap in rows)
     violations = sum(1 for _, _, _, _, gap in rows if gap < -ORDERING_TOL)
     if fmt == "json":
@@ -505,31 +504,21 @@ def solve(
     """
     raw = _load_json_file(mdp_file)
     parsed = _parse_rf(want_mean, erm_gamma, var_alpha, cte_alpha, rf_json)
-    try:
-        mdp = mdp_from_json_dict(raw)
-        if lam is not None:
-            mdp = FiniteHorizonMdp(
-                horizon=mdp.horizon,
-                states=mdp.states,
-                actions=mdp.actions,
-                initial=mdp.initial,
-                discount=lam,
-                transitions=mdp.transitions,
-            )
-        if isinstance(parsed, list):
-            spec = IrmSpec(tuple(parsed))
-        else:
-            spec = IrmSpec.repeat(parsed, mdp.horizon)
-        if mdp.discount < 1.0 and any(_contains_erm(rf) for rf in spec.stages):
-            click.echo(
-                "note: entropic stages with discounting optimize the stagewise "
-                "recursion, which differs from the entropic value of the "
-                "discounted total",
-                err=True,
-            )
-        values, policy = solve_dp(mdp, spec)
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    mdp = mdp_from_json_dict(raw)
+    if lam is not None:
+        mdp = dataclasses.replace(mdp, discount=lam)
+    if isinstance(parsed, list):
+        spec = IrmSpec(tuple(parsed))
+    else:
+        spec = IrmSpec.repeat(parsed, mdp.horizon)
+    if mdp.discount < 1.0 and any(_contains_erm(rf) for rf in spec.stages):
+        click.echo(
+            "note: entropic stages with discounting optimize the stagewise "
+            "recursion, which differs from the entropic value of the "
+            "discounted total",
+            err=True,
+        )
+    values, policy = solve_dp(mdp, spec)
     data = {
         "root_value": values[(0, mdp.initial)],
         "lambda": mdp.discount,
@@ -563,11 +552,8 @@ def eval_cmd(
     parsed = _parse_rf(want_mean, erm_gamma, var_alpha, cte_alpha, rf_json)
     if isinstance(parsed, list):
         raise click.UsageError("eval takes a single risk functional, not a per-stage list")
-    try:
-        dist = MixedDistribution.from_json_dict(raw)
-        value = evaluate(parsed, dist)
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+    dist = MixedDistribution.from_json_dict(raw)
+    value = evaluate(parsed, dist)
     data = {"measure": rf_label(parsed), "value": value}
     if fmt == "json":
         _emit(_json_text(data), out)
@@ -622,28 +608,25 @@ def check(
         (want_mean, erm_gamma is not None, var_alpha is not None,
          cte_alpha is not None, rf_json is not None)
     )
-    try:
-        reports = []
-        if chosen:
-            rf = _parse_rf(want_mean, erm_gamma, var_alpha, cte_alpha, rf_json)
-            if isinstance(rf, list):
-                raise click.UsageError("check takes a single risk functional")
-            for checker in (
-                check_monotonic,
-                check_translation_invariance,
-                check_positive_homogeneity,
-            ):
-                reports.append(checker(rf, trials=trials, seed=seed))
-        else:
-            for _, checker, rf in STANDARD_CHECKS:
-                reports.append(checker(rf, trials=trials, seed=seed))
-            reports.append(
-                check_composite_monotonic(
-                    [Expectation(), Cte(0.5)], [0.5, 0.5], trials=trials, seed=seed
-                )
+    reports = []
+    if chosen:
+        rf = _parse_rf(want_mean, erm_gamma, var_alpha, cte_alpha, rf_json)
+        if isinstance(rf, list):
+            raise click.UsageError("check takes a single risk functional")
+        for checker in (
+            check_monotonic,
+            check_translation_invariance,
+            check_positive_homogeneity,
+        ):
+            reports.append(checker(rf, trials=trials, seed=seed))
+    else:
+        for _, checker, rf in STANDARD_CHECKS:
+            reports.append(checker(rf, trials=trials, seed=seed))
+        reports.append(
+            check_composite_monotonic(
+                [Expectation(), Cte(0.5)], [0.5, 0.5], trials=trials, seed=seed
             )
-    except RiskModelError as exc:
-        raise click.UsageError(str(exc)) from exc
+        )
     failed = [r for r in reports if not r.passed]
     data = {
         "reports": [r.to_json_dict() for r in reports],

@@ -18,6 +18,13 @@ WEIGHT_TOL = 1e-12
 MERGE_TOL = 1e-12
 
 
+def json_number(value, field: str) -> float:
+    """A numeric JSON field as a float; anything else raises, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PointMass:
     """All probability mass at a single value."""
@@ -190,16 +197,17 @@ class MixedDistribution:
         for i, entry in enumerate(raw):
             if not isinstance(entry, dict) or "w" not in entry:
                 raise ValidationError(f"component {i} must be an object with a 'w' key")
-            w = entry["w"]
+            w = json_number(entry["w"], f"component {i}: 'w'")
             if "point" in entry:
-                comps.append((w, PointMass(float(entry["point"]))))
+                comps.append((w, PointMass(json_number(entry["point"], f"component {i}: 'point'"))))
             elif "uniform" in entry:
                 bounds = entry["uniform"]
                 if not (isinstance(bounds, list) and len(bounds) == 2):
                     raise ValidationError(
                         f"component {i}: 'uniform' must be a [lo, hi] pair"
                     )
-                comps.append((w, UniformSegment(float(bounds[0]), float(bounds[1]))))
+                lo, hi = (json_number(b, f"component {i}: 'uniform'") for b in bounds)
+                comps.append((w, UniformSegment(lo, hi)))
             else:
                 raise ValidationError(
                     f"component {i} needs either a 'point' or a 'uniform' key"

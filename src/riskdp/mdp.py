@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .distributions import MixedDistribution, PointMass
+from .distributions import MixedDistribution, PointMass, json_number
 from .errors import EnumerationLimitError, ValidationError
-from .measures import evaluate
-from .tree import Edge, IrmSpec, ScenarioTree, TreeNode, irm_root_value
+from .measures import _check_discount, evaluate
+from .tree import IrmSpec, ScenarioTree, _tree_from_preorder, irm_root_value
 
 PROB_TOL = 1e-12
 DEFAULT_NODE_LIMIT = 10**6
@@ -26,6 +26,15 @@ State = Any
 Action = Any
 ValueTable = Dict[Tuple[int, State], float]
 Policy = Dict[Tuple[int, State], Action]
+
+
+def _hashable(x: Any, what: str) -> Any:
+    """x itself; states and actions are set members and dict keys."""
+    try:
+        hash(x)
+    except TypeError:
+        raise ValidationError(f"{what} {x!r} is not hashable") from None
+    return x
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,7 @@ class Transition:
     cost: float
 
     def __post_init__(self) -> None:
+        _hashable(self.state, "transition target")
         object.__setattr__(self, "probability", float(self.probability))
         object.__setattr__(self, "cost", float(self.cost))
         if not math.isfinite(self.probability) or self.probability < 0.0:
@@ -75,25 +85,22 @@ class FiniteHorizonMdp:
                 f"need {self.horizon + 1} state rows for horizon {self.horizon}, "
                 f"got {len(states)}"
             )
+        stage_sets = [set(_hashable(row, f"stage {n} row")) for n, row in enumerate(states)]
         for n, row in enumerate(states):
             if not row:
                 raise ValidationError(f"stage {n} has no states")
-            if len(set(row)) != len(row):
+            if len(stage_sets[n]) != len(row):
                 raise ValidationError(f"stage {n} lists a state twice")
         actions = tuple(self.actions)
         object.__setattr__(self, "actions", actions)
         if not actions:
             raise ValidationError("action set is empty")
-        if len(set(actions)) != len(actions):
+        action_set = set(_hashable(actions, "action set"))
+        if len(action_set) != len(actions):
             raise ValidationError("action set lists an action twice")
-        if self.initial not in states[0]:
+        if _hashable(self.initial, "initial state") not in stage_sets[0]:
             raise ValidationError(f"initial state {self.initial!r} is not in stage 0")
-        discount = float(self.discount)
-        object.__setattr__(self, "discount", discount)
-        if not math.isfinite(discount) or not 0.0 < discount <= 1.0:
-            raise ValidationError(
-                f"discount factor must lie in (0, 1], got {discount!r}"
-            )
+        object.__setattr__(self, "discount", _check_discount(self.discount, positive=True))
         table = {}
         for key, outs in dict(self.transitions).items():
             try:
@@ -104,9 +111,9 @@ class FiniteHorizonMdp:
                 ) from None
             if not isinstance(n, int) or not 0 <= n < self.horizon:
                 raise ValidationError(f"transition stage {n!r} out of range")
-            if s not in states[n]:
+            if s not in stage_sets[n]:
                 raise ValidationError(f"state {s!r} is not in stage {n}")
-            if a not in actions:
+            if a not in action_set:
                 raise ValidationError(f"action {a!r} is not in the action set")
             outs = tuple(outs)
             if not outs:
@@ -115,7 +122,7 @@ class FiniteHorizonMdp:
             for t in outs:
                 if not isinstance(t, Transition):
                     raise ValidationError(f"{t!r} is not a Transition")
-                if t.state not in states[n + 1]:
+                if t.state not in stage_sets[n + 1]:
                     raise ValidationError(
                         f"target {t.state!r} of ({n}, {s!r}, {a!r}) is not in stage {n + 1}"
                     )
@@ -148,37 +155,30 @@ class FiniteHorizonMdp:
         """(stage, state) pairs reachable from the initial state under
         any action sequence, in backward-induction-friendly order.
         """
-        frontier = {self.initial}
-        out: List[Tuple[int, State]] = []
-        for n in range(self.horizon + 1):
-            order = [s for s in self.states[n] if s in frontier]
-            out.extend((n, s) for s in order)
-            if n == self.horizon:
-                break
-            nxt = set()
-            for s in order:
-                for a in self.actions_at(n, s):
-                    for t in self.transitions[(n, s, a)]:
-                        if t.probability > 0.0:
-                            nxt.add(t.state)
-            frontier = nxt
-        return out
+        rows = self._reachable_rows(0, self.initial)
+        return [(n, s) for n, row in enumerate(rows) for s in row]
+
+    def _reachable_rows(self, n: int, s: State) -> List[Tuple[State, ...]]:
+        """Per stage from n to the horizon, the states reachable from
+        (n, s) along positive-probability transitions, in stage-row order.
+        """
+        rows: List[Tuple[State, ...]] = []
+        frontier = {s}
+        for k in range(n, self.horizon + 1):
+            rows.append(tuple(x for x in self.states[k] if x in frontier))
+            frontier = {
+                t.state
+                for x in rows[-1]
+                for a in self.actions_at(k, x)
+                for t in self.transitions[(k, x, a)]
+                if t.probability > 0.0
+            }
+        return rows
 
 
 class SolveResult(NamedTuple):
     values: ValueTable
     policy: Policy
-
-
-def _one_step_distribution(
-    outs: Tuple[Transition, ...], lam: float, continuation: ValueTable, n: int
-) -> MixedDistribution:
-    parts = tuple(
-        (t.probability, PointMass(t.cost + lam * continuation[(n + 1, t.state)]))
-        for t in outs
-        if t.probability > 0.0
-    )
-    return MixedDistribution._trusted(parts)
 
 
 def _check_spec(mdp: FiniteHorizonMdp, spec: IrmSpec) -> None:
@@ -190,10 +190,14 @@ def _check_spec(mdp: FiniteHorizonMdp, spec: IrmSpec) -> None:
         )
 
 
-def solve_dp(mdp: FiniteHorizonMdp, spec: IrmSpec) -> SolveResult:
-    """Backward induction over all states; ties go to the lowest action
-    index.  Values at states unreachable from the initial state are still
-    the optimal tail values from there.
+def _backward_induction(
+    mdp: FiniteHorizonMdp,
+    spec: IrmSpec,
+    choices: Callable[[int, State], Iterable[Action]],
+) -> SolveResult:
+    """Backward induction minimizing over the available actions among
+    choices(n, s) at each (n, s), ties to the earliest; a state with none
+    gets no value.
     """
     _check_spec(mdp, spec)
     lam = mdp.discount
@@ -202,18 +206,47 @@ def solve_dp(mdp: FiniteHorizonMdp, spec: IrmSpec) -> SolveResult:
     for n in range(mdp.horizon - 1, -1, -1):
         rf = spec.stages[n]
         for s in mdp.states[n]:
-            best_v: Optional[float] = None
-            best_a: Optional[Action] = None
-            for a in mdp.actions:
+            best = None
+            for a in choices(n, s):
                 outs = mdp.transitions.get((n, s, a))
                 if outs is None:
                     continue
-                v = evaluate(rf, _one_step_distribution(outs, lam, values, n))
-                if best_v is None or v < best_v:
-                    best_v, best_a = v, a
-            values[(n, s)] = best_v
-            policy[(n, s)] = best_a
+                try:
+                    parts = tuple(
+                        (t.probability, PointMass(t.cost + lam * values[(n + 1, t.state)]))
+                        for t in outs
+                        if t.probability > 0.0
+                    )
+                except KeyError as exc:
+                    # only a policy can leave a successor without a value
+                    raise ValidationError(
+                        f"policy covers stage {n}, state {s!r} but not its successor {exc.args[0][1]!r}"
+                    ) from None
+                v = evaluate(rf, MixedDistribution._trusted(parts))
+                if best is None or v < best[0]:
+                    best = (v, a)
+            if best is not None:
+                values[(n, s)], policy[(n, s)] = best
     return SolveResult(values=values, policy=policy)
+
+
+def solve_dp(mdp: FiniteHorizonMdp, spec: IrmSpec) -> SolveResult:
+    """Backward induction over all states; ties go to the lowest action
+    index.  Values at states unreachable from the initial state are still
+    the optimal tail values from there.
+    """
+    return _backward_induction(mdp, spec, lambda n, s: mdp.actions)
+
+
+def _policy_action(mdp: FiniteHorizonMdp, policy: Policy, n: int, s: State) -> Action:
+    if (n, s) not in policy:
+        raise ValidationError(f"policy has no action at stage {n}, state {s!r}")
+    a = policy[(n, s)]
+    if (n, s, a) not in mdp.transitions:
+        raise ValidationError(
+            f"policy plays unavailable action {a!r} at stage {n}, state {s!r}"
+        )
+    return a
 
 
 def evaluate_policy(mdp: FiniteHorizonMdp, policy: Policy, spec: IrmSpec) -> ValueTable:
@@ -223,27 +256,11 @@ def evaluate_policy(mdp: FiniteHorizonMdp, policy: Policy, spec: IrmSpec) -> Val
     successors are uncovered is an error, so the policy must be closed
     under its own transitions.
     """
-    _check_spec(mdp, spec)
-    lam = mdp.discount
-    values: ValueTable = {(mdp.horizon, s): 0.0 for s in mdp.states[mdp.horizon]}
-    for n in range(mdp.horizon - 1, -1, -1):
-        rf = spec.stages[n]
-        for s in mdp.states[n]:
-            if (n, s) not in policy:
-                continue
-            a = policy[(n, s)]
-            outs = mdp.transitions.get((n, s, a))
-            if outs is None:
-                raise ValidationError(
-                    f"policy plays unavailable action {a!r} at stage {n}, state {s!r}"
-                )
-            try:
-                dist = _one_step_distribution(outs, lam, values, n)
-            except KeyError as exc:
-                raise ValidationError(
-                    f"policy covers stage {n}, state {s!r} but not its successor {exc.args[0][1]!r}"
-                ) from None
-            values[(n, s)] = evaluate(rf, dist)
+    values = _backward_induction(
+        mdp,
+        spec,
+        lambda n, s: (_policy_action(mdp, policy, n, s),) if (n, s) in policy else (),
+    ).values
     if (0, mdp.initial) not in values:
         raise ValidationError("policy does not cover the initial state")
     return values
@@ -258,35 +275,19 @@ def unroll(
     """Scenario tree of the chain induced by a policy from the initial
     state.  Zero-probability branches are dropped.
     """
-    count = 0
-
-    def build(n: int, s: State) -> TreeNode:
-        nonlocal count
-        count += 1
-        if count > node_limit:
-            raise EnumerationLimitError(
-                f"unrolled tree exceeds {node_limit} nodes"
-            )
-        if n == mdp.horizon:
-            return TreeNode(stage=n, edges=())
-        if (n, s) not in policy:
-            raise ValidationError(
-                f"policy has no action at stage {n}, state {s!r}"
-            )
-        a = policy[(n, s)]
-        outs = mdp.transitions.get((n, s, a))
-        if outs is None:
-            raise ValidationError(
-                f"policy plays unavailable action {a!r} at stage {n}, state {s!r}"
-            )
-        edges = tuple(
-            Edge(probability=t.probability, cost=t.cost, child=build(n + 1, t.state))
-            for t in outs
-            if t.probability > 0.0
-        )
-        return TreeNode(stage=n, edges=edges)
-
-    return ScenarioTree._trusted(mdp.horizon, build(0, mdp.initial))
+    nodes = []
+    stack = [(0, mdp.initial)]
+    while stack:
+        n, s = stack.pop()
+        if len(nodes) >= node_limit:
+            raise EnumerationLimitError(f"unrolled tree exceeds {node_limit} nodes")
+        outs = []
+        if n < mdp.horizon:
+            a = _policy_action(mdp, policy, n, s)
+            outs = [t for t in mdp.transitions[(n, s, a)] if t.probability > 0.0]
+        nodes.append((n, [(t.probability, t.cost) for t in outs]))
+        stack.extend((n + 1, t.state) for t in reversed(outs))
+    return ScenarioTree._trusted(mdp.horizon, _tree_from_preorder(nodes))
 
 
 def brute_force_optimal(
@@ -330,20 +331,7 @@ def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
         raise ValidationError(f"stage {n!r} out of range for the tail problem")
     if s not in mdp.states[n]:
         raise ValidationError(f"state {s!r} is not in stage {n}")
-    keep: List[Tuple[State, ...]] = []
-    frontier = {s}
-    for k in range(n, mdp.horizon + 1):
-        row = tuple(x for x in mdp.states[k] if x in frontier)
-        keep.append(row)
-        if k == mdp.horizon:
-            break
-        nxt = set()
-        for x in row:
-            for a in mdp.actions_at(k, x):
-                for t in mdp.transitions[(k, x, a)]:
-                    if t.probability > 0.0:
-                        nxt.add(t.state)
-        frontier = nxt
+    keep = mdp._reachable_rows(n, s)
     transitions = {}
     for k, row in enumerate(keep[:-1]):
         for x in row:
@@ -406,6 +394,8 @@ def mdp_from_json_dict(data: dict) -> FiniteHorizonMdp:
     states = data["states"]
     if not isinstance(states, list) or not all(isinstance(r, list) for r in states):
         raise ValidationError("'states' must be a list of per-stage lists")
+    if not isinstance(data["actions"], list):
+        raise ValidationError("'actions' must be a list")
     entries = data["transitions"]
     if not isinstance(entries, list):
         raise ValidationError("'transitions' must be a list")
@@ -415,7 +405,7 @@ def mdp_from_json_dict(data: dict) -> FiniteHorizonMdp:
             raise ValidationError(
                 "each transition entry must be {'n':, 's':, 'a':, 'to':}"
             )
-        key = (entry["n"], entry["s"], entry["a"])
+        key = _hashable((entry["n"], entry["s"], entry["a"]), "transition entry")
         if key in transitions:
             raise ValidationError(f"transition entry {key!r} appears twice")
         outs = entry["to"]
@@ -425,14 +415,15 @@ def mdp_from_json_dict(data: dict) -> FiniteHorizonMdp:
         for o in outs:
             if not isinstance(o, dict) or not {"s'", "p", "r"} <= set(o):
                 raise ValidationError("each outcome must be {\"s'\":, 'p':, 'r':}")
-            parsed.append(Transition(state=o["s'"], probability=o["p"], cost=o["r"]))
+            p, r = json_number(o["p"], "outcome 'p'"), json_number(o["r"], "outcome 'r'")
+            parsed.append(Transition(state=o["s'"], probability=p, cost=r))
         transitions[key] = tuple(parsed)
     return FiniteHorizonMdp(
         horizon=data["horizon"],
         states=tuple(tuple(r) for r in states),
         actions=tuple(data["actions"]),
         initial=data["initial"],
-        discount=data["lambda"],
+        discount=json_number(data["lambda"], "'lambda'"),
         transitions=transitions,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from scipy.integrate import quad
 
@@ -21,6 +21,7 @@ from .distributions import (
     UniformSegment,
     essential_inf,
     essential_sup,
+    json_number,
 )
 from .errors import EvaluationOverflowError, ValidationError
 
@@ -33,6 +34,15 @@ def _check_alpha(alpha: float) -> float:
     if not math.isfinite(alpha) or not 0.0 <= alpha < 1.0:
         raise ValidationError(f"tail level must lie in [0, 1), got {alpha!r}")
     return alpha
+
+
+def _check_discount(lam: float, *, positive: bool = False) -> float:
+    """A discount factor in [0, 1], or in (0, 1] when positive is set."""
+    lam = float(lam)
+    if not math.isfinite(lam) or not (0.0 < lam if positive else 0.0 <= lam) or lam > 1.0:
+        interval = "(0, 1]" if positive else "[0, 1]"
+        raise ValidationError(f"discount factor must lie in {interval}, got {lam!r}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -110,68 +120,104 @@ RiskFunctional = Union[Expectation, Erm, ValueAtRisk, Cte, Composite]
 RF_CLASSES = (Expectation, Erm, ValueAtRisk, Cte, Composite)
 
 
+def fold_functional(rf: RiskFunctional, visit: Callable[..., Any]) -> Any:
+    """visit(f, terms) for rf and every functional nested in it, where terms
+    pairs each coefficient of a composite f with visit's result for that
+    term (empty for any other f); returns visit's result for rf.  Reversed
+    pre-order off an explicit stack visits terms first, left to right, and
+    bounds the nesting depth by memory only.
+    """
+    order, stack = [], [rf]
+    while stack:
+        f = stack.pop()
+        order.append(f)
+        if isinstance(f, Composite):
+            stack.extend(term for _, term in f.terms)
+    results: Dict[int, Any] = {}
+    for f in reversed(order):
+        terms = f.terms if isinstance(f, Composite) else ()
+        results[id(f)] = visit(f, [(c, results[id(term)]) for c, term in terms])
+    return results[id(rf)]
+
+
 def rf_label(rf: RiskFunctional) -> str:
     """Short human-readable tag, used in reports and CLI output."""
-    if isinstance(rf, Expectation):
-        return "mean"
-    if isinstance(rf, Erm):
-        return f"erm({rf.gamma:g})"
-    if isinstance(rf, ValueAtRisk):
-        return f"var({rf.alpha:g})"
-    if isinstance(rf, Cte):
-        return f"cte({rf.alpha:g})"
-    if isinstance(rf, Composite):
-        inner = " + ".join(f"{c:g}*{rf_label(t)}" for c, t in rf.terms)
-        return f"composite({inner})"
-    raise ValidationError(f"unknown risk functional {rf!r}")
+
+    def label(f: RiskFunctional, terms: List[Tuple[float, str]]) -> str:
+        if isinstance(f, Expectation):
+            return "mean"
+        if isinstance(f, Erm):
+            return f"erm({f.gamma:g})"
+        if isinstance(f, ValueAtRisk):
+            return f"var({f.alpha:g})"
+        if isinstance(f, Cte):
+            return f"cte({f.alpha:g})"
+        if isinstance(f, Composite):
+            inner = " + ".join(f"{c:g}*{t}" for c, t in terms)
+            return f"composite({inner})"
+        raise ValidationError(f"unknown risk functional {f!r}")
+
+    return fold_functional(rf, label)
 
 
 def rf_to_json_dict(rf: RiskFunctional) -> dict:
-    if isinstance(rf, Expectation):
-        return {"kind": "mean"}
-    if isinstance(rf, Erm):
-        return {"kind": "erm", "gamma": rf.gamma}
-    if isinstance(rf, ValueAtRisk):
-        return {"kind": "var", "alpha": rf.alpha}
-    if isinstance(rf, Cte):
-        return {"kind": "cte", "alpha": rf.alpha}
-    if isinstance(rf, Composite):
-        return {
-            "kind": "composite",
-            "terms": [{"w": c, "rf": rf_to_json_dict(t)} for c, t in rf.terms],
-        }
-    raise ValidationError(f"unknown risk functional {rf!r}")
+    def to_json(f: RiskFunctional, terms: List[Tuple[float, dict]]) -> dict:
+        if isinstance(f, Expectation):
+            return {"kind": "mean"}
+        if isinstance(f, Erm):
+            return {"kind": "erm", "gamma": f.gamma}
+        if isinstance(f, ValueAtRisk):
+            return {"kind": "var", "alpha": f.alpha}
+        if isinstance(f, Cte):
+            return {"kind": "cte", "alpha": f.alpha}
+        if isinstance(f, Composite):
+            return {"kind": "composite", "terms": [{"w": c, "rf": t} for c, t in terms]}
+        raise ValidationError(f"unknown risk functional {f!r}")
+
+    return fold_functional(rf, to_json)
 
 
 def rf_from_json_dict(data: dict) -> RiskFunctional:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValidationError("risk functional JSON must be an object with a 'kind'")
-    kind = data["kind"]
-    if kind == "mean":
-        return Expectation()
-    if kind == "erm":
-        if "gamma" not in data:
-            raise ValidationError("'erm' needs a 'gamma'")
-        return Erm(float(data["gamma"]))
-    if kind == "var":
-        if "alpha" not in data:
-            raise ValidationError("'var' needs an 'alpha'")
-        return ValueAtRisk(float(data["alpha"]))
-    if kind == "cte":
-        if "alpha" not in data:
-            raise ValidationError("'cte' needs an 'alpha'")
-        return Cte(float(data["alpha"]))
-    if kind == "composite":
-        terms = data.get("terms")
+    # the JSON objects in pre-order, shapes checked on the way down, then
+    # built in reverse, so every composite finds its terms built
+    order, stack = [], [data]
+    while stack:
+        obj = stack.pop()
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValidationError("risk functional JSON must be an object with a 'kind'")
+        order.append(obj)
+        if obj["kind"] != "composite":
+            continue
+        terms = obj.get("terms")
         if not isinstance(terms, list) or not terms:
             raise ValidationError("'composite' needs a nonempty 'terms' list")
-        parsed = []
         for entry in terms:
             if not isinstance(entry, dict) or "w" not in entry or "rf" not in entry:
                 raise ValidationError("composite terms must be {'w':, 'rf':} objects")
-            parsed.append((float(entry["w"]), rf_from_json_dict(entry["rf"])))
-        return Composite(tuple(parsed))
-    raise ValidationError(f"unknown risk functional kind {kind!r}")
+            stack.append(entry["rf"])
+    built: Dict[int, RiskFunctional] = {}
+    for obj in reversed(order):
+        kind = obj["kind"]
+        if kind == "mean":
+            rf = Expectation()
+        elif kind == "erm":
+            if "gamma" not in obj:
+                raise ValidationError("'erm' needs a 'gamma'")
+            rf = Erm(json_number(obj["gamma"], "'gamma'"))
+        elif kind in ("var", "cte"):
+            if "alpha" not in obj:
+                raise ValidationError(f"'{kind}' needs an 'alpha'")
+            rf = (ValueAtRisk if kind == "var" else Cte)(json_number(obj["alpha"], "'alpha'"))
+        elif kind == "composite":
+            terms = [
+                (json_number(e["w"], "composite term 'w'"), built[id(e["rf"])])
+                for e in obj["terms"]
+            ]
+            rf = Composite(tuple(terms))
+        else:
+            raise ValidationError(f"unknown risk functional kind {kind!r}")
+        built[id(obj)] = rf
+    return built[id(data)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +334,7 @@ def cte(alpha: float, dist: MixedDistribution) -> float:
     return (dist.tail_sum(v) + (beta - alpha) * v) / (1.0 - alpha)
 
 
-def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
-    """Dispatch a risk functional onto a distribution."""
-    if not isinstance(rf, RF_CLASSES):
-        raise ValidationError(f"unknown risk functional {rf!r}")
-    comps = dist.components
-    if len(comps) == 1 and isinstance(comps[0][1], PointMass):
-        # every functional here maps a constant to itself
-        return comps[0][1].value
+def _value(rf: RiskFunctional, terms: List[Tuple[float, float]], dist: MixedDistribution) -> float:
     if isinstance(rf, Expectation):
         return mean(dist)
     if isinstance(rf, Erm):
@@ -304,7 +343,20 @@ def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
         return value_at_risk(rf.alpha, dist)
     if isinstance(rf, Cte):
         return cte(rf.alpha, dist)
-    return math.fsum(c * evaluate(term, dist) for c, term in rf.terms)
+    return math.fsum(c * v for c, v in terms)
+
+
+def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
+    """Dispatch a risk functional onto a distribution."""
+    if not isinstance(rf, RF_CLASSES):
+        raise ValidationError(f"unknown risk functional {rf!r}")
+    comps = dist.components
+    if len(comps) == 1 and isinstance(comps[0][1], PointMass):
+        # every functional here maps a constant to itself
+        return comps[0][1].value
+    if isinstance(rf, Composite):
+        return fold_functional(rf, lambda f, terms: _value(f, terms, dist))
+    return _value(rf, [], dist)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +516,7 @@ def deu(
     Only the per-period marginals matter here; dependence across periods
     is ignored by construction.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"discount factor must lie in [0, 1], got {lam!r}")
+    lam = _check_discount(lam)
     marginals = list(marginals)
     if not marginals:
         raise ValidationError("deu needs at least one per-period marginal")

@@ -13,12 +13,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .distributions import MixedDistribution, affine_transform
+from .distributions import MixedDistribution, PointMass, UniformSegment, affine_transform
 from .errors import ValidationError
 from .measures import (
     Composite,
     RF_CLASSES,
     RiskFunctional,
+    _check_discount,
     evaluate,
     rf_label,
 )
@@ -73,19 +74,12 @@ def _random_atoms(rng: random.Random) -> Tuple[Tuple[float, ...], Tuple[float, .
 
 def _random_mixed(rng: random.Random) -> MixedDistribution:
     probs, values = _random_atoms(rng)
-    parts = []
+    comps = []
     for p, v in zip(probs, values):
         if rng.random() < 0.4:
-            width = rng.uniform(0.1, 5.0)
-            parts.append((p, (v, v + width)))
+            comps.append((p, UniformSegment(v, v + rng.uniform(0.1, 5.0))))
         else:
-            parts.append((p, v))
-    comps = []
-    for p, o in parts:
-        if isinstance(o, tuple):
-            comps.append((p, MixedDistribution.uniform(*o).components[0][1]))
-        else:
-            comps.append((p, MixedDistribution.point(o).components[0][1]))
+            comps.append((p, PointMass(v)))
     return MixedDistribution(tuple(comps))
 
 
@@ -187,14 +181,11 @@ def check_composite_monotonic(
     rather than trusting the parts.
     """
     components = list(components)
-    coefficients = [float(c) for c in coefficients]
+    coefficients = list(coefficients)
     if len(components) != len(coefficients):
         raise ValidationError(
             f"{len(components)} components but {len(coefficients)} coefficients"
         )
-    for c in coefficients:
-        if not math.isfinite(c) or c < 0.0:
-            raise ValidationError(f"coefficients must be nonnegative, got {c!r}")
     composite = Composite(tuple(zip(coefficients, components)))
     return check_monotonic(composite, trials=trials, seed=seed)
 
@@ -230,9 +221,7 @@ def preference_over_time(
     """
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
-    lam = float(lam)
-    if not math.isfinite(lam) or not 0.0 < lam <= 1.0:
-        raise ValidationError(f"discount factor must lie in (0, 1], got {lam!r}")
+    lam = _check_discount(lam, positive=True)
     options = list(options)
     if not options:
         raise ValidationError("preference_over_time needs at least one option")

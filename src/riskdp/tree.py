@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
 
 from .distributions import (
     MixedDistribution,
     PointMass,
     UniformSegment,
-    affine_transform,
+    json_number,
     merge_atoms,
 )
 from .errors import EnumerationLimitError, ValidationError
@@ -25,6 +25,7 @@ from .measures import (
     DisutilityFunction,
     RF_CLASSES,
     RiskFunctional,
+    _check_discount,
     evaluate,
     pushforward_mean,
 )
@@ -76,9 +77,7 @@ class ScenarioTree:
         if self.root.stage != 0:
             raise ValidationError("root must sit at stage 0")
         seen: set = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        for node in _preorder(self.root):
             if id(node) in seen:
                 raise ValidationError("tree nodes must not be shared")
             seen.add(id(node))
@@ -111,7 +110,6 @@ class ScenarioTree:
                     raise ValidationError(
                         f"child at stage {e.child.stage} under a stage-{node.stage} node"
                     )
-                stack.append(e.child)
             if abs(total - 1.0) > PROB_TOL:
                 raise ValidationError(
                     f"edge probabilities sum to {total!r}; must be 1 within {PROB_TOL}"
@@ -125,21 +123,34 @@ class ScenarioTree:
         return tree
 
     def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(e.child for e in node.edges)
-        return count
+        return sum(1 for _ in _preorder(self.root))
 
     def path_count(self) -> int:
-        def leaves(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return sum(leaves(e.child) for e in node.edges)
+        return sum(1 for node in _preorder(self.root) if node.is_leaf)
 
-        return leaves(self.root)
+
+def _preorder(root: TreeNode) -> Iterator[TreeNode]:
+    """Nodes depth-first, parents first, edges in order, off an explicit
+    stack, so depth is bounded by memory only.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(e.child for e in reversed(node.edges))
+
+
+def _tree_from_preorder(nodes: List[Tuple[int, List[Tuple[float, EdgeCost]]]]) -> TreeNode:
+    """Root of the tree listed in pre-order as (stage, [(probability,
+    cost) per edge]).  Built in reverse, so each node finds its children
+    on top of the stack of finished subtrees.
+    """
+    done: List[TreeNode] = []
+    for stage, branches in reversed(nodes):
+        children = [done.pop() for _ in branches]
+        edges = tuple(Edge(p, cost, child) for (p, cost), child in zip(branches, children))
+        done.append(TreeNode(stage=stage, edges=edges))
+    return done[0]
 
 
 def deterministic_tree(costs: Sequence[EdgeCost]) -> ScenarioTree:
@@ -147,10 +158,8 @@ def deterministic_tree(costs: Sequence[EdgeCost]) -> ScenarioTree:
     costs = list(costs)
     if not costs:
         raise ValidationError("deterministic_tree needs at least one period cost")
-    node = TreeNode(stage=len(costs), edges=())
-    for n in range(len(costs) - 1, -1, -1):
-        node = TreeNode(stage=n, edges=(Edge(1.0, costs[n], node),))
-    return ScenarioTree(horizon=len(costs), root=node)
+    nodes = [(n, [(1.0, cost)]) for n, cost in enumerate(costs)] + [(len(costs), [])]
+    return ScenarioTree(horizon=len(costs), root=_tree_from_preorder(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -158,48 +167,23 @@ def deterministic_tree(costs: Sequence[EdgeCost]) -> ScenarioTree:
 # ---------------------------------------------------------------------------
 
 
-def _cost_to_json(cost: EdgeCost):
-    if isinstance(cost, MixedDistribution):
-        return cost.to_json_dict()
-    return cost
-
-
 def _cost_from_json(data) -> EdgeCost:
     if isinstance(data, dict):
         return MixedDistribution.from_json_dict(data)
-    if isinstance(data, (int, float)) and not isinstance(data, bool):
-        return float(data)
-    raise ValidationError(f"edge cost JSON must be a number or a distribution, got {data!r}")
-
-
-def _node_to_json(node: TreeNode) -> dict:
-    return {
-        "children": [
-            {"p": e.probability, "cost": _cost_to_json(e.cost), "node": _node_to_json(e.child)}
-            for e in node.edges
-        ]
-    }
-
-
-def _node_from_json(data: dict, stage: int) -> TreeNode:
-    if not isinstance(data, dict) or "children" not in data:
-        raise ValidationError("tree node JSON must be an object with 'children'")
-    edges = []
-    for entry in data["children"]:
-        if not isinstance(entry, dict) or not {"p", "cost", "node"} <= set(entry):
-            raise ValidationError("tree edges must be {'p':, 'cost':, 'node':} objects")
-        edges.append(
-            Edge(
-                probability=float(entry["p"]),
-                cost=_cost_from_json(entry["cost"]),
-                child=_node_from_json(entry["node"], stage + 1),
-            )
-        )
-    return TreeNode(stage=stage, edges=tuple(edges))
+    return json_number(data, "edge cost")
 
 
 def tree_to_json_dict(tree: ScenarioTree) -> dict:
-    return {"horizon": tree.horizon, "root": _node_to_json(tree.root)}
+    root: dict = {}
+    pending = {id(tree.root): root}  # JSON objects of nodes not visited yet
+    for node in _preorder(tree.root):
+        children: List[dict] = []
+        pending.pop(id(node))["children"] = children
+        for e in node.edges:
+            pending[id(e.child)] = child = {}
+            cost = e.cost.to_json_dict() if isinstance(e.cost, MixedDistribution) else e.cost
+            children.append({"p": e.probability, "cost": cost, "node": child})
+    return {"horizon": tree.horizon, "root": root}
 
 
 def tree_from_json_dict(data: dict) -> ScenarioTree:
@@ -208,7 +192,20 @@ def tree_from_json_dict(data: dict) -> ScenarioTree:
     horizon = data["horizon"]
     if not isinstance(horizon, int):
         raise ValidationError("tree horizon must be an integer")
-    return ScenarioTree(horizon=horizon, root=_node_from_json(data["root"], 0))
+    nodes = []
+    stack = [(data["root"], 0)]
+    while stack:
+        node, stage = stack.pop()
+        if not isinstance(node, dict) or not isinstance(node.get("children"), list):
+            raise ValidationError("tree node JSON must be an object with a 'children' list")
+        entries = node["children"]
+        for e in entries:
+            if not isinstance(e, dict) or not {"p", "cost", "node"} <= set(e):
+                raise ValidationError("tree edges must be {'p':, 'cost':, 'node':} objects")
+        branches = [(json_number(e["p"], "edge 'p'"), _cost_from_json(e["cost"])) for e in entries]
+        nodes.append((stage, branches))
+        stack.extend((e["node"], stage + 1) for e in reversed(entries))
+    return ScenarioTree(horizon=horizon, root=_tree_from_preorder(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -245,78 +242,64 @@ class IrmResult:
     node_values: Dict[Tuple[int, ...], float]
 
 
-def _check_discount(lam: float) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"discount factor must lie in [0, 1], got {lam!r}")
-    return lam
-
-
-def _edge_value_dist(edge: Edge, shift: float) -> MixedDistribution:
-    """Distribution of cost + shift along one edge."""
-    if isinstance(edge.cost, MixedDistribution):
-        if shift == 0.0:
-            return edge.cost
-        return affine_transform(edge.cost, 1.0, shift)
-    return MixedDistribution.point(edge.cost + shift)
-
-
-def _node_value_dist(node: TreeNode, lam: float, child_values: Sequence[float]) -> MixedDistribution:
-    """Mixture over edges of cost + lam * (child continuation value)."""
-    parts = []
-    for e, v in zip(node.edges, child_values):
-        d = _edge_value_dist(e, lam * v)
-        for w, o in d.components:
+def _node_law(node: TreeNode, lam: float, values: Dict[int, float]) -> MixedDistribution:
+    """Mixture over edges of cost + lam * (child value), built straight
+    from the edge cost components.
+    """
+    parts: List[Tuple[float, Any]] = []
+    for e in node.edges:
+        shift = lam * values[id(e.child)]
+        if not isinstance(e.cost, MixedDistribution):
+            parts.append((e.probability, PointMass(e.cost + shift)))
+            continue
+        for w, o in e.cost.components:
+            if shift != 0.0 and isinstance(o, PointMass):
+                o = PointMass(o.value + shift)
+            elif shift != 0.0:
+                o = UniformSegment(o.lo + shift, o.hi + shift)
             parts.append((e.probability * w, o))
     return MixedDistribution._trusted(tuple(parts))
 
 
-def irm_evaluate(tree: ScenarioTree, spec: IrmSpec, lam: float) -> IrmResult:
-    """Backward recursion over the tree, recording every node value.
-
-    Leaves are worth zero; an internal node at period n applies the
-    period-n functional to the mixture of its branch costs plus the
-    discounted child values.  Node keys are child-index paths from the
-    root, the root being the empty tuple.
+def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> Dict[int, float]:
+    """Backward recursion over the tree: the value of every node, keyed by
+    id(node).  Leaves are worth zero; an internal node at period n applies
+    the period-n functional to the mixture of its branch costs plus the
+    discounted child values.  Reversed pre-order puts every child before
+    its parent.
     """
     lam = _check_discount(lam)
     if len(spec.stages) != tree.horizon:
         raise ValidationError(
             f"spec has {len(spec.stages)} stages but the tree horizon is {tree.horizon}"
         )
-    values: Dict[Tuple[int, ...], float] = {}
+    values: Dict[int, float] = {}
+    for node in reversed(list(_preorder(tree.root))):
+        values[id(node)] = (
+            0.0 if node.is_leaf else evaluate(spec.stages[node.stage], _node_law(node, lam, values))
+        )
+    return values
 
-    def visit(node: TreeNode, key: Tuple[int, ...]) -> float:
-        if node.is_leaf:
-            values[key] = 0.0
-            return 0.0
-        child_values = [
-            visit(e.child, key + (i,)) for i, e in enumerate(node.edges)
-        ]
-        dist = _node_value_dist(node, lam, child_values)
-        v = evaluate(spec.stages[node.stage], dist)
-        values[key] = v
-        return v
 
-    root_value = visit(tree.root, ())
-    return IrmResult(root_value=root_value, node_values=values)
+def irm_evaluate(tree: ScenarioTree, spec: IrmSpec, lam: float) -> IrmResult:
+    """Stagewise recursion, recording every node value.
+
+    Node keys are child-index paths from the root, the root being the
+    empty tuple.
+    """
+    values = _node_values(tree, spec, lam)
+    table: Dict[Tuple[int, ...], float] = {}
+    stack: List[Tuple[TreeNode, Tuple[int, ...]]] = [(tree.root, ())]
+    while stack:
+        node, key = stack.pop()
+        table[key] = values[id(node)]
+        stack.extend((e.child, key + (i,)) for i, e in enumerate(node.edges))
+    return IrmResult(root_value=table[()], node_values=table)
 
 
 def irm_root_value(tree: ScenarioTree, spec: IrmSpec, lam: float) -> float:
-    """Root value only; skips the table, same recursion."""
-    lam = _check_discount(lam)
-    if len(spec.stages) != tree.horizon:
-        raise ValidationError(
-            f"spec has {len(spec.stages)} stages but the tree horizon is {tree.horizon}"
-        )
-
-    def visit(node: TreeNode) -> float:
-        if node.is_leaf:
-            return 0.0
-        child_values = [visit(e.child) for e in node.edges]
-        return evaluate(spec.stages[node.stage], _node_value_dist(node, lam, child_values))
-
-    return visit(tree.root)
+    """Root value of the stagewise recursion; builds no key table."""
+    return _node_values(tree, spec, lam)[id(tree.root)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,41 +327,38 @@ def discounted_total_distribution(
         raise EnumerationLimitError(
             f"tree has more than {path_limit} root-to-leaf paths"
         )
-    parts: List[Tuple[float, object]] = []
-
-    def visit(node: TreeNode, prob: float, shift: float, seg: Optional[Tuple[float, float]]) -> None:
-        # seg carries the one segment accumulated so far as (lo, hi)
+    parts: List[Tuple[float, Any]] = []
+    # (node, path probability, discounted point costs so far, the one
+    # segment so far as (lo, hi) or None)
+    stack: List[Tuple[TreeNode, float, float, Any]] = [(tree.root, 1.0, 0.0, None)]
+    while stack:
+        node, prob, shift, seg = stack.pop()
         if node.is_leaf:
             if seg is None:
                 parts.append((prob, PointMass(shift)))
             else:
                 parts.append((prob, UniformSegment(seg[0] + shift, seg[1] + shift)))
-            return
+            continue
         scale = lam**node.stage
+        branches = []
         for e in node.edges:
             p = prob * e.probability
-            if isinstance(e.cost, MixedDistribution):
-                for w, o in e.cost.components:
-                    if w <= 0.0:
-                        continue
-                    if isinstance(o, PointMass):
-                        visit(e.child, p * w, shift + scale * o.value, seg)
-                    else:
-                        if seg is not None:
-                            raise ValidationError(
-                                "a path carries two segment-valued costs; "
-                                "their sum leaves the mixed point/uniform family"
-                            )
-                        visit(
-                            e.child,
-                            p * w,
-                            shift,
-                            (scale * o.lo, scale * o.hi),
-                        )
-            else:
-                visit(e.child, p, shift + scale * e.cost, seg)
-
-    visit(tree.root, 1.0, 0.0, None)
+            if not isinstance(e.cost, MixedDistribution):
+                branches.append((e.child, p, shift + scale * e.cost, seg))
+                continue
+            for w, o in e.cost.components:
+                if w <= 0.0:
+                    continue
+                if isinstance(o, PointMass):
+                    branches.append((e.child, p * w, shift + scale * o.value, seg))
+                elif seg is None:
+                    branches.append((e.child, p * w, shift, (scale * o.lo, scale * o.hi)))
+                else:
+                    raise ValidationError(
+                        "a path carries two segment-valued costs; "
+                        "their sum leaves the mixed point/uniform family"
+                    )
+        stack.extend(reversed(branches))
     dist = MixedDistribution._trusted(tuple(parts))
     return merge_atoms(dist, tol=merge_tol)
 

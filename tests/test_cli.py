@@ -8,6 +8,7 @@ checked property fails, 2 on bad input.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,77 @@ def test_eval_reports_the_position_of_broken_json(tmp_path):
 def test_eval_rejects_a_missing_file(tmp_path):
     result = run(["eval", str(tmp_path / "absent.json"), "--mean"])
     assert result.exit_code == 2
+
+
+PAYMENTS_TEXT = json.dumps(mdp_to_json_dict(payments_mdp(1.0)))
+
+
+@pytest.mark.parametrize(
+    "command, file_text, flags",
+    [
+        ("eval", '{"components": [{"w": 1, "point": "x"}]}', ["--mean"]),
+        ("eval", '{"components": [{"w": "x", "point": 1.0}]}', ["--mean"]),
+        ("eval", '{"components": [{"w": 1, "point": 1.0}]}', ["--cte", "1.5"]),
+        ("eval", '{"components": [{"w": 1, "point": 1.0}]}', ["--rf-json", "{bad"]),
+        ("eval", '{"components": [{"w": 1, "point": 1.0}]}',
+         ["--rf-json", '{"kind": "cte", "alpha": "abc"}']),
+        ("eval", '{"components": [{"w": 1, "point": 1.0}]}',
+         ["--rf-json", '{"kind": "composite", "terms": [{"w": "x", "rf": {"kind": "mean"}}]}']),
+        ("solve", PAYMENTS_TEXT.replace('"start"', '["start"]'), ["--mean"]),
+        ("solve", PAYMENTS_TEXT.replace('"p": 1.0', '"p": "one"'), ["--mean"]),
+    ],
+    ids=[
+        "point-not-a-number",
+        "weight-not-a-number",
+        "tail-level-out-of-range",
+        "rf-json-broken",
+        "rf-json-level-not-a-number",
+        "composite-weight-not-a-number",
+        "state-is-a-list",
+        "probability-not-a-number",
+    ],
+)
+def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_text, flags):
+    path = tmp_path / "input.json"
+    path.write_text(file_text, encoding="utf-8")
+    result = run([command, str(path), *flags])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "Error:" in result.stderr
+
+
+JUNK_VALUES = ("x", None, True, [], {}, [1], {"a": 1}, -1, 0, 1e308, "1.5", [[1]], 2**70)
+
+
+def _mutate(rng: random.Random, data):
+    """Replace, drop or descend into one randomly chosen entry."""
+    while isinstance(data, (dict, list)) and data:
+        key = rng.choice(list(data)) if isinstance(data, dict) else rng.randrange(len(data))
+        u = rng.random()
+        if u < 0.15:
+            data.pop(key)
+        elif u < 0.55:
+            data[key] = rng.choice(JUNK_VALUES)
+        if u < 0.55 or not isinstance(data[key], (dict, list)):
+            return
+        data = data[key]
+
+
+def test_mutated_input_files_exit_0_or_2_without_a_traceback(tmp_path):
+    rng = random.Random(11)
+    bases = {
+        "eval": (highway_time().to_json_dict(), ["--cte", "0.5"]),
+        "solve": (mdp_to_json_dict(payments_mdp(0.95)), ["--mean"]),
+    }
+    path = tmp_path / "input.json"
+    for _ in range(300):
+        command = rng.choice(sorted(bases))
+        data = json.loads(json.dumps(bases[command][0]))
+        _mutate(rng, data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = CliRunner().invoke(main, [command, str(path), *bases[command][1]])
+        assert result.exit_code in (0, 2), (command, data, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_out_writes_the_file_and_keeps_stdout_quiet(highway_file, tmp_path):

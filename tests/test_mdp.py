@@ -295,6 +295,32 @@ def test_unroll_node_budget():
         unroll(mdp, policy, node_limit=3)
 
 
+def test_deep_chain_mdp_walks_need_no_recursion():
+    stages = 10**4
+    # "z" is never reached from the initial state "a"
+    transitions = {}
+    for n in range(stages):
+        transitions[(n, "a", "go")] = (Transition("a", 1.0, 1.0),)
+        transitions[(n, "z", "go")] = (Transition("z", 1.0, 0.0),)
+    mdp = FiniteHorizonMdp(
+        horizon=stages,
+        states=(("a", "z"),) * (stages + 1),
+        actions=("go",),
+        initial="a",
+        discount=1.0,
+        transitions=transitions,
+    )
+    assert mdp.reachable() == [(n, "a") for n in range(stages + 1)]
+    tail = tail_mdp(mdp, stages // 2, "a")
+    assert tail.horizon == stages - stages // 2
+    assert set(tail.states) == {("a",)}
+    spec = IrmSpec.repeat(Cte(0.5), stages)
+    values, policy = solve_dp(mdp, spec)
+    tree = unroll(mdp, policy)
+    assert tree.node_count() == stages + 1
+    assert irm_root_value(tree, spec, 1.0) == values[(0, "a")] == float(stages)
+
+
 def test_enumeration_budget():
     mdp = casebook.deferred_choice_mdp(0.92)
     with pytest.raises(EnumerationLimitError):

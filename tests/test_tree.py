@@ -3,6 +3,7 @@ of the discounted total, and when the two evaluations must or must not
 agree."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -36,6 +37,12 @@ from riskdp import (
 )
 
 from .conftest import assert_close, random_tree
+
+# far past the default recursion limit of 1000 frames
+DEEP_STAGES = 10**4
+# the irm_evaluate key table holds one child-index path per node, so on a
+# chain it grows with the square of the depth (about 36 MB here)
+DEEP_TABLE_STAGES = 3000
 
 
 def two_outcome_tree(p: float, high: float, low: float = 0.0) -> ScenarioTree:
@@ -288,3 +295,45 @@ def test_tree_json_roundtrip():
 def test_tree_json_rejects_malformed(payload):
     with pytest.raises(ValidationError):
         tree_from_json_dict(payload)
+
+
+# ---------------------------------------------------------------------------
+# deep trees
+# ---------------------------------------------------------------------------
+
+
+def deep_chain(stages: int):
+    """A chain of scalar costs whose last edge carries a point/segment law."""
+    last = MixedDistribution(((0.5, PointMass(4.0)), (0.5, UniformSegment(1.0, 3.0))))
+    costs = [float(n % 7) for n in range(stages - 1)] + [last]
+    return costs, deterministic_tree(costs)
+
+
+def test_deep_chain_walks_need_no_recursion():
+    costs, tree = deep_chain(DEEP_STAGES)
+    lam = 0.9999
+    head = math.fsum(lam**n * c for n, c in enumerate(costs[:-1]))
+    tail = lam ** (DEEP_STAGES - 1)
+    spec = IrmSpec.repeat(Cte(0.5), DEEP_STAGES)
+    assert_close(irm_root_value(tree, spec, lam), head + tail * cte(0.5, costs[-1]))
+    law = discounted_total_distribution(tree, lam)
+    assert len(law.components) == 2
+    assert_close(mean(law), head + tail * mean(costs[-1]))
+    assert tree.path_count() == 1
+    assert tree.node_count() == DEEP_STAGES + 1
+    # compared edge by edge: the generated == of nested dataclasses recurses
+    node, again = tree_from_json_dict(tree_to_json_dict(tree)).root, []
+    while node.edges:
+        again.append(node.edges[0].cost)
+        node = node.edges[0].child
+    assert again == costs
+
+
+def test_deep_chain_records_every_node_value():
+    costs, tree = deep_chain(DEEP_TABLE_STAGES)
+    spec = IrmSpec.repeat(Cte(0.5), DEEP_TABLE_STAGES)
+    result = irm_evaluate(tree, spec, 0.9999)
+    assert len(result.node_values) == DEEP_TABLE_STAGES + 1
+    assert result.root_value == irm_root_value(tree, spec, 0.9999)
+    assert result.node_values[(0,) * DEEP_TABLE_STAGES] == 0.0
+    assert result.node_values[(0,) * (DEEP_TABLE_STAGES - 1)] == cte(0.5, costs[-1])
