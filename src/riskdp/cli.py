@@ -132,7 +132,10 @@ def _parse_rf(want_mean: bool, erm_gamma, var_alpha, cte_alpha, rf_json) -> obje
         return ValueAtRisk(var_alpha)
     if cte_alpha is not None:
         return Cte(cte_alpha)
-    data = json.loads(rf_json)
+    try:
+        data = json.loads(rf_json)
+    except RecursionError as exc:
+        raise click.UsageError("--rf-json is nested too deeply") from exc
     if isinstance(data, list):
         return [rf_from_json_dict(d) for d in data]
     return rf_from_json_dict(data)
@@ -149,6 +152,8 @@ def _load_json_file(path: str) -> dict:
         raise click.UsageError(
             f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise click.UsageError(f"JSON in {path} is nested too deeply") from exc
 
 
 def _contains_erm(rf: RiskFunctional) -> bool:

@@ -3,17 +3,16 @@
 The measures are declarative values (small frozen dataclasses) dispatched
 by :func:`evaluate`, so stage-indexed recursions and solvers can carry
 them around as data.  All evaluation is closed-form on mixed
-discrete/uniform distributions; the only numeric integration in the
-package is the piecewise-linear disutility push-forward.
+discrete/uniform distributions, the piecewise-linear disutility
+push-forward included: its integrand is linear between knots, so the
+trapezoid rule on each knot interval is exact.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
-
-from scipy.integrate import quad
 
 from .distributions import (
     MixedDistribution,
@@ -281,41 +280,76 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
 
 
 def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
-    """Smallest y with CDF(y) >= alpha, by exact scan of the piecewise CDF.
+    """Smallest y with CDF(y) >= alpha, by one sorted sweep of the CDF.
 
-    The CDF is piecewise linear with jumps only at atoms, so scanning the
-    sorted breakpoints and interpolating inside a segment is exact.
+    The CDF is piecewise linear with jumps only at atoms.  The breakpoints
+    (atom values, segment ends) are sorted once, and a running CDF with
+    its slope locates the first breakpoint whose CDF reaches alpha.  The
+    decision there is then made on ``dist.cdf`` and ``dist.atom_mass_at``
+    themselves, walking to a neighbour while they disagree with the
+    running sum, and a crossing inside a segment is inverted linearly.
+    The running sum only locates the crossing, so the result does not
+    depend on its rounding; the cost is O(n log n) in the component count.
     """
     alpha = _check_alpha(alpha)
     if alpha == 0.0:
         return essential_inf(dist)
-    points = set()
+    # (y, atom mass at y, change of the CDF's slope at y)
+    events = []
     for w, o in dist.components:
         if w <= 0.0:
             continue
         if isinstance(o, PointMass):
-            points.add(o.value)
+            events.append((o.value, w, 0.0))
         else:
-            points.add(o.lo)
-            points.add(o.hi)
-    breaks = sorted(points)
-    prev = breaks[0]
-    cdf_prev = dist.cdf(prev)
-    if cdf_prev >= alpha:
-        return prev
-    for y in breaks[1:]:
-        cdf_left = dist.cdf(y) - dist.atom_mass_at(y)  # Pr(Y < y)
-        if cdf_left >= alpha:
-            # the CDF is linear on (prev, y); invert it there
-            slope = (cdf_left - cdf_prev) / (y - prev)
-            return prev + (alpha - cdf_prev) / slope
-        cdf_at = dist.cdf(y)
-        if cdf_at >= alpha:
-            return y
-        prev, cdf_prev = y, cdf_at
-    # alpha exceeded every accumulated mass (only possible through float
-    # dust in the weights); the top of the support is the right answer
-    return essential_sup(dist)
+            rate = w / o.width
+            events.append((o.lo, 0.0, rate))
+            events.append((o.hi, 0.0, -rate))
+    events.sort()
+    breaks: List[float] = []
+    levels: List[float] = []  # running CDF at each breakpoint
+    level = slope = 0.0
+    active = 0
+    for y, mass, rate in events:
+        if not breaks or y != breaks[-1]:
+            if breaks:
+                level += slope * (y - breaks[-1])
+            breaks.append(y)
+            levels.append(level)
+        level += mass
+        levels[-1] = level
+        if rate:
+            slope += rate
+            active += 1 if rate > 0.0 else -1
+            if not active:
+                slope = 0.0  # no segment open: drop the rounding residue
+    cdf = dist.cdf
+    k = min(bisect_left(levels, alpha), len(breaks) - 1)
+    cdf_at = cdf(breaks[k])
+    cdf_prev = None
+    while cdf_at < alpha:  # the running sum crossed too early
+        k += 1
+        if k == len(breaks):
+            # alpha exceeded every accumulated mass (only possible through
+            # float dust in the weights); the top of the support is the
+            # right answer
+            return essential_sup(dist)
+        cdf_prev, cdf_at = cdf_at, cdf(breaks[k])
+    while cdf_prev is None and k > 0:  # the running sum crossed too late
+        below = cdf(breaks[k - 1])
+        if below < alpha:
+            cdf_prev = below
+        else:
+            k, cdf_at = k - 1, below
+    if k == 0:
+        return breaks[0]
+    y, prev = breaks[k], breaks[k - 1]
+    cdf_left = cdf_at - dist.atom_mass_at(y)  # Pr(Y < y)
+    if cdf_left >= alpha:
+        # the CDF is linear on (prev, y); invert it there
+        slope = (cdf_left - cdf_prev) / (y - prev)
+        return prev + (alpha - cdf_prev) / slope
+    return y
 
 
 def cte(alpha: float, dist: MixedDistribution) -> float:
@@ -477,15 +511,13 @@ def _segment_disutility_mean(u: DisutilityFunction, seg: UniformSegment) -> floa
         k1 = u.k + 1.0
         return (seg.hi**k1 - seg.lo**k1) / (k1 * seg.width)
     if isinstance(u, PiecewiseLinear):
-        interior = [c for c, _ in u.knots if seg.lo < c < seg.hi]
-        integral, _ = quad(
-            lambda x: _pwl_apply(u.knots, x),
-            seg.lo,
-            seg.hi,
-            points=interior or None,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=200,
+        # the curve is linear between knots, so the trapezoid rule on each
+        # knot interval inside the segment is exact
+        xs = [seg.lo, *(c for c, _ in u.knots if seg.lo < c < seg.hi), seg.hi]
+        us = [_pwl_apply(u.knots, x) for x in xs]
+        integral = math.fsum(
+            0.5 * (x1 - x0) * (u0 + u1)
+            for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
         )
         return integral / seg.width
     raise ValidationError(f"unknown disutility {u!r}")

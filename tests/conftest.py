@@ -1,8 +1,9 @@
 """Shared fixtures: independent numerical oracles and random generators.
 
 The oracles here recompute tail expectations and entropic values from
-scratch (discretization, quadrature) so the library's closed forms are
-checked against arithmetic that shares no code with them.
+scratch (discretization, the Rockafellar-Uryasev minimum, quadrature) so
+the library's closed forms are checked against arithmetic that shares no
+code with them.
 """
 from __future__ import annotations
 
@@ -83,6 +84,69 @@ def discretized_cte(alpha: float, dist: MixedDistribution, atoms: int = DISCRETI
 
 
 # ---------------------------------------------------------------------------
+# Rockafellar-Uryasev oracle for the tail expectation
+# ---------------------------------------------------------------------------
+
+
+def _support_points(dist: MixedDistribution) -> list:
+    """Sorted atom values and segment ends of the positive-weight components."""
+    pts = set()
+    for w, o in dist.components:
+        if w > 0.0:
+            pts.update((o.value,) if isinstance(o, PointMass) else (o.lo, o.hi))
+    return sorted(pts)
+
+
+def _exceedance(t: float, dist: MixedDistribution) -> float:
+    """Pr(Y > t)."""
+    parts = []
+    for w, o in dist.components:
+        if isinstance(o, PointMass):
+            if o.value > t:
+                parts.append(w)
+        elif t <= o.lo:
+            parts.append(w)
+        elif t < o.hi:
+            parts.append(w * (o.hi - t) / (o.hi - o.lo))
+    return math.fsum(parts)
+
+
+def _expected_excess(t: float, dist: MixedDistribution) -> float:
+    """E[(Y - t)+], per atom and per segment in closed form."""
+    parts = []
+    for w, o in dist.components:
+        if isinstance(o, PointMass):
+            if o.value > t:
+                parts.append(w * (o.value - t))
+        elif t <= o.lo:
+            parts.append(w * (0.5 * (o.lo + o.hi) - t))
+        elif t < o.hi:
+            parts.append(w * (o.hi - t) ** 2 / (2.0 * (o.hi - o.lo)))
+    return math.fsum(parts)
+
+
+def rockafellar_uryasev_cte(alpha: float, dist: MixedDistribution) -> float:
+    """Tail expectation as min over t of t + E[(Y - t)+] / (1 - alpha).
+
+    The objective is convex, with slope 1 - Pr(Y > t) / (1 - alpha).  Its
+    minimum therefore lies on a support point or, inside a gap between two
+    of them where Pr(Y > t) falls linearly, at the t where Pr(Y > t) equals
+    1 - alpha: the quantile.  Every such candidate is evaluated exactly.
+    """
+    pts = _support_points(dist)
+    candidates = list(pts)
+    target = 1.0 - alpha
+    for a, b in zip(pts, pts[1:]):
+        above_a = _exceedance(a, dist)
+        below_b = _exceedance(b, dist) + math.fsum(
+            w for w, o in dist.components if isinstance(o, PointMass) and o.value == b
+        )  # Pr(Y >= b), the limit of Pr(Y > t) as t rises to b
+        if below_b < target < above_a:
+            candidates.append(a + (above_a - target) / (above_a - below_b) * (b - a))
+    return min(t + _expected_excess(t, dist) / target for t in candidates)
+
+
+# ---------------------------------------------------------------------------
 # quadrature oracle for the entropic value
 # ---------------------------------------------------------------------------
 
@@ -158,6 +222,35 @@ def random_mixed(
         else:
             parts.append((r / total, v))
     return mixture(parts)
+
+
+def random_tied_law(rng: random.Random, dyadic: bool) -> MixedDistribution:
+    """Random law built to tie: integer atoms and segment ends drawn from a
+    small pool, so atoms share values and segments start and end on atoms,
+    and zero-weight components, some far outside the support.  With dyadic
+    set, weights are multiples of 1/64 and segment widths 1, 2 or 4, so
+    every CDF level at an integer is a float computed without rounding.
+    """
+    n = rng.randint(1, 12)
+    if dyadic:
+        cuts = sorted(rng.randint(0, 64) for _ in range(n - 1))
+        weights = [(b - a) / 64.0 for a, b in zip([0, *cuts], [*cuts, 64])]
+    else:
+        raw = [0.0 if rng.random() < 0.15 else rng.random() for _ in range(n)]
+        raw[rng.randrange(n)] += 0.5
+        total = math.fsum(raw)
+        weights = [r / total for r in raw]
+    comps = []
+    for w in weights:
+        lo = float(rng.randint(-4, 4))
+        if w == 0.0 and rng.random() < 0.5:
+            lo = rng.choice((-100.0, 100.0))
+        if rng.random() < 0.5:
+            comps.append((w, PointMass(lo)))
+        else:
+            width = float(rng.choice((1, 2, 4) if dyadic else (1, 2, 3, 4)))
+            comps.append((w, UniformSegment(lo, lo + width)))
+    return MixedDistribution(tuple(comps))
 
 
 def random_increasing_disutility(rng: random.Random):

@@ -8,12 +8,16 @@ checked property fails, 2 on bad input.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import riskdp
 from riskdp import mdp_to_json_dict
 from riskdp.casebook import (
     highway_time,
@@ -109,6 +113,10 @@ def test_eval_rejects_a_missing_file(tmp_path):
 
 
 PAYMENTS_TEXT = json.dumps(mdp_to_json_dict(payments_mdp(1.0)))
+# deeper than the json module's recursion allows
+DEEP_RF_JSON = '{"kind": "mean"}'
+for _ in range(1200):
+    DEEP_RF_JSON = f'{{"kind": "composite", "terms": [{{"w": 1, "rf": {DEEP_RF_JSON}}}]}}'
 
 
 @pytest.mark.parametrize(
@@ -124,6 +132,8 @@ PAYMENTS_TEXT = json.dumps(mdp_to_json_dict(payments_mdp(1.0)))
          ["--rf-json", '{"kind": "composite", "terms": [{"w": "x", "rf": {"kind": "mean"}}]}']),
         ("solve", PAYMENTS_TEXT.replace('"start"', '["start"]'), ["--mean"]),
         ("solve", PAYMENTS_TEXT.replace('"p": 1.0', '"p": "one"'), ["--mean"]),
+        ("eval", '{"components": [{"w": 1, "point": 1.0}]}', ["--rf-json", DEEP_RF_JSON]),
+        ("eval", "[" * 3000, ["--mean"]),
     ],
     ids=[
         "point-not-a-number",
@@ -134,6 +144,8 @@ PAYMENTS_TEXT = json.dumps(mdp_to_json_dict(payments_mdp(1.0)))
         "composite-weight-not-a-number",
         "state-is-a-list",
         "probability-not-a-number",
+        "rf-json-nested-too-deeply",
+        "file-nested-too-deeply",
     ],
 )
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_text, flags):
@@ -407,3 +419,16 @@ def test_check_csv_rows_carry_pass_flags():
     assert lines[0] == "property,measure,trials,passed"
     assert len(lines) == 11
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(riskdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import riskdp.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

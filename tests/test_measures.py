@@ -19,6 +19,7 @@ from riskdp import (
     Linear,
     MixedDistribution,
     PiecewiseLinear,
+    PointMass,
     Power,
     ValidationError,
     ValueAtRisk,
@@ -45,6 +46,8 @@ from .conftest import (
     quadrature_erm,
     random_increasing_disutility,
     random_mixed,
+    random_tied_law,
+    rockafellar_uryasev_cte,
 )
 
 GAMMA_GRID = (-2.0, -0.5, -0.01, 0.01, 0.5, 2.0)
@@ -196,6 +199,64 @@ def test_cte_matches_discretization_oracle():
         d = random_mixed(rng)
         for a in ALPHA_GRID:
             assert_close(cte(a, d), discretized_cte(a, d, atoms=20000), rel=1e-6)
+
+
+def _sorted_cumulative_quantile(alpha, dist):
+    """Lower alpha-quantile and the CDF levels passed on the way: walk the
+    sorted support points, adding the segment mass of each gap, then the
+    atom mass at the point, and invert the first sum that reaches alpha."""
+    comps = [(w, o) for w, o in dist.components if w > 0.0]
+    atoms = [(w, o.value) for w, o in comps if isinstance(o, PointMass)]
+    segments = [(w, o.lo, o.hi) for w, o in comps if not isinstance(o, PointMass)]
+    points = sorted({v for _, v in atoms} | {x for _, lo, hi in segments for x in (lo, hi)})
+    below, levels, found = 0.0, [], None
+    for prev, y in zip([None, *points], points):
+        if prev is not None:
+            gap = math.fsum(w * (y - prev) / (hi - lo) for w, lo, hi in segments if lo <= prev and y <= hi)
+            if found is None and gap > 0.0 and below + gap >= alpha:
+                found = prev + (alpha - below) / gap * (y - prev)
+            below += gap
+            levels.append(below)
+        below += math.fsum(w for w, v in atoms if v == y)
+        levels.append(below)
+        if found is None and below >= alpha:
+            found = y
+    return (points[-1] if found is None else found), levels
+
+
+def _tied_laws_and_levels(seed, count):
+    """Random tied laws, half with exact dyadic CDF levels, each with its
+    CDF levels below 1 and two random tail levels."""
+    rng = random.Random(seed)
+    for i in range(count):
+        d = random_tied_law(rng, dyadic=i % 2 == 0)
+        _, levels = _sorted_cumulative_quantile(0.0, d)
+        levels = sorted({a for a in levels if a < 1.0 - 1e-9})
+        yield i % 2 == 0, d, levels, [rng.random(), rng.random()]
+
+
+def test_value_at_risk_matches_a_sorted_cumulative_quantile_on_tied_laws():
+    checked = 0
+    for dyadic, d, levels, randoms in _tied_laws_and_levels(31, 600):
+        # a float CDF level that was rounded may land on either side of a
+        # jump, so only exact levels are checked as levels
+        for a in (levels if dyadic else [0.0]) + randoms:
+            assert_close(value_at_risk(a, d), _sorted_cumulative_quantile(a, d)[0], rel=1e-12)
+            checked += 1
+        for w, o in d.components:
+            # the CDF's own level at an atom is first reached at that atom
+            if w > 0.0 and isinstance(o, PointMass) and d.cdf(o.value) < 1.0:
+                assert value_at_risk(d.cdf(o.value), d) == o.value
+    assert checked > 3000
+
+
+def test_cte_matches_the_rockafellar_uryasev_minimum_on_tied_laws():
+    checked = 0
+    for _, d, levels, randoms in _tied_laws_and_levels(32, 600):
+        for a in levels + randoms:
+            assert_close(cte(a, d), rockafellar_uryasev_cte(a, d), rel=1e-9)
+            checked += 1
+    assert checked > 3000
 
 
 def test_route_tail_values():
@@ -369,6 +430,32 @@ def test_pushforward_mean_piecewise_linear_matches_hand_integral():
     assert_close(pushforward_mean(u, seg), (1.0 + 5.0) / 3.0, rel=1e-9)
     mixed = mixture([(0.5, 4.0), (0.5, (0.0, 3.0))])
     assert_close(pushforward_mean(u, mixed), 0.5 * 3.5 + 0.5 * 2.0, rel=1e-9)
+
+
+def test_pushforward_mean_piecewise_linear_is_the_trapezoid_sum():
+    # slope 1/2 below 0 (beyond the first knot too), 2/5 on [0, 10], 4/5 above 10
+    u = PiecewiseLinear(((-10.0, -5.0), (0.0, 0.0), (10.0, 4.0), (30.0, 20.0)))
+    cases = [
+        # knots inside: u(-5) = -2.5, u(0) = 0, u(10) = 4, u(15) = 8
+        ((-5.0, 15.0), (5 * (-2.5 + 0) / 2 + 10 * (0 + 4) / 2 + 5 * (4 + 8) / 2) / 20),
+        # every knot inside, both ends beyond them: u(-20) = -10, u(40) = 28
+        ((-20.0, 40.0), (10 * (-10 - 5) / 2 + 10 * (-5 + 0) / 2 + 10 * (0 + 4) / 2
+                         + 20 * (4 + 20) / 2 + 10 * (20 + 28) / 2) / 60),
+        # starts on a knot: u(20) = 12
+        ((0.0, 20.0), (10 * (0 + 4) / 2 + 10 * (4 + 12) / 2) / 20),
+        # ends on a knot
+        ((-10.0, 10.0), (10 * (-5 + 0) / 2 + 10 * (0 + 4) / 2) / 20),
+        # starts and ends on knots, none inside
+        ((10.0, 30.0), (4 + 20) / 2),
+        # wholly beyond the last knot: u(40) = 28, u(50) = 36
+        ((40.0, 50.0), (28 + 36) / 2),
+        # wholly before the first knot: u(-30) = -15, u(-20) = -10
+        ((-30.0, -20.0), (-15 - 10) / 2),
+        # before the first knot, ending on it
+        ((-20.0, -10.0), (-10 - 5) / 2),
+    ]
+    for (lo, hi), want in cases:
+        assert_close(pushforward_mean(u, MixedDistribution.uniform(lo, hi)), want, rel=1e-12)
 
 
 def test_exponential_disutility_overflow_is_reported():
