@@ -6,12 +6,21 @@ functional at every node (folding discounted continuation values into
 the current period's cost), and the flat route that builds the single
 distribution of the discounted total cost and applies one measure or
 disutility to it.
+
+Trees are immutable all the way down, so each `ScenarioTree` compiles
+its nodes once, on first use, into a cached plan: the nodes with every
+child before its parent, each as its stage and one (probability, cost,
+child position) triple per edge.  The recursion, `node_count` and
+`path_count` read that plan; the plan depends on neither the risk
+functionals nor the discount, and is not a dataclass field, so `==`,
+`repr` and the JSON form of a tree do not see it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from .distributions import (
     MixedDistribution,
@@ -52,12 +61,60 @@ class Edge:
 
 @dataclass(frozen=True)
 class TreeNode:
+    """A node at a stage with its outgoing edges.
+
+    `==` and `hash` walk the subtree off an explicit stack, so they work
+    at any depth; `repr` is the generated one and still recurses.
+    """
+
     stage: int
     edges: Tuple[Edge, ...]
 
     @property
     def is_leaf(self) -> bool:
         return not self.edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if (a.stage, len(a.edges)) != (b.stage, len(b.edges)):
+                return False
+            for ea, eb in zip(a.edges, b.edges):
+                if (ea.probability, ea.cost) != (eb.probability, eb.cost):
+                    return False
+                stack.append((ea.child, eb.child))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(
+            tuple(
+                (node.stage, tuple((e.probability, e.cost) for e in node.edges))
+                for node in _preorder(self)
+            )
+        )
+
+
+class _Plan(NamedTuple):
+    """A tree compiled for the stagewise recursion.
+
+    `steps` lists the nodes in post-order with the children taken
+    last-first, which is the pre-order reversed: every child comes before
+    its parent and the root is last.  Each step is (stage,
+    ((probability, cost, child position), ...), constant), a leaf having
+    no edges; constant marks a node with one scalar-cost edge, whose
+    value is that cost plus the discounted child value.  `paths` is the
+    number of leaves.
+    """
+
+    steps: Tuple[Tuple[int, Tuple[Tuple[float, Any, int], ...], bool], ...]
+    paths: int
 
 
 @dataclass(frozen=True)
@@ -122,11 +179,35 @@ class ScenarioTree:
         object.__setattr__(tree, "root", root)
         return tree
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        steps: List[Tuple[int, tuple, bool]] = []
+        done: List[int] = []  # plan positions of finished subtrees
+        paths = 0
+        stack = [(self.root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if not node.edges:
+                done.append(len(steps))
+                steps.append((node.stage, (), False))
+                paths += 1
+            elif not expanded:
+                # the last child is walked first, so the subtrees finish in
+                # reverse and the first child's position ends on top of done
+                stack.append((node, True))
+                stack.extend([(e.child, False) for e in node.edges])
+            else:
+                edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
+                constant = len(edges) == 1 and not isinstance(edges[0][1], MixedDistribution)
+                done.append(len(steps))
+                steps.append((node.stage, edges, constant))
+        return _Plan(tuple(steps), paths)
+
     def node_count(self) -> int:
-        return sum(1 for _ in _preorder(self.root))
+        return len(self._plan.steps)
 
     def path_count(self) -> int:
-        return sum(1 for node in _preorder(self.root) if node.is_leaf)
+        return self._plan.paths
 
 
 def _preorder(root: TreeNode) -> Iterator[TreeNode]:
@@ -242,42 +323,46 @@ class IrmResult:
     node_values: Dict[Tuple[int, ...], float]
 
 
-def _node_law(node: TreeNode, lam: float, values: Dict[int, float]) -> MixedDistribution:
-    """Mixture over edges of cost + lam * (child value), built straight
-    from the edge cost components.
-    """
-    parts: List[Tuple[float, Any]] = []
-    for e in node.edges:
-        shift = lam * values[id(e.child)]
-        if not isinstance(e.cost, MixedDistribution):
-            parts.append((e.probability, PointMass(e.cost + shift)))
-            continue
-        for w, o in e.cost.components:
-            if shift != 0.0 and isinstance(o, PointMass):
-                o = PointMass(o.value + shift)
-            elif shift != 0.0:
-                o = UniformSegment(o.lo + shift, o.hi + shift)
-            parts.append((e.probability * w, o))
-    return MixedDistribution._trusted(tuple(parts))
-
-
-def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> Dict[int, float]:
-    """Backward recursion over the tree: the value of every node, keyed by
-    id(node).  Leaves are worth zero; an internal node at period n applies
-    the period-n functional to the mixture of its branch costs plus the
-    discounted child values.  Reversed pre-order puts every child before
-    its parent.
+def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
+    """Backward recursion over the tree's plan: the value of every node,
+    by plan position.  Leaves are worth zero; an internal node at period
+    n applies the period-n functional to the mixture over its edges of
+    cost + lam * (child value), built straight from the edge cost
+    components.  A node with one scalar-cost edge takes the constant
+    cost + lam * (child value) straight, since every functional maps a
+    constant to itself; it is checked for finiteness as `PointMass` would.
     """
     lam = _check_discount(lam)
     if len(spec.stages) != tree.horizon:
         raise ValidationError(
             f"spec has {len(spec.stages)} stages but the tree horizon is {tree.horizon}"
         )
-    values: Dict[int, float] = {}
-    for node in reversed(list(_preorder(tree.root))):
-        values[id(node)] = (
-            0.0 if node.is_leaf else evaluate(spec.stages[node.stage], _node_law(node, lam, values))
-        )
+    stages = spec.stages
+    values: List[float] = []
+    for stage, edges, constant in tree._plan.steps:
+        if constant:
+            _, cost, child = edges[0]
+            value = cost + lam * values[child]
+            if not math.isfinite(value):
+                raise ValidationError("PointMass value must be finite")
+            values.append(value)
+            continue
+        if not edges:
+            values.append(0.0)
+            continue
+        parts: List[Tuple[float, Any]] = []
+        for p, cost, child in edges:
+            shift = lam * values[child]
+            if not isinstance(cost, MixedDistribution):
+                parts.append((p, PointMass(cost + shift)))
+                continue
+            for w, o in cost.components:
+                if shift != 0.0 and isinstance(o, PointMass):
+                    o = PointMass(o.value + shift)
+                elif shift != 0.0:
+                    o = UniformSegment(o.lo + shift, o.hi + shift)
+                parts.append((p * w, o))
+        values.append(evaluate(stages[stage], MixedDistribution._trusted(tuple(parts))))
     return values
 
 
@@ -288,18 +373,19 @@ def irm_evaluate(tree: ScenarioTree, spec: IrmSpec, lam: float) -> IrmResult:
     empty tuple.
     """
     values = _node_values(tree, spec, lam)
+    steps = tree._plan.steps
     table: Dict[Tuple[int, ...], float] = {}
-    stack: List[Tuple[TreeNode, Tuple[int, ...]]] = [(tree.root, ())]
+    stack: List[Tuple[int, Tuple[int, ...]]] = [(len(steps) - 1, ())]
     while stack:
-        node, key = stack.pop()
-        table[key] = values[id(node)]
-        stack.extend((e.child, key + (i,)) for i, e in enumerate(node.edges))
+        at, key = stack.pop()
+        table[key] = values[at]
+        stack.extend((child, key + (i,)) for i, (_, _, child) in enumerate(steps[at][1]))
     return IrmResult(root_value=table[()], node_values=table)
 
 
 def irm_root_value(tree: ScenarioTree, spec: IrmSpec, lam: float) -> float:
     """Root value of the stagewise recursion; builds no key table."""
-    return _node_values(tree, spec, lam)[id(tree.root)]
+    return _node_values(tree, spec, lam)[-1]
 
 
 # ---------------------------------------------------------------------------

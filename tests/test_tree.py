@@ -3,12 +3,14 @@ of the discounted total, and when the two evaluations must or must not
 agree."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from riskdp import (
+    Composite,
     Cte,
     Edge,
     EnumerationLimitError,
@@ -22,12 +24,15 @@ from riskdp import (
     TreeNode,
     UniformSegment,
     ValidationError,
+    ValueAtRisk,
+    affine_transform,
     casebook,
     cte,
     deterministic_tree,
     discounted_total_distribution,
     erm,
     eud,
+    evaluate,
     irm_evaluate,
     irm_root_value,
     mean,
@@ -149,6 +154,91 @@ def test_discount_factor_range_is_enforced():
             irm_root_value(t, spec, bad)
     # zero is legal: continuations vanish and only period-0 cost remains
     assert_close(irm_root_value(t, spec, 0.0), 5.0, rel=1e-12)
+
+
+ORACLE_SPECS = (
+    Expectation(),
+    Erm(0.3),
+    ValueAtRisk(0.7),
+    Cte(0.6),
+    Composite(((0.5, Expectation()), (0.5, Cte(0.9)))),
+)
+
+
+def reference_node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> dict:
+    """The stagewise recursion written plainly and recursively, sharing no
+    code with riskdp.tree: every node value keyed by its child-index path.
+    """
+    table = {}
+
+    def value(node: TreeNode, key: tuple) -> float:
+        laws = []
+        for i, e in enumerate(node.edges):
+            shift = lam * value(e.child, key + (i,))
+            if isinstance(e.cost, MixedDistribution):
+                laws.append((e.probability, affine_transform(e.cost, 1.0, shift)))
+            else:
+                laws.append((e.probability, MixedDistribution.point(e.cost + shift)))
+        table[key] = evaluate(spec.stages[node.stage], MixedDistribution.mix(laws)) if laws else 0.0
+        return table[key]
+
+    value(tree.root, ())
+    return table
+
+
+def test_recursion_matches_a_plain_recursive_reference():
+    rng = random.Random(404)
+    for _ in range(30):
+        tree = random_tree(rng, max_horizon=5, max_children=3, segment_stage=rng.randrange(5))
+        for rf in ORACLE_SPECS:
+            spec = IrmSpec.repeat(rf, tree.horizon)
+            for lam in (0.0, 0.5, 0.9, 1.0):
+                want = reference_node_values(tree, spec, lam)
+                got = irm_evaluate(tree, spec, lam).node_values
+                assert set(got) == set(want)
+                for key, value in want.items():
+                    assert_close(got[key], value, rel=1e-12, abs_tol=1e-12)
+                assert_close(irm_root_value(tree, spec, lam), want[()], rel=1e-12, abs_tol=1e-12)
+
+
+def test_cached_plan_depends_on_neither_spec_nor_discount():
+    rng = random.Random(405)
+    tree = random_tree(rng, max_horizon=4, max_children=3, segment_stage=1)
+    runs = [
+        (IrmSpec.repeat(rf, tree.horizon), lam)
+        for rf in (Cte(0.6), Erm(0.3))
+        for lam in (0.5, 1.0)
+    ]
+    for spec, lam in runs + runs[::-1]:
+        fresh = ScenarioTree(horizon=tree.horizon, root=tree.root)
+        assert irm_evaluate(tree, spec, lam) == irm_evaluate(fresh, spec, lam)
+        assert irm_root_value(tree, spec, lam) == irm_root_value(fresh, spec, lam)
+
+
+def test_non_finite_node_values_are_rejected():
+    spec = IrmSpec.repeat(Expectation(), 2)
+    # one scalar edge per node: the constant shortcut
+    with pytest.raises(ValidationError, match="PointMass value must be finite"):
+        irm_root_value(deterministic_tree([1e308, 1e308]), spec, 1.0)
+    # two scalar edges at the root: the node law
+    chain = [TreeNode(1, (Edge(1.0, 1e308, TreeNode(2, ())),)) for _ in range(2)]
+    root = TreeNode(0, tuple(Edge(0.5, 1e308, child) for child in chain))
+    with pytest.raises(ValidationError, match="PointMass value must be finite"):
+        irm_root_value(ScenarioTree(horizon=2, root=root), spec, 1.0)
+
+
+def test_evaluation_leaves_the_tree_unchanged():
+    rng = random.Random(406)
+    tree = random_tree(rng, max_horizon=4, max_children=3, segment_stage=2)
+    fresh = tree_from_json_dict(tree_to_json_dict(tree))
+    fields = dataclasses.fields(ScenarioTree)
+    as_json = tree_to_json_dict(tree)
+    irm_evaluate(tree, IrmSpec.repeat(Cte(0.5), tree.horizon), 0.9)
+    assert tree.node_count() == fresh.node_count()
+    assert tree == fresh and fresh == tree
+    assert hash(tree) == hash(fresh)
+    assert dataclasses.fields(ScenarioTree) == fields
+    assert tree_to_json_dict(tree) == as_json
 
 
 def test_installment_chain_tail_recursion_closed_form():
@@ -321,12 +411,22 @@ def test_deep_chain_walks_need_no_recursion():
     assert_close(mean(law), head + tail * mean(costs[-1]))
     assert tree.path_count() == 1
     assert tree.node_count() == DEEP_STAGES + 1
-    # compared edge by edge: the generated == of nested dataclasses recurses
+    # compared edge by edge, independently of TreeNode.__eq__
     node, again = tree_from_json_dict(tree_to_json_dict(tree)).root, []
     while node.edges:
         again.append(node.edges[0].cost)
         node = node.edges[0].child
     assert again == costs
+
+
+def test_deep_chains_compare_and_hash_without_recursion():
+    costs, tree = deep_chain(DEEP_STAGES)
+    _, same = deep_chain(DEEP_STAGES)
+    assert tree == same
+    assert hash(tree) == hash(same)
+    other = deterministic_tree(costs[:-1] + [MixedDistribution.point(4.0)])
+    assert tree != other
+    assert tree.root != other.root
 
 
 def test_deep_chain_records_every_node_value():
