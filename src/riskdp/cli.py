@@ -1,16 +1,17 @@
 """Command-line harness over the library.
 
 Every command is deterministic given its flags (plus --seed where
-randomness is involved), prints JSON by default, and can emit CSV for
-the grid and curve outputs.  Exit codes: 0 on success, 1 when a checked
-property or assertion fails, 2 on bad input.
+randomness is involved) and returns one output record; the command
+boundary (`_Command`) renders it as JSON (the default) or CSV, writes
+it to stdout or --out, and owns the exit codes: 0 on success, 1 when a
+checked property or assertion fails, 2 on bad input.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import click
 
@@ -51,17 +52,10 @@ DEU_GAMMAS = (0.0001, 0.001, 0.01)
 DEFAULT_PATH_ALPHAS = (0.5, 0.8)
 DEFAULT_PATH_GAMMAS = (-0.2, -0.1, -0.05, -0.01, 0.0, 0.01, 0.05, 0.1, 0.2)
 ORDERING_TOL = 1e-9
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        click.echo(text, nl=False)
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+PAYMENTS_CSV_QUANTITIES = (
+    "lambda", "alpha", "upfront_value", "installment_value", "installment_closed_form",
+    "preferred", "boundary_twenty_day", "boundary_nineteen_day", "alpha_above_boundary",
+)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -77,26 +71,6 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_option(fn):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="Output format.",
-    )(fn)
-
-
-def _out_option(fn):
-    return click.option(
-        "--out",
-        type=click.Path(dir_okay=False, writable=True),
-        default=None,
-        help="Write output to this file instead of stdout.",
-    )(fn)
-
-
 def _rf_options(fn):
     fn = click.option("--mean", "want_mean", is_flag=True, help="Plain expectation.")(fn)
     fn = click.option("--erm", "erm_gamma", type=float, default=None, help="Entropic measure with this risk parameter.")(fn)
@@ -106,34 +80,42 @@ def _rf_options(fn):
     return fn
 
 
-def _parse_rf(want_mean: bool, erm_gamma, var_alpha, cte_alpha, rf_json) -> object:
-    """One of the rf flags, exactly; --rf-json may carry a per-stage list."""
-    given = [
-        name
-        for name, on in (
-            ("--mean", want_mean),
-            ("--erm", erm_gamma is not None),
-            ("--var", var_alpha is not None),
-            ("--cte", cte_alpha is not None),
-            ("--rf-json", rf_json is not None),
-        )
-        if on
+_RF_FLAGS = {
+    "want_mean": "--mean",
+    "erm_gamma": "--erm",
+    "var_alpha": "--var",
+    "cte_alpha": "--cte",
+    "rf_json": "--rf-json",
+}
+
+
+def _rf_flags_given(rf_flags: dict) -> List[str]:
+    """The objective flags set on the command line (an unset --mean is False)."""
+    return [
+        flag
+        for key, flag in _RF_FLAGS.items()
+        if rf_flags[key] is not None and rf_flags[key] is not False
     ]
+
+
+def _parse_rf(**rf_flags) -> object:
+    """One of the rf flags, exactly; --rf-json may carry a per-stage list."""
+    given = _rf_flags_given(rf_flags)
     if len(given) != 1:
         raise click.UsageError(
             "pick exactly one of --mean/--erm/--var/--cte/--rf-json"
             + (f" (got {', '.join(given)})" if given else "")
         )
-    if want_mean:
+    if rf_flags["want_mean"]:
         return Expectation()
-    if erm_gamma is not None:
-        return Erm(erm_gamma)
-    if var_alpha is not None:
-        return ValueAtRisk(var_alpha)
-    if cte_alpha is not None:
-        return Cte(cte_alpha)
+    if rf_flags["erm_gamma"] is not None:
+        return Erm(rf_flags["erm_gamma"])
+    if rf_flags["var_alpha"] is not None:
+        return ValueAtRisk(rf_flags["var_alpha"])
+    if rf_flags["cte_alpha"] is not None:
+        return Cte(rf_flags["cte_alpha"])
     try:
-        data = json.loads(rf_json)
+        data = json.loads(rf_flags["rf_json"])
     except RecursionError as exc:
         raise click.UsageError("--rf-json is nested too deeply") from exc
     if isinstance(data, list):
@@ -160,19 +142,53 @@ def _contains_erm(rf: RiskFunctional) -> bool:
     return fold_functional(rf, lambda f, terms: isinstance(f, Erm) or any(v for _, v in terms))
 
 
+class _Output(NamedTuple):
+    """What a command returns: its JSON data, its CSV header and rows,
+    and the message of a checked failure (exit 1 after the output)."""
+
+    data: object
+    header: Sequence[str]
+    rows: Sequence[Sequence[object]]
+    failure: Optional[str] = None
+
+
 class _Command(click.Command):
-    """Reports a library error or a malformed --rf-json as a usage error,
-    so bad input exits 2 with a message instead of a traceback.
+    """The one output and error boundary of every command.
+
+    Adds --format and --out after the command's own options, renders the
+    _Output the command returns as JSON or CSV to stdout or the file, and
+    then raises its failure, if any, so a failed check exits 1 after
+    printing.  A library error or a malformed --rf-json becomes a usage
+    error, so bad input exits 2 with a message instead of a traceback.
     """
 
-    def invoke(self, ctx: click.Context):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.params = [
+            *self.params,
+            click.Option(["--format", "fmt"], type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Output format."),
+            click.Option(["--out"], type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to this file instead of stdout."),
+        ]
+
+    def invoke(self, ctx: click.Context) -> None:
+        fmt, out = ctx.params.pop("fmt"), ctx.params.pop("out")
         try:
-            return super().invoke(ctx)
+            result = super().invoke(ctx)
         except RiskModelError as exc:
             raise click.UsageError(str(exc), ctx) from exc
         except json.JSONDecodeError as exc:
             # files go through _load_json_file, so this is the --rf-json text
             raise click.UsageError(f"--rf-json is not valid JSON: {exc}", ctx) from exc
+        if fmt == "json":
+            text = json.dumps(result.data, indent=2) + "\n"
+        else:
+            text = _csv_text(result.header, result.rows)
+        if out:
+            Path(out).write_text(text, encoding="utf-8")
+        else:
+            click.echo(text, nl=False)
+        if result.failure:
+            raise click.ClickException(result.failure)
 
 
 @click.group()
@@ -191,9 +207,7 @@ main.command_class = _Command
 @main.command()
 @click.option("--lambda", "lam", type=float, default=0.95, show_default=True, help="Discount factor per day.")
 @click.option("--alpha", type=float, default=0.9, show_default=True, help="Tail level of the stagewise tail expectation.")
-@_format_option
-@_out_option
-def payments(lam: float, alpha: float, fmt: str, out: Optional[str]) -> None:
+def payments(lam: float, alpha: float) -> _Output:
     """Compare paying upfront against the installment plan.
 
     Prints the stagewise recursive value of both plans, which plan wins,
@@ -237,26 +251,13 @@ def payments(lam: float, alpha: float, fmt: str, out: Optional[str]) -> None:
         "alpha_above_boundary": alpha > cut20,
         "deu_exponential": deu_rows,
     }
-    if fmt == "json":
-        _emit(_json_text(data), out)
-    else:
-        rows = [
-            ("lambda", lam),
-            ("alpha", alpha),
-            ("upfront_value", a_val),
-            ("installment_value", b_val),
-            ("installment_closed_form", closed),
-            ("preferred", data["preferred"]),
-            ("boundary_twenty_day", cut20),
-            ("boundary_nineteen_day", cut19),
-            ("alpha_above_boundary", data["alpha_above_boundary"]),
-        ]
-        rows.extend(
-            (f"deu_gamma_{r['gamma']:g}_{k}", r[k])
-            for r in deu_rows
-            for k in ("upfront", "installments")
-        )
-        _emit(_csv_text(("quantity", "value"), rows), out)
+    rows = [(k, data[k]) for k in PAYMENTS_CSV_QUANTITIES]
+    rows.extend(
+        (f"deu_gamma_{r['gamma']:g}_{k}", r[k])
+        for r in deu_rows
+        for k in ("upfront", "installments")
+    )
+    return _Output(data, ("quantity", "value"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +268,7 @@ def payments(lam: float, alpha: float, fmt: str, out: Optional[str]) -> None:
 @main.command()
 @click.option("--lambda-steps", type=int, default=100, show_default=True, help="Grid points on the discount axis.")
 @click.option("--alpha-steps", type=int, default=100, show_default=True, help="Grid points on the tail-level axis.")
-@_format_option
-@_out_option
-def fig1(lambda_steps: int, alpha_steps: int, fmt: str, out: Optional[str]) -> None:
+def fig1(lambda_steps: int, alpha_steps: int) -> _Output:
     """Sweep the payment-plan preference region over (discount, tail level).
 
     Every cell is decided by the stagewise recursion on the two trees,
@@ -279,28 +278,20 @@ def fig1(lambda_steps: int, alpha_steps: int, fmt: str, out: Optional[str]) -> N
     """
     grid = casebook.preference_region(lambda_steps, alpha_steps)
     worst = grid.boundary_discrepancy_cells()
-    if fmt == "json":
-        data = {
-            "lambda_axis": list(grid.lambda_axis),
-            "alpha_axis": list(grid.alpha_axis),
-            "cells": [list(row) for row in grid.cells],
-            "boundary": [list(b) for b in grid.boundary],
-            "max_boundary_discrepancy_cells": worst,
-        }
-        _emit(_json_text(data), out)
-    else:
-        rows = []
-        for i, alpha in enumerate(grid.alpha_axis):
-            for j, lam in enumerate(grid.lambda_axis):
-                rows.append((lam, alpha, grid.cells[i][j], grid.boundary[j][1]))
-        _emit(
-            _csv_text(("lambda", "alpha", "upfront_preferred", "boundary_alpha"), rows),
-            out,
-        )
-    if worst > 1:
-        raise click.ClickException(
-            f"recursion and closed-form boundary disagree by {worst} cells"
-        )
+    data = {
+        "lambda_axis": list(grid.lambda_axis),
+        "alpha_axis": list(grid.alpha_axis),
+        "cells": [list(row) for row in grid.cells],
+        "boundary": [list(b) for b in grid.boundary],
+        "max_boundary_discrepancy_cells": worst,
+    }
+    rows = [
+        (lam, alpha, grid.cells[i][j], grid.boundary[j][1])
+        for i, alpha in enumerate(grid.alpha_axis)
+        for j, lam in enumerate(grid.lambda_axis)
+    ]
+    failure = f"recursion and closed-form boundary disagree by {worst} cells" if worst > 1 else None
+    return _Output(data, ("lambda", "alpha", "upfront_preferred", "boundary_alpha"), rows, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +302,7 @@ def fig1(lambda_steps: int, alpha_steps: int, fmt: str, out: Optional[str]) -> N
 @main.command()
 @click.option("--gamma", type=float, default=0.001, show_default=True, help="Risk parameter of the entropic measure.")
 @click.option("--lambda", "lam", type=float, default=0.92, show_default=True, help="Yearly discount factor.")
-@_format_option
-@_out_option
-def xy(gamma: float, lam: float, fmt: str, out: Optional[str]) -> None:
+def xy(gamma: float, lam: float) -> _Output:
     """Evaluate the two deferred payment options from successive years.
 
     Scores both options (1000 due in one year w.p. 0.3; 2000 due in two
@@ -344,16 +333,13 @@ def xy(gamma: float, lam: float, fmt: str, out: Optional[str]) -> None:
                 "flip": len({p.chosen for p in points}) > 1,
             }
         )
+    rows = [
+        (b["measure"], p["t"], p["one_year"], p["two_year"], p["chosen"])
+        for b in blocks
+        for p in b["points"]
+    ]
     data = {"lambda": lam, "gamma": gamma, "measures": blocks}
-    if fmt == "json":
-        _emit(_json_text(data), out)
-    else:
-        rows = [
-            (b["measure"], p["t"], p["one_year"], p["two_year"], p["chosen"])
-            for b in blocks
-            for p in b["points"]
-        ]
-        _emit(_csv_text(("measure", "t", "one_year", "two_year", "chosen"), rows), out)
+    return _Output(data, ("measure", "t", "one_year", "two_year", "chosen"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +351,7 @@ def xy(gamma: float, lam: float, fmt: str, out: Optional[str]) -> None:
 @click.option("--alpha", "alphas", type=float, multiple=True, help="Tail levels to report (repeatable).")
 @click.option("--gamma", "gammas", type=float, multiple=True, help="Risk parameters for the entropic curve (repeatable).")
 @click.option("--lambda", "lam", type=float, default=1.0, show_default=True, help="Discount factor across the two stages.")
-@_format_option
-@_out_option
-def paths(
-    alphas: Tuple[float, ...],
-    gammas: Tuple[float, ...],
-    lam: float,
-    fmt: str,
-    out: Optional[str],
-) -> None:
+def paths(alphas: Tuple[float, ...], gammas: Tuple[float, ...], lam: float) -> _Output:
     """Report risk statistics for the two commute routes.
 
     For each tail level: the plain mean, the one-shot tail expectation of
@@ -414,17 +392,8 @@ def paths(
         ],
         "ordering_violations": len(violations),
     }
-    if fmt == "json":
-        _emit(_json_text(data), out)
-    else:
-        _emit(
-            _csv_text(("gamma", "highway", "local_roads"), curve),
-            out,
-        )
-    if violations:
-        raise click.ClickException(
-            f"entropic ordering violated at gamma in {violations}"
-        )
+    failure = f"entropic ordering violated at gamma in {violations}" if violations else None
+    return _Output(data, ("gamma", "highway", "local_roads"), curve, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +406,12 @@ def paths(
 @click.option("--scale", "scales", type=float, multiple=True, help="Positive scales (repeatable).")
 @click.option("--shift", "shifts", type=float, multiple=True, help="Shifts (repeatable).")
 @click.option("--gamma", "gammas", type=float, multiple=True, help="Risk parameters (repeatable).")
-@_format_option
-@_out_option
 def lemma1(
     xs: Tuple[float, ...],
     scales: Tuple[float, ...],
     shifts: Tuple[float, ...],
     gammas: Tuple[float, ...],
-    fmt: str,
-    out: Optional[str],
-) -> None:
+) -> _Output:
     """Sweep the ordered-pair inequality grid and report violations.
 
     For each shape parameter the pair of mixtures is built, rescaled and
@@ -460,23 +425,17 @@ def lemma1(
     rows = casebook.ordered_pair_gaps(xs, scales, shifts, gammas)
     worst = min(gap for _, _, _, _, gap in rows)
     violations = sum(1 for _, _, _, _, gap in rows if gap < -ORDERING_TOL)
-    if fmt == "json":
-        data = {
-            "points": len(rows),
-            "violations": violations,
-            "max_violation": max(0.0, -worst),
-            "gaps": [
-                {"x": x, "scale": a, "shift": b, "gamma": g, "gap": gap}
-                for x, a, b, g, gap in rows
-            ],
-        }
-        _emit(_json_text(data), out)
-    else:
-        _emit(_csv_text(("x", "scale", "shift", "gamma", "gap"), rows), out)
-    if violations:
-        raise click.ClickException(
-            f"{violations} grid points violate the ordered-pair inequality"
-        )
+    data = {
+        "points": len(rows),
+        "violations": violations,
+        "max_violation": max(0.0, -worst),
+        "gaps": [
+            {"x": x, "scale": a, "shift": b, "gamma": g, "gap": gap}
+            for x, a, b, g, gap in rows
+        ],
+    }
+    failure = f"{violations} grid points violate the ordered-pair inequality" if violations else None
+    return _Output(data, ("x", "scale", "shift", "gamma", "gap"), rows, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +447,7 @@ def lemma1(
 @click.argument("mdp_file", type=click.Path(exists=True, dir_okay=False))
 @_rf_options
 @click.option("--lambda", "lam", type=float, default=None, help="Override the discount factor from the file.")
-@_format_option
-@_out_option
-def solve(
-    mdp_file: str,
-    want_mean: bool,
-    erm_gamma,
-    var_alpha,
-    cte_alpha,
-    rf_json,
-    lam,
-    fmt: str,
-    out: Optional[str],
-) -> None:
+def solve(mdp_file: str, lam: Optional[float], **rf_flags) -> _Output:
     """Solve an MDP file under a stagewise risk objective.
 
     The objective flags give either one functional repeated every stage
@@ -508,7 +455,7 @@ def solve(
     value table, the policy, and a most-likely trajectory.
     """
     raw = _load_json_file(mdp_file)
-    parsed = _parse_rf(want_mean, erm_gamma, var_alpha, cte_alpha, rf_json)
+    parsed = _parse_rf(**rf_flags)
     mdp = mdp_from_json_dict(raw)
     if lam is not None:
         mdp = dataclasses.replace(mdp, discount=lam)
@@ -530,40 +477,22 @@ def solve(
         "spec": [rf_label(rf) for rf in spec.stages],
     }
     data.update(solution_to_json_dict(mdp, values, policy))
-    if fmt == "json":
-        _emit(_json_text(data), out)
-    else:
-        rows = [(r["n"], r["s"], r["a"]) for r in data["policy"]]
-        _emit(_csv_text(("n", "s", "a"), rows), out)
+    return _Output(data, ("n", "s", "a"), [(r["n"], r["s"], r["a"]) for r in data["policy"]])
 
 
 @main.command(name="eval")
 @click.argument("dist_file", type=click.Path(exists=True, dir_okay=False))
 @_rf_options
-@_format_option
-@_out_option
-def eval_cmd(
-    dist_file: str,
-    want_mean: bool,
-    erm_gamma,
-    var_alpha,
-    cte_alpha,
-    rf_json,
-    fmt: str,
-    out: Optional[str],
-) -> None:
+def eval_cmd(dist_file: str, **rf_flags) -> _Output:
     """Apply one risk functional to a distribution file."""
     raw = _load_json_file(dist_file)
-    parsed = _parse_rf(want_mean, erm_gamma, var_alpha, cte_alpha, rf_json)
+    parsed = _parse_rf(**rf_flags)
     if isinstance(parsed, list):
         raise click.UsageError("eval takes a single risk functional, not a per-stage list")
     dist = MixedDistribution.from_json_dict(raw)
+    label = rf_label(parsed)
     value = evaluate(parsed, dist)
-    data = {"measure": rf_label(parsed), "value": value}
-    if fmt == "json":
-        _emit(_json_text(data), out)
-    else:
-        _emit(_csv_text(("measure", "value"), [(data["measure"], value)]), out)
+    return _Output({"measure": label, "value": value}, ("measure", "value"), [(label, value)])
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +501,15 @@ def eval_cmd(
 
 
 STANDARD_CHECKS = (
-    ("monotonic", check_monotonic, Expectation()),
-    ("monotonic", check_monotonic, Erm(1.0)),
-    ("monotonic", check_monotonic, Cte(0.5)),
-    ("translation_invariance", check_translation_invariance, Expectation()),
-    ("translation_invariance", check_translation_invariance, Erm(1.0)),
-    ("translation_invariance", check_translation_invariance, Cte(0.5)),
-    ("positive_homogeneity", check_positive_homogeneity, Expectation()),
-    ("positive_homogeneity", check_positive_homogeneity, ValueAtRisk(0.5)),
-    ("positive_homogeneity", check_positive_homogeneity, Cte(0.5)),
+    (check_monotonic, Expectation()),
+    (check_monotonic, Erm(1.0)),
+    (check_monotonic, Cte(0.5)),
+    (check_translation_invariance, Expectation()),
+    (check_translation_invariance, Erm(1.0)),
+    (check_translation_invariance, Cte(0.5)),
+    (check_positive_homogeneity, Expectation()),
+    (check_positive_homogeneity, ValueAtRisk(0.5)),
+    (check_positive_homogeneity, Cte(0.5)),
 )
 
 
@@ -588,19 +517,7 @@ STANDARD_CHECKS = (
 @_rf_options
 @click.option("--trials", type=int, default=200, show_default=True, help="Random trials per property.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for the random instances.")
-@_format_option
-@_out_option
-def check(
-    want_mean: bool,
-    erm_gamma,
-    var_alpha,
-    cte_alpha,
-    rf_json,
-    trials: int,
-    seed: int,
-    fmt: str,
-    out: Optional[str],
-) -> None:
+def check(trials: int, seed: int, **rf_flags) -> _Output:
     """Run randomized property checks.
 
     Without an objective flag, runs the standard suite (monotonicity,
@@ -609,13 +526,9 @@ def check(
     pass.  With an objective flag, runs all three properties on that
     functional and reports what holds.
     """
-    chosen = any(
-        (want_mean, erm_gamma is not None, var_alpha is not None,
-         cte_alpha is not None, rf_json is not None)
-    )
     reports = []
-    if chosen:
-        rf = _parse_rf(want_mean, erm_gamma, var_alpha, cte_alpha, rf_json)
+    if _rf_flags_given(rf_flags):
+        rf = _parse_rf(**rf_flags)
         if isinstance(rf, list):
             raise click.UsageError("check takes a single risk functional")
         for checker in (
@@ -625,7 +538,7 @@ def check(
         ):
             reports.append(checker(rf, trials=trials, seed=seed))
     else:
-        for _, checker, rf in STANDARD_CHECKS:
+        for checker, rf in STANDARD_CHECKS:
             reports.append(checker(rf, trials=trials, seed=seed))
         reports.append(
             check_composite_monotonic(
@@ -637,18 +550,9 @@ def check(
         "reports": [r.to_json_dict() for r in reports],
         "all_passed": not failed,
     }
-    if fmt == "json":
-        _emit(_json_text(data), out)
-    else:
-        rows = [
-            (r.property_name, r.measure_label, r.trials, r.passed)
-            for r in reports
-        ]
-        _emit(_csv_text(("property", "measure", "trials", "passed"), rows), out)
-    if failed:
-        raise click.ClickException(
-            f"{len(failed)} of {len(reports)} property checks failed"
-        )
+    rows = [(r.property_name, r.measure_label, r.trials, r.passed) for r in reports]
+    failure = f"{len(failed)} of {len(reports)} property checks failed" if failed else None
+    return _Output(data, ("property", "measure", "trials", "passed"), rows, failure)
 
 
 if __name__ == "__main__":

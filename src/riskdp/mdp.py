@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Opt
 
 from .distributions import MixedDistribution, PointMass, json_number
 from .errors import EnumerationLimitError, ValidationError
-from .measures import _check_discount, evaluate
+from .measures import _check_discount, _check_horizon, _is_int, evaluate
 from .tree import IrmSpec, ScenarioTree, _tree_from_preorder, irm_root_value
 
 PROB_TOL = 1e-12
@@ -76,8 +76,7 @@ class FiniteHorizonMdp:
     transitions: Mapping[Tuple[int, State, Action], Tuple[Transition, ...]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValidationError("horizon must be an integer >= 1")
+        _check_horizon(self.horizon)
         states = tuple(tuple(row) for row in self.states)
         object.__setattr__(self, "states", states)
         if len(states) != self.horizon + 1:
@@ -109,7 +108,7 @@ class FiniteHorizonMdp:
                 raise ValidationError(
                     f"transition key {key!r} must be (stage, state, action)"
                 ) from None
-            if not isinstance(n, int) or not 0 <= n < self.horizon:
+            if not _is_int(n) or not 0 <= n < self.horizon:
                 raise ValidationError(f"transition stage {n!r} out of range")
             if s not in stage_sets[n]:
                 raise ValidationError(f"state {s!r} is not in stage {n}")
@@ -327,7 +326,7 @@ def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
     """Sub-problem rooted at (n, s), with stages shifted down by n and
     states pruned to those reachable from s.
     """
-    if not isinstance(n, int) or not 0 <= n < mdp.horizon:
+    if not _is_int(n) or not 0 <= n < mdp.horizon:
         raise ValidationError(f"stage {n!r} out of range for the tail problem")
     if s not in mdp.states[n]:
         raise ValidationError(f"state {s!r} is not in stage {n}")

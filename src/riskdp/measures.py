@@ -44,6 +44,17 @@ def _check_discount(lam: float, *, positive: bool = False) -> float:
     return lam
 
 
+def _is_int(x: Any) -> bool:
+    """An int that is not a bool, so a JSON true is not read as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_horizon(horizon: Any) -> int:
+    if not _is_int(horizon) or horizon < 1:
+        raise ValidationError("horizon must be an integer >= 1")
+    return horizon
+
+
 # ---------------------------------------------------------------------------
 # risk functionals
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .measures import (
     RF_CLASSES,
     RiskFunctional,
     _check_discount,
+    _is_int,
     evaluate,
     rf_label,
 )
@@ -27,6 +28,12 @@ from .measures import (
 REL_TOL = 1e-9
 
 Measure = Union[RiskFunctional, Callable[[MixedDistribution], float]]
+
+
+def _check_trials(trials: int) -> None:
+    """A check that runs no trial would pass vacuously."""
+    if not _is_int(trials) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
 
 
 def _as_callable(measure: Measure) -> Tuple[Callable[[MixedDistribution], float], str]:
@@ -89,6 +96,7 @@ def check_monotonic(measure: Measure, trials: int = 200, seed: int = 0) -> Check
     Atom pairs share the same probabilities, with the dominating value
     drawn above the dominated one on every atom.
     """
+    _check_trials(trials)
     fn, label = _as_callable(measure)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -118,6 +126,7 @@ def check_translation_invariance(
     measure: Measure, trials: int = 200, seed: int = 0
 ) -> CheckReport:
     """rho(Y + b) == rho(Y) + b for deterministic shifts b."""
+    _check_trials(trials)
     fn, label = _as_callable(measure)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -145,6 +154,7 @@ def check_positive_homogeneity(
     measure: Measure, trials: int = 200, seed: int = 0
 ) -> CheckReport:
     """rho(a*Y) == a*rho(Y) for positive scales a."""
+    _check_trials(trials)
     fn, label = _as_callable(measure)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -228,13 +238,13 @@ def preference_over_time(
     for dist, delay in options:
         if not isinstance(dist, MixedDistribution):
             raise ValidationError("each option needs a MixedDistribution cost")
-        if not isinstance(delay, int) or delay < 1:
+        if not _is_int(delay) or delay < 1:
             raise ValidationError(f"delay must be an integer >= 1, got {delay!r}")
     if times is None:
         times = range(0, min(delay for _, delay in options) + 1)
     points = []
     for t in times:
-        if not isinstance(t, int) or t < 0:
+        if not _is_int(t) or t < 0:
             raise ValidationError(f"evaluation time must be an integer >= 0, got {t!r}")
         values = []
         for dist, delay in options:

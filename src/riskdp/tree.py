@@ -35,6 +35,8 @@ from .measures import (
     RF_CLASSES,
     RiskFunctional,
     _check_discount,
+    _check_horizon,
+    _is_int,
     evaluate,
     pushforward_mean,
 )
@@ -129,8 +131,7 @@ class ScenarioTree:
     root: TreeNode
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValidationError("horizon must be an integer >= 1")
+        _check_horizon(self.horizon)
         if self.root.stage != 0:
             raise ValidationError("root must sit at stage 0")
         seen: set = set()
@@ -271,7 +272,7 @@ def tree_from_json_dict(data: dict) -> ScenarioTree:
     if not isinstance(data, dict) or "horizon" not in data or "root" not in data:
         raise ValidationError("tree JSON must be an object with 'horizon' and 'root'")
     horizon = data["horizon"]
-    if not isinstance(horizon, int):
+    if not _is_int(horizon):
         raise ValidationError("tree horizon must be an integer")
     nodes = []
     stack = [(data["root"], 0)]
@@ -309,9 +310,7 @@ class IrmSpec:
 
     @classmethod
     def repeat(cls, rf: RiskFunctional, horizon: int) -> "IrmSpec":
-        if not isinstance(horizon, int) or horizon < 1:
-            raise ValidationError("horizon must be an integer >= 1")
-        return cls(stages=(rf,) * horizon)
+        return cls(stages=(rf,) * _check_horizon(horizon))
 
     def __len__(self) -> int:
         return len(self.stages)

@@ -113,6 +113,11 @@ def test_eval_rejects_a_missing_file(tmp_path):
 
 
 PAYMENTS_TEXT = json.dumps(mdp_to_json_dict(payments_mdp(1.0)))
+# a valid one-stage model but for the horizon, which JSON gives as true
+HORIZON_TRUE_TEXT = json.dumps({
+    "horizon": True, "states": [["s"], ["t"]], "actions": ["a"], "initial": "s", "lambda": 1.0,
+    "transitions": [{"n": 0, "s": "s", "a": "a", "to": [{"s'": "t", "p": 1.0, "r": 1.0}]}],
+})
 # deeper than the json module's recursion allows
 DEEP_RF_JSON = '{"kind": "mean"}'
 for _ in range(1200):
@@ -134,6 +139,7 @@ for _ in range(1200):
         ("solve", PAYMENTS_TEXT.replace('"p": 1.0', '"p": "one"'), ["--mean"]),
         ("eval", '{"components": [{"w": 1, "point": 1.0}]}', ["--rf-json", DEEP_RF_JSON]),
         ("eval", "[" * 3000, ["--mean"]),
+        ("solve", HORIZON_TRUE_TEXT, ["--mean"]),
     ],
     ids=[
         "point-not-a-number",
@@ -146,6 +152,7 @@ for _ in range(1200):
         "probability-not-a-number",
         "rf-json-nested-too-deeply",
         "file-nested-too-deeply",
+        "horizon-is-true",
     ],
 )
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_text, flags):
@@ -155,6 +162,21 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_tex
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "Error:" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--erm", "1.0", "--trials", "-5"],
+        ["check", "--trials", "0"],
+    ],
+    ids=["negative-trials", "zero-trials"],
+)
+def test_malformed_flags_exit_2_without_a_traceback(args):
+    result = run(args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "trials must be an integer >= 1" in result.stderr
 
 
 JUNK_VALUES = ("x", None, True, [], {}, [1], {"a": 1}, -1, 0, 1e308, "1.5", [[1]], 2**70)
@@ -197,6 +219,53 @@ def test_out_writes_the_file_and_keeps_stdout_quiet(highway_file, tmp_path):
     assert result.exit_code == 0
     assert result.stdout == ""
     assert_close(json.loads(target.read_text(encoding="utf-8"))["value"], 14.0)
+
+
+COMMAND_ARGS = {
+    "payments": [],
+    "fig1": ["--lambda-steps", "4", "--alpha-steps", "3"],
+    "xy": [],
+    "paths": [],
+    "lemma1": ["--x", "0.5", "--scale", "1.0", "--shift", "0.0", "--gamma", "0.1"],
+    "solve": ["PAYMENTS", "--cte", "0.9"],
+    "eval": ["HIGHWAY", "--cte", "0.5"],
+    "check": ["--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_writes_to_out_exactly_what_it_prints(
+    command, fmt, highway_file, payments_file, tmp_path
+):
+    files = {"PAYMENTS": payments_file, "HIGHWAY": highway_file}
+    args = [command, *(files.get(a, a) for a in COMMAND_ARGS[command]), "--format", fmt]
+    printed = run(args)
+    assert printed.exit_code == 0
+    assert printed.stdout_bytes
+    target = tmp_path / "result.txt"
+    written = run([*args, "--out", str(target)])
+    assert written.exit_code == 0
+    assert written.stdout == ""
+    assert target.read_bytes() == printed.stdout_bytes
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failed_check_writes_its_out_file_and_still_exits_1(fmt, tmp_path):
+    target = tmp_path / "result.txt"
+    result = run(["check", "--erm", "1.0", "--format", fmt, "--out", str(target)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "1 of 3 property checks failed" in result.stderr
+    assert target.read_bytes() == run(["check", "--erm", "1.0", "--format", fmt]).stdout_bytes
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_lists_format_and_out_last_in_its_help(command):
+    result = run([command, "--help"])
+    assert result.exit_code == 0
+    options = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  -")]
+    assert options[-3:] == ["--format", "--out", "--help"]
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,7 @@ def test_structural_validation():
         dict(good, discount=0.0),
         dict(good, discount=1.2),
         dict(good, horizon=0),
+        dict(good, horizon=True),
         dict(good, transitions={(1, "s", "a"): (Transition("t", 1.0, 1.0),)}),
         dict(good, transitions={(0, "zz", "a"): (Transition("t", 1.0, 1.0),)}),
         dict(good, transitions={(0, "s", "zz"): (Transition("t", 1.0, 1.0),)}),
@@ -106,6 +107,27 @@ def test_structural_validation():
     ):
         with pytest.raises(ValidationError):
             FiniteHorizonMdp(**corrupt)
+
+
+def test_a_boolean_transition_stage_is_rejected():
+    good = dict(
+        horizon=2,
+        states=(("s",), ("t",), ("u",)),
+        actions=("a",),
+        initial="s",
+        discount=1.0,
+        transitions={
+            (0, "s", "a"): (Transition("t", 1.0, 1.0),),
+            (1, "t", "a"): (Transition("u", 1.0, 1.0),),
+        },
+    )
+    FiniteHorizonMdp(**good)
+    bad = dict(good, transitions={
+        (0, "s", "a"): (Transition("t", 1.0, 1.0),),
+        (True, "t", "a"): (Transition("u", 1.0, 1.0),),
+    })
+    with pytest.raises(ValidationError, match="transition stage True out of range"):
+        FiniteHorizonMdp(**bad)
 
 
 def test_transition_field_validation():
@@ -333,6 +355,8 @@ def test_tail_problem_validation():
         tail_mdp(mdp, 20, "settled")
     with pytest.raises(ValidationError):
         tail_mdp(mdp, 1, "start")
+    with pytest.raises(ValidationError):
+        tail_mdp(mdp, True, mdp.states[1][0])
 
 
 def test_policy_evaluation_validation():

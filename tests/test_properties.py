@@ -81,6 +81,23 @@ def test_checker_rejects_non_measures():
         check_monotonic(42)
 
 
+@pytest.mark.parametrize(
+    "checker",
+    [
+        check_monotonic,
+        check_translation_invariance,
+        check_positive_homogeneity,
+        lambda rf, trials: check_composite_monotonic([rf], [1.0], trials=trials),
+    ],
+    ids=["monotonic", "translation", "homogeneity", "composite"],
+)
+@pytest.mark.parametrize("trials", [0, -5, True, 2.0])
+def test_checkers_reject_a_run_without_trials(checker, trials):
+    # a check that draws no instance would report a vacuous pass
+    with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+        checker(Erm(1.0), trials=trials)
+
+
 # ---------------------------------------------------------------------------
 # translation invariance and positive homogeneity
 # ---------------------------------------------------------------------------
@@ -204,3 +221,7 @@ def test_preference_scan_input_validation():
         preference_over_time(Erm(0.001), 0.9, [(d, 0)])
     with pytest.raises(ValidationError):
         preference_over_time(Erm(0.001), 0.9, [(d, 1)], times=[2])
+    with pytest.raises(ValidationError):
+        preference_over_time(Erm(0.001), 0.9, [(d, True)])
+    with pytest.raises(ValidationError):
+        preference_over_time(Erm(0.001), 0.9, [(d, 1)], times=[True])

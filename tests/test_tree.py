@@ -107,6 +107,14 @@ def test_child_stage_must_advance_by_one():
         ScenarioTree(horizon=2, root=root)
 
 
+def test_a_boolean_horizon_is_rejected():
+    root = two_outcome_tree(0.5, 10.0).root
+    with pytest.raises(ValidationError, match="horizon must be an integer >= 1"):
+        ScenarioTree(horizon=True, root=root)
+    with pytest.raises(ValidationError, match="horizon must be an integer >= 1"):
+        IrmSpec.repeat(Expectation(), True)
+
+
 def test_deterministic_tree_shape():
     t = deterministic_tree([1.0, 2.0, 3.0])
     assert t.horizon == 3
@@ -377,6 +385,7 @@ def test_tree_json_roundtrip():
         {},
         {"horizon": 1},
         {"horizon": 1.5, "root": {"children": []}},
+        {"horizon": True, "root": {"children": [{"p": 1.0, "cost": 1.0, "node": {"children": []}}]}},
         {"horizon": 1, "root": {}},
         {"horizon": 1, "root": {"children": [{"p": 1.0, "cost": "x", "node": {"children": []}}]}},
         {"horizon": 1, "root": {"children": [{"p": 1.0, "node": {"children": []}}]}},
