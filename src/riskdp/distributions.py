@@ -10,19 +10,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import Any, Iterable, List, Tuple, Union
 
 from .errors import ValidationError
 
-WEIGHT_TOL = 1e-12
+SUM_TOL = 1e-12
 MERGE_TOL = 1e-12
 
 
 def json_number(value, field: str) -> float:
-    """A numeric JSON field as a float; anything else raises, naming the field."""
+    """A real number that is not a bool, as a float, so a JSON true is not
+    read as 1; anything else raises, naming the field.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field} must be a number, got {value!r}")
     return float(value)
+
+
+def check_sums_to_one(values: Iterable[float], what: str, *args: Any) -> None:
+    """Raise unless the values sum to one within SUM_TOL.  The message
+    names them as what.format(*args), formatted only on failure.
+    """
+    total = math.fsum(values)
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(
+            f"{what.format(*args)} sum to {total!r}; must be 1 within {SUM_TOL}"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,11 +97,7 @@ class MixedDistribution:
                 raise ValidationError(f"component weight {w!r} must be finite and >= 0")
             if not isinstance(outcome, (PointMass, UniformSegment)):
                 raise ValidationError(f"unsupported outcome {outcome!r}")
-        total = math.fsum(w for w, _ in comps)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValidationError(
-                f"component weights sum to {total!r}; must be 1 within {WEIGHT_TOL}"
-            )
+        check_sums_to_one((w for w, _ in comps), "component weights")
 
     # -- constructors --------------------------------------------------
 
@@ -254,8 +263,9 @@ def affine_transform(dist: MixedDistribution, a: float, b: float) -> MixedDistri
     return MixedDistribution._trusted(tuple(comps))
 
 
-def merge_atoms(dist: MixedDistribution, tol: float = MERGE_TOL) -> MixedDistribution:
-    """Combine atoms whose values agree within tol (and identical segments).
+def merge_atoms(dist: MixedDistribution) -> MixedDistribution:
+    """Combine atoms whose values agree within MERGE_TOL (and identical
+    segments).
 
     The merged atom sits at the weight-averaged value of its group, so the
     mean is preserved exactly.  Output order is deterministic: atoms sorted
@@ -272,7 +282,7 @@ def merge_atoms(dist: MixedDistribution, tol: float = MERGE_TOL) -> MixedDistrib
     i = 0
     while i < len(atoms):
         j = i
-        while j + 1 < len(atoms) and atoms[j + 1][0] - atoms[i][0] <= tol:
+        while j + 1 < len(atoms) and atoms[j + 1][0] - atoms[i][0] <= MERGE_TOL:
             j += 1
         group = atoms[i : j + 1]
         weight = math.fsum(w for _, w in group)
@@ -288,8 +298,8 @@ def merge_atoms(dist: MixedDistribution, tol: float = MERGE_TOL) -> MixedDistrib
         j = i + 1
         while (
             j < len(segments)
-            and abs(segments[j][0] - lo) <= tol
-            and abs(segments[j][1] - hi) <= tol
+            and abs(segments[j][0] - lo) <= MERGE_TOL
+            and abs(segments[j][1] - hi) <= MERGE_TOL
         ):
             weight += segments[j][2]
             j += 1

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .distributions import MixedDistribution, PointMass, json_number
+from .distributions import MixedDistribution, PointMass, check_sums_to_one, json_number
 from .errors import EnumerationLimitError, ValidationError
 from .measures import _check_discount, _check_horizon, _is_int, evaluate
-from .tree import IrmSpec, ScenarioTree, _tree_from_preorder, irm_root_value
+from .tree import IrmSpec, ScenarioTree, _check_spec, _tree_from_preorder, irm_root_value
 
-PROB_TOL = 1e-12
 DEFAULT_NODE_LIMIT = 10**6
 DEFAULT_POLICY_LIMIT = 10**6
 
@@ -131,12 +130,9 @@ class FiniteHorizonMdp:
                         "the cost must be a function of (source, action, target)"
                     )
                 targets.add(t.state)
-            total = math.fsum(t.probability for t in outs)
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValidationError(
-                    f"probabilities of ({n}, {s!r}, {a!r}) sum to {total!r}; "
-                    f"must be 1 within {PROB_TOL}"
-                )
+            check_sums_to_one(
+                (t.probability for t in outs), "probabilities of ({}, {!r}, {!r})", n, s, a
+            )
             table[(n, s, a)] = outs
         object.__setattr__(self, "transitions", table)
         for n in range(self.horizon):
@@ -180,15 +176,6 @@ class SolveResult(NamedTuple):
     policy: Policy
 
 
-def _check_spec(mdp: FiniteHorizonMdp, spec: IrmSpec) -> None:
-    if not isinstance(spec, IrmSpec):
-        raise ValidationError("spec must be an IrmSpec")
-    if len(spec.stages) != mdp.horizon:
-        raise ValidationError(
-            f"spec has {len(spec.stages)} stages but the horizon is {mdp.horizon}"
-        )
-
-
 def _backward_induction(
     mdp: FiniteHorizonMdp,
     spec: IrmSpec,
@@ -198,7 +185,7 @@ def _backward_induction(
     choices(n, s) at each (n, s), ties to the earliest; a state with none
     gets no value.
     """
-    _check_spec(mdp, spec)
+    _check_spec(spec, mdp.horizon)
     lam = mdp.discount
     values: ValueTable = {(mdp.horizon, s): 0.0 for s in mdp.states[mdp.horizon]}
     policy: Policy = {}
@@ -286,7 +273,7 @@ def unroll(
             outs = [t for t in mdp.transitions[(n, s, a)] if t.probability > 0.0]
         nodes.append((n, [(t.probability, t.cost) for t in outs]))
         stack.extend((n + 1, t.state) for t in reversed(outs))
-    return ScenarioTree._trusted(mdp.horizon, _tree_from_preorder(nodes))
+    return ScenarioTree(horizon=mdp.horizon, root=_tree_from_preorder(nodes))
 
 
 def brute_force_optimal(
@@ -302,7 +289,7 @@ def brute_force_optimal(
     Independent of solve_dp by construction: the tree route enumerates
     scenarios forward, the solver folds values backward.
     """
-    _check_spec(mdp, spec)
+    _check_spec(spec, mdp.horizon)
     slots = [(n, s) for n, s in mdp.reachable() if n < mdp.horizon]
     choices = [mdp.actions_at(n, s) for n, s in slots]
     total = 1

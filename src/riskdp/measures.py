@@ -18,18 +18,17 @@ from .distributions import (
     MixedDistribution,
     PointMass,
     UniformSegment,
+    check_sums_to_one,
     essential_inf,
     essential_sup,
     json_number,
 )
 from .errors import EvaluationOverflowError, ValidationError
 
-ALPHA_TOL = 1e-12
-COEFF_TOL = 1e-12
-
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    # the solver calls this twice per tail expectation: a float skips the type check
+    alpha = alpha if type(alpha) is float else json_number(alpha, "tail level")
     if not math.isfinite(alpha) or not 0.0 <= alpha < 1.0:
         raise ValidationError(f"tail level must lie in [0, 1), got {alpha!r}")
     return alpha
@@ -37,7 +36,7 @@ def _check_alpha(alpha: float) -> float:
 
 def _check_discount(lam: float, *, positive: bool = False) -> float:
     """A discount factor in [0, 1], or in (0, 1] when positive is set."""
-    lam = float(lam)
+    lam = json_number(lam, "discount factor")
     if not math.isfinite(lam) or not (0.0 < lam if positive else 0.0 <= lam) or lam > 1.0:
         interval = "(0, 1]" if positive else "[0, 1]"
         raise ValidationError(f"discount factor must lie in {interval}, got {lam!r}")
@@ -75,6 +74,7 @@ class Erm:
     gamma: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gamma", json_number(self.gamma, "Erm gamma"))
         if not math.isfinite(self.gamma):
             raise ValidationError("Erm gamma must be finite")
 
@@ -119,11 +119,7 @@ class Composite:
                 raise ValidationError(f"Composite coefficient {c!r} must be >= 0")
             if not isinstance(rf, RF_CLASSES):
                 raise ValidationError(f"Composite term {rf!r} is not a risk functional")
-        total = math.fsum(c for c, _ in terms)
-        if abs(total - 1.0) > COEFF_TOL:
-            raise ValidationError(
-                f"Composite coefficients sum to {total!r}; must be 1 within {COEFF_TOL}"
-            )
+        check_sums_to_one((c for c, _ in terms), "Composite coefficients")
 
 
 RiskFunctional = Union[Expectation, Erm, ValueAtRisk, Cte, Composite]
@@ -420,6 +416,7 @@ class Exponential:
     gamma: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gamma", json_number(self.gamma, "Exponential gamma"))
         if not math.isfinite(self.gamma) or self.gamma <= 0.0:
             raise ValidationError("Exponential disutility needs gamma > 0")
 
@@ -436,6 +433,7 @@ class Power:
     k: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", json_number(self.k, "Power k"))
         if not math.isfinite(self.k) or self.k < 1.0:
             raise ValidationError("Power disutility needs k >= 1")
 

@@ -7,25 +7,26 @@ the current period's cost), and the flat route that builds the single
 distribution of the discounted total cost and applies one measure or
 disutility to it.
 
-Trees are immutable all the way down, so each `ScenarioTree` compiles
-its nodes once, on first use, into a cached plan: the nodes with every
-child before its parent, each as its stage and one (probability, cost,
-child position) triple per edge.  The recursion, `node_count` and
-`path_count` read that plan; the plan depends on neither the risk
-functionals nor the discount, and is not a dataclass field, so `==`,
-`repr` and the JSON form of a tree do not see it.
+Trees are immutable all the way down, so each `ScenarioTree` checks its
+nodes and compiles them into a plan in one walk, at construction: the
+nodes with every child before its parent, each as its stage and one
+(probability, cost, child position) triple per edge.  Everything after
+construction reads that plan (the recursion, the flat law, the JSON form,
+`node_count` and `path_count`), not the nodes.  The plan depends on
+neither the risk functionals nor the discount, and is not a dataclass
+field, so `==`, `repr` and the JSON form of a tree do not see it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .distributions import (
     MixedDistribution,
     PointMass,
     UniformSegment,
+    check_sums_to_one,
     json_number,
     merge_atoms,
 )
@@ -41,7 +42,6 @@ from .measures import (
     pushforward_mean,
 )
 
-PROB_TOL = 1e-12
 DEFAULT_PATH_LIMIT = 10**7
 
 EdgeCost = Union[float, MixedDistribution]
@@ -95,16 +95,17 @@ class TreeNode:
         return True
 
     def __hash__(self) -> int:
-        return hash(
-            tuple(
-                (node.stage, tuple((e.probability, e.cost) for e in node.edges))
-                for node in _preorder(self)
-            )
-        )
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            parts.append((node.stage, tuple((e.probability, e.cost) for e in node.edges)))
+            stack.extend(e.child for e in node.edges)
+        return hash(tuple(parts))
 
 
 class _Plan(NamedTuple):
-    """A tree compiled for the stagewise recursion.
+    """A tree compiled for the walks over it, built by `_compile` when the
+    tree is constructed.
 
     `steps` lists the nodes in post-order with the children taken
     last-first, which is the pre-order reversed: every child comes before
@@ -124,7 +125,8 @@ class ScenarioTree:
     """A strict finite tree with every root-to-leaf path the same length.
 
     Strict means no node object is reachable twice; sharing would make
-    the per-node value table ambiguous.
+    the per-node value table ambiguous.  Construction checks the nodes
+    and compiles them into the tree's plan, held as `_plan`.
     """
 
     horizon: int
@@ -132,77 +134,7 @@ class ScenarioTree:
 
     def __post_init__(self) -> None:
         _check_horizon(self.horizon)
-        if self.root.stage != 0:
-            raise ValidationError("root must sit at stage 0")
-        seen: set = set()
-        for node in _preorder(self.root):
-            if id(node) in seen:
-                raise ValidationError("tree nodes must not be shared")
-            seen.add(id(node))
-            if node.is_leaf:
-                if node.stage != self.horizon:
-                    raise ValidationError(
-                        f"leaf at stage {node.stage} but horizon is {self.horizon}"
-                    )
-                continue
-            if node.stage >= self.horizon:
-                raise ValidationError(
-                    f"internal node at stage {node.stage} exceeds horizon"
-                )
-            total = math.fsum(e.probability for e in node.edges)
-            for e in node.edges:
-                if not math.isfinite(e.probability) or e.probability <= 0.0:
-                    raise ValidationError(
-                        f"edge probability {e.probability!r} must be positive"
-                    )
-                if isinstance(e.cost, MixedDistribution):
-                    pass
-                elif isinstance(e.cost, (int, float)) and not isinstance(e.cost, bool):
-                    if not math.isfinite(e.cost):
-                        raise ValidationError(f"edge cost {e.cost!r} must be finite")
-                else:
-                    raise ValidationError(
-                        f"edge cost must be a number or a MixedDistribution, got {e.cost!r}"
-                    )
-                if e.child.stage != node.stage + 1:
-                    raise ValidationError(
-                        f"child at stage {e.child.stage} under a stage-{node.stage} node"
-                    )
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValidationError(
-                    f"edge probabilities sum to {total!r}; must be 1 within {PROB_TOL}"
-                )
-
-    @classmethod
-    def _trusted(cls, horizon: int, root: TreeNode) -> "ScenarioTree":
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "horizon", horizon)
-        object.__setattr__(tree, "root", root)
-        return tree
-
-    @cached_property
-    def _plan(self) -> _Plan:
-        steps: List[Tuple[int, tuple, bool]] = []
-        done: List[int] = []  # plan positions of finished subtrees
-        paths = 0
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not node.edges:
-                done.append(len(steps))
-                steps.append((node.stage, (), False))
-                paths += 1
-            elif not expanded:
-                # the last child is walked first, so the subtrees finish in
-                # reverse and the first child's position ends on top of done
-                stack.append((node, True))
-                stack.extend([(e.child, False) for e in node.edges])
-            else:
-                edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
-                constant = len(edges) == 1 and not isinstance(edges[0][1], MixedDistribution)
-                done.append(len(steps))
-                steps.append((node.stage, edges, constant))
-        return _Plan(tuple(steps), paths)
+        object.__setattr__(self, "_plan", _compile(self.root, self.horizon))
 
     def node_count(self) -> int:
         return len(self._plan.steps)
@@ -211,15 +143,67 @@ class ScenarioTree:
         return self._plan.paths
 
 
-def _preorder(root: TreeNode) -> Iterator[TreeNode]:
-    """Nodes depth-first, parents first, edges in order, off an explicit
-    stack, so depth is bounded by memory only.
+def _compile(root: TreeNode, horizon: int) -> _Plan:
+    """Check the tree under root and build its plan, in one walk off an
+    explicit stack, so depth is bounded by memory only.  A node is checked
+    when first reached and becomes a step once its subtrees are done.
     """
-    stack = [root]
+    if not isinstance(root, TreeNode):
+        raise ValidationError(f"tree root must be a TreeNode, got {root!r}")
+    if root.stage != 0:
+        raise ValidationError("root must sit at stage 0")
+    steps: List[Tuple[int, tuple, bool]] = []
+    done: List[int] = []  # plan positions of finished subtrees
+    seen: set = set()
+    paths = 0
+    stack = [(root, False)]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(e.child for e in reversed(node.edges))
+        node, expanded = stack.pop()
+        if expanded:
+            edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
+            constant = len(edges) == 1 and not isinstance(edges[0][1], MixedDistribution)
+            done.append(len(steps))
+            steps.append((node.stage, edges, constant))
+            continue
+        if id(node) in seen:
+            raise ValidationError("tree nodes must not be shared")
+        seen.add(id(node))
+        if node.is_leaf:
+            if node.stage != horizon:
+                raise ValidationError(f"leaf at stage {node.stage} but horizon is {horizon}")
+            done.append(len(steps))
+            steps.append((node.stage, (), False))
+            paths += 1
+            continue
+        if node.stage >= horizon:
+            raise ValidationError(f"internal node at stage {node.stage} exceeds horizon")
+        for e in node.edges:
+            if not isinstance(e, Edge):
+                raise ValidationError(f"tree edges must be Edge objects, got {e!r}")
+            p = json_number(e.probability, "edge probability")
+            if not math.isfinite(p) or p <= 0.0:
+                raise ValidationError(f"edge probability {e.probability!r} must be positive")
+            if isinstance(e.cost, MixedDistribution):
+                pass
+            elif isinstance(e.cost, (int, float)) and not isinstance(e.cost, bool):
+                if not math.isfinite(e.cost):
+                    raise ValidationError(f"edge cost {e.cost!r} must be finite")
+            else:
+                raise ValidationError(
+                    f"edge cost must be a number or a MixedDistribution, got {e.cost!r}"
+                )
+            if not isinstance(e.child, TreeNode):
+                raise ValidationError(f"edge child must be a TreeNode, got {e.child!r}")
+            if e.child.stage != node.stage + 1:
+                raise ValidationError(
+                    f"child at stage {e.child.stage} under a stage-{node.stage} node"
+                )
+        check_sums_to_one((e.probability for e in node.edges), "edge probabilities")
+        # the last child is walked first, so the subtrees finish in reverse
+        # and the first child's position ends on top of done
+        stack.append((node, True))
+        stack.extend([(e.child, False) for e in node.edges])
+    return _Plan(tuple(steps), paths)
 
 
 def _tree_from_preorder(nodes: List[Tuple[int, List[Tuple[float, EdgeCost]]]]) -> TreeNode:
@@ -256,16 +240,14 @@ def _cost_from_json(data) -> EdgeCost:
 
 
 def tree_to_json_dict(tree: ScenarioTree) -> dict:
-    root: dict = {}
-    pending = {id(tree.root): root}  # JSON objects of nodes not visited yet
-    for node in _preorder(tree.root):
-        children: List[dict] = []
-        pending.pop(id(node))["children"] = children
-        for e in node.edges:
-            pending[id(e.child)] = child = {}
-            cost = e.cost.to_json_dict() if isinstance(e.cost, MixedDistribution) else e.cost
-            children.append({"p": e.probability, "cost": cost, "node": child})
-    return {"horizon": tree.horizon, "root": root}
+    nodes: List[dict] = []  # by plan position, so children are built first
+    for _, edges, _ in tree._plan.steps:
+        children = []
+        for p, cost, child in edges:
+            cost = cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost
+            children.append({"p": p, "cost": cost, "node": nodes[child]})
+        nodes.append({"children": children})
+    return {"horizon": tree.horizon, "root": nodes[-1]}
 
 
 def tree_from_json_dict(data: dict) -> ScenarioTree:
@@ -302,6 +284,7 @@ class IrmSpec:
     stages: Tuple[RiskFunctional, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ValidationError("IrmSpec needs at least one stage")
         for rf in self.stages:
@@ -314,6 +297,16 @@ class IrmSpec:
 
     def __len__(self) -> int:
         return len(self.stages)
+
+
+def _check_spec(spec: IrmSpec, horizon: int) -> None:
+    """Raise unless spec is an IrmSpec with one stage per period."""
+    if not isinstance(spec, IrmSpec):
+        raise ValidationError("spec must be an IrmSpec")
+    if len(spec.stages) != horizon:
+        raise ValidationError(
+            f"spec has {len(spec.stages)} stages but the horizon is {horizon}"
+        )
 
 
 @dataclass(frozen=True)
@@ -332,10 +325,7 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
     constant to itself; it is checked for finiteness as `PointMass` would.
     """
     lam = _check_discount(lam)
-    if len(spec.stages) != tree.horizon:
-        raise ValidationError(
-            f"spec has {len(spec.stages)} stages but the tree horizon is {tree.horizon}"
-        )
+    _check_spec(spec, tree.horizon)
     stages = spec.stages
     values: List[float] = []
     for stage, edges, constant in tree._plan.steps:
@@ -397,7 +387,6 @@ def discounted_total_distribution(
     lam: float,
     *,
     path_limit: int = DEFAULT_PATH_LIMIT,
-    merge_tol: float = 1e-12,
 ) -> MixedDistribution:
     """Exact law of the discounted sum of per-period costs.
 
@@ -412,40 +401,41 @@ def discounted_total_distribution(
         raise EnumerationLimitError(
             f"tree has more than {path_limit} root-to-leaf paths"
         )
+    steps = tree._plan.steps
     parts: List[Tuple[float, Any]] = []
-    # (node, path probability, discounted point costs so far, the one
-    # segment so far as (lo, hi) or None)
-    stack: List[Tuple[TreeNode, float, float, Any]] = [(tree.root, 1.0, 0.0, None)]
+    # (plan position, path probability, discounted point costs so far, the
+    # one segment so far as (lo, hi) or None)
+    stack: List[Tuple[int, float, float, Any]] = [(len(steps) - 1, 1.0, 0.0, None)]
     while stack:
-        node, prob, shift, seg = stack.pop()
-        if node.is_leaf:
+        at, prob, shift, seg = stack.pop()
+        stage, edges, _ = steps[at]
+        if not edges:
             if seg is None:
                 parts.append((prob, PointMass(shift)))
             else:
                 parts.append((prob, UniformSegment(seg[0] + shift, seg[1] + shift)))
             continue
-        scale = lam**node.stage
+        scale = lam**stage
         branches = []
-        for e in node.edges:
-            p = prob * e.probability
-            if not isinstance(e.cost, MixedDistribution):
-                branches.append((e.child, p, shift + scale * e.cost, seg))
+        for q, cost, child in edges:
+            p = prob * q
+            if not isinstance(cost, MixedDistribution):
+                branches.append((child, p, shift + scale * cost, seg))
                 continue
-            for w, o in e.cost.components:
+            for w, o in cost.components:
                 if w <= 0.0:
                     continue
                 if isinstance(o, PointMass):
-                    branches.append((e.child, p * w, shift + scale * o.value, seg))
+                    branches.append((child, p * w, shift + scale * o.value, seg))
                 elif seg is None:
-                    branches.append((e.child, p * w, shift, (scale * o.lo, scale * o.hi)))
+                    branches.append((child, p * w, shift, (scale * o.lo, scale * o.hi)))
                 else:
                     raise ValidationError(
                         "a path carries two segment-valued costs; "
                         "their sum leaves the mixed point/uniform family"
                     )
         stack.extend(reversed(branches))
-    dist = MixedDistribution._trusted(tuple(parts))
-    return merge_atoms(dist, tol=merge_tol)
+    return merge_atoms(MixedDistribution._trusted(tuple(parts)))
 
 
 def rmd(tree: ScenarioTree, rf: RiskFunctional, lam: float) -> float:

@@ -12,7 +12,6 @@ import random
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from riskdp import (
     Edge,
@@ -151,8 +150,16 @@ def rockafellar_uryasev_cte(alpha: float, dist: MixedDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
+def simpson(f: np.ndarray, a: float, b: float) -> float:
+    """Composite Simpson rule for samples f on an odd number of equally
+    spaced points from a to b."""
+    h = (b - a) / (len(f) - 1)
+    return float(h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]))
+
+
 def quadrature_erm(gamma: float, dist: MixedDistribution, points: int = 8193) -> float:
-    """Entropic value via Simpson quadrature of exp(gamma * y) per segment."""
+    """Entropic value via Simpson quadrature of exp(gamma * y) per segment;
+    points must be odd."""
     if gamma == 0.0:
         total = 0.0
         for w, o in dist.components:
@@ -167,7 +174,7 @@ def quadrature_erm(gamma: float, dist: MixedDistribution, points: int = 8193) ->
             acc += w * math.exp(gamma * o.value)
         else:
             x = np.linspace(o.lo, o.hi, points)
-            acc += w * float(simpson(np.exp(gamma * x), x=x)) / (o.hi - o.lo)
+            acc += w * simpson(np.exp(gamma * x), o.lo, o.hi) / (o.hi - o.lo)
     return math.log(acc) / gamma
 
 

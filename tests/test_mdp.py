@@ -14,6 +14,7 @@ from riskdp import (
     Expectation,
     FiniteHorizonMdp,
     IrmSpec,
+    ScenarioTree,
     Transition,
     ValidationError,
     brute_force_optimal,
@@ -302,6 +303,25 @@ def test_unroll_value_matches_policy_evaluation():
         assert_close(tree_value, table[(0, mdp.initial)])
 
 
+def test_unrolled_trees_pass_the_tree_checks():
+    rng = random.Random(47)
+    for _ in range(20):
+        mdp = random_mdp(rng, 1.0)
+        _, policy = solve_dp(mdp, IrmSpec.repeat(Expectation(), mdp.horizon))
+        tree = unroll(mdp, policy)
+        assert ScenarioTree(horizon=tree.horizon, root=tree.root) == tree
+    # a zero-probability outcome is dropped, not kept as an edge
+    mdp = FiniteHorizonMdp(
+        horizon=1,
+        states=(("s",), ("t", "u")),
+        actions=("a",),
+        initial="s",
+        discount=1.0,
+        transitions={(0, "s", "a"): (Transition("t", 1.0, 2.0), Transition("u", 0.0, 5.0))},
+    )
+    assert unroll(mdp, {(0, "s"): "a"}).path_count() == 1
+
+
 def test_unroll_rejects_incomplete_policies():
     mdp = casebook.payments_mdp(0.95)
     with pytest.raises(ValidationError):
@@ -374,6 +394,9 @@ def test_spec_horizon_mismatch_is_rejected():
         solve_dp(mdp, IrmSpec.repeat(Expectation(), 2))
     with pytest.raises(ValidationError):
         brute_force_optimal(mdp, IrmSpec.repeat(Expectation(), 2))
+    for run in (solve_dp, brute_force_optimal):
+        with pytest.raises(ValidationError, match="spec must be an IrmSpec"):
+            run(mdp, [Expectation()])
 
 
 # ---------------------------------------------------------------------------

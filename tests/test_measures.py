@@ -2,6 +2,7 @@
 invariants, disutility curves, and serialization."""
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -284,6 +285,21 @@ def test_constructor_validation():
         Composite(((1.5, Expectation()), (-0.5, Cte(0.5))))
     with pytest.raises(ValidationError):
         Composite(((1.0, "not a functional"),))
+
+
+@pytest.mark.parametrize("bad", [True, "1", None])
+@pytest.mark.parametrize("make", [Erm, ValueAtRisk, Cte, Exponential, Power])
+def test_functional_parameters_must_be_real_numbers(make, bad):
+    with pytest.raises(ValidationError, match="must be a number"):
+        make(bad)
+
+
+def test_integer_parameters_become_floats_and_round_trip():
+    for rf in (Erm(2), ValueAtRisk(0), Cte(0), Composite(((1, Erm(-1)),))):
+        text = json.dumps(rf_to_json_dict(rf))
+        assert rf_from_json_dict(json.loads(text)) == rf
+    assert json.dumps(rf_to_json_dict(Erm(2))) == '{"kind": "erm", "gamma": 2.0}'
+    assert type(Exponential(1).gamma) is float and type(Power(2).k) is float
 
 
 def test_evaluate_dispatch_matches_direct_calls():

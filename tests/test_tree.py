@@ -100,6 +100,22 @@ def test_boolean_cost_is_rejected():
         ScenarioTree(horizon=1, root=root)
 
 
+@pytest.mark.parametrize(
+    "root, match",
+    [
+        ("x", "tree root must be a TreeNode, got 'x'"),
+        (TreeNode(0, ((1.0, 0.0, TreeNode(1, ())),)), "tree edges must be Edge objects"),
+        (TreeNode(0, (Edge(1.0, 0.0, None),)), "edge child must be a TreeNode, got None"),
+        (TreeNode(0, (Edge(True, 0.0, TreeNode(1, ())),)), "edge probability must be a number, got True"),
+        (TreeNode(0, (Edge("1", 0.0, TreeNode(1, ())),)), "edge probability must be a number, got '1'"),
+    ],
+    ids=["root", "edge", "child", "bool-probability", "str-probability"],
+)
+def test_malformed_nodes_and_edges_are_rejected(root, match):
+    with pytest.raises(ValidationError, match=match):
+        ScenarioTree(horizon=1, root=root)
+
+
 def test_child_stage_must_advance_by_one():
     grandchild = TreeNode(2, ())
     root = TreeNode(0, (Edge(1.0, 0.0, grandchild),))
@@ -152,12 +168,21 @@ def test_spec_length_must_match_horizon():
         irm_root_value(t, IrmSpec.repeat(Expectation(), 2), 1.0)
     with pytest.raises(ValidationError):
         irm_evaluate(t, IrmSpec.repeat(Expectation(), 2), 1.0)
+    with pytest.raises(ValidationError, match="spec must be an IrmSpec"):
+        irm_root_value(t, [Expectation()], 1.0)
+
+
+def test_spec_stages_are_stored_as_a_tuple():
+    spec = IrmSpec([Cte(0.5), Erm(1.0)])
+    assert spec.stages == (Cte(0.5), Erm(1.0))
+    assert spec == IrmSpec((Cte(0.5), Erm(1.0)))
+    assert hash(spec) == hash(IrmSpec((Cte(0.5), Erm(1.0))))
 
 
 def test_discount_factor_range_is_enforced():
     t = two_outcome_tree(0.5, 10.0)
     spec = IrmSpec((Expectation(),))
-    for bad in (-0.1, 1.1, float("nan")):
+    for bad in (-0.1, 1.1, float("nan"), True, "0.5"):
         with pytest.raises(ValidationError):
             irm_root_value(t, spec, bad)
     # zero is legal: continuations vanish and only period-0 cost remains
