@@ -19,6 +19,7 @@ from . import casebook
 from .distributions import MixedDistribution
 from .errors import RiskModelError
 from .measures import (
+    LEAF_KINDS,
     Cte,
     Erm,
     Expectation,
@@ -71,31 +72,32 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RF_HELP = {
+    "mean": "Plain expectation.",
+    "erm": "Entropic measure with this risk parameter.",
+    "var": "Quantile at this level.",
+    "cte": "Tail expectation at this level.",
+}
+_RF_KEYS = (*LEAF_KINDS, "rf_json")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _rf_options(fn):
-    fn = click.option("--mean", "want_mean", is_flag=True, help="Plain expectation.")(fn)
-    fn = click.option("--erm", "erm_gamma", type=float, default=None, help="Entropic measure with this risk parameter.")(fn)
-    fn = click.option("--var", "var_alpha", type=float, default=None, help="Quantile at this level.")(fn)
-    fn = click.option("--cte", "cte_alpha", type=float, default=None, help="Tail expectation at this level.")(fn)
-    fn = click.option("--rf-json", "rf_json", type=str, default=None, help="Risk functional as JSON (an object, or a list with one object per stage).")(fn)
+    """One flag per leaf functional kind, named as its JSON kind, then --rf-json."""
+    for kind, (_, param) in LEAF_KINDS.items():
+        kwargs = {"is_flag": True} if param is None else {"type": float, "default": None}
+        fn = click.option(_flag(kind), help=_RF_HELP[kind], **kwargs)(fn)
+    fn = click.option("--rf-json", type=str, default=None, help="Risk functional as JSON (an object, or a list with one object per stage).")(fn)
     return fn
 
 
-_RF_FLAGS = {
-    "want_mean": "--mean",
-    "erm_gamma": "--erm",
-    "var_alpha": "--var",
-    "cte_alpha": "--cte",
-    "rf_json": "--rf-json",
-}
-
-
 def _rf_flags_given(rf_flags: dict) -> List[str]:
-    """The objective flags set on the command line (an unset --mean is False)."""
-    return [
-        flag
-        for key, flag in _RF_FLAGS.items()
-        if rf_flags[key] is not None and rf_flags[key] is not False
-    ]
+    """The objective flags set on the command line, by option name; an
+    unset --mean is False, and a zero level still counts as set."""
+    return [key for key in _RF_KEYS if rf_flags[key] is not None and rf_flags[key] is not False]
 
 
 def _parse_rf(**rf_flags) -> object:
@@ -103,17 +105,13 @@ def _parse_rf(**rf_flags) -> object:
     given = _rf_flags_given(rf_flags)
     if len(given) != 1:
         raise click.UsageError(
-            "pick exactly one of --mean/--erm/--var/--cte/--rf-json"
-            + (f" (got {', '.join(given)})" if given else "")
+            f"pick exactly one of {'/'.join(map(_flag, _RF_KEYS))}"
+            + (f" (got {', '.join(map(_flag, given))})" if given else "")
         )
-    if rf_flags["want_mean"]:
-        return Expectation()
-    if rf_flags["erm_gamma"] is not None:
-        return Erm(rf_flags["erm_gamma"])
-    if rf_flags["var_alpha"] is not None:
-        return ValueAtRisk(rf_flags["var_alpha"])
-    if rf_flags["cte_alpha"] is not None:
-        return Cte(rf_flags["cte_alpha"])
+    (key,) = given
+    if key in LEAF_KINDS:
+        cls, param = LEAF_KINDS[key]
+        return cls() if param is None else cls(rf_flags[key])
     try:
         data = json.loads(rf_flags["rf_json"])
     except RecursionError as exc:

@@ -6,13 +6,16 @@ them around as data.  All evaluation is closed-form on mixed
 discrete/uniform distributions, the piecewise-linear disutility
 push-forward included: its integrand is linear between knots, so the
 trapezoid rule on each knot interval is exact.
+
+Each leaf functional kind is named once, in the :data:`LEAF_KINDS` table
+that labels, the JSON form and the CLI flags all read.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
     MixedDistribution,
@@ -110,7 +113,7 @@ class Composite:
     terms: Tuple[Tuple[float, "RiskFunctional"], ...]
 
     def __post_init__(self) -> None:
-        terms = tuple((float(c), rf) for c, rf in self.terms)
+        terms = tuple((json_number(c, "Composite coefficient"), rf) for c, rf in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValidationError("Composite needs at least one term")
@@ -123,7 +126,16 @@ class Composite:
 
 
 RiskFunctional = Union[Expectation, Erm, ValueAtRisk, Cte, Composite]
-RF_CLASSES = (Expectation, Erm, ValueAtRisk, Cte, Composite)
+
+# Every leaf functional kind: its JSON kind (also its label and CLI flag)
+# maps to its class and the name of that class's one parameter, if any.
+LEAF_KINDS: Dict[str, Tuple[type, Optional[str]]] = {
+    "mean": (Expectation, None),
+    "erm": (Erm, "gamma"),
+    "var": (ValueAtRisk, "alpha"),
+    "cte": (Cte, "alpha"),
+}
+RF_CLASSES = (*(cls for cls, _ in LEAF_KINDS.values()), Composite)
 
 
 def fold_functional(rf: RiskFunctional, visit: Callable[..., Any]) -> Any:
@@ -146,39 +158,33 @@ def fold_functional(rf: RiskFunctional, visit: Callable[..., Any]) -> Any:
     return results[id(rf)]
 
 
+def _leaf_kind(f: RiskFunctional) -> Tuple[str, Optional[str]]:
+    """The JSON kind and parameter name of a leaf functional."""
+    for kind, (cls, param) in LEAF_KINDS.items():
+        if isinstance(f, cls):
+            return kind, param
+    raise ValidationError(f"unknown risk functional {f!r}")
+
+
 def rf_label(rf: RiskFunctional) -> str:
     """Short human-readable tag, used in reports and CLI output."""
 
     def label(f: RiskFunctional, terms: List[Tuple[float, str]]) -> str:
-        if isinstance(f, Expectation):
-            return "mean"
-        if isinstance(f, Erm):
-            return f"erm({f.gamma:g})"
-        if isinstance(f, ValueAtRisk):
-            return f"var({f.alpha:g})"
-        if isinstance(f, Cte):
-            return f"cte({f.alpha:g})"
         if isinstance(f, Composite):
             inner = " + ".join(f"{c:g}*{t}" for c, t in terms)
             return f"composite({inner})"
-        raise ValidationError(f"unknown risk functional {f!r}")
+        kind, param = _leaf_kind(f)
+        return kind if param is None else f"{kind}({getattr(f, param):g})"
 
     return fold_functional(rf, label)
 
 
 def rf_to_json_dict(rf: RiskFunctional) -> dict:
     def to_json(f: RiskFunctional, terms: List[Tuple[float, dict]]) -> dict:
-        if isinstance(f, Expectation):
-            return {"kind": "mean"}
-        if isinstance(f, Erm):
-            return {"kind": "erm", "gamma": f.gamma}
-        if isinstance(f, ValueAtRisk):
-            return {"kind": "var", "alpha": f.alpha}
-        if isinstance(f, Cte):
-            return {"kind": "cte", "alpha": f.alpha}
         if isinstance(f, Composite):
             return {"kind": "composite", "terms": [{"w": c, "rf": t} for c, t in terms]}
-        raise ValidationError(f"unknown risk functional {f!r}")
+        kind, param = _leaf_kind(f)
+        return {"kind": kind} if param is None else {"kind": kind, param: getattr(f, param)}
 
     return fold_functional(rf, to_json)
 
@@ -204,22 +210,21 @@ def rf_from_json_dict(data: dict) -> RiskFunctional:
     built: Dict[int, RiskFunctional] = {}
     for obj in reversed(order):
         kind = obj["kind"]
-        if kind == "mean":
-            rf = Expectation()
-        elif kind == "erm":
-            if "gamma" not in obj:
-                raise ValidationError("'erm' needs a 'gamma'")
-            rf = Erm(json_number(obj["gamma"], "'gamma'"))
-        elif kind in ("var", "cte"):
-            if "alpha" not in obj:
-                raise ValidationError(f"'{kind}' needs an 'alpha'")
-            rf = (ValueAtRisk if kind == "var" else Cte)(json_number(obj["alpha"], "'alpha'"))
-        elif kind == "composite":
+        if kind == "composite":
             terms = [
                 (json_number(e["w"], "composite term 'w'"), built[id(e["rf"])])
                 for e in obj["terms"]
             ]
             rf = Composite(tuple(terms))
+        elif isinstance(kind, str) and kind in LEAF_KINDS:
+            cls, param = LEAF_KINDS[kind]
+            if param is None:
+                rf = cls()
+            elif param not in obj:
+                article = "an" if param[0] in "aeiou" else "a"
+                raise ValidationError(f"'{kind}' needs {article} '{param}'")
+            else:
+                rf = cls(json_number(obj[param], f"'{param}'"))
         else:
             raise ValidationError(f"unknown risk functional kind {kind!r}")
         built[id(obj)] = rf
@@ -260,7 +265,8 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
     The log-sum is max-shifted, so only a result outside the floating
     range raises, never an intermediate exponential.
     """
-    gamma = float(gamma)
+    # evaluate calls this once per law: a float skips the type check
+    gamma = gamma if type(gamma) is float else json_number(gamma, "gamma")
     if not math.isfinite(gamma):
         raise ValidationError("gamma must be finite")
     if gamma == 0.0:
@@ -450,7 +456,10 @@ class PiecewiseLinear:
     knots: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        knots = tuple((float(c), float(u)) for c, u in self.knots)
+        knots = tuple(
+            (json_number(c, "PiecewiseLinear knot cost"), json_number(u, "PiecewiseLinear knot value"))
+            for c, u in self.knots
+        )
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
             raise ValidationError("PiecewiseLinear needs at least two knots")

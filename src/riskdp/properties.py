@@ -90,92 +90,91 @@ def _random_mixed(rng: random.Random) -> MixedDistribution:
     return MixedDistribution(tuple(comps))
 
 
+def _run_trials(
+    property_name: str,
+    measure: Measure,
+    trials: int,
+    seed: int,
+    trial: Callable[[Callable[[MixedDistribution], float], random.Random], Optional[dict]],
+) -> CheckReport:
+    """Run trial(fn, rng) up to trials times off one seeded rng.  A trial
+    returns None when the property held, else the counterexample, which
+    fails the check."""
+    _check_trials(trials)
+    fn, label = _as_callable(measure)
+    rng = random.Random(seed)
+    for k in range(trials):
+        counterexample = trial(fn, rng)
+        if counterexample is not None:
+            return CheckReport(property_name, label, k + 1, False, counterexample)
+    return CheckReport(property_name, label, trials, True)
+
+
 def check_monotonic(measure: Measure, trials: int = 200, seed: int = 0) -> CheckReport:
     """Coupled dominance check: X >= Y pointwise forces rho(X) >= rho(Y).
 
     Atom pairs share the same probabilities, with the dominating value
     drawn above the dominated one on every atom.
     """
-    _check_trials(trials)
-    fn, label = _as_callable(measure)
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(fn, rng):
         probs, lower = _random_atoms(rng)
         upper = tuple(v + rng.uniform(0.0, 5.0) for v in lower)
         d_hi = MixedDistribution.of_atoms(zip(probs, upper))
         d_lo = MixedDistribution.of_atoms(zip(probs, lower))
         hi, lo = fn(d_hi), fn(d_lo)
         if hi < lo and not _close(hi, lo):
-            return CheckReport(
-                property_name="monotonic",
-                measure_label=label,
-                trials=trial + 1,
-                passed=False,
-                counterexample={
-                    "probabilities": list(probs),
-                    "dominating": list(upper),
-                    "dominated": list(lower),
-                    "value_dominating": hi,
-                    "value_dominated": lo,
-                },
-            )
-    return CheckReport("monotonic", label, trials, True)
+            return {
+                "probabilities": list(probs),
+                "dominating": list(upper),
+                "dominated": list(lower),
+                "value_dominating": hi,
+                "value_dominated": lo,
+            }
+
+    return _run_trials("monotonic", measure, trials, seed, trial)
 
 
 def check_translation_invariance(
     measure: Measure, trials: int = 200, seed: int = 0
 ) -> CheckReport:
     """rho(Y + b) == rho(Y) + b for deterministic shifts b."""
-    _check_trials(trials)
-    fn, label = _as_callable(measure)
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(fn, rng):
         dist = _random_mixed(rng)
         b = rng.uniform(-10.0, 10.0)
         base = fn(dist)
         shifted = fn(affine_transform(dist, 1.0, b))
         if not _close(shifted, base + b):
-            return CheckReport(
-                property_name="translation_invariance",
-                measure_label=label,
-                trials=trial + 1,
-                passed=False,
-                counterexample={
-                    "distribution": dist.to_json_dict(),
-                    "shift": b,
-                    "value_shifted": shifted,
-                    "value_base_plus_shift": base + b,
-                },
-            )
-    return CheckReport("translation_invariance", label, trials, True)
+            return {
+                "distribution": dist.to_json_dict(),
+                "shift": b,
+                "value_shifted": shifted,
+                "value_base_plus_shift": base + b,
+            }
+
+    return _run_trials("translation_invariance", measure, trials, seed, trial)
 
 
 def check_positive_homogeneity(
     measure: Measure, trials: int = 200, seed: int = 0
 ) -> CheckReport:
     """rho(a*Y) == a*rho(Y) for positive scales a."""
-    _check_trials(trials)
-    fn, label = _as_callable(measure)
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(fn, rng):
         dist = _random_mixed(rng)
         a = rng.uniform(1e-3, 10.0)
         base = fn(dist)
         scaled = fn(affine_transform(dist, a, 0.0))
         if not _close(scaled, a * base):
-            return CheckReport(
-                property_name="positive_homogeneity",
-                measure_label=label,
-                trials=trial + 1,
-                passed=False,
-                counterexample={
-                    "distribution": dist.to_json_dict(),
-                    "scale": a,
-                    "value_scaled": scaled,
-                    "value_base_times_scale": a * base,
-                },
-            )
-    return CheckReport("positive_homogeneity", label, trials, True)
+            return {
+                "distribution": dist.to_json_dict(),
+                "scale": a,
+                "value_scaled": scaled,
+                "value_base_times_scale": a * base,
+            }
+
+    return _run_trials("positive_homogeneity", measure, trials, seed, trial)
 
 
 def check_composite_monotonic(

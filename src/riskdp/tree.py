@@ -284,7 +284,12 @@ class IrmSpec:
     stages: Tuple[RiskFunctional, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
+        try:
+            object.__setattr__(self, "stages", tuple(self.stages))
+        except TypeError:
+            raise ValidationError(
+                f"IrmSpec stages must be a sequence of risk functionals, got {self.stages!r}"
+            ) from None
         if not self.stages:
             raise ValidationError("IrmSpec needs at least one stage")
         for rf in self.stages:

@@ -26,7 +26,7 @@ from riskdp.casebook import (
     preference_boundary,
 )
 from riskdp.cli import main
-from riskdp.measures import mean
+from riskdp.measures import LEAF_KINDS, evaluate, mean, rf_from_json_dict, rf_to_json_dict
 
 from .conftest import assert_close
 
@@ -73,6 +73,20 @@ def test_eval_accepts_a_functional_as_json(highway_file):
     result = run(["eval", highway_file, "--rf-json", '{"kind": "cte", "alpha": 0.5}'])
     assert result.exit_code == 0
     assert_close(json.loads(result.stdout)["value"], 18.0)
+
+
+@pytest.mark.parametrize("kind", list(LEAF_KINDS))
+def test_every_leaf_kind_round_trips_and_evaluates_through_its_flag(kind, highway_file):
+    cls, param = LEAF_KINDS[kind]
+    rf = cls() if param is None else cls(0.25)
+    data = rf_to_json_dict(rf)
+    assert data == ({"kind": kind} if param is None else {"kind": kind, param: 0.25})
+    assert rf_from_json_dict(json.loads(json.dumps(data))) == rf
+    flags = [f"--{kind}"] if param is None else [f"--{kind}", "0.25"]
+    result = run(["eval", highway_file, *flags])
+    assert result.exit_code == 0
+    label = kind if param is None else f"{kind}(0.25)"
+    assert json.loads(result.stdout) == {"measure": label, "value": evaluate(rf, highway_time())}
 
 
 def test_eval_requires_exactly_one_objective_flag(highway_file):
@@ -480,6 +494,12 @@ def test_check_flags_the_entropic_homogeneity_failure():
         "translation_invariance": True,
         "positive_homogeneity": False,
     }
+
+
+def test_check_rejects_a_per_stage_list():
+    result = run(["check", "--rf-json", '[{"kind": "mean"}]'])
+    assert result.exit_code == 2
+    assert "check takes a single risk functional" in result.stderr
 
 
 def test_check_csv_rows_carry_pass_flags():

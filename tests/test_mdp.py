@@ -388,6 +388,16 @@ def test_policy_evaluation_validation():
         evaluate_policy(mdp, {(0, "s"): "zz"}, spec)
 
 
+def test_policy_evaluation_names_an_uncovered_successor():
+    mdp = casebook.payments_mdp(1.0)
+    spec = IrmSpec.repeat(Expectation(), casebook.PAYMENT_DAYS)
+    with pytest.raises(
+        ValidationError,
+        match="policy covers stage 0, state 'start' but not its successor 'owing'",
+    ):
+        evaluate_policy(mdp, {(0, "start"): "installments"}, spec)
+
+
 def test_spec_horizon_mismatch_is_rejected():
     mdp = chain_mdp({"a": 1.0})
     with pytest.raises(ValidationError):
@@ -408,6 +418,24 @@ def test_mdp_json_roundtrip():
     for mdp in (casebook.payments_mdp(0.95), casebook.deferred_choice_mdp(0.92)):
         again = mdp_from_json_dict(mdp_to_json_dict(mdp))
         assert again == mdp
+
+
+def test_mdp_json_roundtrip_keeps_an_unavailable_action_out():
+    mdp = FiniteHorizonMdp(
+        horizon=1,
+        states=(("s", "r"), ("t",)),
+        actions=("a", "b"),
+        initial="s",
+        discount=1.0,
+        transitions={
+            (0, "s", "a"): (Transition("t", 1.0, 1.0),),
+            (0, "s", "b"): (Transition("t", 1.0, 3.0),),
+            (0, "r", "b"): (Transition("t", 1.0, 2.0),),
+        },
+    )
+    data = mdp_to_json_dict(mdp)
+    assert [(e["s"], e["a"]) for e in data["transitions"]] == [("s", "a"), ("s", "b"), ("r", "b")]
+    assert mdp_from_json_dict(data) == mdp
 
 
 def test_mdp_json_rejects_duplicates_and_bad_shapes():
@@ -431,3 +459,11 @@ def test_solution_report_shape_and_trace():
     assert trace[0] == {"n": 0, "s": "start", "a": "upfront"}
     assert [step["n"] for step in trace] == list(range(casebook.PAYMENT_DAYS))
     assert all(step["s"] == "settled" for step in trace[1:])
+
+
+def test_solution_trace_stops_at_the_first_uncovered_state():
+    mdp = casebook.payments_mdp(0.95)
+    values, policy = solve_dp(mdp, IrmSpec.repeat(Cte(0.9), casebook.PAYMENT_DAYS))
+    partial = {(n, s): a for (n, s), a in policy.items() if n < 3}
+    trace = solution_to_json_dict(mdp, values, partial)["trace"]
+    assert [step["n"] for step in trace] == [0, 1, 2]

@@ -302,6 +302,28 @@ def test_integer_parameters_become_floats_and_round_trip():
     assert type(Exponential(1).gamma) is float and type(Power(2).k) is float
 
 
+@pytest.mark.parametrize("bad", [True, "1"])
+def test_coefficients_knots_and_the_entropic_kernel_take_real_numbers_only(bad):
+    with pytest.raises(ValidationError, match="Composite coefficient must be a number"):
+        Composite(((bad, Expectation()),))
+    with pytest.raises(ValidationError, match="knot cost must be a number"):
+        PiecewiseLinear(((0.0, 0.0), (bad, 2.0)))
+    with pytest.raises(ValidationError, match="knot value must be a number"):
+        PiecewiseLinear(((0.0, 0.0), (1.0, bad)))
+    with pytest.raises(ValidationError, match="gamma must be a number"):
+        erm(bad, MixedDistribution.of_atoms([(0.5, 1.0), (0.5, 3.0)]))
+
+
+def test_integer_coefficients_knots_and_gamma_become_floats():
+    (c, _), = Composite(((1, Expectation()),)).terms
+    assert type(c) is float
+    u = PiecewiseLinear(((0, 0), (1, 2)))
+    assert u.knots == ((0.0, 0.0), (1.0, 2.0))
+    assert all(type(x) is float for knot in u.knots for x in knot)
+    d = MixedDistribution.of_atoms([(0.5, 1.0), (0.5, 3.0)])
+    assert erm(1, d) == erm(1.0, d)
+
+
 def test_evaluate_dispatch_matches_direct_calls():
     rng = random.Random(20)
     for _ in range(20):
@@ -330,6 +352,9 @@ def test_composite_is_the_weighted_sum():
 def test_evaluate_rejects_unknown_functional():
     with pytest.raises(ValidationError):
         evaluate("mean", MixedDistribution.point(0.0))
+    for describe in (rf_label, rf_to_json_dict):
+        with pytest.raises(ValidationError, match="unknown risk functional 'mean'"):
+            describe("mean")
 
 
 def test_functional_json_roundtrip():

@@ -179,6 +179,17 @@ def test_spec_stages_are_stored_as_a_tuple():
     assert hash(spec) == hash(IrmSpec((Cte(0.5), Erm(1.0))))
 
 
+def test_a_single_functional_is_not_a_spec():
+    with pytest.raises(ValidationError, match="sequence of risk functionals"):
+        IrmSpec(Cte(0.5))
+
+
+def test_rmd_rejects_a_non_functional_before_building_the_law():
+    # the discount is out of range too, but the functional is checked first
+    with pytest.raises(ValidationError, match="unknown risk functional"):
+        rmd(two_outcome_tree(0.5, 10.0), "mean", 1.5)
+
+
 def test_discount_factor_range_is_enforced():
     t = two_outcome_tree(0.5, 10.0)
     spec = IrmSpec((Expectation(),))
@@ -461,6 +472,17 @@ def test_deep_chains_compare_and_hash_without_recursion():
     other = deterministic_tree(costs[:-1] + [MixedDistribution.point(4.0)])
     assert tree != other
     assert tree.root != other.root
+
+
+def test_nodes_differ_on_stage_or_edge_count_and_defer_to_other_types():
+    leaf = TreeNode(stage=1, edges=())
+    one = TreeNode(stage=0, edges=(Edge(0.5, 2.0, leaf),))
+    two = TreeNode(stage=0, edges=(Edge(0.5, 2.0, leaf), Edge(0.5, 2.0, leaf)))
+    assert one == TreeNode(stage=0, edges=(Edge(0.5, 2.0, TreeNode(stage=1, edges=())),))
+    assert one != two and two != one
+    assert TreeNode(stage=1, edges=()) != TreeNode(stage=2, edges=())
+    assert leaf.__eq__("leaf") is NotImplemented
+    assert leaf != "leaf"
 
 
 def test_deep_chain_records_every_node_value():
