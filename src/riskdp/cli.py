@@ -89,8 +89,8 @@ def _rf_options(fn):
     """One flag per leaf functional kind, named as its JSON kind, then --rf-json."""
     for kind, (_, param) in LEAF_KINDS.items():
         kwargs = {"is_flag": True} if param is None else {"type": float, "default": None}
-        fn = click.option(_flag(kind), help=_RF_HELP[kind], **kwargs)(fn)
-    fn = click.option("--rf-json", type=str, default=None, help="Risk functional as JSON (an object, or a list with one object per stage).")(fn)
+        fn = click.option(_flag(kind), help=_RF_HELP.get(kind), **kwargs)(fn)
+    fn = click.option(_flag("rf_json"), type=str, default=None, help="Risk functional as JSON (an object, or a list with one object per stage).")(fn)
     return fn
 
 

@@ -265,8 +265,7 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
     The log-sum is max-shifted, so only a result outside the floating
     range raises, never an intermediate exponential.
     """
-    # evaluate calls this once per law: a float skips the type check
-    gamma = gamma if type(gamma) is float else json_number(gamma, "gamma")
+    gamma = json_number(gamma, "gamma")
     if not math.isfinite(gamma):
         raise ValidationError("gamma must be finite")
     if gamma == 0.0:

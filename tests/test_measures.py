@@ -287,8 +287,25 @@ def test_constructor_validation():
         Composite(((1.0, "not a functional"),))
 
 
+_ATOMS = MixedDistribution.of_atoms([(0.5, 1.0), (0.5, 3.0)])
+
+
 @pytest.mark.parametrize("bad", [True, "1", None])
-@pytest.mark.parametrize("make", [Erm, ValueAtRisk, Cte, Exponential, Power])
+@pytest.mark.parametrize(
+    "make",
+    [
+        Erm,
+        ValueAtRisk,
+        Cte,
+        Exponential,
+        Power,
+        lambda x: Composite(((x, Expectation()),)),
+        lambda x: PiecewiseLinear(((0.0, 0.0), (x, 2.0))),
+        lambda x: PiecewiseLinear(((0.0, 0.0), (1.0, x))),
+        lambda x: erm(x, _ATOMS),
+    ],
+    ids=["Erm", "ValueAtRisk", "Cte", "Exponential", "Power", "coefficient", "knot-cost", "knot-value", "erm-kernel"],
+)
 def test_functional_parameters_must_be_real_numbers(make, bad):
     with pytest.raises(ValidationError, match="must be a number"):
         make(bad)
@@ -300,28 +317,12 @@ def test_integer_parameters_become_floats_and_round_trip():
         assert rf_from_json_dict(json.loads(text)) == rf
     assert json.dumps(rf_to_json_dict(Erm(2))) == '{"kind": "erm", "gamma": 2.0}'
     assert type(Exponential(1).gamma) is float and type(Power(2).k) is float
-
-
-@pytest.mark.parametrize("bad", [True, "1"])
-def test_coefficients_knots_and_the_entropic_kernel_take_real_numbers_only(bad):
-    with pytest.raises(ValidationError, match="Composite coefficient must be a number"):
-        Composite(((bad, Expectation()),))
-    with pytest.raises(ValidationError, match="knot cost must be a number"):
-        PiecewiseLinear(((0.0, 0.0), (bad, 2.0)))
-    with pytest.raises(ValidationError, match="knot value must be a number"):
-        PiecewiseLinear(((0.0, 0.0), (1.0, bad)))
-    with pytest.raises(ValidationError, match="gamma must be a number"):
-        erm(bad, MixedDistribution.of_atoms([(0.5, 1.0), (0.5, 3.0)]))
-
-
-def test_integer_coefficients_knots_and_gamma_become_floats():
     (c, _), = Composite(((1, Expectation()),)).terms
     assert type(c) is float
-    u = PiecewiseLinear(((0, 0), (1, 2)))
-    assert u.knots == ((0.0, 0.0), (1.0, 2.0))
-    assert all(type(x) is float for knot in u.knots for x in knot)
-    d = MixedDistribution.of_atoms([(0.5, 1.0), (0.5, 3.0)])
-    assert erm(1, d) == erm(1.0, d)
+    knots = PiecewiseLinear(((0, 0), (1, 2))).knots
+    assert knots == ((0.0, 0.0), (1.0, 2.0))
+    assert all(type(x) is float for knot in knots for x in knot)
+    assert erm(1, _ATOMS) == erm(1.0, _ATOMS)
 
 
 def test_evaluate_dispatch_matches_direct_calls():
