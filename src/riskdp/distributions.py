@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Tuple, Union
+from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ValidationError
 
@@ -45,7 +45,11 @@ class PointMass:
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
+        value = self.value
+        if type(value) is not float:
+            value = json_number(value, "PointMass value")
+            object.__setattr__(self, "value", value)
+        if not math.isfinite(value):
             raise ValidationError("PointMass value must be finite")
 
 
@@ -57,9 +61,16 @@ class UniformSegment:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        lo, hi = self.lo, self.hi
+        if type(lo) is not float:
+            lo = json_number(lo, "UniformSegment lo")
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not float:
+            hi = json_number(hi, "UniformSegment hi")
+            object.__setattr__(self, "hi", hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("UniformSegment endpoints must be finite")
-        if not self.lo < self.hi:
+        if not lo < hi:
             raise ValidationError(
                 "UniformSegment requires lo < hi; use PointMass for a single value"
             )
@@ -75,6 +86,8 @@ class UniformSegment:
 
 Outcome = Union[PointMass, UniformSegment]
 Component = Tuple[float, Outcome]
+# a law as parallel weights, lows and highs; an atom has low == high
+Columns = Tuple[Sequence[float], Sequence[float], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,10 @@ class MixedDistribution:
     components: Tuple[Component, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((float(w), o) for w, o in self.components)
+        comps = tuple(
+            (w if type(w) is float else json_number(w, "component weight"), o)
+            for w, o in self.components
+        )
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValidationError("distribution needs at least one component")
@@ -138,51 +154,36 @@ class MixedDistribution:
 
     # -- pointwise statistics ------------------------------------------
 
+    def columns(self) -> Columns:
+        """The components as parallel (weights, lows, highs) lists, in
+        component order; an atom has low == high, a segment low < high.
+        """
+        weights, lows, highs = [], [], []
+        for w, o in self.components:
+            weights.append(w)
+            if isinstance(o, PointMass):
+                lows.append(o.value)
+                highs.append(o.value)
+            else:
+                lows.append(o.lo)
+                highs.append(o.hi)
+        return weights, lows, highs
+
     def cdf(self, y: float) -> float:
         """Pr(Y <= y)."""
-        total = 0.0
-        for w, o in self.components:
-            if isinstance(o, PointMass):
-                if o.value <= y:
-                    total += w
-            elif y >= o.hi:
-                total += w
-            elif y > o.lo:
-                total += w * (y - o.lo) / o.width
-        return total
+        return column_cdf(self.columns(), y)
 
     def atom_mass_at(self, y: float) -> float:
         """Probability carried by atoms exactly at y."""
-        return math.fsum(
-            w for w, o in self.components if isinstance(o, PointMass) and o.value == y
-        )
+        return column_atom_mass_at(self.columns(), y)
 
     def tail_mass(self, v: float) -> float:
         """Pr(Y > v)."""
-        total = 0.0
-        for w, o in self.components:
-            if isinstance(o, PointMass):
-                if o.value > v:
-                    total += w
-            elif v <= o.lo:
-                total += w
-            elif v < o.hi:
-                total += w * (o.hi - v) / o.width
-        return total
+        return column_tail_mass(self.columns(), v)
 
     def tail_sum(self, v: float) -> float:
         """E[Y * 1{Y > v}]."""
-        parts = []
-        for w, o in self.components:
-            if isinstance(o, PointMass):
-                if o.value > v:
-                    parts.append(w * o.value)
-            elif v <= o.lo:
-                parts.append(w * o.midpoint)
-            elif v < o.hi:
-                # mass above v times the conditional mean of the clipped piece
-                parts.append(w * (o.hi - v) / o.width * 0.5 * (v + o.hi))
-        return math.fsum(parts)
+        return column_tail_sum(self.columns(), v)
 
     # -- serialization --------------------------------------------------
 
@@ -226,26 +227,79 @@ class MixedDistribution:
 
 def essential_sup(dist: MixedDistribution) -> float:
     """Largest value carried with positive probability."""
-    best = -math.inf
-    for w, o in dist.components:
-        if w <= 0.0:
-            continue
-        top = o.value if isinstance(o, PointMass) else o.hi
-        if top > best:
-            best = top
-    return best
+    return column_sup(dist.columns())
 
 
 def essential_inf(dist: MixedDistribution) -> float:
     """Smallest value carried with positive probability."""
-    best = math.inf
-    for w, o in dist.components:
-        if w <= 0.0:
-            continue
-        bottom = o.value if isinstance(o, PointMass) else o.lo
-        if bottom < best:
-            best = bottom
-    return best
+    return column_inf(dist.columns())
+
+
+# ---------------------------------------------------------------------------
+# statistics on columns
+# ---------------------------------------------------------------------------
+#
+# Each statistic is implemented once, on the (weights, lows, highs) columns
+# of a law, an atom having low == high.  A law reaches them through
+# MixedDistribution.columns(); a caller that has only atoms passes one
+# values list as both lows and highs.  Sums run in component order.
+
+
+def column_cdf(cols: Columns, y: float) -> float:
+    """Pr(Y <= y)."""
+    total = 0.0
+    for w, lo, hi in zip(*cols):
+        if y >= hi:
+            total += w
+        elif y > lo:
+            total += w * (y - lo) / (hi - lo)
+    return total
+
+
+def column_atom_mass_at(cols: Columns, y: float) -> float:
+    """Probability carried by atoms exactly at y."""
+    return math.fsum(w for w, lo, hi in zip(*cols) if lo == hi == y)
+
+
+def column_tail_mass(cols: Columns, v: float) -> float:
+    """Pr(Y > v)."""
+    total = 0.0
+    for w, lo, hi in zip(*cols):
+        if lo == hi:
+            if lo > v:
+                total += w
+        elif v <= lo:
+            total += w
+        elif v < hi:
+            total += w * (hi - v) / (hi - lo)
+    return total
+
+
+def column_tail_sum(cols: Columns, v: float) -> float:
+    """E[Y * 1{Y > v}]."""
+    parts = []
+    for w, lo, hi in zip(*cols):
+        if lo == hi:
+            if lo > v:
+                parts.append(w * lo)
+        elif v <= lo:
+            parts.append(w * (0.5 * (lo + hi)))
+        elif v < hi:
+            # mass above v times the conditional mean of the clipped piece
+            parts.append(w * (hi - v) / (hi - lo) * 0.5 * (v + hi))
+    return math.fsum(parts)
+
+
+def column_sup(cols: Columns) -> float:
+    """Largest value carried with positive probability."""
+    weights, _, highs = cols
+    return max((hi for w, hi in zip(weights, highs) if w > 0.0), default=-math.inf)
+
+
+def column_inf(cols: Columns) -> float:
+    """Smallest value carried with positive probability."""
+    weights, lows, _ = cols
+    return min((lo for w, lo in zip(weights, lows) if w > 0.0), default=math.inf)
 
 
 def affine_transform(dist: MixedDistribution, a: float, b: float) -> MixedDistribution:

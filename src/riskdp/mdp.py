@@ -5,17 +5,27 @@ zero, and each earlier cell applies that stage's risk functional to the
 one-step distribution of cost plus discounted continuation value,
 minimizing over actions.  A brute-force policy enumeration built on the
 scenario-tree evaluator serves as an independent oracle.
+
+Like a scenario tree, a `FiniteHorizonMdp` checks its tables and compiles
+them into a plan in one pass, at construction.  In the plan the states
+of a stage are positions, and each state lists one cell per available
+action: probabilities, costs and successor positions, with outcomes of
+probability zero left out.  The backward induction, policy evaluation,
+reachability, tail problems and unrolling read the plan; each cell
+reaches the measures as columns of weights and atom values
+(`evaluate_atoms`), never as a built distribution.  The plan is not a
+dataclass field, so `==` and `repr` do not see it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .distributions import MixedDistribution, PointMass, check_sums_to_one, json_number
+from .distributions import check_sums_to_one, json_number
 from .errors import EnumerationLimitError, ValidationError
-from .measures import _check_discount, _check_horizon, _is_int, evaluate
+from .measures import _check_discount, _check_horizon, _is_int, evaluate_atoms
 from .tree import IrmSpec, ScenarioTree, _check_spec, _tree_from_preorder, irm_root_value
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -36,26 +46,58 @@ def _hashable(x: Any, what: str) -> Any:
     return x
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One outcome of playing an action: target state, probability, and
-    the cost incurred on the way (a function of source, action, target).
-    """
-
+# a NamedTuple class may not define __new__, so Transition checks its
+# fields in a subclass of this one
+class _TransitionFields(NamedTuple):
     state: State
     probability: float
     cost: float
 
-    def __post_init__(self) -> None:
-        _hashable(self.state, "transition target")
-        object.__setattr__(self, "probability", float(self.probability))
-        object.__setattr__(self, "cost", float(self.cost))
-        if not math.isfinite(self.probability) or self.probability < 0.0:
-            raise ValidationError(
-                f"transition probability {self.probability!r} must be >= 0"
-            )
-        if not math.isfinite(self.cost):
-            raise ValidationError(f"transition cost {self.cost!r} must be finite")
+
+class Transition(_TransitionFields):
+    """One outcome of playing an action: target state, probability, and
+    the cost incurred on the way (a function of source, action, target).
+
+    A named tuple that checks its fields when built, ``_replace`` included:
+    the target is hashable, the probability a real number >= 0 and the
+    cost a finite real number, both kept as floats.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, state: State, probability: float, cost: float) -> "Transition":
+        _hashable(state, "transition target")
+        p, c = probability, cost
+        p = p if type(p) is float else json_number(p, "transition probability")
+        c = c if type(c) is float else json_number(c, "transition cost")
+        if not math.isfinite(p) or p < 0.0:
+            raise ValidationError(f"transition probability {p!r} must be >= 0")
+        if not math.isfinite(c):
+            raise ValidationError(f"transition cost {c!r} must be finite")
+        return tuple.__new__(cls, (state, p, c))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Transition":
+        return cls(*iterable)
+
+
+# one way to play an action: (probabilities, costs, successor positions),
+# outcomes of probability zero left out
+Cell = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[int, ...]]
+
+
+class _Plan(NamedTuple):
+    """An MDP compiled for the walks over it, built when it is constructed.
+
+    States are numbered by their position in their stage's row: `index[n]`
+    maps each stage-n state to its position, and `cells[n][i]` maps each
+    action available at the state in position i, in action-set order, to
+    its cell, whose probabilities and costs are the `Transition` floats
+    themselves.
+    """
+
+    index: Tuple[Dict[State, int], ...]
+    cells: Tuple[Tuple[Dict[Action, Cell], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -64,7 +106,9 @@ class FiniteHorizonMdp:
 
     transitions maps (stage, state, action) to the outcomes of that
     action; an absent key means the action is unavailable there.  Every
-    nonterminal state must offer at least one action.
+    nonterminal state must offer at least one action.  Construction
+    checks the tables and compiles them into the MDP's plan, held as
+    `_plan`.
     """
 
     horizon: int
@@ -83,11 +127,14 @@ class FiniteHorizonMdp:
                 f"need {self.horizon + 1} state rows for horizon {self.horizon}, "
                 f"got {len(states)}"
             )
-        stage_sets = [set(_hashable(row, f"stage {n} row")) for n, row in enumerate(states)]
+        index = tuple(
+            {s: i for i, s in enumerate(_hashable(row, f"stage {n} row"))}
+            for n, row in enumerate(states)
+        )
         for n, row in enumerate(states):
             if not row:
                 raise ValidationError(f"stage {n} has no states")
-            if len(stage_sets[n]) != len(row):
+            if len(index[n]) != len(row):
                 raise ValidationError(f"stage {n} lists a state twice")
         actions = tuple(self.actions)
         object.__setattr__(self, "actions", actions)
@@ -96,10 +143,12 @@ class FiniteHorizonMdp:
         action_set = set(_hashable(actions, "action set"))
         if len(action_set) != len(actions):
             raise ValidationError("action set lists an action twice")
-        if _hashable(self.initial, "initial state") not in stage_sets[0]:
+        if _hashable(self.initial, "initial state") not in index[0]:
             raise ValidationError(f"initial state {self.initial!r} is not in stage 0")
         object.__setattr__(self, "discount", _check_discount(self.discount, positive=True))
         table = {}
+        # the cells of each nonterminal state by position, in key order
+        found: List[List[Dict[Action, Cell]]] = [[{} for _ in row] for row in states[:-1]]
         for key, outs in dict(self.transitions).items():
             try:
                 n, s, a = key
@@ -109,38 +158,46 @@ class FiniteHorizonMdp:
                 ) from None
             if not _is_int(n) or not 0 <= n < self.horizon:
                 raise ValidationError(f"transition stage {n!r} out of range")
-            if s not in stage_sets[n]:
+            if s not in index[n]:
                 raise ValidationError(f"state {s!r} is not in stage {n}")
             if a not in action_set:
                 raise ValidationError(f"action {a!r} is not in the action set")
             outs = tuple(outs)
             if not outs:
                 raise ValidationError(f"({n}, {s!r}, {a!r}) has no outcomes")
-            targets = set()
+            targets = index[n + 1]
+            seen = set()
+            probs, costs, succ = [], [], []
             for t in outs:
                 if not isinstance(t, Transition):
                     raise ValidationError(f"{t!r} is not a Transition")
-                if t.state not in stage_sets[n + 1]:
+                j = targets.get(t.state)
+                if j is None:
                     raise ValidationError(
                         f"target {t.state!r} of ({n}, {s!r}, {a!r}) is not in stage {n + 1}"
                     )
-                if t.state in targets:
+                if j in seen:
                     raise ValidationError(
                         f"({n}, {s!r}, {a!r}) lists target {t.state!r} twice; "
                         "the cost must be a function of (source, action, target)"
                     )
-                targets.add(t.state)
-            check_sums_to_one(
-                (t.probability for t in outs), "probabilities of ({}, {!r}, {!r})", n, s, a
-            )
+                seen.add(j)
+                if t.probability > 0.0:
+                    probs.append(t.probability)
+                    costs.append(t.cost)
+                    succ.append(j)
+            check_sums_to_one(probs, "probabilities of ({}, {!r}, {!r})", n, s, a)
             table[(n, s, a)] = outs
+            found[n][index[n][s]][a] = (tuple(probs), tuple(costs), tuple(succ))
         object.__setattr__(self, "transitions", table)
-        for n in range(self.horizon):
-            for s in states[n]:
-                if not any((n, s, a) in table for a in actions):
+        for n, row in enumerate(found):
+            for i, offered in enumerate(row):
+                if not offered:
                     raise ValidationError(
-                        f"state {s!r} at stage {n} offers no action"
+                        f"state {states[n][i]!r} at stage {n} offers no action"
                     )
+                row[i] = {a: offered[a] for a in actions if a in offered}
+        object.__setattr__(self, "_plan", _Plan(index, tuple(map(tuple, found))))
 
     def actions_at(self, n: int, s: State) -> Tuple[Action, ...]:
         """Available actions at (n, s), in action-set order."""
@@ -157,17 +214,14 @@ class FiniteHorizonMdp:
         """Per stage from n to the horizon, the states reachable from
         (n, s) along positive-probability transitions, in stage-row order.
         """
+        cells = self._plan.cells
         rows: List[Tuple[State, ...]] = []
-        frontier = {s}
+        frontier = {self._plan.index[n][s]}
         for k in range(n, self.horizon + 1):
-            rows.append(tuple(x for x in self.states[k] if x in frontier))
-            frontier = {
-                t.state
-                for x in rows[-1]
-                for a in self.actions_at(k, x)
-                for t in self.transitions[(k, x, a)]
-                if t.probability > 0.0
-            }
+            row = sorted(frontier)
+            rows.append(tuple(self.states[k][i] for i in row))
+            if k < self.horizon:
+                frontier = {j for i in row for _, _, succ in cells[k][i].values() for j in succ}
         return rows
 
 
@@ -177,43 +231,61 @@ class SolveResult(NamedTuple):
 
 
 def _backward_induction(
-    mdp: FiniteHorizonMdp,
-    spec: IrmSpec,
-    choices: Callable[[int, State], Iterable[Action]],
+    mdp: FiniteHorizonMdp, spec: IrmSpec, policy: Optional[Policy] = None
 ) -> SolveResult:
-    """Backward induction minimizing over the available actions among
-    choices(n, s) at each (n, s), ties to the earliest; a state with none
-    gets no value.
+    """Backward induction over the MDP's plan, minimizing at each (n, s)
+    over the available actions, ties to the earliest, or playing the
+    policy's action where one is given; a state the policy leaves out gets
+    no value.
     """
     _check_spec(spec, mdp.horizon)
     lam = mdp.discount
-    values: ValueTable = {(mdp.horizon, s): 0.0 for s in mdp.states[mdp.horizon]}
-    policy: Policy = {}
-    for n in range(mdp.horizon - 1, -1, -1):
+    plan, states, horizon = mdp._plan, mdp.states, mdp.horizon
+    values: ValueTable = {(horizon, s): 0.0 for s in states[horizon]}
+    policy_out: Policy = {}
+    # the next stage's values by position, None where there is none
+    later: List[Optional[float]] = [0.0] * len(states[horizon])
+    for n in range(horizon - 1, -1, -1):
         rf = spec.stages[n]
-        for s in mdp.states[n]:
-            best = None
-            for a in choices(n, s):
-                outs = mdp.transitions.get((n, s, a))
-                if outs is None:
+        row: List[Optional[float]] = [None] * len(states[n])
+        for i, (s, offered) in enumerate(zip(states[n], plan.cells[n])):
+            if policy is not None:
+                if (n, s) not in policy:
                     continue
+                a = _policy_action(mdp, policy, n, s)
+                offered = {a: offered[a]}
+            best = None
+            for a, cell in offered.items():
+                probs, costs, succ = cell
                 try:
-                    parts = tuple(
-                        (t.probability, PointMass(t.cost + lam * values[(n + 1, t.state)]))
-                        for t in outs
-                        if t.probability > 0.0
-                    )
-                except KeyError as exc:
-                    # only a policy can leave a successor without a value
-                    raise ValidationError(
-                        f"policy covers stage {n}, state {s!r} but not its successor {exc.args[0][1]!r}"
-                    ) from None
-                v = evaluate(rf, MixedDistribution._trusted(parts))
+                    atoms = [c + lam * later[j] for c, j in zip(costs, succ)]
+                except TypeError:  # a successor the policy leaves out
+                    _raise_first_bad_successor(mdp, n, s, cell, later)
+                v = evaluate_atoms(rf, probs, atoms)
                 if best is None or v < best[0]:
                     best = (v, a)
             if best is not None:
-                values[(n, s)], policy[(n, s)] = best
-    return SolveResult(values=values, policy=policy)
+                row[i] = best[0]
+                values[(n, s)], policy_out[(n, s)] = best
+        later = row
+    return SolveResult(values=values, policy=policy_out)
+
+
+def _raise_first_bad_successor(
+    mdp: FiniteHorizonMdp, n: int, s: State, cell: Cell, later: List[Optional[float]]
+) -> None:
+    """Raise for the first successor of the cell, in outcome order, that
+    has no value or whose atom is not finite."""
+    _, costs, succ = cell
+    for c, j in zip(costs, succ):
+        if later[j] is None:
+            # only a policy can leave a successor without a value
+            t = mdp.states[n + 1][j]
+            raise ValidationError(
+                f"policy covers stage {n}, state {s!r} but not its successor {t!r}"
+            )
+        if not math.isfinite(c + mdp.discount * later[j]):
+            raise ValidationError("PointMass value must be finite")
 
 
 def solve_dp(mdp: FiniteHorizonMdp, spec: IrmSpec) -> SolveResult:
@@ -221,7 +293,7 @@ def solve_dp(mdp: FiniteHorizonMdp, spec: IrmSpec) -> SolveResult:
     index.  Values at states unreachable from the initial state are still
     the optimal tail values from there.
     """
-    return _backward_induction(mdp, spec, lambda n, s: mdp.actions)
+    return _backward_induction(mdp, spec)
 
 
 def _policy_action(mdp: FiniteHorizonMdp, policy: Policy, n: int, s: State) -> Action:
@@ -242,11 +314,7 @@ def evaluate_policy(mdp: FiniteHorizonMdp, policy: Policy, spec: IrmSpec) -> Val
     successors are uncovered is an error, so the policy must be closed
     under its own transitions.
     """
-    values = _backward_induction(
-        mdp,
-        spec,
-        lambda n, s: (_policy_action(mdp, policy, n, s),) if (n, s) in policy else (),
-    ).values
+    values = _backward_induction(mdp, spec, policy).values
     if (0, mdp.initial) not in values:
         raise ValidationError("policy does not cover the initial state")
     return values
@@ -261,18 +329,20 @@ def unroll(
     """Scenario tree of the chain induced by a policy from the initial
     state.  Zero-probability branches are dropped.
     """
+    plan, states = mdp._plan, mdp.states
     nodes = []
     stack = [(0, mdp.initial)]
     while stack:
         n, s = stack.pop()
         if len(nodes) >= node_limit:
             raise EnumerationLimitError(f"unrolled tree exceeds {node_limit} nodes")
-        outs = []
-        if n < mdp.horizon:
-            a = _policy_action(mdp, policy, n, s)
-            outs = [t for t in mdp.transitions[(n, s, a)] if t.probability > 0.0]
-        nodes.append((n, [(t.probability, t.cost) for t in outs]))
-        stack.extend((n + 1, t.state) for t in reversed(outs))
+        if n == mdp.horizon:
+            nodes.append((n, []))
+            continue
+        a = _policy_action(mdp, policy, n, s)
+        probs, costs, succ = plan.cells[n][plan.index[n][s]][a]
+        nodes.append((n, list(zip(probs, costs))))
+        stack.extend((n + 1, states[n + 1][j]) for j in reversed(succ))
     return ScenarioTree(horizon=mdp.horizon, root=_tree_from_preorder(nodes))
 
 
@@ -318,10 +388,11 @@ def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
     if s not in mdp.states[n]:
         raise ValidationError(f"state {s!r} is not in stage {n}")
     keep = mdp._reachable_rows(n, s)
+    plan = mdp._plan
     transitions = {}
     for k, row in enumerate(keep[:-1]):
         for x in row:
-            for a in mdp.actions_at(n + k, x):
+            for a in plan.cells[n + k][plan.index[n + k][x]]:
                 outs = mdp.transitions[(n + k, x, a)]
                 transitions[(k, x, a)] = tuple(
                     t for t in outs if t.probability > 0.0
@@ -370,6 +441,9 @@ def mdp_to_json_dict(mdp: FiniteHorizonMdp) -> dict:
     }
 
 
+_OUTCOME_KEYS = {"s'", "p", "r"}
+
+
 def mdp_from_json_dict(data: dict) -> FiniteHorizonMdp:
     if not isinstance(data, dict):
         raise ValidationError("MDP JSON must be an object")
@@ -399,10 +473,12 @@ def mdp_from_json_dict(data: dict) -> FiniteHorizonMdp:
             raise ValidationError("'to' must be a list")
         parsed = []
         for o in outs:
-            if not isinstance(o, dict) or not {"s'", "p", "r"} <= set(o):
+            if not isinstance(o, dict) or not o.keys() >= _OUTCOME_KEYS:
                 raise ValidationError("each outcome must be {\"s'\":, 'p':, 'r':}")
-            p, r = json_number(o["p"], "outcome 'p'"), json_number(o["r"], "outcome 'r'")
-            parsed.append(Transition(state=o["s'"], probability=p, cost=r))
+            p, r = o["p"], o["r"]
+            p = p if type(p) is float else json_number(p, "outcome 'p'")
+            r = r if type(r) is float else json_number(r, "outcome 'r'")
+            parsed.append(Transition(o["s'"], p, r))
         transitions[key] = tuple(parsed)
     return FiniteHorizonMdp(
         horizon=data["horizon"],

@@ -8,7 +8,12 @@ push-forward included: its integrand is linear between knots, so the
 trapezoid rule on each knot interval is exact.
 
 Each leaf functional kind is named once, in the :data:`LEAF_KINDS` table
-that labels, the JSON form and the CLI flags all read.
+that labels, the JSON form and the CLI flags all read.  Each measure is
+implemented once, as a kernel on the columns of a law (weights, lows,
+highs; see :data:`distributions.Columns`): :func:`evaluate` feeds it a
+`MixedDistribution`'s columns, and :func:`evaluate_atoms` the atoms of a
+one-step law that is never built, as an MDP cell or a tree node with
+scalar edge costs has them.
 """
 from __future__ import annotations
 
@@ -18,12 +23,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
+    Columns,
     MixedDistribution,
     PointMass,
     UniformSegment,
     check_sums_to_one,
-    essential_inf,
-    essential_sup,
+    column_atom_mass_at,
+    column_cdf,
+    column_inf,
+    column_sup,
+    column_tail_mass,
+    column_tail_sum,
     json_number,
 )
 from .errors import EvaluationOverflowError, ValidationError
@@ -238,25 +248,28 @@ def rf_from_json_dict(data: dict) -> RiskFunctional:
 
 def mean(dist: MixedDistribution) -> float:
     """Expected value."""
+    return _mean(dist.columns())
+
+
+def _mean(cols: Columns) -> float:
     return math.fsum(
-        w * (o.value if isinstance(o, PointMass) else o.midpoint)
-        for w, o in dist.components
+        w * (lo if lo == hi else 0.5 * (lo + hi)) for w, lo, hi in zip(*cols)
     )
 
 
-def _log_mgf(outcome, gamma: float) -> float:
+def _log_mgf(lo: float, hi: float, gamma: float) -> float:
     """ln E[exp(gamma Y)] for a single mixture component."""
-    if isinstance(outcome, PointMass):
-        return gamma * outcome.value
-    z = gamma * outcome.width
+    if lo == hi:
+        return gamma * lo
+    z = gamma * (hi - lo)
     # keep everything in the log domain so wide segments cannot overflow
     if z > 700.0:
-        return gamma * outcome.hi + math.log1p(-math.exp(-z)) - math.log(z)
+        return gamma * hi + math.log1p(-math.exp(-z)) - math.log(z)
     if z < -700.0:
-        return gamma * outcome.lo + math.log1p(-math.exp(z)) - math.log(-z)
+        return gamma * lo + math.log1p(-math.exp(z)) - math.log(-z)
     if abs(z) < 1e-12:
-        return gamma * outcome.midpoint
-    return gamma * outcome.lo + math.log(math.expm1(z) / z)
+        return gamma * (0.5 * (lo + hi))
+    return gamma * lo + math.log(math.expm1(z) / z)
 
 
 def erm(gamma: float, dist: MixedDistribution) -> float:
@@ -268,14 +281,18 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
     gamma = json_number(gamma, "gamma")
     if not math.isfinite(gamma):
         raise ValidationError("gamma must be finite")
+    return _erm(gamma, dist.columns())
+
+
+def _erm(gamma: float, cols: Columns) -> float:
     if gamma == 0.0:
-        return mean(dist)
+        return _mean(cols)
     terms = []
     weights = []
-    for w, o in dist.components:
+    for w, lo, hi in zip(*cols):
         if w <= 0.0:
             continue
-        terms.append(_log_mgf(o, gamma))
+        terms.append(_log_mgf(lo, hi, gamma))
         weights.append(w)
     shift = max(terms)
     if not math.isfinite(shift):
@@ -292,52 +309,57 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
 
 
 def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
-    """Smallest y with CDF(y) >= alpha, by one sorted sweep of the CDF.
+    """Smallest y with CDF(y) >= alpha, by one sorted sweep of the CDF."""
+    return _value_at_risk(_check_alpha(alpha), dist.columns())
 
-    The CDF is piecewise linear with jumps only at atoms.  The breakpoints
-    (atom values, segment ends) are sorted once, and a running CDF with
-    its slope locates the first breakpoint whose CDF reaches alpha.  The
-    decision there is then made on ``dist.cdf`` and ``dist.atom_mass_at``
-    themselves, walking to a neighbour while they disagree with the
-    running sum, and a crossing inside a segment is inverted linearly.
-    The running sum only locates the crossing, so the result does not
-    depend on its rounding; the cost is O(n log n) in the component count.
+
+def _value_at_risk(alpha: float, cols: Columns) -> float:
+    """The lower quantile on columns.
+
+    The CDF is piecewise linear with jumps only at atoms.  The
+    breakpoints (atom values, segment ends) are sorted once, and a running
+    CDF with its slope locates the first breakpoint whose CDF reaches
+    alpha.  The decision there is then made on ``column_cdf`` and
+    ``column_atom_mass_at`` themselves, walking to a neighbour while they
+    disagree with the running sum, and a crossing inside a segment is
+    inverted linearly.  The running sum only locates the crossing, so the
+    result does not depend on its rounding; the cost is O(n log n) in the
+    component count.
     """
-    alpha = _check_alpha(alpha)
     if alpha == 0.0:
-        return essential_inf(dist)
+        return column_inf(cols)
     # (y, atom mass at y, change of the CDF's slope at y)
     events = []
-    for w, o in dist.components:
+    for w, lo, hi in zip(*cols):
         if w <= 0.0:
             continue
-        if isinstance(o, PointMass):
-            events.append((o.value, w, 0.0))
+        if lo == hi:
+            events.append((lo, w, 0.0))
         else:
-            rate = w / o.width
-            events.append((o.lo, 0.0, rate))
-            events.append((o.hi, 0.0, -rate))
+            rate = w / (hi - lo)
+            events.append((lo, 0.0, rate))
+            events.append((hi, 0.0, -rate))
     events.sort()
     breaks: List[float] = []
     levels: List[float] = []  # running CDF at each breakpoint
     level = slope = 0.0
     active = 0
     for y, mass, rate in events:
-        if not breaks or y != breaks[-1]:
-            if breaks:
-                level += slope * (y - breaks[-1])
+        if not breaks:
             breaks.append(y)
+        elif y != breaks[-1]:
             levels.append(level)
+            level += slope * (y - breaks[-1])
+            breaks.append(y)
         level += mass
-        levels[-1] = level
         if rate:
             slope += rate
             active += 1 if rate > 0.0 else -1
             if not active:
                 slope = 0.0  # no segment open: drop the rounding residue
-    cdf = dist.cdf
+    levels.append(level)
     k = min(bisect_left(levels, alpha), len(breaks) - 1)
-    cdf_at = cdf(breaks[k])
+    cdf_at = column_cdf(cols, breaks[k])
     cdf_prev = None
     while cdf_at < alpha:  # the running sum crossed too early
         k += 1
@@ -345,10 +367,10 @@ def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
             # alpha exceeded every accumulated mass (only possible through
             # float dust in the weights); the top of the support is the
             # right answer
-            return essential_sup(dist)
-        cdf_prev, cdf_at = cdf_at, cdf(breaks[k])
+            return column_sup(cols)
+        cdf_prev, cdf_at = cdf_at, column_cdf(cols, breaks[k])
     while cdf_prev is None and k > 0:  # the running sum crossed too late
-        below = cdf(breaks[k - 1])
+        below = column_cdf(cols, breaks[k - 1])
         if below < alpha:
             cdf_prev = below
         else:
@@ -356,7 +378,7 @@ def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
     if k == 0:
         return breaks[0]
     y, prev = breaks[k], breaks[k - 1]
-    cdf_left = cdf_at - dist.atom_mass_at(y)  # Pr(Y < y)
+    cdf_left = cdf_at - column_atom_mass_at(cols, y)  # Pr(Y < y)
     if cdf_left >= alpha:
         # the CDF is linear on (prev, y); invert it there
         slope = (cdf_left - cdf_prev) / (y - prev)
@@ -371,16 +393,21 @@ def cte(alpha: float, dist: MixedDistribution) -> float:
     the quantile itself; when no mass lies strictly above the quantile the
     value is the essential supremum.
     """
-    alpha = _check_alpha(alpha)
-    v = value_at_risk(alpha, dist)
-    tail_p = dist.tail_mass(v)
+    return _cte(_check_alpha(alpha), dist.columns())
+
+
+def _cte(alpha: float, cols: Columns) -> float:
+    v = _value_at_risk(alpha, cols)
+    tail_p = column_tail_mass(cols, v)
     if tail_p <= 0.0:
         return v
     beta = 1.0 - tail_p
-    return (dist.tail_sum(v) + (beta - alpha) * v) / (1.0 - alpha)
+    return (column_tail_sum(cols, v) + (beta - alpha) * v) / (1.0 - alpha)
 
 
 def _value(rf: RiskFunctional, terms: List[Tuple[float, float]], dist: MixedDistribution) -> float:
+    # a built law goes through the public functions, so a wrapper around
+    # one of them (bench/tracer.py, say) sees every law it evaluates
     if isinstance(rf, Expectation):
         return mean(dist)
     if isinstance(rf, Erm):
@@ -403,6 +430,40 @@ def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
     if isinstance(rf, Composite):
         return fold_functional(rf, lambda f, terms: _value(f, terms, dist))
     return _value(rf, [], dist)
+
+
+def evaluate_atoms(rf: RiskFunctional, weights: Sequence[float], values: Sequence[float]) -> float:
+    """``evaluate`` on the law with an atom at each value, of the weight in
+    the same position, without building the law.
+
+    It gives the same bits and raises the same errors in the same order:
+    a value that is not finite first, as ``PointMass`` would, then an
+    unknown functional, and one atom is returned as the constant it is.
+    The weights are taken as given, as a checked tree or MDP gives them.
+    """
+    # a sum is finite only when every term is
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValidationError("PointMass value must be finite")
+    if not isinstance(rf, RF_CLASSES):
+        raise ValidationError(f"unknown risk functional {rf!r}")
+    if len(values) == 1:
+        return values[0]
+    cols = (weights, values, values)
+    if isinstance(rf, Composite):
+        return fold_functional(rf, lambda f, terms: _column_value(f, terms, cols))
+    return _column_value(rf, [], cols)
+
+
+def _column_value(rf: RiskFunctional, terms: List[Tuple[float, float]], cols: Columns) -> float:
+    if isinstance(rf, Expectation):
+        return _mean(cols)
+    if isinstance(rf, Erm):
+        return _erm(rf.gamma, cols)
+    if isinstance(rf, ValueAtRisk):
+        return _value_at_risk(rf.alpha, cols)
+    if isinstance(rf, Cte):
+        return _cte(rf.alpha, cols)
+    return math.fsum(c * v for c, v in terms)
 
 
 # ---------------------------------------------------------------------------

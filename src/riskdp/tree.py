@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .distributions import (
     MixedDistribution,
@@ -39,6 +39,7 @@ from .measures import (
     _check_horizon,
     _is_int,
     evaluate,
+    evaluate_atoms,
     pushforward_mean,
 )
 
@@ -60,13 +61,16 @@ class Edge:
     cost: EdgeCost
     child: "TreeNode"
 
+    def __repr__(self) -> str:
+        return _tree_repr(self)
+
 
 @dataclass(frozen=True)
 class TreeNode:
     """A node at a stage with its outgoing edges.
 
-    `==` and `hash` walk the subtree off an explicit stack, so they work
-    at any depth; `repr` is the generated one and still recurses.
+    `==`, `hash` and `repr` walk the subtree off an explicit stack, so
+    they work at any depth; `repr` reads as the one dataclasses generate.
     """
 
     stage: int
@@ -102,6 +106,47 @@ class TreeNode:
             stack.extend(e.child for e in node.edges)
         return hash(tuple(parts))
 
+    def __repr__(self) -> str:
+        return _tree_repr(self)
+
+
+def _tree_repr(top: Union[TreeNode, Edge]) -> str:
+    """The repr dataclasses would generate for a node or an edge, written
+    off an explicit stack.  The stack holds (text, item) pairs: a text is
+    written as it is, an item as its repr, nodes and edges expanded.
+    """
+    out: List[str] = []
+    stack: List[Tuple[bool, Any]] = [(False, top)]
+    while stack:
+        text, item = stack.pop()
+        if text:
+            out.append(item)
+        elif isinstance(item, TreeNode):
+            out.append(f"{type(item).__qualname__}(stage={item.stage!r}, edges=")
+            edges = item.edges
+            if isinstance(edges, list):
+                out.append("[")
+                stack.append((True, "])"))
+            elif isinstance(edges, tuple):
+                out.append("(")
+                stack.append((True, ",))" if len(edges) == 1 else "))"))
+            else:
+                stack += [(True, ")"), (False, edges)]
+                continue
+            for k in range(len(edges) - 1, -1, -1):
+                stack.append((False, edges[k]))
+                if k:
+                    stack.append((True, ", "))
+        elif isinstance(item, Edge):
+            out.append(
+                f"{type(item).__qualname__}(probability={item.probability!r}, "
+                f"cost={item.cost!r}, child="
+            )
+            stack += [(True, ")"), (False, item.child)]
+        else:
+            out.append(repr(item))
+    return "".join(out)
+
 
 class _Plan(NamedTuple):
     """A tree compiled for the walks over it, built by `_compile` when the
@@ -110,13 +155,17 @@ class _Plan(NamedTuple):
     `steps` lists the nodes in post-order with the children taken
     last-first, which is the pre-order reversed: every child comes before
     its parent and the root is last.  Each step is (stage,
-    ((probability, cost, child position), ...), constant), a leaf having
-    no edges; constant marks a node with one scalar-cost edge, whose
-    value is that cost plus the discounted child value.  `paths` is the
-    number of leaves.
+    ((probability, cost, child position), ...), constant, weights), a
+    leaf having no edges; constant marks a node with one scalar-cost
+    edge, whose value is that cost plus the discounted child value, and
+    weights lists the edge probabilities of a node with several edges,
+    all of scalar cost (None at any other node).  `paths` is the number
+    of leaves.
     """
 
-    steps: Tuple[Tuple[int, Tuple[Tuple[float, Any, int], ...], bool], ...]
+    steps: Tuple[
+        Tuple[int, Tuple[Tuple[float, Any, int], ...], bool, Optional[Tuple[float, ...]]], ...
+    ]
     paths: int
 
 
@@ -152,18 +201,21 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
         raise ValidationError(f"tree root must be a TreeNode, got {root!r}")
     if root.stage != 0:
         raise ValidationError("root must sit at stage 0")
-    steps: List[Tuple[int, tuple, bool]] = []
+    steps: List[Tuple[int, tuple, bool, Optional[tuple]]] = []
     done: List[int] = []  # plan positions of finished subtrees
     seen: set = set()
     paths = 0
-    stack = [(root, False)]
+    # (node, None) when first reached; (node, whether every edge cost is a
+    # scalar) once checked, to become a step when its subtrees are done
+    stack: List[Tuple[TreeNode, Optional[bool]]] = [(root, None)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node, scalar = stack.pop()
+        if scalar is not None:
             edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
-            constant = len(edges) == 1 and not isinstance(edges[0][1], MixedDistribution)
+            several = scalar and len(edges) > 1
+            weights = tuple([p for p, _, _ in edges]) if several else None
             done.append(len(steps))
-            steps.append((node.stage, edges, constant))
+            steps.append((node.stage, edges, scalar and not several, weights))
             continue
         if id(node) in seen:
             raise ValidationError("tree nodes must not be shared")
@@ -172,11 +224,12 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
             if node.stage != horizon:
                 raise ValidationError(f"leaf at stage {node.stage} but horizon is {horizon}")
             done.append(len(steps))
-            steps.append((node.stage, (), False))
+            steps.append((node.stage, (), False, None))
             paths += 1
             continue
         if node.stage >= horizon:
             raise ValidationError(f"internal node at stage {node.stage} exceeds horizon")
+        scalar = True
         for e in node.edges:
             if not isinstance(e, Edge):
                 raise ValidationError(f"tree edges must be Edge objects, got {e!r}")
@@ -184,7 +237,7 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
             if not math.isfinite(p) or p <= 0.0:
                 raise ValidationError(f"edge probability {e.probability!r} must be positive")
             if isinstance(e.cost, MixedDistribution):
-                pass
+                scalar = False
             elif isinstance(e.cost, (int, float)) and not isinstance(e.cost, bool):
                 if not math.isfinite(e.cost):
                     raise ValidationError(f"edge cost {e.cost!r} must be finite")
@@ -201,8 +254,8 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
         check_sums_to_one((e.probability for e in node.edges), "edge probabilities")
         # the last child is walked first, so the subtrees finish in reverse
         # and the first child's position ends on top of done
-        stack.append((node, True))
-        stack.extend([(e.child, False) for e in node.edges])
+        stack.append((node, scalar))
+        stack.extend([(e.child, None) for e in node.edges])
     return _Plan(tuple(steps), paths)
 
 
@@ -241,7 +294,7 @@ def _cost_from_json(data) -> EdgeCost:
 
 def tree_to_json_dict(tree: ScenarioTree) -> dict:
     nodes: List[dict] = []  # by plan position, so children are built first
-    for _, edges, _ in tree._plan.steps:
+    for _, edges, _, _ in tree._plan.steps:
         children = []
         for p, cost, child in edges:
             cost = cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost
@@ -324,16 +377,18 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
     """Backward recursion over the tree's plan: the value of every node,
     by plan position.  Leaves are worth zero; an internal node at period
     n applies the period-n functional to the mixture over its edges of
-    cost + lam * (child value), built straight from the edge cost
-    components.  A node with one scalar-cost edge takes the constant
-    cost + lam * (child value) straight, since every functional maps a
-    constant to itself; it is checked for finiteness as `PointMass` would.
+    cost + lam * (child value).  A node with one scalar-cost edge takes
+    the constant cost + lam * (child value) straight, since every
+    functional maps a constant to itself; it is checked for finiteness as
+    `PointMass` would.  Any other node whose edge costs are all scalars
+    hands its atoms to `evaluate_atoms`; only a node with a law-valued
+    edge cost builds its law, straight from the edge cost components.
     """
     lam = _check_discount(lam)
     _check_spec(spec, tree.horizon)
     stages = spec.stages
     values: List[float] = []
-    for stage, edges, constant in tree._plan.steps:
+    for stage, edges, constant, weights in tree._plan.steps:
         if constant:
             _, cost, child = edges[0]
             value = cost + lam * values[child]
@@ -343,6 +398,10 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
             continue
         if not edges:
             values.append(0.0)
+            continue
+        if weights is not None:
+            atoms = [cost + lam * values[child] for _, cost, child in edges]
+            values.append(evaluate_atoms(stages[stage], weights, atoms))
             continue
         parts: List[Tuple[float, Any]] = []
         for p, cost, child in edges:
@@ -413,7 +472,7 @@ def discounted_total_distribution(
     stack: List[Tuple[int, float, float, Any]] = [(len(steps) - 1, 1.0, 0.0, None)]
     while stack:
         at, prob, shift, seg = stack.pop()
-        stage, edges, _ = steps[at]
+        stage, edges, _, _ = steps[at]
         if not edges:
             if seg is None:
                 parts.append((prob, PointMass(shift)))

@@ -29,6 +29,28 @@ def test_point_mass_rejects_non_finite():
         PointMass(math.nan)
 
 
+@pytest.mark.parametrize("bad", [True, "1"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        PointMass,
+        lambda x: UniformSegment(x, 2.0),
+        lambda x: UniformSegment(-1.0, x),
+        lambda x: MixedDistribution(((x, PointMass(0.0)),)),
+    ],
+    ids=["point", "segment-lo", "segment-hi", "weight"],
+)
+def test_constructor_numbers_must_be_real_numbers(make, bad):
+    with pytest.raises(ValidationError, match="must be a number"):
+        make(bad)
+
+
+def test_integer_constructor_numbers_become_floats():
+    seg = UniformSegment(0, 2)
+    ((w, point),) = MixedDistribution(((1, PointMass(3)),)).components
+    assert [type(x) for x in (seg.lo, seg.hi, w, point.value)] == [float] * 4
+
+
 def test_segment_requires_strict_order():
     with pytest.raises(ValidationError):
         UniformSegment(1.0, 1.0)

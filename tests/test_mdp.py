@@ -2,7 +2,9 @@
 policy enumeration, tail problems, and serialization."""
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from riskdp import (
     irm_root_value,
     mdp_from_json_dict,
     mdp_to_json_dict,
+    rf_from_json_dict,
     solution_to_json_dict,
     solve_dp,
     tail_mdp,
@@ -30,6 +33,8 @@ from riskdp import (
 )
 
 from .conftest import assert_close, random_mdp
+
+DATA = Path(__file__).parent / "data"
 
 
 def chain_mdp(costs_by_action, discount: float = 1.0) -> FiniteHorizonMdp:
@@ -136,11 +141,46 @@ def test_transition_field_validation():
         Transition("t", -0.1, 1.0)
     with pytest.raises(ValidationError):
         Transition("t", 0.5, float("inf"))
+    for bad in (True, "1"):
+        with pytest.raises(ValidationError, match="transition probability must be a number"):
+            Transition("t", bad, 1.0)
+        with pytest.raises(ValidationError, match="transition cost must be a number"):
+            Transition("t", 1.0, bad)
+    with pytest.raises(ValidationError, match="must be >= 0"):
+        Transition("t", 1.0, 2.0)._replace(probability=-1.0)
+    t = Transition("t", 1, 2)
+    assert (type(t.probability), type(t.cost)) == (float, float)
 
 
 # ---------------------------------------------------------------------------
 # backward induction on hand-checkable processes
 # ---------------------------------------------------------------------------
+
+
+def test_solver_reproduces_the_pinned_bits():
+    """Tie-heavy models (costs in integers or thirds, probabilities in
+    eighths, some of them zero) under ten specs: every value by float.hex,
+    every policy entry and the key order of both tables, as recorded in
+    data/solver_bits.json (see data/make_solver_bits.py)."""
+    fixture = json.loads((DATA / "solver_bits.json").read_text())
+    assert len(fixture["cases"]) == 12
+    for case in fixture["cases"]:
+        mdp = mdp_from_json_dict(case["mdp"])
+        last_actions = {
+            (n, s): mdp.actions_at(n, s)[-1] for n in range(mdp.horizon) for s in mdp.states[n]
+        }
+        assert len(case["results"]) == len(fixture["functionals"]) + 1
+        for label, want in case["results"].items():
+            if label in fixture["functionals"]:
+                spec = IrmSpec.repeat(rf_from_json_dict(fixture["functionals"][label]), mdp.horizon)
+            else:
+                cycle = [rf_from_json_dict(f) for f in fixture["functionals"].values()]
+                spec = IrmSpec(tuple(cycle[n % len(cycle)] for n in range(mdp.horizon)))
+            values, policy = solve_dp(mdp, spec)
+            assert [[n, s, v.hex()] for (n, s), v in values.items()] == want["values"], label
+            assert [[n, s, a] for (n, s), a in policy.items()] == want["policy"], label
+            pinned = evaluate_policy(mdp, last_actions, spec)
+            assert [[n, s, v.hex()] for (n, s), v in pinned.items()] == want["last_action_values"], label
 
 
 def test_dominated_action_is_never_chosen():
@@ -396,6 +436,34 @@ def test_policy_evaluation_names_an_uncovered_successor():
         match="policy covers stage 0, state 'start' but not its successor 'owing'",
     ):
         evaluate_policy(mdp, {(0, "start"): "installments"}, spec)
+
+
+def test_policy_evaluation_reports_the_first_bad_successor_in_outcome_order():
+    # from (0, "s") the successor "big" overflows (1.7e308 + 1.7e308) and
+    # the policy leaves "small" uncovered: the first listed one is reported
+    def process(order):
+        outs = [Transition("big", 0.5, 1.7e308), Transition("small", 0.5, 1.0)]
+        return FiniteHorizonMdp(
+            horizon=2,
+            states=(("s",), ("big", "small"), ("e",)),
+            actions=("a",),
+            initial="s",
+            discount=1.0,
+            transitions={
+                (0, "s", "a"): tuple(outs[::order]),
+                (1, "big", "a"): (Transition("e", 1.0, 1.7e308),),
+                (1, "small", "a"): (Transition("e", 1.0, 0.0),),
+            },
+        )
+
+    policy = {(0, "s"): "a", (1, "big"): "a"}
+    spec = IrmSpec.repeat(Cte(0.5), 2)
+    with pytest.raises(ValidationError, match="PointMass value must be finite"):
+        evaluate_policy(process(1), policy, spec)
+    with pytest.raises(ValidationError, match="not its successor 'small'"):
+        evaluate_policy(process(-1), policy, spec)
+    with pytest.raises(ValidationError, match="PointMass value must be finite"):
+        solve_dp(process(-1), spec)
 
 
 def test_spec_horizon_mismatch_is_rejected():

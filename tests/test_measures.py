@@ -39,6 +39,7 @@ from riskdp import (
     rf_to_json_dict,
     value_at_risk,
 )
+from riskdp.measures import evaluate_atoms
 
 from .conftest import (
     assert_close,
@@ -333,6 +334,39 @@ def test_evaluate_dispatch_matches_direct_calls():
         assert evaluate(Erm(0.4), d) == erm(0.4, d)
         assert evaluate(ValueAtRisk(0.7), d) == value_at_risk(0.7, d)
         assert evaluate(Cte(0.7), d) == cte(0.7, d)
+
+
+def test_evaluate_atoms_gives_the_bits_of_evaluate_on_the_same_atoms():
+    rng = random.Random(21)
+    functionals = (
+        Expectation(), Erm(0.5), Erm(-0.5), ValueAtRisk(0.5), ValueAtRisk(0.75),
+        Cte(0.0), Cte(0.5), Cte(0.75),
+        Composite(((0.5, Expectation()), (0.25, Cte(0.75)), (0.25, Erm(0.5)))),
+    )
+    for i in range(400):
+        n = rng.randint(1, 9)
+        if i % 2:
+            # eighths, some of them zero: the CDF meets the levels exactly
+            cuts = sorted(rng.randint(0, 8) for _ in range(n - 1))
+            weights = [(b - a) / 8.0 for a, b in zip([0, *cuts], [*cuts, 8])]
+        else:
+            raw = [rng.random() for _ in range(n)]
+            weights = [r / math.fsum(raw) for r in raw]
+        values = [float(rng.randint(-3, 3)) for _ in range(n)]
+        law = MixedDistribution.of_atoms(zip(weights, values))
+        for rf in functionals:
+            assert evaluate_atoms(rf, weights, values).hex() == evaluate(rf, law).hex()
+    # a value that is not finite fails as PointMass does, before the
+    # functional is looked at
+    for values in ([math.inf], [1.0, math.nan]):
+        weights = [1.0 / len(values)] * len(values)
+        with pytest.raises(ValidationError, match="PointMass value must be finite"):
+            MixedDistribution.of_atoms(zip(weights, values))
+        for rf in (Cte(0.5), "cte"):
+            with pytest.raises(ValidationError, match="PointMass value must be finite"):
+                evaluate_atoms(rf, weights, values)
+    with pytest.raises(ValidationError, match="unknown risk functional 'cte'"):
+        evaluate_atoms("cte", [1.0], [2.0])
 
 
 def test_evaluate_constant_shortcut_agrees_with_every_functional():

@@ -474,6 +474,34 @@ def test_deep_chains_compare_and_hash_without_recursion():
     assert tree.root != other.root
 
 
+def test_repr_reads_as_the_generated_dataclass_repr():
+    law = MixedDistribution(((0.5, PointMass(4.0)), (0.5, UniformSegment(1.0, 3.0))))
+    root = TreeNode(0, (Edge(0.5, 1, TreeNode(1, ())), Edge(0.5, law, TreeNode(1, ()))))
+    tree = ScenarioTree(horizon=1, root=root)
+    assert repr(tree) == (
+        "ScenarioTree(horizon=1, root=TreeNode(stage=0, edges=("
+        "Edge(probability=0.5, cost=1, child=TreeNode(stage=1, edges=())), "
+        "Edge(probability=0.5, cost=MixedDistribution(components=((0.5, PointMass(value=4.0)), "
+        "(0.5, UniformSegment(lo=1.0, hi=3.0)))), child=TreeNode(stage=1, edges=())))))"
+    )
+    chain = deterministic_tree([2.0])
+    assert repr(chain.root.edges[0]) == (
+        "Edge(probability=1.0, cost=2.0, child=TreeNode(stage=1, edges=()))"
+    )
+    assert repr(chain.root) == f"TreeNode(stage=0, edges=({chain.root.edges[0]!r},))"
+
+
+def test_deep_chain_repr_needs_no_recursion():
+    _, tree = deep_chain(DEEP_STAGES)
+    text = repr(tree)
+    assert text.startswith(
+        "ScenarioTree(horizon=10000, root=TreeNode(stage=0, edges=(Edge(probability=1.0, cost=0.0, "
+        "child=TreeNode(stage=1, edges=(Edge(probability=1.0, cost=1.0, child="
+    )
+    assert text.endswith("child=TreeNode(stage=10000, edges=())" + "),))" * DEEP_STAGES + ")")
+    assert text.count("TreeNode(") == DEEP_STAGES + 1
+
+
 def test_nodes_differ_on_stage_or_edge_count_and_defer_to_other_types():
     leaf = TreeNode(stage=1, edges=())
     one = TreeNode(stage=0, edges=(Edge(0.5, 2.0, leaf),))
