@@ -157,17 +157,25 @@ class MixedDistribution:
     def columns(self) -> Columns:
         """The components as parallel (weights, lows, highs) lists, in
         component order; an atom has low == high, a segment low < high.
+        Made on the first call and kept, so a caller that asks one law
+        for many statistics converts it once; the lists are shared, so
+        callers only read them.
         """
-        weights, lows, highs = [], [], []
-        for w, o in self.components:
-            weights.append(w)
-            if isinstance(o, PointMass):
-                lows.append(o.value)
-                highs.append(o.value)
-            else:
-                lows.append(o.lo)
-                highs.append(o.hi)
-        return weights, lows, highs
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            weights, lows, highs = [], [], []
+            for w, o in self.components:
+                weights.append(w)
+                if isinstance(o, PointMass):
+                    v = o.value
+                    lows.append(v)
+                    highs.append(v)
+                else:
+                    lows.append(o.lo)
+                    highs.append(o.hi)
+            cols = (weights, lows, highs)
+            object.__setattr__(self, "_columns", cols)
+        return cols
 
     def cdf(self, y: float) -> float:
         """Pr(Y <= y)."""

@@ -9,12 +9,14 @@ scenario-tree evaluator serves as an independent oracle.
 Like a scenario tree, a `FiniteHorizonMdp` checks its tables and compiles
 them into a plan in one pass, at construction.  In the plan the states
 of a stage are positions, and each state lists one cell per available
-action: probabilities, costs and successor positions, with outcomes of
-probability zero left out.  The backward induction, policy evaluation,
+action: probabilities, outcomes and successor positions, with outcomes
+of probability zero left out.  The outcomes are the `Transition`s
+themselves, so a cell copies no cost.  The backward induction, policy evaluation,
 reachability, tail problems and unrolling read the plan; each cell
 reaches the measures as columns of weights and atom values
 (`evaluate_atoms`), never as a built distribution.  The plan is not a
-dataclass field, so `==` and `repr` do not see it.
+dataclass field, so `==` and `repr` do not see it.  A tail problem is
+not compiled again: it takes its cells from its parent's plan.
 """
 from __future__ import annotations
 
@@ -81,19 +83,20 @@ class Transition(_TransitionFields):
         return cls(*iterable)
 
 
-# one way to play an action: (probabilities, costs, successor positions),
+# one way to play an action: (probabilities, outcomes, successor positions),
 # outcomes of probability zero left out
-Cell = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[int, ...]]
+Cell = Tuple[Tuple[float, ...], Tuple["Transition", ...], Tuple[int, ...]]
 
 
 class _Plan(NamedTuple):
-    """An MDP compiled for the walks over it, built when it is constructed.
+    """An MDP compiled for the walks over it, built when it is constructed
+    (a tail problem takes its cells from its parent's plan).
 
     States are numbered by their position in their stage's row: `index[n]`
     maps each stage-n state to its position, and `cells[n][i]` maps each
     action available at the state in position i, in action-set order, to
-    its cell, whose probabilities and costs are the `Transition` floats
-    themselves.
+    its cell.  A cell's outcomes are the transition table's own tuple
+    when none of them has probability zero.
     """
 
     index: Tuple[Dict[State, int], ...]
@@ -167,7 +170,7 @@ class FiniteHorizonMdp:
                 raise ValidationError(f"({n}, {s!r}, {a!r}) has no outcomes")
             targets = index[n + 1]
             seen = set()
-            probs, costs, succ = [], [], []
+            probs, positive, succ = [], [], []
             for t in outs:
                 if not isinstance(t, Transition):
                     raise ValidationError(f"{t!r} is not a Transition")
@@ -184,11 +187,13 @@ class FiniteHorizonMdp:
                 seen.add(j)
                 if t.probability > 0.0:
                     probs.append(t.probability)
-                    costs.append(t.cost)
+                    positive.append(t)
                     succ.append(j)
             check_sums_to_one(probs, "probabilities of ({}, {!r}, {!r})", n, s, a)
             table[(n, s, a)] = outs
-            found[n][index[n][s]][a] = (tuple(probs), tuple(costs), tuple(succ))
+            if len(positive) < len(outs):
+                outs = tuple(positive)
+            found[n][index[n][s]][a] = (tuple(probs), outs, tuple(succ))
         object.__setattr__(self, "transitions", table)
         for n, row in enumerate(found):
             for i, offered in enumerate(row):
@@ -207,19 +212,20 @@ class FiniteHorizonMdp:
         """(stage, state) pairs reachable from the initial state under
         any action sequence, in backward-induction-friendly order.
         """
-        rows = self._reachable_rows(0, self.initial)
-        return [(n, s) for n, row in enumerate(rows) for s in row]
+        rows = self._reachable_rows(0, self._plan.index[0][self.initial])
+        return [(n, self.states[n][i]) for n, row in enumerate(rows) for i in row]
 
-    def _reachable_rows(self, n: int, s: State) -> List[Tuple[State, ...]]:
-        """Per stage from n to the horizon, the states reachable from
-        (n, s) along positive-probability transitions, in stage-row order.
+    def _reachable_rows(self, n: int, i: int) -> List[List[int]]:
+        """Per stage from n to the horizon, the positions of the states
+        reachable from the stage-n state in position i along
+        positive-probability transitions, in stage-row order.
         """
         cells = self._plan.cells
-        rows: List[Tuple[State, ...]] = []
-        frontier = {self._plan.index[n][s]}
+        rows: List[List[int]] = []
+        frontier = {i}
         for k in range(n, self.horizon + 1):
             row = sorted(frontier)
-            rows.append(tuple(self.states[k][i] for i in row))
+            rows.append(row)
             if k < self.horizon:
                 frontier = {j for i in row for _, _, succ in cells[k][i].values() for j in succ}
         return rows
@@ -256,9 +262,9 @@ def _backward_induction(
                 offered = {a: offered[a]}
             best = None
             for a, cell in offered.items():
-                probs, costs, succ = cell
+                probs, outs, succ = cell
                 try:
-                    atoms = [c + lam * later[j] for c, j in zip(costs, succ)]
+                    atoms = [c + lam * later[j] for (_, _, c), j in zip(outs, succ)]
                 except TypeError:  # a successor the policy leaves out
                     _raise_first_bad_successor(mdp, n, s, cell, later)
                 v = evaluate_atoms(rf, probs, atoms)
@@ -276,8 +282,8 @@ def _raise_first_bad_successor(
 ) -> None:
     """Raise for the first successor of the cell, in outcome order, that
     has no value or whose atom is not finite."""
-    _, costs, succ = cell
-    for c, j in zip(costs, succ):
+    _, outs, succ = cell
+    for (_, _, c), j in zip(outs, succ):
         if later[j] is None:
             # only a policy can leave a successor without a value
             t = mdp.states[n + 1][j]
@@ -340,8 +346,8 @@ def unroll(
             nodes.append((n, []))
             continue
         a = _policy_action(mdp, policy, n, s)
-        probs, costs, succ = plan.cells[n][plan.index[n][s]][a]
-        nodes.append((n, list(zip(probs, costs))))
+        probs, outs, succ = plan.cells[n][plan.index[n][s]][a]
+        nodes.append((n, [(p, c) for _, p, c in outs]))
         stack.extend((n + 1, states[n + 1][j]) for j in reversed(succ))
     return ScenarioTree(horizon=mdp.horizon, root=_tree_from_preorder(nodes))
 
@@ -382,29 +388,52 @@ def brute_force_optimal(
 def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
     """Sub-problem rooted at (n, s), with stages shifted down by n and
     states pruned to those reachable from s.
+
+    It is not checked or compiled again: its transitions and plan cells
+    are the parent's (outcomes of probability zero left out), with
+    successor positions renumbered only where a row was pruned.
     """
     if not _is_int(n) or not 0 <= n < mdp.horizon:
         raise ValidationError(f"stage {n!r} out of range for the tail problem")
     if s not in mdp.states[n]:
         raise ValidationError(f"state {s!r} is not in stage {n}")
-    keep = mdp._reachable_rows(n, s)
     plan = mdp._plan
-    transitions = {}
-    for k, row in enumerate(keep[:-1]):
-        for x in row:
-            for a in plan.cells[n + k][plan.index[n + k][x]]:
-                outs = mdp.transitions[(n + k, x, a)]
-                transitions[(k, x, a)] = tuple(
-                    t for t in outs if t.probability > 0.0
-                )
-    return FiniteHorizonMdp(
-        horizon=mdp.horizon - n,
-        states=tuple(keep),
-        actions=mdp.actions,
-        initial=s,
-        discount=mdp.discount,
-        transitions=transitions,
+    keep = mdp._reachable_rows(n, plan.index[n][s])
+    states = tuple(
+        tuple(mdp.states[n + k][i] for i in row) for k, row in enumerate(keep)
     )
+    transitions = {}
+    cells = []
+    for k, row in enumerate(keep[:-1]):
+        if len(keep[k + 1]) == len(mdp.states[n + k + 1]):
+            move = None  # the next row is whole: successor positions stand
+        else:
+            move = {j: new for new, j in enumerate(keep[k + 1])}
+        stage_cells = []
+        for x, i in zip(states[k], row):
+            offered = plan.cells[n + k][i]
+            for a, (_, outs, _) in offered.items():
+                transitions[(k, x, a)] = outs
+            if move is not None:
+                offered = {
+                    a: (probs, outs, tuple(move[j] for j in succ))
+                    for a, (probs, outs, succ) in offered.items()
+                }
+            stage_cells.append(offered)
+        cells.append(tuple(stage_cells))
+    index = tuple({x: i for i, x in enumerate(row)} for row in states)
+    tail = object.__new__(FiniteHorizonMdp)
+    for name, value in (
+        ("horizon", mdp.horizon - n),
+        ("states", states),
+        ("actions", mdp.actions),
+        ("initial", s),
+        ("discount", mdp.discount),
+        ("transitions", transitions),
+        ("_plan", _Plan(index, tuple(cells))),
+    ):
+        object.__setattr__(tail, name, value)
+    return tail
 
 
 # ---------------------------------------------------------------------------

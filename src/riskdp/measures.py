@@ -405,20 +405,6 @@ def _cte(alpha: float, cols: Columns) -> float:
     return (column_tail_sum(cols, v) + (beta - alpha) * v) / (1.0 - alpha)
 
 
-def _value(rf: RiskFunctional, terms: List[Tuple[float, float]], dist: MixedDistribution) -> float:
-    # a built law goes through the public functions, so a wrapper around
-    # one of them (bench/tracer.py, say) sees every law it evaluates
-    if isinstance(rf, Expectation):
-        return mean(dist)
-    if isinstance(rf, Erm):
-        return erm(rf.gamma, dist)
-    if isinstance(rf, ValueAtRisk):
-        return value_at_risk(rf.alpha, dist)
-    if isinstance(rf, Cte):
-        return cte(rf.alpha, dist)
-    return math.fsum(c * v for c, v in terms)
-
-
 def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
     """Dispatch a risk functional onto a distribution."""
     if not isinstance(rf, RF_CLASSES):
@@ -427,9 +413,7 @@ def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
     if len(comps) == 1 and isinstance(comps[0][1], PointMass):
         # every functional here maps a constant to itself
         return comps[0][1].value
-    if isinstance(rf, Composite):
-        return fold_functional(rf, lambda f, terms: _value(f, terms, dist))
-    return _value(rf, [], dist)
+    return _evaluate_columns(rf, dist.columns())
 
 
 def evaluate_atoms(rf: RiskFunctional, weights: Sequence[float], values: Sequence[float]) -> float:
@@ -448,22 +432,26 @@ def evaluate_atoms(rf: RiskFunctional, weights: Sequence[float], values: Sequenc
         raise ValidationError(f"unknown risk functional {rf!r}")
     if len(values) == 1:
         return values[0]
-    cols = (weights, values, values)
+    return _evaluate_columns(rf, (weights, values, values))
+
+
+def _evaluate_columns(rf: RiskFunctional, cols: Columns) -> float:
+    """A checked functional on the columns of a law, composites included."""
+
+    def value(f: RiskFunctional, terms: List[Tuple[float, float]]) -> float:
+        if isinstance(f, Expectation):
+            return _mean(cols)
+        if isinstance(f, Erm):
+            return _erm(f.gamma, cols)
+        if isinstance(f, ValueAtRisk):
+            return _value_at_risk(f.alpha, cols)
+        if isinstance(f, Cte):
+            return _cte(f.alpha, cols)
+        return math.fsum(c * v for c, v in terms)
+
     if isinstance(rf, Composite):
-        return fold_functional(rf, lambda f, terms: _column_value(f, terms, cols))
-    return _column_value(rf, [], cols)
-
-
-def _column_value(rf: RiskFunctional, terms: List[Tuple[float, float]], cols: Columns) -> float:
-    if isinstance(rf, Expectation):
-        return _mean(cols)
-    if isinstance(rf, Erm):
-        return _erm(rf.gamma, cols)
-    if isinstance(rf, ValueAtRisk):
-        return _value_at_risk(rf.alpha, cols)
-    if isinstance(rf, Cte):
-        return _cte(rf.alpha, cols)
-    return math.fsum(c * v for c, v in terms)
+        return fold_functional(rf, value)
+    return value(rf, [])
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,16 @@ def test_cdf_steps_at_atoms_and_ramps_on_segments():
     assert d.atom_mass_at(50.0) == 0.0
 
 
+def test_columns_follow_component_order_and_are_made_once():
+    d = MixedDistribution(
+        ((0.5, UniformSegment(2.0, 4.0)), (0.25, PointMass(1.0)), (0.25, PointMass(3.0)))
+    )
+    assert d.columns() == ([0.5, 0.25, 0.25], [2.0, 1.0, 3.0], [4.0, 1.0, 3.0])
+    assert d.columns() is d.columns()
+    assert d == MixedDistribution(d.components)
+    assert "_columns" not in repr(d)
+
+
 def test_tail_mass_and_tail_sum_on_clipped_segment():
     d = MixedDistribution.uniform(0.0, 20.0)
     assert_close(d.tail_mass(15.0), 0.25)

@@ -291,6 +291,33 @@ def test_tail_problems_reproduce_the_value_table():
             assert sub_policy[(0, s)] == policy[(n, s)]
 
 
+def test_tail_problems_share_the_plan_a_fresh_build_compiles():
+    """A tail problem takes its plan cells from its parent's; they equal
+    what the constructor compiles from the tail's own tables, on the pinned
+    tie-heavy models, whose zero-probability outcomes prune some rows."""
+    fixture = json.loads((DATA / "solver_bits.json").read_text())
+    pruned = whole = 0
+    for case in fixture["cases"]:
+        mdp = mdp_from_json_dict(case["mdp"])
+        for n in range(mdp.horizon):
+            for s in mdp.states[n]:
+                tail = tail_mdp(mdp, n, s)
+                fresh = FiniteHorizonMdp(
+                    tail.horizon, tail.states, tail.actions, tail.initial,
+                    tail.discount, tail.transitions,
+                )
+                assert tail == fresh
+                assert tail._plan == fresh._plan
+                assert list(tail.transitions) == list(fresh.transitions)
+                assert all(t.probability > 0.0 for outs in tail.transitions.values() for t in outs)
+                for k, row in enumerate(tail.states[1:], start=1):
+                    if len(row) < len(mdp.states[n + k]):
+                        pruned += 1
+                    else:
+                        whole += 1
+    assert pruned and whole
+
+
 def test_stage_zero_shift_moves_the_value_without_moving_the_policy():
     rng = random.Random(45)
     for _ in range(15):
