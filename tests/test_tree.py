@@ -4,8 +4,10 @@ agree."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +18,13 @@ from riskdp import (
     EnumerationLimitError,
     Erm,
     Expectation,
+    Exponential,
     IrmSpec,
     Linear,
     MixedDistribution,
+    PiecewiseLinear,
     PointMass,
+    Power,
     ScenarioTree,
     TreeNode,
     UniformSegment,
@@ -36,12 +41,15 @@ from riskdp import (
     irm_evaluate,
     irm_root_value,
     mean,
+    rf_from_json_dict,
     rmd,
     tree_from_json_dict,
     tree_to_json_dict,
 )
 
 from .conftest import assert_close, random_tree
+
+DATA = Path(__file__).parent / "data"
 
 # far past the default recursion limit of 1000 frames
 DEEP_STAGES = 10**4
@@ -343,6 +351,39 @@ def test_path_budget_is_enforced():
     t = casebook.installment_tree()
     with pytest.raises(EnumerationLimitError):
         discounted_total_distribution(t, 1.0, path_limit=1)
+
+
+def test_flat_law_reproduces_the_pinned_bits():
+    """Tie-heavy trees (costs in integers or thirds, probabilities in
+    eighths, some paths of probability zero, one segment per path at
+    most, two single-path trees): every component of the flat law and
+    every rmd and eud value by float.hex, as recorded in
+    data/flat_bits.json (see data/make_flat_bits.py)."""
+    fixture = json.loads((DATA / "flat_bits.json").read_text())
+    disutilities = {
+        repr(u): u
+        for u in (
+            Exponential(0.5),
+            Linear(),
+            Power(2.0),
+            PiecewiseLinear(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (5.0, 8.0))),
+        )
+    }
+    assert len(fixture["cases"]) == 14
+    for case in fixture["cases"]:
+        tree, lam, name = tree_from_json_dict(case["tree"]), case["lambda"], case["name"]
+        law = [
+            [w.hex(), o.value.hex()] if isinstance(o, PointMass) else [w.hex(), o.lo.hex(), o.hi.hex()]
+            for w, o in discounted_total_distribution(tree, lam).components
+        ]
+        assert law == case["law"], name
+        assert list(case["rmd"]) == list(fixture["functionals"])
+        for label, want in case["rmd"].items():
+            rf = rf_from_json_dict(fixture["functionals"][label])
+            assert rmd(tree, rf, lam).hex() == want, (name, label)
+        assert list(case["eud"]) == list(disutilities)
+        for label, want in case["eud"].items():
+            assert eud(tree, disutilities[label], lam).hex() == want, (name, label)
 
 
 def test_flat_tail_expectation_of_installments():
