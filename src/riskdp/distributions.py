@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 from .errors import ValidationError
@@ -123,6 +124,18 @@ class MixedDistribution:
         # construction; skips the invariant scan.
         dist = object.__new__(cls)
         object.__setattr__(dist, "components", components)
+        return dist
+
+    @classmethod
+    def _from_columns(cls, cols: Columns) -> "MixedDistribution":
+        # The law of valid columns, which it keeps as its columns().
+        dist = cls._trusted(
+            tuple(
+                (w, PointMass(lo) if lo == hi else UniformSegment(lo, hi))
+                for w, lo, hi in zip(*cols)
+            )
+        )
+        object.__setattr__(dist, "_columns", cols)
         return dist
 
     @classmethod
@@ -331,40 +344,70 @@ def merge_atoms(dist: MixedDistribution) -> MixedDistribution:
 
     The merged atom sits at the weight-averaged value of its group, so the
     mean is preserved exactly.  Output order is deterministic: atoms sorted
-    by value, then segments sorted by endpoints.
+    by value, then segments sorted by endpoints.  The law keeps its
+    columns (see `merge_columns`).
     """
-    atoms = sorted(
-        ((o.value, w) for w, o in dist.components if isinstance(o, PointMass)),
-        key=lambda pair: pair[0],
-    )
-    segments = sorted(
-        ((o.lo, o.hi, w) for w, o in dist.components if isinstance(o, UniformSegment))
-    )
-    comps: List[Component] = []
-    i = 0
-    while i < len(atoms):
-        j = i
-        while j + 1 < len(atoms) and atoms[j + 1][0] - atoms[i][0] <= MERGE_TOL:
-            j += 1
-        group = atoms[i : j + 1]
-        weight = math.fsum(w for _, w in group)
-        if weight > 0.0:
-            value = math.fsum(v * w for v, w in group) / weight
+    atoms: List[Tuple[float, float]] = []
+    segments: List[Tuple[float, float, float]] = []
+    for w, lo, hi in zip(*dist.columns()):
+        if lo == hi:
+            atoms.append((lo, w))
         else:
-            value = group[0][0]
-        comps.append((weight, PointMass(value)))
-        i = j + 1
-    i = 0
-    while i < len(segments):
-        lo, hi, weight = segments[i]
-        j = i + 1
-        while (
-            j < len(segments)
-            and abs(segments[j][0] - lo) <= MERGE_TOL
-            and abs(segments[j][1] - hi) <= MERGE_TOL
+            segments.append((lo, hi, w))
+    return MixedDistribution._from_columns(merge_columns(atoms, segments))
+
+
+def merge_columns(
+    atoms: List[Tuple[float, float]], segments: List[Tuple[float, float, float]]
+) -> Columns:
+    """The columns of the merged law of (value, weight) atoms and (lo, hi,
+    weight) segments, as `merge_atoms` describes it; sorts both lists in
+    place.
+
+    It checks what a law checks: each merged value finite, as `PointMass`
+    would, then each weight finite and >= 0, then the weights summing to
+    one.  The segments are taken as valid.
+    """
+    atoms.sort(key=itemgetter(0))
+    groups: List[List[Tuple[float, float]]] = []
+    for v, w in atoms:
+        if groups and v - first <= MERGE_TOL:
+            groups[-1].append((v, w))
+        else:
+            first = v
+            groups.append([(v, w)])
+    weights: List[float] = []
+    lows: List[float] = []
+    for group in groups:
+        first, w = group[0]
+        if len(group) == 1:
+            # the fsum of one term is that term, except that -0.0 becomes
+            # 0.0, as it does when 0.0 is added
+            weight = w + 0.0
+            value = (first * w + 0.0) / weight if weight > 0.0 else first
+        else:
+            weight = math.fsum([w for _, w in group])
+            value = math.fsum([v * w for v, w in group]) / weight if weight > 0.0 else first
+        if not math.isfinite(value):
+            raise ValidationError("PointMass value must be finite")
+        weights.append(weight)
+        lows.append(value)
+    highs = lows[:]
+    segments.sort()
+    for lo, hi, w in segments:
+        # a segment joins the run of the last one kept, if there is one
+        if (
+            len(lows) > len(groups)
+            and abs(lo - lows[-1]) <= MERGE_TOL
+            and abs(hi - highs[-1]) <= MERGE_TOL
         ):
-            weight += segments[j][2]
-            j += 1
-        comps.append((weight, UniformSegment(lo, hi)))
-        i = j
-    return MixedDistribution(tuple(comps))
+            weights[-1] += w
+        else:
+            weights.append(w)
+            lows.append(lo)
+            highs.append(hi)
+    for w in weights:
+        if not math.isfinite(w) or w < 0.0:
+            raise ValidationError(f"component weight {w!r} must be finite and >= 0")
+    check_sums_to_one(weights, "component weights")
+    return weights, lows, highs

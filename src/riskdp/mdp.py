@@ -541,7 +541,7 @@ def solution_to_json_dict(
     for n in range(mdp.horizon):
         if (n, s) not in policy:
             break
-        a = policy[(n, s)]
+        a = _policy_action(mdp, policy, n, s)
         trace.append({"n": n, "s": s, "a": a})
         outs = mdp.transitions[(n, s, a)]
         s = max(outs, key=lambda t: t.probability).state

@@ -559,48 +559,52 @@ def apply_disutility(u: DisutilityFunction, c: float) -> float:
     raise ValidationError(f"unknown disutility {u!r}")
 
 
-def _segment_disutility_mean(u: DisutilityFunction, seg: UniformSegment) -> float:
-    """E[u(Y)] for Y uniform on the segment, closed form where available."""
+def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> float:
+    """E[u(Y)] for Y uniform on [lo, hi], closed form where available."""
     if isinstance(u, Linear):
-        return seg.midpoint
+        return 0.5 * (lo + hi)
     if isinstance(u, Exponential):
-        z = u.gamma * seg.width
+        z = u.gamma * (hi - lo)
         try:
-            return math.exp(u.gamma * seg.lo) * math.expm1(z) / z - 1.0
+            return math.exp(u.gamma * lo) * math.expm1(z) / z - 1.0
         except OverflowError as exc:
             raise EvaluationOverflowError(
-                f"exponential disutility overflowed on segment {seg!r}"
+                f"exponential disutility overflowed on segment {UniformSegment(lo, hi)!r}"
             ) from exc
     if isinstance(u, Power):
-        if seg.lo < 0.0:
+        if lo < 0.0:
             raise ValidationError("Power disutility is defined on costs >= 0")
         k1 = u.k + 1.0
-        return (seg.hi**k1 - seg.lo**k1) / (k1 * seg.width)
+        return (hi**k1 - lo**k1) / (k1 * (hi - lo))
     if isinstance(u, PiecewiseLinear):
         # the curve is linear between knots, so the trapezoid rule on each
         # knot interval inside the segment is exact
-        xs = [seg.lo, *(c for c, _ in u.knots if seg.lo < c < seg.hi), seg.hi]
+        xs = [lo, *(c for c, _ in u.knots if lo < c < hi), hi]
         us = [_pwl_apply(u.knots, x) for x in xs]
         integral = math.fsum(
             0.5 * (x1 - x0) * (u0 + u1)
             for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
         )
-        return integral / seg.width
+        return integral / (hi - lo)
     raise ValidationError(f"unknown disutility {u!r}")
+
+
+def _check_disutility(u: DisutilityFunction) -> None:
+    if not isinstance(u, DISUTILITY_CLASSES):
+        raise ValidationError(f"unknown disutility {u!r}")
 
 
 def pushforward_mean(u: DisutilityFunction, dist: MixedDistribution) -> float:
     """E[u(Y)] for a mixed distribution."""
-    if not isinstance(u, DISUTILITY_CLASSES):
-        raise ValidationError(f"unknown disutility {u!r}")
+    _check_disutility(u)
+    return _pushforward_mean(u, dist.columns())
+
+
+def _pushforward_mean(u: DisutilityFunction, cols: Columns) -> float:
+    """E[u(Y)] on the columns of a law, for a checked disutility."""
     return math.fsum(
-        w
-        * (
-            apply_disutility(u, o.value)
-            if isinstance(o, PointMass)
-            else _segment_disutility_mean(u, o)
-        )
-        for w, o in dist.components
+        w * (apply_disutility(u, lo) if lo == hi else _segment_disutility_mean(u, lo, hi))
+        for w, lo, hi in zip(*cols)
     )
 
 

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .distributions import (
+    Columns,
     MixedDistribution,
     PointMass,
     UniformSegment,
     check_sums_to_one,
     json_number,
-    merge_atoms,
+    merge_columns,
 )
 from .errors import EnumerationLimitError, ValidationError
 from .measures import (
@@ -36,11 +37,13 @@ from .measures import (
     RF_CLASSES,
     RiskFunctional,
     _check_discount,
+    _check_disutility,
     _check_horizon,
+    _evaluate_columns,
     _is_int,
+    _pushforward_mean,
     evaluate,
     evaluate_atoms,
-    pushforward_mean,
 )
 
 DEFAULT_PATH_LIMIT = 10**7
@@ -458,7 +461,22 @@ def discounted_total_distribution(
     given the path, so the path law is the convolution of the discounted
     edge laws; across paths the laws mix with the path probabilities.  At
     most one edge per path may carry a segment-valued cost, because the
-    convolution of two segments leaves the closed mixture family.
+    convolution of two segments leaves the closed mixture family.  Atoms
+    are merged as `merge_atoms` merges them, and the law keeps its columns.
+    """
+    return MixedDistribution._from_columns(_total_columns(tree, lam, path_limit))
+
+
+def _total_columns(tree: ScenarioTree, lam: float, path_limit: int) -> Columns:
+    """The columns of `discounted_total_distribution`, built without a
+    component object.
+
+    One walk over the plan, pre-order with the first child first, expands
+    all of a node's edges before it visits a child, and checks each leaf
+    as `PointMass` or `UniformSegment` would when it reaches it, so errors
+    come in the same order as they would with the law built object by
+    object.  Leaves are collected as (value, weight) atoms and (lo, hi,
+    weight) segments for `merge_columns`.
     """
     lam = _check_discount(lam)
     if tree.path_count() > path_limit:
@@ -466,7 +484,8 @@ def discounted_total_distribution(
             f"tree has more than {path_limit} root-to-leaf paths"
         )
     steps = tree._plan.steps
-    parts: List[Tuple[float, Any]] = []
+    atoms: List[Tuple[float, float]] = []
+    segments: List[Tuple[float, float, float]] = []
     # (plan position, path probability, discounted point costs so far, the
     # one segment so far as (lo, hi) or None)
     stack: List[Tuple[int, float, float, Any]] = [(len(steps) - 1, 1.0, 0.0, None)]
@@ -475,9 +494,18 @@ def discounted_total_distribution(
         stage, edges, _, _ = steps[at]
         if not edges:
             if seg is None:
-                parts.append((prob, PointMass(shift)))
-            else:
-                parts.append((prob, UniformSegment(seg[0] + shift, seg[1] + shift)))
+                if not math.isfinite(shift):
+                    raise ValidationError("PointMass value must be finite")
+                atoms.append((shift, prob))
+                continue
+            lo, hi = seg[0] + shift, seg[1] + shift
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError("UniformSegment endpoints must be finite")
+            if not lo < hi:
+                raise ValidationError(
+                    "UniformSegment requires lo < hi; use PointMass for a single value"
+                )
+            segments.append((lo, hi, prob))
             continue
         scale = lam**stage
         branches = []
@@ -486,29 +514,39 @@ def discounted_total_distribution(
             if not isinstance(cost, MixedDistribution):
                 branches.append((child, p, shift + scale * cost, seg))
                 continue
-            for w, o in cost.components:
+            for w, lo, hi in zip(*cost.columns()):
                 if w <= 0.0:
                     continue
-                if isinstance(o, PointMass):
-                    branches.append((child, p * w, shift + scale * o.value, seg))
+                if lo == hi:
+                    branches.append((child, p * w, shift + scale * lo, seg))
                 elif seg is None:
-                    branches.append((child, p * w, shift, (scale * o.lo, scale * o.hi)))
+                    branches.append((child, p * w, shift, (scale * lo, scale * hi)))
                 else:
                     raise ValidationError(
                         "a path carries two segment-valued costs; "
                         "their sum leaves the mixed point/uniform family"
                     )
         stack.extend(reversed(branches))
-    return merge_atoms(MixedDistribution._trusted(tuple(parts)))
+    return merge_columns(atoms, segments)
 
 
 def rmd(tree: ScenarioTree, rf: RiskFunctional, lam: float) -> float:
-    """One risk functional applied to the discounted total cost."""
+    """One risk functional applied to the discounted total cost; as
+    `evaluate` on `discounted_total_distribution`, without building it."""
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
-    return evaluate(rf, discounted_total_distribution(tree, lam))
+    cols = _total_columns(tree, lam, DEFAULT_PATH_LIMIT)
+    _, lows, highs = cols
+    if len(lows) == 1 and lows[0] == highs[0]:
+        # every functional here maps a constant to itself, as in `evaluate`
+        return lows[0]
+    return _evaluate_columns(rf, cols)
 
 
 def eud(tree: ScenarioTree, u: DisutilityFunction, lam: float) -> float:
-    """Expected disutility of the discounted total cost."""
-    return pushforward_mean(u, discounted_total_distribution(tree, lam))
+    """Expected disutility of the discounted total cost; as
+    `pushforward_mean` on `discounted_total_distribution`, without
+    building it."""
+    cols = _total_columns(tree, lam, DEFAULT_PATH_LIMIT)
+    _check_disutility(u)
+    return _pushforward_mean(u, cols)

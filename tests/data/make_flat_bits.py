@@ -26,6 +26,7 @@ from riskdp import (
     Linear,
     MixedDistribution,
     PiecewiseLinear,
+    PointMass,
     Power,
     ValueAtRisk,
     deterministic_tree,
@@ -122,7 +123,7 @@ def one_path_trees() -> list:
 def law_bits(law: MixedDistribution) -> list:
     out = []
     for w, o in law.components:
-        if hasattr(o, "value"):
+        if isinstance(o, PointMass):
             out.append([w.hex(), o.value.hex()])
         else:
             out.append([w.hex(), o.lo.hex(), o.hi.hex()])

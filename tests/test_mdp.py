@@ -562,3 +562,13 @@ def test_solution_trace_stops_at_the_first_uncovered_state():
     partial = {(n, s): a for (n, s), a in policy.items() if n < 3}
     trace = solution_to_json_dict(mdp, values, partial)["trace"]
     assert [step["n"] for step in trace] == [0, 1, 2]
+
+
+def test_solution_trace_rejects_an_unavailable_action():
+    mdp = casebook.payments_mdp(0.95)
+    values, policy = solve_dp(mdp, IrmSpec.repeat(Cte(0.9), casebook.PAYMENT_DAYS))
+    policy[(0, "start")] = "nope"
+    with pytest.raises(
+        ValidationError, match="policy plays unavailable action 'nope' at stage 0, state 'start'"
+    ):
+        solution_to_json_dict(mdp, values, policy)

@@ -353,6 +353,109 @@ def test_path_budget_is_enforced():
         discounted_total_distribution(t, 1.0, path_limit=1)
 
 
+OVERFLOW = (ValidationError, "PointMass value must be finite")
+TWO_SEGMENTS = (
+    ValidationError,
+    "a path carries two segment-valued costs; their sum leaves the mixed point/uniform family",
+)
+TOO_MANY_PATHS = (EnumerationLimitError, "tree has more than 10000000 root-to-leaf paths")
+BAD_DISCOUNT = (ValidationError, "discount factor must lie in [0, 1], got 1.5")
+
+
+def flat_error_cases() -> dict:
+    """Inputs the flat law cannot be built or scored from.  Each case is
+    (tree, discount, functional, disutility, error) with the error that
+    discounted_total_distribution, rmd and eud raise, or a dict of them
+    by call.  The walk meets errors in pre-order, first child first, and
+    expands all of a node's edges before it visits any child."""
+    leaf = lambda n: TreeNode(n, ())  # noqa: E731
+    seg = MixedDistribution.uniform(0.0, 1.0)
+
+    def fork(first: Edge, second: Edge) -> ScenarioTree:
+        return ScenarioTree(2, TreeNode(0, (first, second)))
+
+    huge = TreeNode(1, (Edge(1.0, 1e308, leaf(2)),))
+    doubled = TreeNode(1, (Edge(1.0, seg, leaf(2)),))
+    # a node, reached with a segment and a shift of 1e308, whose first edge
+    # overflows and whose second carries a second segment
+    mixed = TreeNode(2, (Edge(0.5, 1e308, leaf(3)), Edge(0.5, seg, leaf(3))))
+    expanded = TreeNode(0, (Edge(1.0, seg, TreeNode(1, (Edge(1.0, 1e308, mixed),))),))
+
+    def drifting(stage: int) -> TreeNode:
+        # each node's edges sum to one within 1e-12; a path's product drifts
+        if stage == 3:
+            return leaf(3)
+        return TreeNode(stage, tuple(Edge(0.5 + 4e-13, float(k), drifting(stage + 1)) for k in range(2)))
+
+    two = two_outcome_tree(0.5, 10.0)
+    return {
+        "overflowing leaf total": (deterministic_tree([1e308, 1e308]), 1.0, Cte(0.5), Linear(), OVERFLOW),
+        "overflowing segment": (
+            deterministic_tree([seg, 1e308, 1e308]), 1.0, Cte(0.5), Linear(),
+            (ValidationError, "UniformSegment endpoints must be finite"),
+        ),
+        "segment collapsed by a huge shift": (
+            deterministic_tree([seg, 1e17]), 1.0, Cte(0.5), Linear(),
+            (ValidationError, "UniformSegment requires lo < hi; use PointMass for a single value"),
+        ),
+        "two segments on one path": (deterministic_tree([seg, seg]), 1.0, Cte(0.5), Linear(), TWO_SEGMENTS),
+        "overflow before a later second segment": (
+            fork(Edge(0.5, 1e308, huge), Edge(0.5, seg, doubled)), 1.0, Cte(0.5), Linear(), OVERFLOW,
+        ),
+        "second segment before a later overflow": (
+            fork(Edge(0.5, seg, doubled), Edge(0.5, 1e308, huge)), 1.0, Cte(0.5), Linear(), TWO_SEGMENTS,
+        ),
+        "a node expands every edge first": (ScenarioTree(3, expanded), 1.0, Cte(0.5), Linear(), TWO_SEGMENTS),
+        "path weights drift off one": (
+            ScenarioTree(3, drifting(0)), 1.0, Cte(0.5), Linear(),
+            (ValidationError, "component weights sum to 1.0000000000024; must be 1 within 1e-12"),
+        ),
+        "too many paths": (two, 1.0, Cte(0.5), Linear(), TOO_MANY_PATHS),
+        # rmd checks its functional before the law, eud its disutility after
+        "bad functional or disutility and bad discount": (
+            two, 1.5, "mean", "linear",
+            {
+                "discounted_total_distribution": BAD_DISCOUNT,
+                "rmd": (ValidationError, "unknown risk functional 'mean'"),
+                "eud": BAD_DISCOUNT,
+            },
+        ),
+        "bad disutility and bad tree": (
+            deterministic_tree([1e308, 1e308]), 1.0, Cte(0.5), "linear", OVERFLOW,
+        ),
+        "bad disutility": (
+            two, 1.0, Cte(0.5), "linear",
+            {
+                "discounted_total_distribution": None,
+                "rmd": None,
+                "eud": (ValidationError, "unknown disutility 'linear'"),
+            },
+        ),
+    }
+
+
+@pytest.mark.parametrize("call", ["discounted_total_distribution", "rmd", "eud"])
+@pytest.mark.parametrize("case", list(flat_error_cases()))
+def test_flat_law_errors_keep_their_type_message_and_order(monkeypatch, case, call):
+    tree, lam, rf, u, error = flat_error_cases()[case]
+    if isinstance(error, dict):
+        error = error[call]
+    if error is TOO_MANY_PATHS:  # under the default budget of 10**7
+        monkeypatch.setattr(ScenarioTree, "path_count", lambda self: 10**7 + 1)
+    run = {
+        "discounted_total_distribution": lambda: discounted_total_distribution(tree, lam),
+        "rmd": lambda: rmd(tree, rf, lam),
+        "eud": lambda: eud(tree, u, lam),
+    }[call]
+    if error is None:
+        run()
+        return
+    kind, message = error
+    with pytest.raises(kind) as info:
+        run()
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
 def test_flat_law_reproduces_the_pinned_bits():
     """Tie-heavy trees (costs in integers or thirds, probabilities in
     eighths, some paths of probability zero, one segment per path at
