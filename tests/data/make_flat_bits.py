@@ -1,5 +1,6 @@
 """Write flat_bits.json: seeded, tie-heavy scenario trees with the exact
-flat laws of their discounted totals and the values rmd and eud give them.
+flat laws of their discounted totals, the values rmd and eud give them,
+and the node values of the stagewise recursion.
 
     PYTHONPATH=src python3 tests/data/make_flat_bits.py > tests/data/flat_bits.json
 
@@ -10,8 +11,9 @@ weight 1e-170; a path that takes two of them has probability zero, so
 the laws hold zero-weight components.  Every path carries at most one
 segment-valued cost, and two trees have a single path.  Values are
 recorded with float.hex.  The committed file was written before the
-flat law was built as columns, and test_tree checks that the library
-still reproduces it bit for bit.
+flat law was built as columns, and its recursion values before each
+node's one-step law was compiled into the tree's plan; test_tree checks
+that the library still reproduces it bit for bit.
 """
 import json
 import random
@@ -23,6 +25,7 @@ from riskdp import (
     Erm,
     Expectation,
     Exponential,
+    IrmSpec,
     Linear,
     MixedDistribution,
     PiecewiseLinear,
@@ -32,6 +35,7 @@ from riskdp import (
     deterministic_tree,
     discounted_total_distribution,
     eud,
+    irm_evaluate,
     rf_to_json_dict,
     rmd,
     tree_from_json_dict,
@@ -64,6 +68,8 @@ DISUTILITIES = (
     Power(2.0),
     PiecewiseLinear(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (5.0, 8.0))),
 )
+# discounts of the stagewise recursion, on every tree
+IRM_LAMBDAS = (0.0, 0.5, 1.0)
 
 
 def eighths(rng: random.Random, n: int) -> list:
@@ -130,6 +136,20 @@ def law_bits(law: MixedDistribution) -> list:
     return out
 
 
+def irm_bits(tree) -> dict:
+    """The recursion's node keys, in irm_evaluate's order, and its node
+    values in that order under each functional at each of IRM_LAMBDAS."""
+    keys, runs = None, []
+    for lam in IRM_LAMBDAS:
+        values = {}
+        for label, rf in FUNCTIONALS.items():
+            table = irm_evaluate(tree, IrmSpec.repeat(rf, tree.horizon), lam).node_values
+            keys = [list(key) for key in table]
+            values[label] = [v.hex() for v in table.values()]
+        runs.append({"lambda": lam, "values": values})
+    return {"keys": keys, "runs": runs}
+
+
 def main() -> None:
     trees = [(f"seed {seed}", tied_tree(random.Random(seed))) for seed in SEEDS]
     trees += [(f"one path {k}", data) for k, data in enumerate(one_path_trees())]
@@ -145,6 +165,7 @@ def main() -> None:
                 "law": law_bits(discounted_total_distribution(tree, lam)),
                 "rmd": {label: rmd(tree, rf, lam).hex() for label, rf in FUNCTIONALS.items()},
                 "eud": {repr(u): eud(tree, u, lam).hex() for u in DISUTILITIES},
+                "irm": irm_bits(tree),
             }
         )
     functionals = {label: rf_to_json_dict(rf) for label, rf in FUNCTIONALS.items()}

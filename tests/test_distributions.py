@@ -131,14 +131,43 @@ def test_essential_bounds_skip_zero_weight():
     assert essential_inf(d) == 1.0
 
 
-def test_affine_transform_requires_positive_scale():
-    d = MixedDistribution.point(1.0)
-    with pytest.raises(ValidationError):
-        affine_transform(d, 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        affine_transform(d, -2.0, 0.0)
-    with pytest.raises(ValidationError):
-        affine_transform(d, math.inf, 0.0)
+POINT_OVERFLOW = (ValidationError, "PointMass value must be finite")
+SEGMENT_OVERFLOW = (ValidationError, "UniformSegment endpoints must be finite")
+SEGMENT_COLLAPSED = (
+    ValidationError,
+    "UniformSegment requires lo < hi; use PointMass for a single value",
+)
+ATOM_THEN_SEGMENT = MixedDistribution(((0.5, PointMass(1e308)), (0.5, UniformSegment(0.0, 1.0))))
+SEGMENT_THEN_ATOM = MixedDistribution(((0.5, UniformSegment(0.0, 1.0)), (0.5, PointMass(1e308))))
+# (law, a, b, error), the law's components met in their order
+AFFINE_ERRORS = {
+    "atom overflow": (MixedDistribution.point(1e308), 1.0, 1e308, POINT_OVERFLOW),
+    "scaled atom overflow": (MixedDistribution.point(10.0), 1e308, 0.0, POINT_OVERFLOW),
+    "segment overflow": (MixedDistribution.uniform(0.0, 1e308), 1.0, 1e308, SEGMENT_OVERFLOW),
+    "collapse under a huge shift": (MixedDistribution.uniform(0.0, 1.0), 1.0, 1e17, SEGMENT_COLLAPSED),
+    "atom before a segment": (ATOM_THEN_SEGMENT, 1.0, 1e308, POINT_OVERFLOW),
+    "segment before an atom": (SEGMENT_THEN_ATOM, 1.0, 1e308, SEGMENT_COLLAPSED),
+    "zero scale": (
+        MixedDistribution.point(1.0), 0.0, 1.0,
+        (ValidationError, "affine scale must be positive, got 0.0"),
+    ),
+    "negative scale before a bad law": (
+        MixedDistribution.point(1e308), -2.0, 1e308,
+        (ValidationError, "affine scale must be positive, got -2.0"),
+    ),
+    "infinite scale": (
+        MixedDistribution.point(1.0), math.inf, 0.0,
+        (ValidationError, "affine coefficients must be finite"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(AFFINE_ERRORS))
+def test_affine_transform_errors_keep_their_type_and_message(case):
+    dist, a, b, (kind, message) = AFFINE_ERRORS[case]
+    with pytest.raises(kind) as info:
+        affine_transform(dist, a, b)
+    assert (type(info.value), str(info.value)) == (kind, message)
 
 
 def test_affine_transform_maps_components():

@@ -267,16 +267,66 @@ def test_cached_plan_depends_on_neither_spec_nor_discount():
         assert irm_root_value(tree, spec, lam) == irm_root_value(fresh, spec, lam)
 
 
-def test_non_finite_node_values_are_rejected():
+OVERFLOW = (ValidationError, "PointMass value must be finite")
+
+
+def non_finite_node_cases() -> dict:
+    """Two-stage trees whose stage-1 node is worth 1e308 (or 1e17) under
+    the mean, so a root edge cost moved by that value leaves the finite
+    floats or collapses a segment.  Each case is (root edges, the error
+    the recursion raises); the root's edges are met in order, and each law
+    component in its law's order."""
+    seg = MixedDistribution.uniform(0.0, 1.0)
+    seg_part = UniformSegment(0.0, 1.0)
+
+    def down(value: float) -> TreeNode:
+        return TreeNode(1, (Edge(1.0, value, TreeNode(2, ())),))
+
+    segment_error = (
+        ValidationError,
+        "UniformSegment requires lo < hi; use PointMass for a single value",
+    )
+    return {
+        # one scalar edge per node: the constant shortcut
+        "constant node": ((Edge(1.0, 1e308, down(1e308)),), OVERFLOW),
+        "scalar edges": ((Edge(0.5, 1e308, down(1e308)), Edge(0.5, 1e308, down(1e308))), OVERFLOW),
+        "edge-law atom": (
+            (Edge(1.0, MixedDistribution.of_atoms([(0.5, 0.0), (0.5, 1e308)]), down(1e308)),),
+            OVERFLOW,
+        ),
+        "segment endpoint": (
+            (Edge(1.0, MixedDistribution.uniform(0.0, 1e308), down(1e308)),),
+            (ValidationError, "UniformSegment endpoints must be finite"),
+        ),
+        "segment collapsed by a huge child value": ((Edge(1.0, seg, down(1e17)),), segment_error),
+        "scalar edge before a segment": (
+            (Edge(0.5, 1e308, down(1e308)), Edge(0.5, seg, down(1e17))),
+            OVERFLOW,
+        ),
+        "segment before a scalar edge": (
+            (Edge(0.5, seg, down(1e17)), Edge(0.5, 1e308, down(1e308))),
+            segment_error,
+        ),
+        "atom before a segment in one law": (
+            (Edge(1.0, MixedDistribution(((0.5, PointMass(1e308)), (0.5, seg_part))), down(1e308)),),
+            OVERFLOW,
+        ),
+        "segment before an atom in one law": (
+            (Edge(1.0, MixedDistribution(((0.5, seg_part), (0.5, PointMass(1e308)))), down(1e308)),),
+            segment_error,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(non_finite_node_cases()))
+def test_non_finite_node_values_are_rejected(case):
+    edges, (kind, message) = non_finite_node_cases()[case]
+    tree = ScenarioTree(horizon=2, root=TreeNode(0, edges))
     spec = IrmSpec.repeat(Expectation(), 2)
-    # one scalar edge per node: the constant shortcut
-    with pytest.raises(ValidationError, match="PointMass value must be finite"):
-        irm_root_value(deterministic_tree([1e308, 1e308]), spec, 1.0)
-    # two scalar edges at the root: the node law
-    chain = [TreeNode(1, (Edge(1.0, 1e308, TreeNode(2, ())),)) for _ in range(2)]
-    root = TreeNode(0, tuple(Edge(0.5, 1e308, child) for child in chain))
-    with pytest.raises(ValidationError, match="PointMass value must be finite"):
-        irm_root_value(ScenarioTree(horizon=2, root=root), spec, 1.0)
+    for run in (irm_root_value, irm_evaluate):
+        with pytest.raises(kind) as info:
+            run(tree, spec, 1.0)
+        assert (type(info.value), str(info.value)) == (kind, message)
 
 
 def test_evaluation_leaves_the_tree_unchanged():
@@ -353,7 +403,6 @@ def test_path_budget_is_enforced():
         discounted_total_distribution(t, 1.0, path_limit=1)
 
 
-OVERFLOW = (ValidationError, "PointMass value must be finite")
 TWO_SEGMENTS = (
     ValidationError,
     "a path carries two segment-valued costs; their sum leaves the mixed point/uniform family",
@@ -487,6 +536,26 @@ def test_flat_law_reproduces_the_pinned_bits():
         assert list(case["eud"]) == list(disutilities)
         for label, want in case["eud"].items():
             assert eud(tree, disutilities[label], lam).hex() == want, (name, label)
+
+
+def test_recursion_reproduces_the_pinned_bits():
+    """The same trees under the stagewise recursion: every node value of
+    irm_evaluate, in key order and by float.hex, for each functional at
+    the discounts 0, 0.5 and 1, as recorded in data/flat_bits.json."""
+    fixture = json.loads((DATA / "flat_bits.json").read_text())
+    for case in fixture["cases"]:
+        tree, name, irm = tree_from_json_dict(case["tree"]), case["name"], case["irm"]
+        keys = [tuple(key) for key in irm["keys"]]
+        assert [run["lambda"] for run in irm["runs"]] == [0.0, 0.5, 1.0]
+        for run in irm["runs"]:
+            lam = run["lambda"]
+            assert list(run["values"]) == list(fixture["functionals"])
+            for label, want in run["values"].items():
+                spec = IrmSpec.repeat(rf_from_json_dict(fixture["functionals"][label]), tree.horizon)
+                result = irm_evaluate(tree, spec, lam)
+                assert list(result.node_values) == keys, (name, lam, label)
+                assert [v.hex() for v in result.node_values.values()] == want, (name, lam, label)
+                assert irm_root_value(tree, spec, lam).hex() == want[0], (name, lam, label)
 
 
 def test_flat_tail_expectation_of_installments():
