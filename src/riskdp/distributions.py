@@ -69,12 +69,7 @@ class UniformSegment:
         if type(hi) is not float:
             hi = json_number(hi, "UniformSegment hi")
             object.__setattr__(self, "hi", hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError("UniformSegment endpoints must be finite")
-        if not lo < hi:
-            raise ValidationError(
-                "UniformSegment requires lo < hi; use PointMass for a single value"
-            )
+        check_segment(lo, hi)
 
     @property
     def width(self) -> float:
@@ -119,22 +114,14 @@ class MixedDistribution:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def _trusted(cls, components: Tuple[Component, ...]) -> "MixedDistribution":
-        # Fast path for internally generated components that are valid by
-        # construction; skips the invariant scan.
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "components", components)
-        return dist
-
-    @classmethod
     def _from_columns(cls, cols: Columns) -> "MixedDistribution":
-        # The law of valid columns, which it keeps as its columns().
-        dist = cls._trusted(
-            tuple(
-                (w, PointMass(lo) if lo == hi else UniformSegment(lo, hi))
-                for w, lo, hi in zip(*cols)
-            )
+        # The law of valid columns, which it keeps as its columns(); the
+        # weights are not scanned again.
+        dist = object.__new__(cls)
+        components = tuple(
+            (w, PointMass(lo) if lo == hi else UniformSegment(lo, hi)) for w, lo, hi in zip(*cols)
         )
+        object.__setattr__(dist, "components", components)
         object.__setattr__(dist, "_columns", cols)
         return dist
 
@@ -324,18 +311,42 @@ def column_inf(cols: Columns) -> float:
 
 
 def affine_transform(dist: MixedDistribution, a: float, b: float) -> MixedDistribution:
-    """Distribution of a*Y + b for a > 0; weights are unchanged."""
+    """Distribution of a*Y + b for a > 0; weights are unchanged, and the
+    law keeps its columns."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("affine coefficients must be finite")
     if a <= 0.0:
         raise ValidationError(f"affine scale must be positive, got {a!r}")
-    comps = []
-    for w, o in dist.components:
-        if isinstance(o, PointMass):
-            comps.append((w, PointMass(a * o.value + b)))
-        else:
-            comps.append((w, UniformSegment(a * o.lo + b, a * o.hi + b)))
-    return MixedDistribution._trusted(tuple(comps))
+    weights, lows, highs = dist.columns()
+    moved_lows = [a * lo + b for lo in lows]
+    moved_highs = [a * hi + b for hi in highs]
+    check_moved(lows, highs, moved_lows, moved_highs)
+    return MixedDistribution._from_columns((weights, moved_lows, moved_highs))
+
+
+def check_segment(lo: float, hi: float) -> None:
+    """Raise what `UniformSegment` raises unless lo < hi, both finite."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("UniformSegment endpoints must be finite")
+    if not lo < hi:
+        raise ValidationError(
+            "UniformSegment requires lo < hi; use PointMass for a single value"
+        )
+
+
+def check_moved(
+    lows: Sequence[float], highs: Sequence[float], moved_lows: List[float], moved_highs: List[float]
+) -> None:
+    """Raise what `PointMass` or `UniformSegment` would raise on the first
+    component, in order, that is no longer valid once moved from (lows,
+    highs) to (moved_lows, moved_highs): an atom (low == high) whose value
+    left the finite floats, or a segment whose ends did or met.
+    """
+    for lo, hi, moved_lo, moved_hi in zip(lows, highs, moved_lows, moved_highs):
+        if lo != hi:
+            check_segment(moved_lo, moved_hi)
+        elif not math.isfinite(moved_lo):
+            raise ValidationError("PointMass value must be finite")
 
 
 def merge_atoms(dist: MixedDistribution) -> MixedDistribution:

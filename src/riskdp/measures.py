@@ -12,8 +12,11 @@ that labels, the JSON form and the CLI flags all read.  Each measure is
 implemented once, as a kernel on the columns of a law (weights, lows,
 highs; see :data:`distributions.Columns`): :func:`evaluate` feeds it a
 `MixedDistribution`'s columns, and :func:`evaluate_atoms` the atoms of a
-one-step law that is never built, as an MDP cell or a tree node with
-scalar edge costs has them.
+one-step law that is never built, as an MDP cell or a tree node whose
+compiled law holds only atoms has them.  A tree node whose law holds a
+segment, and the flat law of a tree's discounted total, reach the
+kernels as columns too, through ``_evaluate_columns``.  A disutility
+value that leaves the floating range raises `EvaluationOverflowError`.
 """
 from __future__ import annotations
 
@@ -40,8 +43,7 @@ from .errors import EvaluationOverflowError, ValidationError
 
 
 def _check_alpha(alpha: float) -> float:
-    # the solver calls this twice per tail expectation: a float skips the type check
-    alpha = alpha if type(alpha) is float else json_number(alpha, "tail level")
+    alpha = json_number(alpha, "tail level")
     if not math.isfinite(alpha) or not 0.0 <= alpha < 1.0:
         raise ValidationError(f"tail level must lie in [0, 1), got {alpha!r}")
     return alpha
@@ -536,57 +538,77 @@ def _pwl_apply(knots: Tuple[Tuple[float, float], ...], c: float) -> float:
         (x0, y0), (x1, y1) = knots[-2], knots[-1]
     else:
         (x0, y0), (x1, y1) = knots[i - 1], knots[i]
-    return y0 + (y1 - y0) * (c - x0) / (x1 - x0)
+    rise = (y1 - y0) * (c - x0)
+    if not math.isfinite(rise):
+        # far out on an extended piece the product can overflow where the
+        # slope times the run does not
+        return y0 + (y1 - y0) / (x1 - x0) * (c - x0)
+    return y0 + rise / (x1 - x0)
+
+
+# each disutility kind as its overflow messages name it
+_OVERFLOW_NAMES = {Exponential: "exponential", Power: "power", PiecewiseLinear: "piecewise-linear"}
+
+
+def _finite_disutility(u: DisutilityFunction, value: float, lo: float, hi: float) -> float:
+    """value, unless it left the floating range as the disutility of the
+    cost lo (lo == hi) or of the segment [lo, hi]."""
+    if not math.isfinite(value):
+        name = next(name for cls, name in _OVERFLOW_NAMES.items() if isinstance(u, cls))
+        where = f"at cost {lo!r}" if lo == hi else f"on segment {UniformSegment(lo, hi)!r}"
+        raise EvaluationOverflowError(f"{name} disutility overflowed {where}")
+    return value
 
 
 def apply_disutility(u: DisutilityFunction, c: float) -> float:
-    """Evaluate the disutility at a single cost."""
+    """Evaluate the disutility at a single cost; a value that leaves the
+    floating range raises `EvaluationOverflowError`."""
     if isinstance(u, Linear):
         return c
-    if isinstance(u, Exponential):
-        try:
-            return math.expm1(u.gamma * c)
-        except OverflowError as exc:
-            raise EvaluationOverflowError(
-                f"exponential disutility overflowed at cost {c!r}"
-            ) from exc
-    if isinstance(u, Power):
-        if c < 0.0:
-            raise ValidationError("Power disutility is defined on costs >= 0")
-        return c**u.k
-    if isinstance(u, PiecewiseLinear):
-        return _pwl_apply(u.knots, c)
-    raise ValidationError(f"unknown disutility {u!r}")
+    if isinstance(u, Power) and c < 0.0:
+        raise ValidationError("Power disutility is defined on costs >= 0")
+    try:
+        if isinstance(u, Exponential):
+            value = math.expm1(u.gamma * c)
+        elif isinstance(u, Power):
+            value = c**u.k
+        elif isinstance(u, PiecewiseLinear):
+            value = _pwl_apply(u.knots, c)
+        else:
+            raise ValidationError(f"unknown disutility {u!r}")
+    except OverflowError:  # out of range: raised here, or infinite otherwise
+        value = math.inf
+    return _finite_disutility(u, value, c, c)
 
 
 def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> float:
-    """E[u(Y)] for Y uniform on [lo, hi], closed form where available."""
+    """E[u(Y)] for Y uniform on [lo, hi] and a checked disutility, in
+    closed form; a value that leaves the floating range raises
+    `EvaluationOverflowError`."""
     if isinstance(u, Linear):
         return 0.5 * (lo + hi)
-    if isinstance(u, Exponential):
-        z = u.gamma * (hi - lo)
-        try:
-            return math.exp(u.gamma * lo) * math.expm1(z) / z - 1.0
-        except OverflowError as exc:
-            raise EvaluationOverflowError(
-                f"exponential disutility overflowed on segment {UniformSegment(lo, hi)!r}"
-            ) from exc
-    if isinstance(u, Power):
-        if lo < 0.0:
-            raise ValidationError("Power disutility is defined on costs >= 0")
-        k1 = u.k + 1.0
-        return (hi**k1 - lo**k1) / (k1 * (hi - lo))
-    if isinstance(u, PiecewiseLinear):
-        # the curve is linear between knots, so the trapezoid rule on each
-        # knot interval inside the segment is exact
-        xs = [lo, *(c for c, _ in u.knots if lo < c < hi), hi]
-        us = [_pwl_apply(u.knots, x) for x in xs]
-        integral = math.fsum(
-            0.5 * (x1 - x0) * (u0 + u1)
-            for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
-        )
-        return integral / (hi - lo)
-    raise ValidationError(f"unknown disutility {u!r}")
+    if isinstance(u, Power) and lo < 0.0:
+        raise ValidationError("Power disutility is defined on costs >= 0")
+    try:
+        if isinstance(u, Exponential):
+            z = u.gamma * (hi - lo)
+            value = math.exp(u.gamma * lo) * math.expm1(z) / z - 1.0
+        elif isinstance(u, Power):
+            k1 = u.k + 1.0
+            value = (hi**k1 - lo**k1) / (k1 * (hi - lo))
+        else:
+            # the curve is linear between knots, so the trapezoid rule on
+            # each knot interval inside the segment is exact
+            xs = [lo, *(c for c, _ in u.knots if lo < c < hi), hi]
+            us = [_pwl_apply(u.knots, x) for x in xs]
+            value = math.fsum(
+                0.5 * (x1 - x0) * (u0 + u1)
+                for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
+            ) / (hi - lo)
+    except (OverflowError, ValueError):
+        # fsum raises ValueError on infinite terms of both signs
+        value = math.inf
+    return _finite_disutility(u, value, lo, hi)
 
 
 def _check_disutility(u: DisutilityFunction) -> None:

@@ -9,12 +9,16 @@ disutility to it.
 
 Trees are immutable all the way down, so each `ScenarioTree` checks its
 nodes and compiles them into a plan in one walk, at construction: the
-nodes with every child before its parent, each as its stage and one
-(probability, cost, child position) triple per edge.  Everything after
-construction reads that plan (the recursion, the flat law, the JSON form,
-`node_count` and `path_count`), not the nodes.  The plan depends on
-neither the risk functionals nor the discount, and is not a dataclass
-field, so `==`, `repr` and the JSON form of a tree do not see it.
+nodes with every child before its parent, each as its stage, one
+(probability, cost, child position) triple per edge and, unless it is a
+leaf or a single scalar edge, its one-step law as columns.  Everything
+after construction reads that plan (the recursion, the flat law, the
+JSON form, `node_count` and `path_count`), not the nodes, and the
+recursion builds no law object: it moves each node's columns by the
+discounted child values and hands them to the measures' column kernels.
+The plan depends on neither the risk functionals nor the discount, and
+is not a dataclass field, so `==`, `repr` and the JSON form of a tree do
+not see it.
 """
 from __future__ import annotations
 
@@ -25,8 +29,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .distributions import (
     Columns,
     MixedDistribution,
-    PointMass,
-    UniformSegment,
+    check_moved,
+    check_segment,
     check_sums_to_one,
     json_number,
     merge_columns,
@@ -42,7 +46,6 @@ from .measures import (
     _evaluate_columns,
     _is_int,
     _pushforward_mean,
-    evaluate,
     evaluate_atoms,
 )
 
@@ -151,6 +154,10 @@ def _tree_repr(top: Union[TreeNode, Edge]) -> str:
     return "".join(out)
 
 
+# a node's one-step law as (weights, lows, highs, child positions)
+_Law = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[int, ...]]
+
+
 class _Plan(NamedTuple):
     """A tree compiled for the walks over it, built by `_compile` when the
     tree is constructed.
@@ -158,17 +165,18 @@ class _Plan(NamedTuple):
     `steps` lists the nodes in post-order with the children taken
     last-first, which is the pre-order reversed: every child comes before
     its parent and the root is last.  Each step is (stage,
-    ((probability, cost, child position), ...), constant, weights), a
-    leaf having no edges; constant marks a node with one scalar-cost
-    edge, whose value is that cost plus the discounted child value, and
-    weights lists the edge probabilities of a node with several edges,
-    all of scalar cost (None at any other node).  `paths` is the number
-    of leaves.
+    ((probability, cost, child position), ...), constant, law), a leaf
+    having no edges.  constant marks a node with one scalar-cost edge,
+    whose value is that cost plus the discounted child value.  law is the
+    one-step law of any other internal node before the child values move
+    it, as columns (weights, lows, highs, child positions) with one entry
+    per scalar edge cost and one per component of a law-valued one: its
+    weight is the edge probability, times the component weight for a
+    component.  highs is lows itself when every entry is an atom.  law is
+    None at leaves and constant nodes.  `paths` is the number of leaves.
     """
 
-    steps: Tuple[
-        Tuple[int, Tuple[Tuple[float, Any, int], ...], bool, Optional[Tuple[float, ...]]], ...
-    ]
+    steps: Tuple[Tuple[int, Tuple[Tuple[float, Any, int], ...], bool, Optional[_Law]], ...]
     paths: int
 
 
@@ -204,21 +212,20 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
         raise ValidationError(f"tree root must be a TreeNode, got {root!r}")
     if root.stage != 0:
         raise ValidationError("root must sit at stage 0")
-    steps: List[Tuple[int, tuple, bool, Optional[tuple]]] = []
+    steps: List[Tuple[int, tuple, bool, Optional[_Law]]] = []
     done: List[int] = []  # plan positions of finished subtrees
     seen: set = set()
     paths = 0
-    # (node, None) when first reached; (node, whether every edge cost is a
-    # scalar) once checked, to become a step when its subtrees are done
-    stack: List[Tuple[TreeNode, Optional[bool]]] = [(root, None)]
+    # (node, False) when first reached; (node, True) once checked, to
+    # become a step when its subtrees are done
+    stack: List[Tuple[TreeNode, bool]] = [(root, False)]
     while stack:
-        node, scalar = stack.pop()
-        if scalar is not None:
+        node, checked = stack.pop()
+        if checked:
             edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
-            several = scalar and len(edges) > 1
-            weights = tuple([p for p, _, _ in edges]) if several else None
+            constant = len(edges) == 1 and not isinstance(edges[0][1], MixedDistribution)
             done.append(len(steps))
-            steps.append((node.stage, edges, scalar and not several, weights))
+            steps.append((node.stage, edges, constant, None if constant else _node_law(edges)))
             continue
         if id(node) in seen:
             raise ValidationError("tree nodes must not be shared")
@@ -232,22 +239,18 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
             continue
         if node.stage >= horizon:
             raise ValidationError(f"internal node at stage {node.stage} exceeds horizon")
-        scalar = True
         for e in node.edges:
             if not isinstance(e, Edge):
                 raise ValidationError(f"tree edges must be Edge objects, got {e!r}")
             p = json_number(e.probability, "edge probability")
             if not math.isfinite(p) or p <= 0.0:
                 raise ValidationError(f"edge probability {e.probability!r} must be positive")
-            if isinstance(e.cost, MixedDistribution):
-                scalar = False
-            elif isinstance(e.cost, (int, float)) and not isinstance(e.cost, bool):
-                if not math.isfinite(e.cost):
-                    raise ValidationError(f"edge cost {e.cost!r} must be finite")
-            else:
+            if isinstance(e.cost, bool) or not isinstance(e.cost, (int, float, MixedDistribution)):
                 raise ValidationError(
                     f"edge cost must be a number or a MixedDistribution, got {e.cost!r}"
                 )
+            if not isinstance(e.cost, MixedDistribution) and not math.isfinite(e.cost):
+                raise ValidationError(f"edge cost {e.cost!r} must be finite")
             if not isinstance(e.child, TreeNode):
                 raise ValidationError(f"edge child must be a TreeNode, got {e.child!r}")
             if e.child.stage != node.stage + 1:
@@ -257,9 +260,24 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
         check_sums_to_one((e.probability for e in node.edges), "edge probabilities")
         # the last child is walked first, so the subtrees finish in reverse
         # and the first child's position ends on top of done
-        stack.append((node, scalar))
-        stack.extend([(e.child, None) for e in node.edges])
+        stack.append((node, True))
+        stack.extend([(e.child, False) for e in node.edges])
     return _Plan(tuple(steps), paths)
+
+
+def _node_law(edges: Tuple[Tuple[float, Any, int], ...]) -> _Law:
+    """The one-step law of an internal node with these plan edges, before
+    the child values move it, as `_Plan` keeps it."""
+    entries = []
+    for p, cost, child in edges:
+        if isinstance(cost, MixedDistribution):
+            entries += [(p * w, lo, hi, child) for w, lo, hi in zip(*cost.columns())]
+        else:
+            entries.append((p, cost, cost, child))
+    weights, lows, highs, children = map(tuple, zip(*entries))
+    # an atom has low == high, so every entry is an atom just when the
+    # columns are equal
+    return weights, lows, lows if lows == highs else highs, children
 
 
 def _tree_from_preorder(nodes: List[Tuple[int, List[Tuple[float, EdgeCost]]]]) -> TreeNode:
@@ -383,15 +401,15 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
     cost + lam * (child value).  A node with one scalar-cost edge takes
     the constant cost + lam * (child value) straight, since every
     functional maps a constant to itself; it is checked for finiteness as
-    `PointMass` would.  Any other node whose edge costs are all scalars
-    hands its atoms to `evaluate_atoms`; only a node with a law-valued
-    edge cost builds its law, straight from the edge cost components.
+    `PointMass` would.  Any other node moves each entry of its compiled
+    law by lam * (child value): a law of atoms goes to `evaluate_atoms`,
+    any other is checked by `check_moved` and goes to the column kernels.
     """
     lam = _check_discount(lam)
     _check_spec(spec, tree.horizon)
     stages = spec.stages
     values: List[float] = []
-    for stage, edges, constant, weights in tree._plan.steps:
+    for stage, edges, constant, law in tree._plan.steps:
         if constant:
             _, cost, child = edges[0]
             value = cost + lam * values[child]
@@ -399,26 +417,18 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
                 raise ValidationError("PointMass value must be finite")
             values.append(value)
             continue
-        if not edges:
+        if law is None:
             values.append(0.0)
             continue
-        if weights is not None:
-            atoms = [cost + lam * values[child] for _, cost, child in edges]
-            values.append(evaluate_atoms(stages[stage], weights, atoms))
-            continue
-        parts: List[Tuple[float, Any]] = []
-        for p, cost, child in edges:
-            shift = lam * values[child]
-            if not isinstance(cost, MixedDistribution):
-                parts.append((p, PointMass(cost + shift)))
-                continue
-            for w, o in cost.components:
-                if shift != 0.0 and isinstance(o, PointMass):
-                    o = PointMass(o.value + shift)
-                elif shift != 0.0:
-                    o = UniformSegment(o.lo + shift, o.hi + shift)
-                parts.append((p * w, o))
-        values.append(evaluate(stages[stage], MixedDistribution._trusted(tuple(parts))))
+        weights, lows, highs, children = law
+        moves = [lam * values[child] for child in children]
+        moved_lows = [lo + move for lo, move in zip(lows, moves)]
+        if highs is lows:
+            values.append(evaluate_atoms(stages[stage], weights, moved_lows))
+        else:
+            moved_highs = [hi + move for hi, move in zip(highs, moves)]
+            check_moved(lows, highs, moved_lows, moved_highs)
+            values.append(_evaluate_columns(stages[stage], (weights, moved_lows, moved_highs)))
     return values
 
 
@@ -499,12 +509,7 @@ def _total_columns(tree: ScenarioTree, lam: float, path_limit: int) -> Columns:
                 atoms.append((shift, prob))
                 continue
             lo, hi = seg[0] + shift, seg[1] + shift
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValidationError("UniformSegment endpoints must be finite")
-            if not lo < hi:
-                raise ValidationError(
-                    "UniformSegment requires lo < hi; use PointMass for a single value"
-                )
+            check_segment(lo, hi)
             segments.append((lo, hi, prob))
             continue
         scale = lam**stage

@@ -28,9 +28,11 @@ from riskdp import (
     apply_disutility,
     casebook,
     cte,
+    deterministic_tree,
     deu,
     erm,
     essential_sup,
+    eud,
     evaluate,
     mean,
     pushforward_mean,
@@ -534,9 +536,51 @@ def test_pushforward_mean_piecewise_linear_is_the_trapezoid_sum():
         assert_close(pushforward_mean(u, MixedDistribution.uniform(lo, hi)), want, rel=1e-12)
 
 
-def test_exponential_disutility_overflow_is_reported():
-    with pytest.raises(EvaluationOverflowError):
-        apply_disutility(Exponential(1.0), 1e9)
+STEEP_PWL = PiecewiseLinear(((-5.0, -5.0), (0.0, 0.0), (3.0, 6.0), (10.0, 30.0)))
+DISUTILITY_OVERFLOWS = {
+    "exponential atom": (
+        lambda: apply_disutility(Exponential(1.0), 1e9),
+        "exponential disutility overflowed at cost 1000000000.0",
+    ),
+    # exp(709.7) is finite, and so is the segment's factor expm1(z) / z,
+    # but not their product
+    "exponential segment": (
+        lambda: pushforward_mean(Exponential(1.0), MixedDistribution.uniform(709.7, 710.2)),
+        "exponential disutility overflowed on segment UniformSegment(lo=709.7, hi=710.2)",
+    ),
+    "power atom": (
+        lambda: eud(deterministic_tree([1e308]), Power(2.5), 1.0),
+        "power disutility overflowed at cost 1e+308",
+    ),
+    "power segment": (
+        lambda: pushforward_mean(Power(2.0), MixedDistribution.uniform(0.0, 1e200)),
+        "power disutility overflowed on segment UniformSegment(lo=0.0, hi=1e+200)",
+    ),
+    # u(1e308) is about 3.4e308, past the float range; u(-1e308) is
+    # finite, so no infinities of both signs reach the sum
+    "piecewise-linear atoms": (
+        lambda: pushforward_mean(STEEP_PWL, MixedDistribution.of_atoms([(1.0, 1e308), (5e-324, -1e308)])),
+        "piecewise-linear disutility overflowed at cost 1e+308",
+    ),
+    "piecewise-linear segment": (
+        lambda: pushforward_mean(STEEP_PWL, MixedDistribution.uniform(-1e308, 1e308)),
+        "piecewise-linear disutility overflowed on segment UniformSegment(lo=-1e+308, hi=1e+308)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DISUTILITY_OVERFLOWS))
+def test_disutility_overflow_is_reported(case):
+    run, message = DISUTILITY_OVERFLOWS[case]
+    with pytest.raises(EvaluationOverflowError) as info:
+        run()
+    assert str(info.value) == message
+
+
+def test_piecewise_linear_far_out_divides_before_it_multiplies():
+    # 5 * (-1e308 - (-5)) overflows; the slope 1 times the run does not
+    assert apply_disutility(STEEP_PWL, -1e308) == -1e308
+    assert apply_disutility(STEEP_PWL, 2.5) == 5.0
 
 
 def test_deu_discounts_per_period_means():

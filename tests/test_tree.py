@@ -329,6 +329,17 @@ def test_non_finite_node_values_are_rejected(case):
         assert (type(info.value), str(info.value)) == (kind, message)
 
 
+def test_a_negative_zero_component_moves_to_positive_zero():
+    """A law component at -0.0 under a child value of +0.0 moves to +0.0,
+    as a scalar edge cost and the flat law already do, so on a one-stage
+    tree the recursion and rmd agree in sign."""
+    rf = ValueAtRisk(0.0)
+    for cost in (-0.0, MixedDistribution.point(-0.0), MixedDistribution.uniform(-0.0, 1.0)):
+        tree = deterministic_tree([cost])
+        got = irm_root_value(tree, IrmSpec((rf,)), 1.0)
+        assert (got.hex(), rmd(tree, rf, 1.0).hex()) == ("0x0.0p+0", "0x0.0p+0"), cost
+
+
 def test_evaluation_leaves_the_tree_unchanged():
     rng = random.Random(406)
     tree = random_tree(rng, max_horizon=4, max_children=3, segment_stage=2)
