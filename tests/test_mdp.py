@@ -3,6 +3,7 @@ policy enumeration, tail problems, and serialization."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -150,6 +151,177 @@ def test_transition_field_validation():
         Transition("t", 1.0, 2.0)._replace(probability=-1.0)
     t = Transition("t", 1, 2)
     assert (type(t.probability), type(t.cost)) == (float, float)
+
+
+def two_fault_cases():
+    """Inputs with two faults each, by name: a builder and the error that
+    must win, as (type, message).  The JSON reader parses every entry and
+    outcome before it checks the header and the structure, and the
+    constructor checks the header, then each key in key order and each
+    outcome in outcome order, then that every state offers an action."""
+
+    def entry(s, a, *outs):
+        return {"n": 0, "s": s, "a": a, "to": [{"s'": t, "p": p, "r": r} for t, p, r in outs]}
+
+    good_json = {
+        "horizon": 1,
+        "states": [["s", "r"], ["t", "u"]],
+        "actions": ["a", "b"],
+        "initial": "s",
+        "lambda": 0.9,
+        "transitions": [entry("s", "a", ("t", 0.5, 1.0), ("u", 0.5, 2.0)), entry("r", "b", ("t", 1.0, 3.0))],
+    }
+
+    def from_json(**changes):
+        return lambda: mdp_from_json_dict(dict(good_json, **changes))
+
+    def in_order(*entries):
+        return from_json(transitions=list(entries))
+
+    def with_entries(first, **changes):
+        return from_json(transitions=[first, *good_json["transitions"][1:]], **changes)
+
+    good = dict(
+        horizon=1,
+        states=(("s", "r"), ("t", "u")),
+        actions=("a", "b"),
+        initial="s",
+        discount=0.9,
+        transitions={
+            (0, "s", "a"): (Transition("t", 0.5, 1.0), Transition("u", 0.5, 2.0)),
+            (0, "r", "b"): (Transition("t", 1.0, 3.0),),
+        },
+    )
+
+    def build(**changes):
+        return lambda: FiniteHorizonMdp(**dict(good, **changes))
+
+    def with_outcomes(key, *outs, **changes):
+        return build(transitions={key: outs, (0, "r", "b"): good["transitions"][(0, "r", "b")]}, **changes)
+
+    half = Transition("t", 0.5, 1.0)
+    TWICE = (
+        ValidationError,
+        "(0, 's', 'a') lists target 't' twice; the cost must be a function of (source, action, target)",
+    )
+    return {
+        "json: bad outcome 'p' and bad horizon": (
+            with_entries(entry("s", "a", ("t", "x", 1.0), ("u", 0.5, 2.0)), horizon=0),
+            (ValidationError, "outcome 'p' must be a number, got 'x'"),
+        ),
+        "json: bad outcome 'r' and a missing state row": (
+            with_entries(entry("s", "a", ("t", 0.5, None), ("u", 0.5, 2.0)), states=[["s", "r"]]),
+            (ValidationError, "outcome 'r' must be a number, got None"),
+        ),
+        "json: negative 'p' and an unknown initial state": (
+            with_entries(entry("s", "a", ("t", -0.5, 1.0), ("u", 1.5, 2.0)), initial="zz"),
+            (ValidationError, "transition probability -0.5 must be >= 0"),
+        ),
+        "json: infinite 'r' and a bad lambda": (
+            with_entries(entry("s", "a", ("t", 0.5, math.inf), ("u", 0.5, 2.0)), **{"lambda": "x"}),
+            (ValidationError, "transition cost inf must be finite"),
+        ),
+        "json: unhashable target and an empty action set": (
+            with_entries(entry("s", "a", (["t"], 0.5, 1.0), ("u", 0.5, 2.0)), actions=[]),
+            (ValidationError, "transition target ['t'] is not hashable"),
+        ),
+        "json: bad outcome shape and a duplicate state": (
+            with_entries(
+                {"n": 0, "s": "s", "a": "a", "to": [{"s'": "t", "p": 1.0}]}, states=[["s", "s"], ["t", "u"]]
+            ),
+            (ValidationError, "each outcome must be {\"s'\":, 'p':, 'r':}"),
+        ),
+        "json: a later bad outcome and an earlier unknown target": (
+            in_order(entry("s", "a", ("zz", 0.5, 1.0), ("u", 0.5, 2.0)), entry("r", "b", ("t", 1.0, "x"))),
+            (ValidationError, "outcome 'r' must be a number, got 'x'"),
+        ),
+        "json: a later duplicate entry and an earlier sum off one": (
+            in_order(entry("s", "a", ("t", 0.5, 1.0)), *[entry("r", "b", ("t", 1.0, 3.0))] * 2),
+            (ValidationError, "transition entry (0, 'r', 'b') appears twice"),
+        ),
+        "json: bad lambda and bad horizon": (
+            from_json(horizon=0, **{"lambda": "x"}),
+            (ValidationError, "'lambda' must be a number, got 'x'"),
+        ),
+        "json: lambda out of range and bad horizon": (
+            from_json(horizon=0, **{"lambda": 1.5}),
+            (ValidationError, "horizon must be an integer >= 1"),
+        ),
+        "json: duplicate target and an unknown action": (
+            with_entries(entry("s", "zz", ("t", 0.5, 1.0), ("t", 0.5, 2.0))),
+            (ValidationError, "action 'zz' is not in the action set"),
+        ),
+        "json: duplicate target before a later unknown action": (
+            in_order(entry("s", "a", ("t", 0.5, 1.0), ("t", 0.5, 2.0)), entry("r", "zz", ("t", 1.0, 3.0))),
+            TWICE,
+        ),
+        "json: sum off one and an extra state row": (
+            with_entries(
+                entry("s", "a", ("t", 0.5, 1.0), ("u", 0.4, 2.0)), states=[["s", "r"], ["t", "u"], ["v"]]
+            ),
+            (ValidationError, "need 2 state rows for horizon 1, got 3"),
+        ),
+        "json: sum off one before a later unknown target": (
+            in_order(entry("s", "a", ("t", 0.5, 1.0), ("u", 0.4, 2.0)), entry("r", "b", ("zz", 1.0, 3.0))),
+            (ValidationError, "probabilities of (0, 's', 'a') sum to 0.9; must be 1 within 1e-12"),
+        ),
+        "json: unknown target after a zero-probability outcome, and a state offering nothing": (
+            in_order(entry("s", "a", ("t", 0.0, 1.0), ("zz", 1.0, 2.0))),
+            (ValidationError, "target 'zz' of (0, 's', 'a') is not in stage 1"),
+        ),
+        "json: only zero probabilities and a state offering nothing": (
+            in_order(entry("s", "a", ("t", 0.0, 1.0), ("u", 0.0, 2.0))),
+            (ValidationError, "probabilities of (0, 's', 'a') sum to 0.0; must be 1 within 1e-12"),
+        ),
+        "json: no outcomes and a stage out of range": (
+            in_order({"n": 0, "s": "s", "a": "a", "to": []}, {"n": 1, "s": "r", "a": "b", "to": []}),
+            (ValidationError, "(0, 's', 'a') has no outcomes"),
+        ),
+        "json: a boolean stage and an unknown state": (
+            in_order({**entry("s", "a", ("t", 1.0, 1.0)), "n": True}, entry("zz", "b", ("t", 1.0, 3.0))),
+            (ValidationError, "transition stage True out of range"),
+        ),
+        "mdp: not a Transition after an unknown target": (
+            with_outcomes((0, "s", "a"), Transition("zz", 0.5, 1.0), ("u", 0.5, 2.0)),
+            (ValidationError, "target 'zz' of (0, 's', 'a') is not in stage 1"),
+        ),
+        "mdp: unknown target after not a Transition": (
+            with_outcomes((0, "s", "a"), ("t", 0.5, 1.0), Transition("zz", 0.5, 2.0)),
+            (ValidationError, "('t', 0.5, 1.0) is not a Transition"),
+        ),
+        "mdp: not a Transition after a duplicate target": (
+            with_outcomes((0, "s", "a"), half, half, "junk"),
+            TWICE,
+        ),
+        "mdp: duplicate target and an unknown action": (
+            with_outcomes((0, "s", "zz"), half, half),
+            (ValidationError, "action 'zz' is not in the action set"),
+        ),
+        "mdp: sum off one and an extra state row": (
+            with_outcomes((0, "s", "a"), half, states=(("s", "r"), ("t", "u"), ("v",))),
+            (ValidationError, "need 2 state rows for horizon 1, got 3"),
+        ),
+        "mdp: sum off one and a bad discount": (
+            with_outcomes((0, "s", "a"), half, discount=0.0),
+            (ValidationError, "discount factor must lie in (0, 1], got 0.0"),
+        ),
+        "mdp: a bad key and a state offering nothing": (
+            build(transitions={(0, "s"): (half,)}),
+            (ValidationError, "transition key (0, 's') must be (stage, state, action)"),
+        ),
+        "mdp: a state offering nothing and a later duplicate target": (
+            build(transitions={(0, "s", "a"): (Transition("t", 1.0, 1.0),)}),
+            (ValidationError, "state 'r' at stage 0 offers no action"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(two_fault_cases()))
+def test_the_first_of_two_faults_wins(case):
+    run, (kind, message) = two_fault_cases()[case]
+    with pytest.raises(kind) as info:
+        run()
+    assert (type(info.value), str(info.value)) == (kind, message)
 
 
 # ---------------------------------------------------------------------------
