@@ -7,6 +7,8 @@ mixtures of point masses and uniform segments, folds them stagewise over
 scenario trees, and solves finite-horizon MDPs whose objective applies
 one such measure per stage to cost plus discounted continuation value.
 """
+from types import ModuleType as _ModuleType
+
 from .distributions import (
     MixedDistribution,
     PointMass,
@@ -86,73 +88,10 @@ from .mdp import (
     unroll,
 )
 
+# every name imported above, each listed once, in its import
 __all__ = [
-    "MixedDistribution",
-    "PointMass",
-    "UniformSegment",
-    "affine_transform",
-    "essential_inf",
-    "essential_sup",
-    "merge_atoms",
-    "RiskModelError",
-    "ValidationError",
-    "EvaluationOverflowError",
-    "EnumerationLimitError",
-    "Expectation",
-    "Erm",
-    "ValueAtRisk",
-    "Cte",
-    "Composite",
-    "RiskFunctional",
-    "mean",
-    "erm",
-    "value_at_risk",
-    "cte",
-    "evaluate",
-    "rf_label",
-    "rf_to_json_dict",
-    "rf_from_json_dict",
-    "Exponential",
-    "Linear",
-    "Power",
-    "PiecewiseLinear",
-    "DisutilityFunction",
-    "apply_disutility",
-    "pushforward_mean",
-    "deu",
-    "Edge",
-    "TreeNode",
-    "ScenarioTree",
-    "deterministic_tree",
-    "IrmSpec",
-    "IrmResult",
-    "irm_evaluate",
-    "irm_root_value",
-    "discounted_total_distribution",
-    "rmd",
-    "eud",
-    "tree_to_json_dict",
-    "tree_from_json_dict",
-    "CheckReport",
-    "check_monotonic",
-    "check_translation_invariance",
-    "check_positive_homogeneity",
-    "check_composite_monotonic",
-    "PreferencePoint",
-    "preference_over_time",
-    "Transition",
-    "FiniteHorizonMdp",
-    "Policy",
-    "ValueTable",
-    "SolveResult",
-    "solve_dp",
-    "evaluate_policy",
-    "unroll",
-    "brute_force_optimal",
-    "tail_mdp",
-    "mdp_from_json_dict",
-    "mdp_to_json_dict",
-    "solution_to_json_dict",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, List, Sequence, Tuple, Union
 
-from .errors import ValidationError
+from .errors import EvaluationOverflowError, ValidationError
 
 SUM_TOL = 1e-12
 MERGE_TOL = 1e-12
@@ -26,6 +26,17 @@ def json_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field} must be a number, got {value!r}")
     return float(value)
+
+
+def checked_fsum(terms: Iterable[float], what: str, *args: Any) -> float:
+    """math.fsum of finite terms whose exact sum may leave the floating
+    range, which raises `EvaluationOverflowError` naming the sum as
+    what.format(*args).  Taking the terms must raise nothing.
+    """
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise EvaluationOverflowError(f"{what.format(*args)} overflowed the floating range") from None
 
 
 def check_sums_to_one(values: Iterable[float], what: str, *args: Any) -> None:
@@ -398,7 +409,8 @@ def merge_columns(
             value = (first * w + 0.0) / weight if weight > 0.0 else first
         else:
             weight = math.fsum([w for _, w in group])
-            value = math.fsum([v * w for v, w in group]) / weight if weight > 0.0 else first
+            total = checked_fsum([v * w for v, w in group], "merged atom at {!r}", first)
+            value = total / weight if weight > 0.0 else first
         if not math.isfinite(value):
             raise ValidationError("PointMass value must be finite")
         weights.append(weight)

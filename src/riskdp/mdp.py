@@ -9,25 +9,31 @@ scenario-tree evaluator serves as an independent oracle.
 Like a scenario tree, a `FiniteHorizonMdp` checks its tables and compiles
 them into a plan in one pass, at construction.  In the plan the states
 of a stage are positions, and each state lists one cell per available
-action: probabilities, outcomes and successor positions, with outcomes
-of probability zero left out.  The outcomes are the `Transition`s
-themselves, so a cell copies no cost.  The backward induction, policy evaluation,
+action: probabilities, costs and successor positions, with outcomes of
+probability zero left out.  The constructor and `mdp_from_json_dict`
+are two front ends to one compiler, which takes each key's outcomes as
+columns (targets, probabilities, costs); the JSON reader makes no
+`Transition`.  `transitions` is a read-only mapping over the kept
+columns that builds a key's `Transition`s, zero probabilities included,
+only when they are read.  The backward induction, policy evaluation,
 reachability, tail problems and unrolling read the plan; each cell
-reaches the measures as columns of weights and atom values
-(`evaluate_atoms`), never as a built distribution.  The plan is not a
-dataclass field, so `==` and `repr` do not see it.  A tail problem is
-not compiled again: it takes its cells from its parent's plan.
+reaches the measures as columns of weights and atom values, with its
+stage's kernel picked once, never as a built distribution.  The
+plan is not a dataclass field, so `==` and `repr` do not see it.  A tail
+problem is not compiled again: it takes its cells from its parent's
+plan.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from operator import add, itemgetter, mul
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .distributions import check_sums_to_one, json_number
 from .errors import EnumerationLimitError, ValidationError
-from .measures import _check_discount, _check_horizon, _is_int, evaluate_atoms
+from .measures import _check_discount, _check_horizon, _is_int, _kernel, _on_atoms
 from .tree import IrmSpec, ScenarioTree, _check_spec, _tree_from_preorder, irm_root_value
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -46,6 +52,15 @@ def _hashable(x: Any, what: str) -> Any:
     except TypeError:
         raise ValidationError(f"{what} {x!r} is not hashable") from None
     return x
+
+
+def _check_outcome(p: float, c: float) -> None:
+    """Raise unless the float probability p is >= 0 and the float cost c
+    is finite."""
+    if not math.isfinite(p) or p < 0.0:
+        raise ValidationError(f"transition probability {p!r} must be >= 0")
+    if not math.isfinite(c):
+        raise ValidationError(f"transition cost {c!r} must be finite")
 
 
 # a NamedTuple class may not define __new__, so Transition checks its
@@ -72,10 +87,7 @@ class Transition(_TransitionFields):
         p, c = probability, cost
         p = p if type(p) is float else json_number(p, "transition probability")
         c = c if type(c) is float else json_number(c, "transition cost")
-        if not math.isfinite(p) or p < 0.0:
-            raise ValidationError(f"transition probability {p!r} must be >= 0")
-        if not math.isfinite(c):
-            raise ValidationError(f"transition cost {c!r} must be finite")
+        _check_outcome(p, c)
         return tuple.__new__(cls, (state, p, c))
 
     @classmethod
@@ -83,9 +95,13 @@ class Transition(_TransitionFields):
         return cls(*iterable)
 
 
-# one way to play an action: (probabilities, outcomes, successor positions),
+# one way to play an action: (probabilities, costs, successor positions),
 # outcomes of probability zero left out
-Cell = Tuple[Tuple[float, ...], Tuple["Transition", ...], Tuple[int, ...]]
+Cell = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[int, ...]]
+# the outcomes of one (stage, state, action) as given, zero probabilities
+# included: (targets, probabilities, costs)
+Outcomes = Tuple[Tuple[State, ...], Tuple[float, ...], Tuple[float, ...]]
+Key = Tuple[int, State, Action]
 
 
 class _Plan(NamedTuple):
@@ -95,12 +111,79 @@ class _Plan(NamedTuple):
     States are numbered by their position in their stage's row: `index[n]`
     maps each stage-n state to its position, and `cells[n][i]` maps each
     action available at the state in position i, in action-set order, to
-    its cell.  A cell's outcomes are the transition table's own tuple
-    when none of them has probability zero.
+    its cell.  A cell shares its probabilities and costs with the kept
+    outcomes when none of them has probability zero.
     """
 
     index: Tuple[Dict[State, int], ...]
     cells: Tuple[Tuple[Dict[Action, Cell], ...], ...]
+
+
+class _TransitionTable(Mapping):
+    """The transition table of a compiled MDP, read-only: each key, in the
+    order given, maps to its outcomes as `Transition`s, built from the
+    kept columns when read.  `==` and `repr` read as a dict's."""
+
+    def __init__(self, outcomes: Dict[Key, Outcomes]) -> None:
+        self._outcomes = outcomes
+
+    def __getitem__(self, key: Key) -> Tuple[Transition, ...]:
+        return tuple(tuple.__new__(Transition, t) for t in zip(*self._outcomes[key]))
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._outcomes
+
+    def __iter__(self):
+        return iter(self._outcomes)
+
+    def __len__(self) -> int:
+        return len(self._outcomes)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _transition_columns(outs: Iterable[Any], key: Key, targets: Dict[State, int]) -> Outcomes:
+    """The constructor's front end: a key's `Transition`s as columns.  An
+    outcome that is not a `Transition` is reported after any fault of an
+    earlier one."""
+    outs = tuple(outs)
+    for k, t in enumerate(outs):
+        if not isinstance(t, Transition):
+            _successors([u.state for u in outs[:k]], key, targets)
+            raise ValidationError(f"{t!r} is not a Transition")
+    return tuple(zip(*outs)) or ((), (), ())
+
+
+def _successors(found: Sequence[State], key: Key, targets: Dict[State, int]) -> Tuple[int, ...]:
+    """The positions of a key's targets in the next stage's row; the first
+    target that is not there or is listed twice raises."""
+    succ = tuple(map(targets.get, found))
+    if None in succ or len(set(succ)) < len(succ):
+        n, s, a = key
+        for k, (t, j) in enumerate(zip(found, succ)):
+            if j is None:
+                raise ValidationError(f"target {t!r} of ({n}, {s!r}, {a!r}) is not in stage {n + 1}")
+            if j in succ[:k]:
+                raise ValidationError(
+                    f"({n}, {s!r}, {a!r}) lists target {t!r} twice; "
+                    "the cost must be a function of (source, action, target)"
+                )
+    return succ
+
+
+def _drop_zero(columns: Tuple[tuple, ...], at: int) -> Tuple[tuple, ...]:
+    """The columns without the entries whose probability, in column at,
+    is zero."""
+    return tuple(zip(*(o for o in zip(*columns) if o[at] > 0.0))) or ((), (), ())
+
+
+def _bare_mdp(**fields: Any) -> "FiniteHorizonMdp":
+    """A FiniteHorizonMdp with these fields set, neither checked nor compiled."""
+    mdp = object.__new__(FiniteHorizonMdp)
+    for name, value in fields.items():
+        object.__setattr__(mdp, name, value)
+    return mdp
 
 
 @dataclass(frozen=True)
@@ -111,7 +194,7 @@ class FiniteHorizonMdp:
     action; an absent key means the action is unavailable there.  Every
     nonterminal state must offer at least one action.  Construction
     checks the tables and compiles them into the MDP's plan, held as
-    `_plan`.
+    `_plan`; transitions then reads from the plan's kept columns.
     """
 
     horizon: int
@@ -119,9 +202,16 @@ class FiniteHorizonMdp:
     actions: Tuple[Action, ...]
     initial: State
     discount: float
-    transitions: Mapping[Tuple[int, State, Action], Tuple[Transition, ...]]
+    transitions: Mapping[Key, Tuple[Transition, ...]]
 
     def __post_init__(self) -> None:
+        self._compile(dict(self.transitions).items(), _transition_columns)
+
+    def _compile(self, entries: Iterable[Tuple[Any, Any]], columns: Optional[Callable]) -> None:
+        """Check the header and the tables and build the plan.  entries
+        pairs each key with its outcomes, which columns turns into
+        `Outcomes` after the key is checked (None: they are columns).
+        """
         _check_horizon(self.horizon)
         states = tuple(tuple(row) for row in self.states)
         object.__setattr__(self, "states", states)
@@ -149,10 +239,10 @@ class FiniteHorizonMdp:
         if _hashable(self.initial, "initial state") not in index[0]:
             raise ValidationError(f"initial state {self.initial!r} is not in stage 0")
         object.__setattr__(self, "discount", _check_discount(self.discount, positive=True))
-        table = {}
+        table: Dict[Key, Outcomes] = {}
         # the cells of each nonterminal state by position, in key order
         found: List[List[Dict[Action, Cell]]] = [[{} for _ in row] for row in states[:-1]]
-        for key, outs in dict(self.transitions).items():
+        for key, outs in entries:
             try:
                 n, s, a = key
             except (TypeError, ValueError):
@@ -165,36 +255,19 @@ class FiniteHorizonMdp:
                 raise ValidationError(f"state {s!r} is not in stage {n}")
             if a not in action_set:
                 raise ValidationError(f"action {a!r} is not in the action set")
-            outs = tuple(outs)
-            if not outs:
+            key = (n, s, a)
+            if columns is not None:
+                outs = columns(outs, key, index[n + 1])
+            targets, probs, costs = outs
+            if not targets:
                 raise ValidationError(f"({n}, {s!r}, {a!r}) has no outcomes")
-            targets = index[n + 1]
-            seen = set()
-            probs, positive, succ = [], [], []
-            for t in outs:
-                if not isinstance(t, Transition):
-                    raise ValidationError(f"{t!r} is not a Transition")
-                j = targets.get(t.state)
-                if j is None:
-                    raise ValidationError(
-                        f"target {t.state!r} of ({n}, {s!r}, {a!r}) is not in stage {n + 1}"
-                    )
-                if j in seen:
-                    raise ValidationError(
-                        f"({n}, {s!r}, {a!r}) lists target {t.state!r} twice; "
-                        "the cost must be a function of (source, action, target)"
-                    )
-                seen.add(j)
-                if t.probability > 0.0:
-                    probs.append(t.probability)
-                    positive.append(t)
-                    succ.append(j)
-            check_sums_to_one(probs, "probabilities of ({}, {!r}, {!r})", n, s, a)
-            table[(n, s, a)] = outs
-            if len(positive) < len(outs):
-                outs = tuple(positive)
-            found[n][index[n][s]][a] = (tuple(probs), outs, tuple(succ))
-        object.__setattr__(self, "transitions", table)
+            cell = (probs, costs, _successors(targets, key, index[n + 1]))
+            if 0.0 in probs:
+                cell = _drop_zero(cell, 0)
+            check_sums_to_one(cell[0], "probabilities of ({}, {!r}, {!r})", n, s, a)
+            table[key] = outs
+            found[n][index[n][s]][a] = cell
+        object.__setattr__(self, "transitions", _TransitionTable(table))
         for n, row in enumerate(found):
             for i, offered in enumerate(row):
                 if not offered:
@@ -242,17 +315,17 @@ def _backward_induction(
     """Backward induction over the MDP's plan, minimizing at each (n, s)
     over the available actions, ties to the earliest, or playing the
     policy's action where one is given; a state the policy leaves out gets
-    no value.
+    no value.  Each stage's kernel is picked once.
     """
     _check_spec(spec, mdp.horizon)
-    lam = mdp.discount
+    lam = itertools.repeat(mdp.discount)
     plan, states, horizon = mdp._plan, mdp.states, mdp.horizon
     values: ValueTable = {(horizon, s): 0.0 for s in states[horizon]}
     policy_out: Policy = {}
     # the next stage's values by position, None where there is none
     later: List[Optional[float]] = [0.0] * len(states[horizon])
     for n in range(horizon - 1, -1, -1):
-        rf = spec.stages[n]
+        kernel = _kernel(spec.stages[n])
         row: List[Optional[float]] = [None] * len(states[n])
         for i, (s, offered) in enumerate(zip(states[n], plan.cells[n])):
             if policy is not None:
@@ -262,12 +335,13 @@ def _backward_induction(
                 offered = {a: offered[a]}
             best = None
             for a, cell in offered.items():
-                probs, outs, succ = cell
+                probs, costs, succ = cell
                 try:
-                    atoms = [c + lam * later[j] for (_, _, c), j in zip(outs, succ)]
+                    # cost + lam * (successor value), per outcome
+                    atoms = list(map(add, costs, map(mul, lam, map(later.__getitem__, succ))))
                 except TypeError:  # a successor the policy leaves out
                     _raise_first_bad_successor(mdp, n, s, cell, later)
-                v = evaluate_atoms(rf, probs, atoms)
+                v = _on_atoms(kernel, probs, atoms)
                 if best is None or v < best[0]:
                     best = (v, a)
             if best is not None:
@@ -280,10 +354,9 @@ def _backward_induction(
 def _raise_first_bad_successor(
     mdp: FiniteHorizonMdp, n: int, s: State, cell: Cell, later: List[Optional[float]]
 ) -> None:
-    """Raise for the first successor of the cell, in outcome order, that
+    """Raise for the first successor of a cell, in outcome order, that
     has no value or whose atom is not finite."""
-    _, outs, succ = cell
-    for (_, _, c), j in zip(outs, succ):
+    for c, j in zip(cell[1], cell[2]):
         if later[j] is None:
             # only a policy can leave a successor without a value
             t = mdp.states[n + 1][j]
@@ -346,8 +419,8 @@ def unroll(
             nodes.append((n, []))
             continue
         a = _policy_action(mdp, policy, n, s)
-        probs, outs, succ = plan.cells[n][plan.index[n][s]][a]
-        nodes.append((n, [(p, c) for _, p, c in outs]))
+        probs, costs, succ = plan.cells[n][plan.index[n][s]][a]
+        nodes.append((n, list(zip(probs, costs))))
         stack.extend((n + 1, states[n + 1][j]) for j in reversed(succ))
     return ScenarioTree(horizon=mdp.horizon, root=_tree_from_preorder(nodes))
 
@@ -389,7 +462,7 @@ def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
     """Sub-problem rooted at (n, s), with stages shifted down by n and
     states pruned to those reachable from s.
 
-    It is not checked or compiled again: its transitions and plan cells
+    It is not checked or compiled again: its kept outcomes and plan cells
     are the parent's (outcomes of probability zero left out), with
     successor positions renumbered only where a row was pruned.
     """
@@ -402,7 +475,8 @@ def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
     states = tuple(
         tuple(mdp.states[n + k][i] for i in row) for k, row in enumerate(keep)
     )
-    transitions = {}
+    outcomes = mdp.transitions._outcomes
+    table: Dict[Key, Outcomes] = {}
     cells = []
     for k, row in enumerate(keep[:-1]):
         if len(keep[k + 1]) == len(mdp.states[n + k + 1]):
@@ -412,28 +486,26 @@ def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
         stage_cells = []
         for x, i in zip(states[k], row):
             offered = plan.cells[n + k][i]
-            for a, (_, outs, _) in offered.items():
-                transitions[(k, x, a)] = outs
+            for a, (probs, _, _) in offered.items():
+                outs = outcomes[(n + k, x, a)]
+                table[(k, x, a)] = outs if len(probs) == len(outs[1]) else _drop_zero(outs, 1)
             if move is not None:
                 offered = {
-                    a: (probs, outs, tuple(move[j] for j in succ))
-                    for a, (probs, outs, succ) in offered.items()
+                    a: (probs, costs, tuple(move[j] for j in succ))
+                    for a, (probs, costs, succ) in offered.items()
                 }
             stage_cells.append(offered)
         cells.append(tuple(stage_cells))
     index = tuple({x: i for i, x in enumerate(row)} for row in states)
-    tail = object.__new__(FiniteHorizonMdp)
-    for name, value in (
-        ("horizon", mdp.horizon - n),
-        ("states", states),
-        ("actions", mdp.actions),
-        ("initial", s),
-        ("discount", mdp.discount),
-        ("transitions", transitions),
-        ("_plan", _Plan(index, tuple(cells))),
-    ):
-        object.__setattr__(tail, name, value)
-    return tail
+    return _bare_mdp(
+        horizon=mdp.horizon - n,
+        states=states,
+        actions=mdp.actions,
+        initial=s,
+        discount=mdp.discount,
+        transitions=_TransitionTable(table),
+        _plan=_Plan(index, tuple(cells)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,24 +514,13 @@ def tail_mdp(mdp: FiniteHorizonMdp, n: int, s: State) -> FiniteHorizonMdp:
 
 
 def mdp_to_json_dict(mdp: FiniteHorizonMdp) -> dict:
-    entries = []
-    for n in range(mdp.horizon):
-        for s in mdp.states[n]:
-            for a in mdp.actions:
-                outs = mdp.transitions.get((n, s, a))
-                if outs is None:
-                    continue
-                entries.append(
-                    {
-                        "n": n,
-                        "s": s,
-                        "a": a,
-                        "to": [
-                            {"s'": t.state, "p": t.probability, "r": t.cost}
-                            for t in outs
-                        ],
-                    }
-                )
+    outcomes = mdp.transitions._outcomes
+    entries = [
+        {"n": n, "s": s, "a": a, "to": [{"s'": t, "p": p, "r": r} for t, p, r in zip(*outcomes[(n, s, a)])]}
+        for n, cells in enumerate(mdp._plan.cells)
+        for s, offered in zip(mdp.states[n], cells)
+        for a in offered
+    ]
     return {
         "horizon": mdp.horizon,
         "states": [list(row) for row in mdp.states],
@@ -471,9 +532,15 @@ def mdp_to_json_dict(mdp: FiniteHorizonMdp) -> dict:
 
 
 _OUTCOME_KEYS = {"s'", "p", "r"}
+_OUTCOME_COLUMNS = (itemgetter("s'"), itemgetter("p"), itemgetter("r"))
 
 
 def mdp_from_json_dict(data: dict) -> FiniteHorizonMdp:
+    """The MDP of the JSON form `mdp_to_json_dict` writes, compiled with no
+    `Transition` made.  Every entry and outcome is parsed and checked
+    first, in file order; then the header and the structure, as the
+    constructor checks them.
+    """
     if not isinstance(data, dict):
         raise ValidationError("MDP JSON must be an object")
     required = {"horizon", "states", "actions", "initial", "lambda", "transitions"}
@@ -488,35 +555,56 @@ def mdp_from_json_dict(data: dict) -> FiniteHorizonMdp:
     entries = data["transitions"]
     if not isinstance(entries, list):
         raise ValidationError("'transitions' must be a list")
-    transitions: Dict[Tuple[int, State, Action], Tuple[Transition, ...]] = {}
+    table: Dict[Key, Outcomes] = {}
     for entry in entries:
-        if not isinstance(entry, dict) or not {"n", "s", "a", "to"} <= set(entry):
+        if not isinstance(entry, dict) or not entry.keys() >= {"n", "s", "a", "to"}:
             raise ValidationError(
                 "each transition entry must be {'n':, 's':, 'a':, 'to':}"
             )
         key = _hashable((entry["n"], entry["s"], entry["a"]), "transition entry")
-        if key in transitions:
+        if key in table:
             raise ValidationError(f"transition entry {key!r} appears twice")
         outs = entry["to"]
         if not isinstance(outs, list):
             raise ValidationError("'to' must be a list")
-        parsed = []
-        for o in outs:
-            if not isinstance(o, dict) or not o.keys() >= _OUTCOME_KEYS:
-                raise ValidationError("each outcome must be {\"s'\":, 'p':, 'r':}")
-            p, r = o["p"], o["r"]
-            p = p if type(p) is float else json_number(p, "outcome 'p'")
-            r = r if type(r) is float else json_number(r, "outcome 'r'")
-            parsed.append(Transition(o["s'"], p, r))
-        transitions[key] = tuple(parsed)
-    return FiniteHorizonMdp(
+        table[key] = _outcome_columns(outs)
+    mdp = _bare_mdp(
         horizon=data["horizon"],
-        states=tuple(tuple(r) for r in states),
-        actions=tuple(data["actions"]),
+        states=states,
+        actions=data["actions"],
         initial=data["initial"],
         discount=json_number(data["lambda"], "'lambda'"),
-        transitions=transitions,
     )
+    mdp._compile(table.items(), None)
+    return mdp
+
+
+def _outcome_columns(outs: list) -> Outcomes:
+    """An entry's JSON outcomes as columns, each checked as `Transition`
+    checks its fields; the first faulty outcome raises."""
+    # the common case in a few passes: dicts with float 'p' >= 0, float
+    # 'r' and hashable targets; a sum is finite only when every term is
+    try:
+        if set(map(type, outs)) <= {dict}:
+            targets, probs, costs = (tuple(map(get, outs)) for get in _OUTCOME_COLUMNS)
+            hash(targets)
+            floats = set(map(type, probs + costs)) <= {float}
+            if floats and min(probs, default=0.0) >= 0.0 and math.isfinite(sum(probs) + sum(costs)):
+                return targets, probs, costs
+    except (KeyError, TypeError):
+        pass  # the outcome-by-outcome walk below names the fault
+    targets, probs, costs = [], [], []
+    for o in outs:
+        if not isinstance(o, dict) or not o.keys() >= _OUTCOME_KEYS:
+            raise ValidationError("each outcome must be {\"s'\":, 'p':, 'r':}")
+        p, r = o["p"], o["r"]
+        p = p if type(p) is float else json_number(p, "outcome 'p'")
+        r = r if type(r) is float else json_number(r, "outcome 'r'")
+        targets.append(_hashable(o["s'"], "transition target"))
+        _check_outcome(p, r)
+        probs.append(p)
+        costs.append(r)
+    return tuple(targets), tuple(probs), tuple(costs)
 
 
 def solution_to_json_dict(
@@ -526,16 +614,11 @@ def solution_to_json_dict(
     and one representative trajectory (always stepping to the most
     probable successor, earliest listed on ties).
     """
-    value_rows = []
-    for n in range(mdp.horizon + 1):
-        for s in mdp.states[n]:
-            if (n, s) in values:
-                value_rows.append({"n": n, "s": s, "v": values[(n, s)]})
-    policy_rows = []
-    for n in range(mdp.horizon):
-        for s in mdp.states[n]:
-            if (n, s) in policy:
-                policy_rows.append({"n": n, "s": s, "a": policy[(n, s)]})
+    keys = [(n, s) for n, row in enumerate(mdp.states) for s in row]
+    value_rows = [{"n": n, "s": s, "v": values[(n, s)]} for n, s in keys if (n, s) in values]
+    policy_rows = [
+        {"n": n, "s": s, "a": policy[(n, s)]} for n, s in keys if n < mdp.horizon and (n, s) in policy
+    ]
     trace = []
     s = mdp.initial
     for n in range(mdp.horizon):

@@ -10,19 +10,24 @@ trapezoid rule on each knot interval is exact.
 Each leaf functional kind is named once, in the :data:`LEAF_KINDS` table
 that labels, the JSON form and the CLI flags all read.  Each measure is
 implemented once, as a kernel on the columns of a law (weights, lows,
-highs; see :data:`distributions.Columns`): :func:`evaluate` feeds it a
+highs; see :data:`distributions.Columns`).  One dispatcher, ``_kernel``,
+maps a checked functional to its kernel, a composite to its leaves'
+kernels picked once: :func:`evaluate` feeds the kernel a
 `MixedDistribution`'s columns, and :func:`evaluate_atoms` the atoms of a
-one-step law that is never built, as an MDP cell or a tree node whose
-compiled law holds only atoms has them.  A tree node whose law holds a
-segment, and the flat law of a tree's discounted total, reach the
-kernels as columns too, through ``_evaluate_columns``.  A disutility
-value that leaves the floating range raises `EvaluationOverflowError`.
+one-step law that is never built.  The MDP solver and the tree
+recursion pick a kernel once per stage functional and hand each cell or
+node law to it, a law of atoms through ``_on_atoms``, which keeps the
+finiteness check and the one-atom shortcut of :func:`evaluate_atoms`.
+A value whose exact sum or whose disutility leaves the floating range
+raises `EvaluationOverflowError`.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from operator import mul
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
@@ -31,6 +36,7 @@ from .distributions import (
     PointMass,
     UniformSegment,
     check_sums_to_one,
+    checked_fsum,
     column_atom_mass_at,
     column_cdf,
     column_inf,
@@ -254,9 +260,10 @@ def mean(dist: MixedDistribution) -> float:
 
 
 def _mean(cols: Columns) -> float:
-    return math.fsum(
-        w * (lo if lo == hi else 0.5 * (lo + hi)) for w, lo, hi in zip(*cols)
-    )
+    weights, lows, highs = cols
+    if lows is highs:  # only atoms: the same products, taken faster
+        return checked_fsum(map(mul, weights, lows), "mean")
+    return checked_fsum((w * (lo if lo == hi else 0.5 * (lo + hi)) for w, lo, hi in zip(*cols)), "mean")
 
 
 def _log_mgf(lo: float, hi: float, gamma: float) -> float:
@@ -426,34 +433,72 @@ def evaluate_atoms(rf: RiskFunctional, weights: Sequence[float], values: Sequenc
     a value that is not finite first, as ``PointMass`` would, then an
     unknown functional, and one atom is returned as the constant it is.
     The weights are taken as given, as a checked tree or MDP gives them.
+    A walk that evaluates many laws under one functional picks its kernel
+    once with ``_kernel`` and calls ``_on_atoms``.
     """
+    if not isinstance(rf, RF_CLASSES):
+        _check_atoms(values)
+        raise ValidationError(f"unknown risk functional {rf!r}")
+    return _on_atoms(_kernel(rf), weights, values)
+
+
+# a checked functional's evaluation on the columns of a law
+Kernel = Callable[[Columns], float]
+
+
+def _check_atoms(values: Sequence[float]) -> None:
     # a sum is finite only when every term is
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise ValidationError("PointMass value must be finite")
-    if not isinstance(rf, RF_CLASSES):
-        raise ValidationError(f"unknown risk functional {rf!r}")
-    if len(values) == 1:
-        return values[0]
-    return _evaluate_columns(rf, (weights, values, values))
+
+
+def _on_atoms(kernel: Kernel, weights: Sequence[float], values: Sequence[float]) -> float:
+    """``evaluate_atoms`` with the functional's kernel picked."""
+    _check_atoms(values)
+    return values[0] if len(values) == 1 else kernel((weights, values, values))
 
 
 def _evaluate_columns(rf: RiskFunctional, cols: Columns) -> float:
     """A checked functional on the columns of a law, composites included."""
+    return _kernel(rf)(cols)
 
-    def value(f: RiskFunctional, terms: List[Tuple[float, float]]) -> float:
-        if isinstance(f, Expectation):
-            return _mean(cols)
-        if isinstance(f, Erm):
-            return _erm(f.gamma, cols)
-        if isinstance(f, ValueAtRisk):
-            return _value_at_risk(f.alpha, cols)
-        if isinstance(f, Cte):
-            return _cte(f.alpha, cols)
-        return math.fsum(c * v for c, v in terms)
 
-    if isinstance(rf, Composite):
-        return fold_functional(rf, value)
-    return value(rf, [])
+def _kernel(rf: RiskFunctional) -> Kernel:
+    """The kernel of a checked functional on the columns of a law, each
+    leaf's picked once.
+
+    A composite runs its nodes in the order `fold_functional` visits
+    them, each term's value just before the next, so its leaves are met
+    in the same order and no nesting depth recurses.
+    """
+    if not isinstance(rf, Composite):
+        return _leaf_kernel(rf)
+    # each node: a composite's coefficients, or a leaf's (no terms) kernel
+    program: List[Any] = []
+    fold_functional(rf, lambda f, terms: program.append(tuple(c for c, _ in terms) or _leaf_kernel(f)))
+    return partial(_run_composite, program)
+
+
+def _leaf_kernel(f: RiskFunctional) -> Kernel:
+    if isinstance(f, Expectation):
+        return _mean
+    if isinstance(f, Erm):
+        return partial(_erm, f.gamma)
+    if isinstance(f, ValueAtRisk):
+        return partial(_value_at_risk, f.alpha)
+    return partial(_cte, f.alpha)
+
+
+def _run_composite(program: List[Any], cols: Columns) -> float:
+    values: List[float] = []
+    for step in program:
+        if type(step) is tuple:  # the values of its terms are the last ones
+            terms = values[-len(step):]
+            del values[-len(step):]
+            values.append(checked_fsum(map(mul, step, terms), "composite value"))
+        else:
+            values.append(step(cols))
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +637,11 @@ def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> flo
     try:
         if isinstance(u, Exponential):
             z = u.gamma * (hi - lo)
-            value = math.exp(u.gamma * lo) * math.expm1(z) / z - 1.0
+            if z == 0.0:
+                # z underflowed; expm1(z) / z tends to one
+                value = math.expm1(u.gamma * (0.5 * (lo + hi)))
+            else:
+                value = math.exp(u.gamma * lo) * math.expm1(z) / z - 1.0
         elif isinstance(u, Power):
             k1 = u.k + 1.0
             value = (hi**k1 - lo**k1) / (k1 * (hi - lo))
@@ -624,10 +673,11 @@ def pushforward_mean(u: DisutilityFunction, dist: MixedDistribution) -> float:
 
 def _pushforward_mean(u: DisutilityFunction, cols: Columns) -> float:
     """E[u(Y)] on the columns of a law, for a checked disutility."""
-    return math.fsum(
+    terms = [
         w * (apply_disutility(u, lo) if lo == hi else _segment_disutility_mean(u, lo, hi))
         for w, lo, hi in zip(*cols)
-    )
+    ]
+    return checked_fsum(terms, "expected disutility")
 
 
 def deu(

@@ -45,8 +45,9 @@ from .measures import (
     _check_horizon,
     _evaluate_columns,
     _is_int,
+    _kernel,
+    _on_atoms,
     _pushforward_mean,
-    evaluate_atoms,
 )
 
 DEFAULT_PATH_LIMIT = 10**7
@@ -402,12 +403,14 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
     the constant cost + lam * (child value) straight, since every
     functional maps a constant to itself; it is checked for finiteness as
     `PointMass` would.  Any other node moves each entry of its compiled
-    law by lam * (child value): a law of atoms goes to `evaluate_atoms`,
-    any other is checked by `check_moved` and goes to the column kernels.
+    law by lam * (child value) and hands it to its stage's kernel, which
+    is picked once per distinct functional: a law of atoms through
+    `_on_atoms`, any other after `check_moved` has checked it.
     """
     lam = _check_discount(lam)
     _check_spec(spec, tree.horizon)
     stages = spec.stages
+    picked: Dict[int, Any] = {}  # each functional's kernel, on first use
     values: List[float] = []
     for stage, edges, constant, law in tree._plan.steps:
         if constant:
@@ -421,14 +424,16 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
             values.append(0.0)
             continue
         weights, lows, highs, children = law
+        rf = stages[stage]
+        kernel = picked.get(id(rf)) or picked.setdefault(id(rf), _kernel(rf))
         moves = [lam * values[child] for child in children]
         moved_lows = [lo + move for lo, move in zip(lows, moves)]
         if highs is lows:
-            values.append(evaluate_atoms(stages[stage], weights, moved_lows))
+            values.append(_on_atoms(kernel, weights, moved_lows))
         else:
             moved_highs = [hi + move for hi, move in zip(highs, moves)]
             check_moved(lows, highs, moved_lows, moved_highs)
-            values.append(_evaluate_columns(stages[stage], (weights, moved_lows, moved_highs)))
+            values.append(kernel((weights, moved_lows, moved_highs)))
     return values
 
 

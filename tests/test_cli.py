@@ -132,6 +132,15 @@ HORIZON_TRUE_TEXT = json.dumps({
     "horizon": True, "states": [["s"], ["t"]], "actions": ["a"], "initial": "s", "lambda": 1.0,
     "transitions": [{"n": 0, "s": "s", "a": "a", "to": [{"s'": "t", "p": 1.0, "r": 1.0}]}],
 })
+# a valid one-stage model whose mean cost, the float limit times
+# probabilities summing a little above one, leaves the floating range
+MEAN_OVERFLOW_TEXT = json.dumps({
+    "horizon": 1, "states": [["s"], ["t", "u"]], "actions": ["a"], "initial": "s", "lambda": 1.0,
+    "transitions": [{"n": 0, "s": "s", "a": "a", "to": [
+        {"s'": "t", "p": 0.5, "r": 1.7976931348623157e308},
+        {"s'": "u", "p": 0.5 + 4e-13, "r": 1.7976931348623157e308},
+    ]}],
+})
 # deeper than the json module's recursion allows
 DEEP_RF_JSON = '{"kind": "mean"}'
 for _ in range(1200):
@@ -154,6 +163,7 @@ for _ in range(1200):
         ("eval", '{"components": [{"w": 1, "point": 1.0}]}', ["--rf-json", DEEP_RF_JSON]),
         ("eval", "[" * 3000, ["--mean"]),
         ("solve", HORIZON_TRUE_TEXT, ["--mean"]),
+        ("solve", MEAN_OVERFLOW_TEXT, ["--mean"]),
     ],
     ids=[
         "point-not-a-number",
@@ -167,6 +177,7 @@ for _ in range(1200):
         "rf-json-nested-too-deeply",
         "file-nested-too-deeply",
         "horizon-is-true",
+        "mean-overflows",
     ],
 )
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_text, flags):

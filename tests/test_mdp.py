@@ -705,6 +705,83 @@ def test_mdp_json_roundtrip_keeps_an_unavailable_action_out():
     assert mdp_from_json_dict(data) == mdp
 
 
+def transitions_of(data: dict) -> dict:
+    """The transition table of an MDP's JSON form, as `Transition`s."""
+    return {
+        (e["n"], e["s"], e["a"]): tuple(Transition(o["s'"], o["p"], o["r"]) for o in e["to"])
+        for e in data["transitions"]
+    }
+
+
+def mdp_of_transitions(data: dict) -> FiniteHorizonMdp:
+    """The MDP of a JSON form, built by the constructor from `Transition`s."""
+    return FiniteHorizonMdp(
+        horizon=data["horizon"],
+        states=data["states"],
+        actions=data["actions"],
+        initial=data["initial"],
+        discount=data["lambda"],
+        transitions=transitions_of(data),
+    )
+
+
+def test_the_transition_table_reads_as_the_dict_it_was_built_from():
+    """Zero-probability outcomes included, and in the order given, which
+    here is not the order of the plan."""
+    def entry(n, s, a, *outs):
+        return {"n": n, "s": s, "a": a, "to": [{"s'": t, "p": p, "r": r} for t, p, r in outs]}
+
+    data = {
+        "horizon": 2,
+        "states": [["s"], ["t", "u"], ["v"]],
+        "actions": ["a", "b"],
+        "initial": "s",
+        "lambda": 0.9,
+        "transitions": [
+            entry(1, "u", "b", ("v", 1.0, 2.0)),
+            entry(1, "t", "a", ("v", 1.0, 0.0)),
+            entry(0, "s", "b", ("u", 0.0, 5.0), ("t", 1.0, 1.0)),
+            entry(0, "s", "a", ("t", 0.25, 3.0), ("u", 0.75, 1.0)),
+        ],
+    }
+    table = transitions_of(data)
+    assert any(t.probability == 0.0 for outs in table.values() for t in outs)
+    for mdp in (mdp_from_json_dict(data), mdp_of_transitions(data)):
+        got = mdp.transitions
+        assert got == table and table == got
+        assert repr(got) == repr(table)
+        assert list(got) == list(table) and list(got.items()) == list(table.items())
+        assert len(got) == len(table)
+        for key in [*table, (0, "start", "nope"), (99, "x", "y")]:
+            assert (key in got) == (key in table)
+            assert got.get(key) == table.get(key)
+        assert all(type(t) is Transition for outs in got.values() for t in outs)
+        with pytest.raises(TypeError):
+            got[next(iter(table))] = ()
+    built, parsed = mdp_of_transitions(data), mdp_from_json_dict(data)
+    assert built == parsed and parsed == built
+    assert repr(built) == repr(parsed)
+    assert mdp_to_json_dict(parsed) == mdp_to_json_dict(built)
+    assert mdp_from_json_dict(mdp_to_json_dict(parsed)).transitions == table
+
+
+def test_the_json_reader_and_the_constructor_build_the_same_models():
+    """Every pinned tie-heavy model, some with zero probabilities: equal,
+    with equal plans, and solved to the same bits."""
+    fixture = json.loads((DATA / "solver_bits.json").read_text())
+    functionals = [rf_from_json_dict(f) for f in fixture["functionals"].values()]
+    for case in fixture["cases"]:
+        parsed, built = mdp_from_json_dict(case["mdp"]), mdp_of_transitions(case["mdp"])
+        assert parsed == built and built == parsed
+        assert repr(parsed) == repr(built)
+        assert parsed._plan == built._plan
+        for rf in functionals:
+            spec = IrmSpec.repeat(rf, parsed.horizon)
+            (pv, pp), (bv, bp) = solve_dp(parsed, spec), solve_dp(built, spec)
+            assert [(k, v.hex()) for k, v in pv.items()] == [(k, v.hex()) for k, v in bv.items()]
+            assert list(pp.items()) == list(bp.items())
+
+
 def test_mdp_json_rejects_duplicates_and_bad_shapes():
     data = mdp_to_json_dict(casebook.payments_mdp(0.95))
     doubled = dict(data, transitions=data["transitions"] + data["transitions"][:1])

@@ -577,6 +577,49 @@ def test_disutility_overflow_is_reported(case):
     assert str(info.value) == message
 
 
+# atoms at the float limit whose weights sum a little above one, as the
+# weight check allows: the exact weighted sum leaves the floating range
+LIMIT = 1.7976931348623157e308
+LIMIT_WEIGHTS = [0.5, 0.5 + 4e-13]
+LIMIT_LAW = MixedDistribution.of_atoms(list(zip(LIMIT_WEIGHTS, [LIMIT] * 2)))
+SUM_OVERFLOWS = {
+    "mean": (lambda: mean(LIMIT_LAW), "mean overflowed the floating range"),
+    "mean on atoms": (
+        lambda: evaluate_atoms(Expectation(), LIMIT_WEIGHTS, [LIMIT] * 2),
+        "mean overflowed the floating range",
+    ),
+    "expected disutility": (
+        lambda: pushforward_mean(Linear(), LIMIT_LAW),
+        "expected disutility overflowed the floating range",
+    ),
+    # each term is worth the limit; the coefficients sum above one
+    "composite": (
+        lambda: evaluate_atoms(
+            Composite(tuple(zip(LIMIT_WEIGHTS, (Cte(0.1), Cte(0.2))))), [0.5, 0.5], [LIMIT] * 2
+        ),
+        "composite value overflowed the floating range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SUM_OVERFLOWS))
+def test_a_sum_past_the_float_range_is_reported(case):
+    run, message = SUM_OVERFLOWS[case]
+    with pytest.raises(EvaluationOverflowError) as info:
+        run()
+    assert str(info.value) == message
+
+
+def test_exponential_segment_mean_takes_its_limit_when_the_exponent_underflows():
+    # gamma * (hi - lo) underflows to zero; the mean is expm1 at the midpoint
+    law = MixedDistribution.uniform(1.0, 1.0000000000000002)
+    assert pushforward_mean(Exponential(1e-310), law) == math.expm1(1e-310 * 1.0000000000000001)
+    assert eud(deterministic_tree([law]), Exponential(1e-310), 1.0) == 1e-310
+    # a segment whose exponent does not underflow keeps its closed form
+    wide = MixedDistribution.uniform(0.0, 1.0)
+    assert pushforward_mean(Exponential(1.0), wide) == math.exp(0.0) * math.expm1(1.0) / 1.0 - 1.0
+
+
 def test_piecewise_linear_far_out_divides_before_it_multiplies():
     # 5 * (-1e308 - (-5)) overflows; the slope 1 times the run does not
     assert apply_disutility(STEEP_PWL, -1e308) == -1e308

@@ -16,6 +16,7 @@ from riskdp import (
     Cte,
     Edge,
     EnumerationLimitError,
+    EvaluationOverflowError,
     Erm,
     Expectation,
     Exponential,
@@ -435,6 +436,7 @@ def flat_error_cases() -> dict:
         return ScenarioTree(2, TreeNode(0, (first, second)))
 
     huge = TreeNode(1, (Edge(1.0, 1e308, leaf(2)),))
+    limit = 1.7976931348623157e308
     doubled = TreeNode(1, (Edge(1.0, seg, leaf(2)),))
     # a node, reached with a segment and a shift of 1e308, whose first edge
     # overflows and whose second carries a second segment
@@ -471,6 +473,12 @@ def flat_error_cases() -> dict:
             (ValidationError, "component weights sum to 1.0000000000024; must be 1 within 1e-12"),
         ),
         "too many paths": (two, 1.0, Cte(0.5), Linear(), TOO_MANY_PATHS),
+        # two leaves at the float limit merge with weights summing above one
+        "merged atom overflows": (
+            ScenarioTree(1, TreeNode(0, (Edge(0.5, limit, leaf(1)), Edge(0.5 + 4e-13, limit, leaf(1))))),
+            1.0, Cte(0.5), Linear(),
+            (EvaluationOverflowError, f"merged atom at {limit!r} overflowed the floating range"),
+        ),
         # rmd checks its functional before the law, eud its disutility after
         "bad functional or disutility and bad discount": (
             two, 1.5, "mean", "linear",
