@@ -358,12 +358,14 @@ def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> Region
     alpha_axis = tuple(i / alpha_steps for i in range(alpha_steps))
     a_tree = upfront_tree()
     b_tree = installment_tree()
+    # the upfront tree is deterministic, so no tail level moves its values
+    spec = IrmSpec.repeat(Cte(alpha_axis[0]), PAYMENT_DAYS)
+    a_row = [irm_root_value(a_tree, spec, lam) for lam in lambda_axis]
     cells = []
     for alpha in alpha_axis:
         spec = IrmSpec.repeat(Cte(alpha), PAYMENT_DAYS)
         row = []
-        for lam in lambda_axis:
-            a_val = irm_root_value(a_tree, spec, lam)
+        for a_val, lam in zip(a_row, lambda_axis):
             b_val = irm_root_value(b_tree, spec, lam)
             row.append(a_val <= b_val)
         cells.append(tuple(row))

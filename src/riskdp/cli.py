@@ -8,7 +8,6 @@ checked property or assertion fails, 2 on bad input.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ from .measures import (
     rf_label,
 )
 from .mdp import (
+    _with_discount,
     mdp_from_json_dict,
     solution_to_json_dict,
     solve_dp,
@@ -456,7 +456,7 @@ def solve(mdp_file: str, lam: Optional[float], **rf_flags) -> _Output:
     parsed = _parse_rf(**rf_flags)
     mdp = mdp_from_json_dict(raw)
     if lam is not None:
-        mdp = dataclasses.replace(mdp, discount=lam)
+        mdp = _with_discount(mdp, lam)
     if isinstance(parsed, list):
         spec = IrmSpec(tuple(parsed))
     else:

@@ -17,11 +17,11 @@ columns (targets, probabilities, costs); the JSON reader makes no
 columns that builds a key's `Transition`s, zero probabilities included,
 only when they are read.  The backward induction, policy evaluation,
 reachability, tail problems and unrolling read the plan; each cell
-reaches the measures as columns of weights and atom values, with its
-stage's kernel picked once, never as a built distribution.  The
-plan is not a dataclass field, so `==` and `repr` do not see it.  A tail
-problem is not compiled again: it takes its cells from its parent's
-plan.
+reaches the measures as columns of weights and atom values, through the
+kernel its `IrmSpec` picked for the stage, never as a built
+distribution.  The plan is not a dataclass field, so `==` and `repr` do
+not see it.  A tail problem is not compiled again: it takes its cells
+from its parent's plan.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Opt
 
 from .distributions import check_sums_to_one, json_number
 from .errors import EnumerationLimitError, ValidationError
-from .measures import _check_discount, _check_horizon, _is_int, _kernel, _on_atoms
+from .measures import _check_discount, _check_horizon, _is_int, _on_atoms
 from .tree import IrmSpec, ScenarioTree, _check_spec, _tree_from_preorder, irm_root_value
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -122,7 +122,8 @@ class _Plan(NamedTuple):
 class _TransitionTable(Mapping):
     """The transition table of a compiled MDP, read-only: each key, in the
     order given, maps to its outcomes as `Transition`s, built from the
-    kept columns when read.  `==` and `repr` read as a dict's."""
+    kept columns when read.  `==` and `repr` read as a dict's; two tables
+    compare their kept columns, which gives the same answer."""
 
     def __init__(self, outcomes: Dict[Key, Outcomes]) -> None:
         self._outcomes = outcomes
@@ -138,6 +139,11 @@ class _TransitionTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._outcomes)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _TransitionTable):
+            return self._outcomes == other._outcomes
+        return super().__eq__(other)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -304,6 +310,21 @@ class FiniteHorizonMdp:
         return rows
 
 
+def _with_discount(mdp: FiniteHorizonMdp, lam: float) -> FiniteHorizonMdp:
+    """mdp with the discount lam, equal to the model `dataclasses.replace`
+    would rebuild: lam is checked as the constructor checks it, and the
+    tables and the plan, which do not depend on it, are shared."""
+    return _bare_mdp(
+        horizon=mdp.horizon,
+        states=mdp.states,
+        actions=mdp.actions,
+        initial=mdp.initial,
+        discount=_check_discount(lam, positive=True),
+        transitions=mdp.transitions,
+        _plan=mdp._plan,
+    )
+
+
 class SolveResult(NamedTuple):
     values: ValueTable
     policy: Policy
@@ -315,7 +336,7 @@ def _backward_induction(
     """Backward induction over the MDP's plan, minimizing at each (n, s)
     over the available actions, ties to the earliest, or playing the
     policy's action where one is given; a state the policy leaves out gets
-    no value.  Each stage's kernel is picked once.
+    no value.  Each stage's kernel is the one the spec picked for it.
     """
     _check_spec(spec, mdp.horizon)
     lam = itertools.repeat(mdp.discount)
@@ -325,7 +346,7 @@ def _backward_induction(
     # the next stage's values by position, None where there is none
     later: List[Optional[float]] = [0.0] * len(states[horizon])
     for n in range(horizon - 1, -1, -1):
-        kernel = _kernel(spec.stages[n])
+        kernel = spec._kernels[n]
         row: List[Optional[float]] = [None] * len(states[n])
         for i, (s, offered) in enumerate(zip(states[n], plan.cells[n])):
             if policy is not None:

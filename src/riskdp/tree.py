@@ -9,22 +9,27 @@ disutility to it.
 
 Trees are immutable all the way down, so each `ScenarioTree` checks its
 nodes and compiles them into a plan in one walk, at construction: the
-nodes with every child before its parent, each as its stage, one
-(probability, cost, child position) triple per edge and, unless it is a
-leaf or a single scalar edge, its one-step law as columns.  Everything
-after construction reads that plan (the recursion, the flat law, the
-JSON form, `node_count` and `path_count`), not the nodes, and the
-recursion builds no law object: it moves each node's columns by the
-discounted child values and hands them to the measures' column kernels.
-The plan depends on neither the risk functionals nor the discount, and
-is not a dataclass field, so `==`, `repr` and the JSON form of a tree do
-not see it.
+nodes with every child before its parent, in steps.  A leaf is a step;
+so is any other node that is not a single scalar edge, with one
+(probability, cost, child step) triple per edge and its one-step law as
+columns; and each maximal run of nodes with a single scalar edge is one
+step holding the run's probabilities and costs.  Everything after
+construction reads that plan (the recursion, the flat law, the JSON
+form, the node value table, `node_count` and `path_count`), not the
+nodes.  The recursion builds no law object: it walks a run as plain
+arithmetic, and moves each other node's columns by the discounted child
+values and hands them to its stage's kernel, which the `IrmSpec` picked
+when it was built.  The plan depends on neither the risk functionals nor
+the discount, and is not a dataclass field, so `==`, `repr` and the JSON
+form of a tree do not see it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from collections.abc import ItemsView, Mapping, ValuesView
+from operator import index
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .distributions import (
     Columns,
@@ -163,21 +168,32 @@ class _Plan(NamedTuple):
     """A tree compiled for the walks over it, built by `_compile` when the
     tree is constructed.
 
-    `steps` lists the nodes in post-order with the children taken
-    last-first, which is the pre-order reversed: every child comes before
-    its parent and the root is last.  Each step is (stage,
-    ((probability, cost, child position), ...), constant, law), a leaf
-    having no edges.  constant marks a node with one scalar-cost edge,
-    whose value is that cost plus the discounted child value.  law is the
-    one-step law of any other internal node before the child values move
-    it, as columns (weights, lows, highs, child positions) with one entry
-    per scalar edge cost and one per component of a law-valued one: its
-    weight is the edge probability, times the component weight for a
-    component.  highs is lows itself when every entry is an atom.  law is
-    None at leaves and constant nodes.  `paths` is the number of leaves.
+    The nodes are taken in post-order with the children last-first: every
+    child comes before its parent and the root is last.  A node's
+    position in that order is where the recursion keeps its value.
+    `steps` groups the nodes, in that order, into steps of three kinds,
+    each a tuple (stage, edges, costs, law):
+
+    - a leaf: (stage, (), None, None);
+    - a run, a maximal chain of nodes with one scalar-cost edge each:
+      (stage of its top node, the edge probabilities, the edge costs,
+      None), both from the bottom up.  Each node's value is its cost plus
+      the discounted value of the node below it, and the bottom node's
+      child is the step just before the run;
+    - any other node: (stage, ((probability, cost, child step), ...),
+      None, law), law being its one-step law before the child values
+      move it, as columns (weights, lows, highs, child positions) with
+      one entry per scalar edge cost and one per component of a
+      law-valued one: its weight is the edge probability, times the
+      component weight for a component.  highs is lows itself when every
+      entry is an atom.
+
+    `tops` holds the position of each step's top node, the node its
+    parent's edge leads to, and `paths` the number of leaves.
     """
 
-    steps: Tuple[Tuple[int, Tuple[Tuple[float, Any, int], ...], bool, Optional[_Law]], ...]
+    steps: Tuple[Tuple[int, tuple, Optional[Tuple[float, ...]], Optional[_Law]], ...]
+    tops: Tuple[int, ...]
     paths: int
 
 
@@ -198,7 +214,7 @@ class ScenarioTree:
         object.__setattr__(self, "_plan", _compile(self.root, self.horizon))
 
     def node_count(self) -> int:
-        return len(self._plan.steps)
+        return self._plan.tops[-1] + 1
 
     def path_count(self) -> int:
         return self._plan.paths
@@ -213,20 +229,34 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
         raise ValidationError(f"tree root must be a TreeNode, got {root!r}")
     if root.stage != 0:
         raise ValidationError("root must sit at stage 0")
-    steps: List[Tuple[int, tuple, bool, Optional[_Law]]] = []
-    done: List[int] = []  # plan positions of finished subtrees
+    steps: List[Any] = []  # a run stays a list, growing upward, until the end
+    tops: List[int] = []
+    done: List[int] = []  # steps of finished subtrees
     seen: set = set()
-    paths = 0
+    nodes = paths = 0
     # (node, False) when first reached; (node, True) once checked, to
-    # become a step when its subtrees are done
+    # join the plan when its subtrees are done
     stack: List[Tuple[TreeNode, bool]] = [(root, False)]
     while stack:
         node, checked = stack.pop()
         if checked:
-            edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
-            constant = len(edges) == 1 and not isinstance(edges[0][1], MixedDistribution)
-            done.append(len(steps))
-            steps.append((node.stage, edges, constant, None if constant else _node_law(edges)))
+            e = node.edges[0]
+            if len(node.edges) == 1 and not isinstance(e.cost, MixedDistribution):
+                done.pop()  # its child: the last step, which may be a run to extend
+                if type(steps[-1]) is list:
+                    tops.pop()
+                else:
+                    steps.append([node.stage, [], [], None])
+                run = steps[-1]
+                run[0] = node.stage
+                run[1].append(e.probability)
+                run[2].append(e.cost)
+            else:
+                edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
+                steps.append((node.stage, edges, None, _node_law(edges, tops)))
+            done.append(len(steps) - 1)
+            tops.append(nodes)
+            nodes += 1
             continue
         if id(node) in seen:
             raise ValidationError("tree nodes must not be shared")
@@ -235,7 +265,9 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
             if node.stage != horizon:
                 raise ValidationError(f"leaf at stage {node.stage} but horizon is {horizon}")
             done.append(len(steps))
-            steps.append((node.stage, (), False, None))
+            steps.append((node.stage, (), None, None))
+            tops.append(nodes)
+            nodes += 1
             paths += 1
             continue
         if node.stage >= horizon:
@@ -263,14 +295,16 @@ def _compile(root: TreeNode, horizon: int) -> _Plan:
         # and the first child's position ends on top of done
         stack.append((node, True))
         stack.extend([(e.child, False) for e in node.edges])
-    return _Plan(tuple(steps), paths)
+    steps = [(s[0], tuple(s[1]), tuple(s[2]), None) if type(s) is list else s for s in steps]
+    return _Plan(tuple(steps), tuple(tops), paths)
 
 
-def _node_law(edges: Tuple[Tuple[float, Any, int], ...]) -> _Law:
+def _node_law(edges: Tuple[Tuple[float, Any, int], ...], tops: List[int]) -> _Law:
     """The one-step law of an internal node with these plan edges, before
     the child values move it, as `_Plan` keeps it."""
     entries = []
     for p, cost, child in edges:
+        child = tops[child]
         if isinstance(cost, MixedDistribution):
             entries += [(p * w, lo, hi, child) for w, lo, hi in zip(*cost.columns())]
         else:
@@ -315,14 +349,20 @@ def _cost_from_json(data) -> EdgeCost:
 
 
 def tree_to_json_dict(tree: ScenarioTree) -> dict:
-    nodes: List[dict] = []  # by plan position, so children are built first
-    for _, edges, _, _ in tree._plan.steps:
+    tops: List[dict] = []  # each step's top node, so children are built first
+    for _, edges, costs, _ in tree._plan.steps:
+        if costs is not None:  # a run, from the node below it up
+            node = tops[-1]
+            for p, cost in zip(edges, costs):
+                node = {"children": [{"p": p, "cost": cost, "node": node}]}
+            tops.append(node)
+            continue
         children = []
         for p, cost, child in edges:
             cost = cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost
-            children.append({"p": p, "cost": cost, "node": nodes[child]})
-        nodes.append({"children": children})
-    return {"horizon": tree.horizon, "root": nodes[-1]}
+            children.append({"p": p, "cost": cost, "node": tops[child]})
+        tops.append({"children": children})
+    return {"horizon": tree.horizon, "root": tops[-1]}
 
 
 def tree_from_json_dict(data: dict) -> ScenarioTree:
@@ -359,6 +399,8 @@ class IrmSpec:
     stages: Tuple[RiskFunctional, ...]
 
     def __post_init__(self) -> None:
+        """Check the stages and pick each one's kernel, once per distinct
+        functional object, held as `_kernels` (not a dataclass field)."""
         try:
             object.__setattr__(self, "stages", tuple(self.stages))
         except TypeError:
@@ -370,6 +412,11 @@ class IrmSpec:
         for rf in self.stages:
             if not isinstance(rf, RF_CLASSES):
                 raise ValidationError(f"IrmSpec stage {rf!r} is not a risk functional")
+        picked: Dict[int, Any] = {}
+        for rf in self.stages:
+            if id(rf) not in picked:
+                picked[id(rf)] = _kernel(rf)
+        object.__setattr__(self, "_kernels", tuple(picked[id(rf)] for rf in self.stages))
 
     @classmethod
     def repeat(cls, rf: RiskFunctional, horizon: int) -> "IrmSpec":
@@ -389,51 +436,129 @@ def _check_spec(spec: IrmSpec, horizon: int) -> None:
         )
 
 
+class _NodeTable(Mapping):
+    """The value of every node of a tree, read-only, keyed by its
+    child-index path from the root (the root's is the empty tuple).
+
+    It keeps the tree's plan and the values by plan position, and makes a
+    key only when one is read: a lookup walks the plan down the path, and
+    iteration walks it once, root first, then each node's subtrees last
+    child first.  `==` and `repr` read as a dict's.
+    """
+
+    def __init__(self, plan: _Plan, values: List[float]) -> None:
+        self._plan = plan
+        self._values = values
+
+    def __getitem__(self, key: Tuple[int, ...]) -> float:
+        if not isinstance(key, tuple):
+            hash(key)  # an unhashable key raises as a dict would
+            raise KeyError(key)
+        steps = self._plan.steps
+        at, depth = len(steps) - 1, 0  # the step and how far below its top
+        for i in key:
+            _, edges, costs, _ = steps[at]
+            try:
+                i = index(i)
+            except TypeError:
+                hash(key)
+                raise KeyError(key) from None
+            if costs is not None and i == 0:
+                depth += 1
+                if depth == len(costs):
+                    at, depth = at - 1, 0
+            elif costs is None and 0 <= i < len(edges):
+                at = edges[i][2]
+            else:
+                raise KeyError(key)
+        return self._values[self._plan.tops[at] - depth]
+
+    def _walk(self) -> Iterator[Tuple[Tuple[int, ...], float]]:
+        steps, tops, values = self._plan.steps, self._plan.tops, self._values
+        stack: List[Tuple[int, Tuple[int, ...]]] = [(len(steps) - 1, ())]
+        while stack:
+            at, key = stack.pop()
+            _, edges, costs, _ = steps[at]
+            if costs is None:
+                yield key, values[tops[at]]
+                stack.extend((child, key + (i,)) for i, (_, _, child) in enumerate(edges))
+                continue
+            for top in range(tops[at], tops[at] - len(costs), -1):
+                yield key, values[top]
+                key += (0,)
+            stack.append((at - 1, key))
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        return (key for key, _ in self._walk())
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def items(self) -> ItemsView:
+        return _WalkedItems(self)
+
+    def values(self) -> ValuesView:
+        return _WalkedValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _WalkedItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._walk()
+
+
+class _WalkedValues(ValuesView):
+    def __iter__(self):
+        return (value for _, value in self._mapping._walk())
+
+
 @dataclass(frozen=True)
 class IrmResult:
     root_value: float
-    node_values: Dict[Tuple[int, ...], float]
+    node_values: Mapping[Tuple[int, ...], float]
 
 
 def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
     """Backward recursion over the tree's plan: the value of every node,
     by plan position.  Leaves are worth zero; an internal node at period
     n applies the period-n functional to the mixture over its edges of
-    cost + lam * (child value).  A node with one scalar-cost edge takes
-    the constant cost + lam * (child value) straight, since every
-    functional maps a constant to itself; it is checked for finiteness as
-    `PointMass` would.  Any other node moves each entry of its compiled
-    law by lam * (child value) and hands it to its stage's kernel, which
-    is picked once per distinct functional: a law of atoms through
+    cost + lam * (child value).  A run of nodes with one scalar-cost edge
+    each is walked as plain arithmetic, cost + lam * (value below), since
+    every functional maps a constant to itself; its top value is checked
+    for finiteness as `PointMass` would check each, which is exact, as a
+    value that is not finite stays so up the run.  Any other node moves
+    each entry of its compiled law by lam * (child value) and hands it to
+    its stage's kernel, as the spec picked it: a law of atoms through
     `_on_atoms`, any other after `check_moved` has checked it.
     """
     lam = _check_discount(lam)
     _check_spec(spec, tree.horizon)
-    stages = spec.stages
-    picked: Dict[int, Any] = {}  # each functional's kernel, on first use
+    kernels = spec._kernels
     values: List[float] = []
-    for stage, edges, constant, law in tree._plan.steps:
-        if constant:
-            _, cost, child = edges[0]
-            value = cost + lam * values[child]
+    append = values.append
+    for stage, edges, costs, law in tree._plan.steps:
+        if costs is not None:
+            value = values[-1]
+            for cost in costs:
+                value = cost + lam * value
+                append(value)
             if not math.isfinite(value):
                 raise ValidationError("PointMass value must be finite")
-            values.append(value)
             continue
         if law is None:
-            values.append(0.0)
+            append(0.0)
             continue
         weights, lows, highs, children = law
-        rf = stages[stage]
-        kernel = picked.get(id(rf)) or picked.setdefault(id(rf), _kernel(rf))
         moves = [lam * values[child] for child in children]
         moved_lows = [lo + move for lo, move in zip(lows, moves)]
         if highs is lows:
-            values.append(_on_atoms(kernel, weights, moved_lows))
+            append(_on_atoms(kernels[stage], weights, moved_lows))
         else:
             moved_highs = [hi + move for hi, move in zip(highs, moves)]
             check_moved(lows, highs, moved_lows, moved_highs)
-            values.append(kernel((weights, moved_lows, moved_highs)))
+            append(kernels[stage]((weights, moved_lows, moved_highs)))
     return values
 
 
@@ -441,17 +566,11 @@ def irm_evaluate(tree: ScenarioTree, spec: IrmSpec, lam: float) -> IrmResult:
     """Stagewise recursion, recording every node value.
 
     Node keys are child-index paths from the root, the root being the
-    empty tuple.
+    empty tuple; the table is a `_NodeTable`, which makes them only when
+    they are read.
     """
     values = _node_values(tree, spec, lam)
-    steps = tree._plan.steps
-    table: Dict[Tuple[int, ...], float] = {}
-    stack: List[Tuple[int, Tuple[int, ...]]] = [(len(steps) - 1, ())]
-    while stack:
-        at, key = stack.pop()
-        table[key] = values[at]
-        stack.extend((child, key + (i,)) for i, (_, _, child) in enumerate(steps[at][1]))
-    return IrmResult(root_value=table[()], node_values=table)
+    return IrmResult(root_value=values[-1], node_values=_NodeTable(tree._plan, values))
 
 
 def irm_root_value(tree: ScenarioTree, spec: IrmSpec, lam: float) -> float:
@@ -506,7 +625,13 @@ def _total_columns(tree: ScenarioTree, lam: float, path_limit: int) -> Columns:
     stack: List[Tuple[int, float, float, Any]] = [(len(steps) - 1, 1.0, 0.0, None)]
     while stack:
         at, prob, shift, seg = stack.pop()
-        stage, edges, _, _ = steps[at]
+        stage, edges, costs, _ = steps[at]
+        if costs is not None:  # a run, from its top down
+            for q, cost in zip(reversed(edges), reversed(costs)):
+                prob, shift = prob * q, shift + lam**stage * cost
+                stage += 1
+            stack.append((at - 1, prob, shift, seg))
+            continue
         if not edges:
             if seg is None:
                 if not math.isfinite(shift):

@@ -2,7 +2,9 @@
 policy enumeration, tail problems, and serialization."""
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections.abc import Mapping
 import math
 import random
 from pathlib import Path
@@ -32,6 +34,8 @@ from riskdp import (
     tail_mdp,
     unroll,
 )
+
+from riskdp.mdp import _with_discount
 
 from .conftest import assert_close, random_mdp
 
@@ -780,6 +784,77 @@ def test_the_json_reader_and_the_constructor_build_the_same_models():
             (pv, pp), (bv, bp) = solve_dp(parsed, spec), solve_dp(built, spec)
             assert [(k, v.hex()) for k, v in pv.items()] == [(k, v.hex()) for k, v in bv.items()]
             assert list(pp.items()) == list(bp.items())
+
+
+def single_changes(data: dict):
+    """Copies of an MDP's JSON form that each differ from it in one
+    outcome: its cost, its probability (by less than the sum tolerance)
+    or its target (to a state of the next stage the entry does not list)."""
+    for k, entry in enumerate(data["transitions"]):
+        outs = entry["to"]
+        j = k % len(outs)
+        free = [t for t in data["states"][entry["n"] + 1] if t not in {o["s'"] for o in outs}]
+        changes = [("r", outs[j]["r"] + 1.0), ("p", outs[j]["p"] + 2.0**-44)]
+        changes += [("s'", free[0])] if free else []
+        for field, value in changes:
+            changed = json.loads(json.dumps(data))
+            changed["transitions"][k]["to"][j][field] = value
+            yield f"entry {k} outcome {j} {field}", changed
+
+
+def test_transition_tables_compare_their_columns_as_their_transitions():
+    """On the pinned models, pairwise, and on copies that differ in one
+    outcome, comparing two tables' kept columns gives the answer that
+    comparing their `Transition`s gives."""
+    fixture = json.loads((DATA / "solver_bits.json").read_text())
+    models = [mdp_from_json_dict(case["mdp"]) for case in fixture["cases"]]
+    assert len(models) == 12
+    again = [mdp_of_transitions(case["mdp"]) for case in fixture["cases"]]
+    for a in models:
+        for b in models + again:
+            want = Mapping.__eq__(a.transitions, b.transitions)
+            assert (a.transitions == b.transitions) is want
+            assert (b.transitions == a.transitions) is want
+            assert (a == b) is (want and (a.states, a.actions, a.discount) == (b.states, b.actions, b.discount))
+    changed = 0
+    for case, mdp in zip(fixture["cases"], models):
+        for name, data in single_changes(case["mdp"]):
+            other = mdp_from_json_dict(data)
+            assert Mapping.__eq__(mdp.transitions, other.transitions) is False, name
+            assert (mdp.transitions == other.transitions, other.transitions == mdp.transitions) == (False, False)
+            assert mdp != other and other != mdp, name
+            changed += 1
+    assert changed > 100
+    # a table still equals a dict of the same Transitions, both ways
+    table = transitions_of(fixture["cases"][0]["mdp"])
+    assert models[0].transitions == table and table == models[0].transitions
+
+
+def test_a_discount_only_copy_is_the_rebuilt_model():
+    """`solve --lambda` swaps the discount without rebuilding the model:
+    the copy equals the model the constructor rebuilds, solves to the
+    same bits, and rejects a bad discount with the constructor's error."""
+    fixture = json.loads((DATA / "solver_bits.json").read_text())
+    functionals = [rf_from_json_dict(f) for f in fixture["functionals"].values()]
+    for case in fixture["cases"]:
+        mdp = mdp_from_json_dict(case["mdp"])
+        for lam in (0.5, 1.0, 1, mdp.discount, 2.0**-1074):
+            copy, rebuilt = _with_discount(mdp, lam), dataclasses.replace(mdp, discount=lam)
+            assert copy == rebuilt and rebuilt == copy
+            assert repr(copy) == repr(rebuilt)
+            assert type(copy.discount) is float and copy.discount.hex() == rebuilt.discount.hex()
+            assert copy._plan == rebuilt._plan
+            for rf in functionals:
+                spec = IrmSpec.repeat(rf, mdp.horizon)
+                (cv, cp), (rv, rp) = solve_dp(copy, spec), solve_dp(rebuilt, spec)
+                assert [(k, v.hex()) for k, v in cv.items()] == [(k, v.hex()) for k, v in rv.items()]
+                assert list(cp.items()) == list(rp.items())
+        for bad in (0.0, -0.5, 1.5, float("nan"), float("inf"), True, "0.5", None):
+            with pytest.raises(ValidationError) as want:
+                dataclasses.replace(mdp, discount=bad)
+            with pytest.raises(ValidationError) as got:
+                _with_discount(mdp, bad)
+            assert str(got.value) == str(want.value)
 
 
 def test_mdp_json_rejects_duplicates_and_bad_shapes():

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -54,9 +55,6 @@ DATA = Path(__file__).parent / "data"
 
 # far past the default recursion limit of 1000 frames
 DEEP_STAGES = 10**4
-# the irm_evaluate key table holds one child-index path per node, so on a
-# chain it grows with the square of the depth (about 36 MB here)
-DEEP_TABLE_STAGES = 3000
 
 
 def two_outcome_tree(p: float, high: float, low: float = 0.0) -> ScenarioTree:
@@ -328,6 +326,74 @@ def test_non_finite_node_values_are_rejected(case):
         with pytest.raises(kind) as info:
             run(tree, spec, 1.0)
         assert (type(info.value), str(info.value)) == (kind, message)
+
+
+RUN_STAGES = 12
+FLOAT_MAX = 1.7976931348623157e308
+
+
+def run_overflow_cases() -> dict:
+    """Trees with a run of single-scalar-edge nodes whose value leaves the
+    finite floats, each as (tree, discount, the error the recursion
+    raises).  Under the mean, a node whose one edge carries a segment at
+    the float limit is worth inf, and a run at discount 0 above it meets
+    0 * inf = nan.  In the fork, the first child's subtree would collapse
+    a segment, but the last child's subtree comes first in the plan."""
+    seg = MixedDistribution.uniform(0.0, 1.0)
+    # from the leaf up: five ones, two 1e308s, five ones; the sum passes
+    # the float limit halfway up and stays inf
+    halfway = [1.0] * 5 + [1e308] * 2 + [1.0] * 5
+
+    def chain(costs, bottom: TreeNode, stage: int) -> TreeNode:
+        node = bottom
+        for n, cost in reversed(list(enumerate(costs, stage))):
+            node = TreeNode(n, (Edge(1.0, cost, node),))
+        return node
+
+    limit_edge = (Edge(1.0, MixedDistribution.uniform(1.7e308, FLOAT_MAX), TreeNode(RUN_STAGES, ())),)
+    infinite = chain([2.0] * (RUN_STAGES - 1), TreeNode(RUN_STAGES - 1, limit_edge), 0)
+    collapse = TreeNode(1, (Edge(1.0, seg, chain([1e17] * (RUN_STAGES - 2), TreeNode(RUN_STAGES, ()), 2)),))
+    overflowing = chain(halfway[1:], TreeNode(RUN_STAGES, ()), 1)
+    fork = TreeNode(0, (Edge(0.5, 0.0, collapse), Edge(0.5, 0.0, overflowing)))
+    return {
+        "a run overflows halfway at discount 1": (deterministic_tree(halfway), 1.0, OVERFLOW),
+        "a run at discount 0 over an infinite child": (ScenarioTree(RUN_STAGES, infinite), 0.0, OVERFLOW),
+        "a run at discount 1 over an infinite child": (ScenarioTree(RUN_STAGES, infinite), 1.0, OVERFLOW),
+        "a run overflows before a later collapsed segment": (ScenarioTree(RUN_STAGES, fork), 1.0, OVERFLOW),
+        "the collapsed segment alone": (
+            ScenarioTree(RUN_STAGES, TreeNode(0, (Edge(1.0, 0.0, collapse),))),
+            1.0,
+            (ValidationError, "UniformSegment requires lo < hi; use PointMass for a single value"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(run_overflow_cases()))
+def test_runs_of_scalar_edges_that_overflow_keep_their_error(case):
+    tree, lam, (kind, message) = run_overflow_cases()[case]
+    spec = IrmSpec.repeat(Expectation(), RUN_STAGES)
+    for run in (irm_root_value, irm_evaluate):
+        with pytest.raises(kind) as info:
+            run(tree, spec, lam)
+        assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_preference_region_reproduces_the_pinned_bits():
+    """The 100 x 100 payment-plan region of `riskdp fig1`: its cells, the
+    upfront tree's value at every discount under every tail level, and
+    the installment tree's value at every grid point, by float.hex, as
+    recorded in data/sweep_bits.json (see data/make_sweep_bits.py)."""
+    fixture = json.loads((DATA / "sweep_bits.json").read_text())
+    steps = fixture["steps"]
+    grid = casebook.preference_region(steps, steps)
+    assert ["".join("01"[c] for c in row) for row in grid.cells] == fixture["cells"]
+    upfront, installment = casebook.upfront_tree(), casebook.installment_tree()
+    assert len(fixture["installment"]) == len(grid.alpha_axis) == steps
+    for alpha, want in zip(grid.alpha_axis, fixture["installment"]):
+        spec = IrmSpec.repeat(Cte(alpha), casebook.PAYMENT_DAYS)
+        got_upfront = [irm_root_value(upfront, spec, lam).hex() for lam in grid.lambda_axis]
+        assert got_upfront == fixture["upfront"], alpha
+        assert [irm_root_value(installment, spec, lam).hex() for lam in grid.lambda_axis] == want, alpha
 
 
 def test_a_negative_zero_component_moves_to_positive_zero():
@@ -746,10 +812,112 @@ def test_nodes_differ_on_stage_or_edge_count_and_defer_to_other_types():
 
 
 def test_deep_chain_records_every_node_value():
-    costs, tree = deep_chain(DEEP_TABLE_STAGES)
-    spec = IrmSpec.repeat(Cte(0.5), DEEP_TABLE_STAGES)
+    costs, tree = deep_chain(DEEP_STAGES)
+    spec = IrmSpec.repeat(Cte(0.5), DEEP_STAGES)
     result = irm_evaluate(tree, spec, 0.9999)
-    assert len(result.node_values) == DEEP_TABLE_STAGES + 1
+    assert len(result.node_values) == DEEP_STAGES + 1
     assert result.root_value == irm_root_value(tree, spec, 0.9999)
-    assert result.node_values[(0,) * DEEP_TABLE_STAGES] == 0.0
-    assert result.node_values[(0,) * (DEEP_TABLE_STAGES - 1)] == cte(0.5, costs[-1])
+    assert result.node_values[(0,) * DEEP_STAGES] == 0.0
+    assert result.node_values[(0,) * (DEEP_STAGES - 1)] == cte(0.5, costs[-1])
+    assert (0,) * (DEEP_STAGES + 1) not in result.node_values
+
+
+def test_the_node_table_needs_no_more_memory_than_the_root_value():
+    """The node values of a deep chain are kept as the recursion leaves
+    them, one float per node, and keyed only when read: irm_evaluate
+    peaks within twice what irm_root_value does."""
+    _, tree = deep_chain(DEEP_STAGES)
+    spec = IrmSpec.repeat(Cte(0.5), DEEP_STAGES)
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run(tree, spec, 0.9999)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    root, table = peak(irm_root_value), peak(irm_evaluate)
+    assert table <= 2 * root, (table, root)
+
+
+def restaged(node: TreeNode, shift: int) -> TreeNode:
+    edges = tuple(Edge(e.probability, e.cost, restaged(e.child, shift)) for e in node.edges)
+    return TreeNode(node.stage - shift, edges)
+
+
+def table_the_old_way(tree: ScenarioTree, spec: IrmSpec, lam: float) -> dict:
+    """The node values as irm_evaluate once built them, a dict of every
+    child-index path, root first, then each node's subtrees last child
+    first; here each value is the root value of the node's subtree."""
+    table, stack = {}, [(tree.root, ())]
+    while stack:
+        node, key = stack.pop()
+        if node.edges:
+            sub = ScenarioTree(tree.horizon - node.stage, restaged(node, node.stage))
+            table[key] = irm_root_value(sub, IrmSpec(spec.stages[node.stage:]), lam)
+        else:
+            table[key] = 0.0
+        stack.extend((e.child, key + (i,)) for i, e in enumerate(node.edges))
+    return table
+
+
+def test_the_node_table_reads_as_the_dict_it_replaces():
+    rng = random.Random(407)
+    trees = [
+        random_tree(rng, max_horizon=6, max_children=2, segment_stage=rng.randrange(6)) for _ in range(40)
+    ]
+    trees += [deep_chain(50)[1], casebook.installment_tree(), casebook.highway_tree()]
+    runs = 0
+    for tree in trees:
+        spec = IrmSpec.repeat(Composite(((0.5, Expectation()), (0.5, Cte(0.6)))), tree.horizon)
+        got = irm_evaluate(tree, spec, 0.9).node_values
+        want = table_the_old_way(tree, spec, 0.9)
+        assert list(got) == list(want)
+        assert got == want and want == got
+        assert not (got != want or want != got)
+        assert list(got.items()) == list(want.items())
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        assert len(got) == len(want) == tree.node_count()
+        assert repr(got) == repr(want)
+        for key, value in want.items():
+            assert key in got and got[key] == value and got.get(key) == value
+        missing = []
+        for key in want:  # past a leaf, past each node's last edge, and below zero
+            missing += [key + (len(tree_node(tree, key).edges),), key + (-1,)]
+        missing += [(0.5,), "0", 0, None, (0,) * (tree.horizon + 1)]
+        for key in missing:
+            assert key not in got and got.get(key) is None, key
+            with pytest.raises(KeyError):
+                got[key]
+        with pytest.raises(TypeError):
+            got[[0]]
+        with pytest.raises(TypeError):
+            got[()] = 1.0
+        changed = {**want, (): want[()] + 1.0}
+        assert got != changed and changed != got
+        runs += sum(1 for step in tree._plan.steps if step[2] is not None)
+    assert runs > 40
+
+
+def tree_node(tree: ScenarioTree, key: tuple) -> TreeNode:
+    node = tree.root
+    for i in key:
+        node = node.edges[i].child
+    return node
+
+
+def test_runs_keep_their_edge_probabilities():
+    """A run of single scalar edges is one plan step; its probabilities,
+    which need only lie within 1e-12 of one, reach the JSON form and the
+    flat law as they would node by node."""
+    near = 1.0 - 2.0**-45
+    leaf = TreeNode(3, ())
+    chain = TreeNode(1, (Edge(near, 2.0, TreeNode(2, (Edge(1.0, 3.0, leaf),))),))
+    tree = ScenarioTree(3, TreeNode(0, (Edge(near, 1.0, chain),)))
+    assert [len(step[2]) for step in tree._plan.steps if step[2] is not None] == [3]
+    again = tree_from_json_dict(json.loads(json.dumps(tree_to_json_dict(tree))))
+    assert again == tree
+    assert tree_node(again, (0,)).edges[0].probability == near
+    law = discounted_total_distribution(tree, 0.5)
+    assert law.components == ((near * near, PointMass(1.0 + 0.5 * 2.0 + 0.25 * 3.0)),)
