@@ -5,6 +5,15 @@ bounded uniform segments.  The class is closed under the operations the
 evaluators need (affine maps, mixing, tail statistics), and every risk
 measure downstream has an exact closed form on it, so nothing is ever
 sampled or approximated.
+
+A law is its columns: parallel lists of weights, lows and highs, an atom
+having low == high.  That is the one form a `MixedDistribution` stores,
+and every statistic is implemented once, on columns.  The components,
+(weight, `PointMass` or `UniformSegment`) pairs, are a view built when
+read, so a law made from columns (`affine_transform`, `merge_atoms`, the
+flat law of a tree) builds no object per component.  The constructor,
+the JSON reader and the column builders share one set of checks
+(`check_atom`, `check_segment`, `check_weights`).
 """
 from __future__ import annotations
 
@@ -29,14 +38,18 @@ def json_number(value, field: str) -> float:
 
 
 def checked_fsum(terms: Iterable[float], what: str, *args: Any) -> float:
-    """math.fsum of finite terms whose exact sum may leave the floating
-    range, which raises `EvaluationOverflowError` naming the sum as
-    what.format(*args).  Taking the terms must raise nothing.
+    """math.fsum of terms, each finite unless its exact value left the
+    floating range.  A sum that is not finite, exactly or as a term says,
+    raises `EvaluationOverflowError` naming it as what.format(*args).
+    Taking the terms must raise nothing.
     """
     try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise EvaluationOverflowError(f"{what.format(*args)} overflowed the floating range") from None
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # ValueError: terms of inf and -inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise EvaluationOverflowError(f"{what.format(*args)} overflowed the floating range")
+    return total
 
 
 def check_sums_to_one(values: Iterable[float], what: str, *args: Any) -> None:
@@ -61,8 +74,7 @@ class PointMass:
         if type(value) is not float:
             value = json_number(value, "PointMass value")
             object.__setattr__(self, "value", value)
-        if not math.isfinite(value):
-            raise ValidationError("PointMass value must be finite")
+        check_atom(value)
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,7 @@ class UniformSegment:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return midpoint(self.lo, self.hi)
 
 
 Outcome = Union[PointMass, UniformSegment]
@@ -97,43 +109,43 @@ Component = Tuple[float, Outcome]
 Columns = Tuple[Sequence[float], Sequence[float], Sequence[float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class MixedDistribution:
     """Finite mixture of PointMass and UniformSegment components.
 
     Weights are nonnegative and sum to one within 1e-12.  Components keep
     their construction order; nothing is implicitly merged or sorted.
+
+    The law is stored as its columns only, the lists `columns` returns;
+    `components` builds the (weight, outcome) pairs from them each time
+    it is read.  `==`, `hash` and `repr` read as those of a frozen
+    dataclass with the one field `components`.
     """
 
-    components: Tuple[Component, ...]
+    _cols: Columns
 
-    def __post_init__(self) -> None:
-        comps = tuple(
-            (w if type(w) is float else json_number(w, "component weight"), o)
-            for w, o in self.components
-        )
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: Iterable[Component]) -> None:
+        comps = [(w if type(w) is float else json_number(w, "component weight"), o) for w, o in components]
         if not comps:
             raise ValidationError("distribution needs at least one component")
         for w, outcome in comps:
-            if not math.isfinite(w) or w < 0.0:
-                raise ValidationError(f"component weight {w!r} must be finite and >= 0")
+            check_weight(w)
             if not isinstance(outcome, (PointMass, UniformSegment)):
                 raise ValidationError(f"unsupported outcome {outcome!r}")
-        check_sums_to_one((w for w, _ in comps), "component weights")
+        weights = [w for w, _ in comps]
+        check_sums_to_one(weights, "component weights")
+        lows = [o.value if isinstance(o, PointMass) else o.lo for _, o in comps]
+        highs = [o.value if isinstance(o, PointMass) else o.hi for _, o in comps]
+        object.__setattr__(self, "_cols", (weights, lows, highs))
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def _from_columns(cls, cols: Columns) -> "MixedDistribution":
-        # The law of valid columns, which it keeps as its columns(); the
-        # weights are not scanned again.
+        """The law of valid columns, three lists that it keeps as its
+        `columns()`; nothing is scanned again."""
         dist = object.__new__(cls)
-        components = tuple(
-            (w, PointMass(lo) if lo == hi else UniformSegment(lo, hi)) for w, lo, hi in zip(*cols)
-        )
-        object.__setattr__(dist, "components", components)
-        object.__setattr__(dist, "_columns", cols)
+        object.__setattr__(dist, "_cols", cols)
         return dist
 
     @classmethod
@@ -154,81 +166,92 @@ class MixedDistribution:
         cls, parts: Iterable[Tuple[float, "MixedDistribution"]]
     ) -> "MixedDistribution":
         """Mixture of distributions with the given nonnegative weights."""
-        comps: List[Component] = []
+        weights, lows, highs = [], [], []
         for p, dist in parts:
             if not math.isfinite(p) or p < 0.0:
                 raise ValidationError(f"mixture weight {p!r} must be finite and >= 0")
             if p == 0.0:
                 continue
-            comps.extend((p * w, o) for w, o in dist.components)
-        return cls(tuple(comps))
+            part_weights, part_lows, part_highs = dist.columns()
+            weights += [p * w for w in part_weights]
+            lows += part_lows
+            highs += part_highs
+        check_weights(weights)
+        return cls._from_columns((weights, lows, highs))
 
-    # -- pointwise statistics ------------------------------------------
+    # -- the stored form -------------------------------------------------
 
     def columns(self) -> Columns:
         """The components as parallel (weights, lows, highs) lists, in
         component order; an atom has low == high, a segment low < high.
-        Made on the first call and kept, so a caller that asks one law
-        for many statistics converts it once; the lists are shared, so
+        They are the law's one stored form, the same object on every
+        call, and may be shared with the law they were made from, so
         callers only read them.
         """
-        cols = self.__dict__.get("_columns")
-        if cols is None:
-            weights, lows, highs = [], [], []
-            for w, o in self.components:
-                weights.append(w)
-                if isinstance(o, PointMass):
-                    v = o.value
-                    lows.append(v)
-                    highs.append(v)
-                else:
-                    lows.append(o.lo)
-                    highs.append(o.hi)
-            cols = (weights, lows, highs)
-            object.__setattr__(self, "_columns", cols)
-        return cols
+        return self._cols
+
+    @property
+    def components(self) -> Tuple[Component, ...]:
+        """The (weight, PointMass or UniformSegment) pairs, in order,
+        built from the columns on each read."""
+        return tuple(
+            (w, PointMass(lo) if lo == hi else UniformSegment(lo, hi)) for w, lo, hi in zip(*self._cols)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal columns are equal components: an atom is low == high
+        return self._cols == other._cols
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(components={self.components!r})"
+
+    # -- pointwise statistics ------------------------------------------
 
     def cdf(self, y: float) -> float:
         """Pr(Y <= y)."""
-        return column_cdf(self.columns(), y)
+        return column_cdf(self._cols, y)
 
     def atom_mass_at(self, y: float) -> float:
         """Probability carried by atoms exactly at y."""
-        return column_atom_mass_at(self.columns(), y)
+        return column_atom_mass_at(self._cols, y)
 
     def tail_mass(self, v: float) -> float:
         """Pr(Y > v)."""
-        return column_tail_mass(self.columns(), v)
+        return column_tail_mass(self._cols, v)
 
     def tail_sum(self, v: float) -> float:
         """E[Y * 1{Y > v}]."""
-        return column_tail_sum(self.columns(), v)
+        return column_tail_sum(self._cols, v)
 
     # -- serialization --------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        comps = []
-        for w, o in self.components:
-            if isinstance(o, PointMass):
-                comps.append({"w": w, "point": o.value})
-            else:
-                comps.append({"w": w, "uniform": [o.lo, o.hi]})
+        comps = [{"w": w, "point": lo} if lo == hi else {"w": w, "uniform": [lo, hi]} for w, lo, hi in zip(*self._cols)]
         return {"components": comps}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MixedDistribution":
+        """The law of a {'components': [...]} object.  Each entry is
+        checked in order, as `PointMass` or `UniformSegment` would check
+        its outcome, and then the weights as the constructor checks them.
+        """
         if not isinstance(data, dict) or "components" not in data:
             raise ValidationError("distribution JSON must be {'components': [...]}")
         raw = data["components"]
         if not isinstance(raw, list):
             raise ValidationError("'components' must be a list")
-        comps: List[Component] = []
+        weights, lows, highs = [], [], []
         for i, entry in enumerate(raw):
             if not isinstance(entry, dict) or "w" not in entry:
                 raise ValidationError(f"component {i} must be an object with a 'w' key")
-            w = json_number(entry["w"], f"component {i}: 'w'")
+            weights.append(json_number(entry["w"], f"component {i}: 'w'"))
             if "point" in entry:
-                comps.append((w, PointMass(json_number(entry["point"], f"component {i}: 'point'"))))
+                lo = hi = check_atom(json_number(entry["point"], f"component {i}: 'point'"))
             elif "uniform" in entry:
                 bounds = entry["uniform"]
                 if not (isinstance(bounds, list) and len(bounds) == 2):
@@ -236,12 +259,15 @@ class MixedDistribution:
                         f"component {i}: 'uniform' must be a [lo, hi] pair"
                     )
                 lo, hi = (json_number(b, f"component {i}: 'uniform'") for b in bounds)
-                comps.append((w, UniformSegment(lo, hi)))
+                check_segment(lo, hi)
             else:
                 raise ValidationError(
                     f"component {i} needs either a 'point' or a 'uniform' key"
                 )
-        return cls(tuple(comps))
+            lows.append(lo)
+            highs.append(hi)
+        check_weights(weights)
+        return cls._from_columns((weights, lows, highs))
 
 
 def essential_sup(dist: MixedDistribution) -> float:
@@ -264,6 +290,21 @@ def essential_inf(dist: MixedDistribution) -> float:
 # values list as both lows and highs.  Sums run in component order.
 
 
+def midpoint(lo: float, hi: float) -> float:
+    """0.5 * (lo + hi); where the sum overflows, 0.5 * lo + 0.5 * hi, so
+    the midpoint of finite ends is finite."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
+
+
+def segment_width(lo: float, hi: float) -> float:
+    """hi - lo for a segment; one wider than the floating range has no
+    density to take, and raises `EvaluationOverflowError` naming it."""
+    if hi - lo < math.inf:
+        return hi - lo
+    raise EvaluationOverflowError(f"segment {UniformSegment(lo, hi)!r} is wider than the floating range")
+
+
 def column_cdf(cols: Columns, y: float) -> float:
     """Pr(Y <= y)."""
     total = 0.0
@@ -271,7 +312,7 @@ def column_cdf(cols: Columns, y: float) -> float:
         if y >= hi:
             total += w
         elif y > lo:
-            total += w * (y - lo) / (hi - lo)
+            total += w * (y - lo) / segment_width(lo, hi)
     return total
 
 
@@ -290,7 +331,7 @@ def column_tail_mass(cols: Columns, v: float) -> float:
         elif v <= lo:
             total += w
         elif v < hi:
-            total += w * (hi - v) / (hi - lo)
+            total += w * (hi - v) / segment_width(lo, hi)
     return total
 
 
@@ -302,11 +343,11 @@ def column_tail_sum(cols: Columns, v: float) -> float:
             if lo > v:
                 parts.append(w * lo)
         elif v <= lo:
-            parts.append(w * (0.5 * (lo + hi)))
+            parts.append(w * midpoint(lo, hi))
         elif v < hi:
             # mass above v times the conditional mean of the clipped piece
-            parts.append(w * (hi - v) / (hi - lo) * 0.5 * (v + hi))
-    return math.fsum(parts)
+            parts.append(w * (hi - v) / segment_width(lo, hi) * midpoint(v, hi))
+    return checked_fsum(parts, "tail expectation")
 
 
 def column_sup(cols: Columns) -> float:
@@ -335,6 +376,13 @@ def affine_transform(dist: MixedDistribution, a: float, b: float) -> MixedDistri
     return MixedDistribution._from_columns((weights, moved_lows, moved_highs))
 
 
+def check_atom(value: float) -> float:
+    """value, unless it is not finite, which `PointMass` rejects."""
+    if not math.isfinite(value):
+        raise ValidationError("PointMass value must be finite")
+    return value
+
+
 def check_segment(lo: float, hi: float) -> None:
     """Raise what `UniformSegment` raises unless lo < hi, both finite."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -343,6 +391,22 @@ def check_segment(lo: float, hi: float) -> None:
         raise ValidationError(
             "UniformSegment requires lo < hi; use PointMass for a single value"
         )
+
+
+def check_weight(w: float) -> None:
+    """Raise unless a component weight is finite and >= 0."""
+    if not math.isfinite(w) or w < 0.0:
+        raise ValidationError(f"component weight {w!r} must be finite and >= 0")
+
+
+def check_weights(weights: List[float]) -> None:
+    """Raise what `MixedDistribution` raises on these weights: none at
+    all, then the first that `check_weight` rejects, then a sum off one."""
+    if not weights:
+        raise ValidationError("distribution needs at least one component")
+    for w in weights:
+        check_weight(w)
+    check_sums_to_one(weights, "component weights")
 
 
 def check_moved(
@@ -356,8 +420,8 @@ def check_moved(
     for lo, hi, moved_lo, moved_hi in zip(lows, highs, moved_lows, moved_highs):
         if lo != hi:
             check_segment(moved_lo, moved_hi)
-        elif not math.isfinite(moved_lo):
-            raise ValidationError("PointMass value must be finite")
+        else:
+            check_atom(moved_lo)
 
 
 def merge_atoms(dist: MixedDistribution) -> MixedDistribution:
@@ -411,10 +475,8 @@ def merge_columns(
             weight = math.fsum([w for _, w in group])
             total = checked_fsum([v * w for v, w in group], "merged atom at {!r}", first)
             value = total / weight if weight > 0.0 else first
-        if not math.isfinite(value):
-            raise ValidationError("PointMass value must be finite")
         weights.append(weight)
-        lows.append(value)
+        lows.append(check_atom(value))
     highs = lows[:]
     segments.sort()
     for lo, hi, w in segments:
@@ -429,8 +491,5 @@ def merge_columns(
             weights.append(w)
             lows.append(lo)
             highs.append(hi)
-    for w in weights:
-        if not math.isfinite(w) or w < 0.0:
-            raise ValidationError(f"component weight {w!r} must be finite and >= 0")
-    check_sums_to_one(weights, "component weights")
+    check_weights(weights)
     return weights, lows, highs

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .distributions import check_sums_to_one, json_number
+from .distributions import check_atom, check_sums_to_one, json_number
 from .errors import EnumerationLimitError, ValidationError
 from .measures import _check_discount, _check_horizon, _is_int, _on_atoms
 from .tree import IrmSpec, ScenarioTree, _check_spec, _tree_from_preorder, irm_root_value
@@ -384,8 +384,7 @@ def _raise_first_bad_successor(
             raise ValidationError(
                 f"policy covers stage {n}, state {s!r} but not its successor {t!r}"
             )
-        if not math.isfinite(c + mdp.discount * later[j]):
-            raise ValidationError("PointMass value must be finite")
+        check_atom(c + mdp.discount * later[j])
 
 
 def solve_dp(mdp: FiniteHorizonMdp, spec: IrmSpec) -> SolveResult:

@@ -12,18 +12,26 @@ that labels, the JSON form and the CLI flags all read.  Each measure is
 implemented once, as a kernel on the columns of a law (weights, lows,
 highs; see :data:`distributions.Columns`).  One dispatcher, ``_kernel``,
 maps a checked functional to its kernel, a composite to its leaves'
-kernels picked once: :func:`evaluate` feeds the kernel a
-`MixedDistribution`'s columns, and :func:`evaluate_atoms` the atoms of a
-one-step law that is never built.  The MDP solver and the tree
-recursion pick a kernel once per stage functional and hand each cell or
-node law to it, a law of atoms through ``_on_atoms``, which keeps the
-finiteness check and the one-atom shortcut of :func:`evaluate_atoms`.
-A value whose exact sum or whose disutility leaves the floating range
-raises `EvaluationOverflowError`.
+kernels picked once.  :func:`evaluate` returns a law of one atom as the
+constant it is, read off the law's columns, and hands any other law's
+stored columns to the kernel; the flat route of a tree (`tree.rmd`) is
+:func:`evaluate` on the law of its discounted total.
+:func:`evaluate_atoms` feeds the kernel the atoms of a one-step law that
+is never built.  The MDP solver and the tree recursion pick a kernel
+once per stage functional and hand each cell or node law to it, a law of
+atoms through ``_on_atoms``, which keeps the finiteness check and the
+one-atom shortcut of :func:`evaluate_atoms`.
+
+The kernels stay in the floating range where the true value does: a
+midpoint whose sum overflows is taken as half of each end.  A value
+whose exact sum or whose disutility leaves the range raises
+`EvaluationOverflowError`, and so does a statistic that needs the
+density of a segment wider than the range.
 """
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -33,7 +41,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .distributions import (
     Columns,
     MixedDistribution,
-    PointMass,
     UniformSegment,
     check_sums_to_one,
     checked_fsum,
@@ -44,6 +51,8 @@ from .distributions import (
     column_tail_mass,
     column_tail_sum,
     json_number,
+    midpoint,
+    segment_width,
 )
 from .errors import EvaluationOverflowError, ValidationError
 
@@ -263,21 +272,21 @@ def _mean(cols: Columns) -> float:
     weights, lows, highs = cols
     if lows is highs:  # only atoms: the same products, taken faster
         return checked_fsum(map(mul, weights, lows), "mean")
-    return checked_fsum((w * (lo if lo == hi else 0.5 * (lo + hi)) for w, lo, hi in zip(*cols)), "mean")
+    return checked_fsum((w * (lo if lo == hi else midpoint(lo, hi)) for w, lo, hi in zip(*cols)), "mean")
 
 
 def _log_mgf(lo: float, hi: float, gamma: float) -> float:
     """ln E[exp(gamma Y)] for a single mixture component."""
     if lo == hi:
         return gamma * lo
-    z = gamma * (hi - lo)
+    z = gamma * segment_width(lo, hi)
     # keep everything in the log domain so wide segments cannot overflow
     if z > 700.0:
         return gamma * hi + math.log1p(-math.exp(-z)) - math.log(z)
     if z < -700.0:
         return gamma * lo + math.log1p(-math.exp(z)) - math.log(-z)
     if abs(z) < 1e-12:
-        return gamma * (0.5 * (lo + hi))
+        return gamma * midpoint(lo, hi)
     return gamma * lo + math.log(math.expm1(z) / z)
 
 
@@ -345,7 +354,7 @@ def _value_at_risk(alpha: float, cols: Columns) -> float:
         if lo == hi:
             events.append((lo, w, 0.0))
         else:
-            rate = w / (hi - lo)
+            rate = w / segment_width(lo, hi)
             events.append((lo, 0.0, rate))
             events.append((hi, 0.0, -rate))
     events.sort()
@@ -391,7 +400,11 @@ def _value_at_risk(alpha: float, cols: Columns) -> float:
     if cdf_left >= alpha:
         # the CDF is linear on (prev, y); invert it there
         slope = (cdf_left - cdf_prev) / (y - prev)
-        return prev + (alpha - cdf_prev) / slope
+        if slope >= sys.float_info.min:
+            return prev + (alpha - cdf_prev) / slope
+        # a subnormal or zero slope: move by the share of the rise, on
+        # halves, so a gap past the floating range stays finite
+        return 2.0 * (0.5 * prev + (alpha - cdf_prev) / (cdf_left - cdf_prev) * (0.5 * y - 0.5 * prev))
     return y
 
 
@@ -418,11 +431,11 @@ def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
     """Dispatch a risk functional onto a distribution."""
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
-    comps = dist.components
-    if len(comps) == 1 and isinstance(comps[0][1], PointMass):
+    _, lows, highs = cols = dist.columns()
+    if len(lows) == 1 and lows[0] == highs[0]:
         # every functional here maps a constant to itself
-        return comps[0][1].value
-    return _evaluate_columns(rf, dist.columns())
+        return lows[0]
+    return _kernel(rf)(cols)
 
 
 def evaluate_atoms(rf: RiskFunctional, weights: Sequence[float], values: Sequence[float]) -> float:
@@ -456,11 +469,6 @@ def _on_atoms(kernel: Kernel, weights: Sequence[float], values: Sequence[float])
     """``evaluate_atoms`` with the functional's kernel picked."""
     _check_atoms(values)
     return values[0] if len(values) == 1 else kernel((weights, values, values))
-
-
-def _evaluate_columns(rf: RiskFunctional, cols: Columns) -> float:
-    """A checked functional on the columns of a law, composites included."""
-    return _kernel(rf)(cols)
 
 
 def _kernel(rf: RiskFunctional) -> Kernel:
@@ -631,7 +639,7 @@ def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> flo
     closed form; a value that leaves the floating range raises
     `EvaluationOverflowError`."""
     if isinstance(u, Linear):
-        return 0.5 * (lo + hi)
+        return midpoint(lo, hi)
     if isinstance(u, Power) and lo < 0.0:
         raise ValidationError("Power disutility is defined on costs >= 0")
     try:
@@ -653,7 +661,7 @@ def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> flo
             value = math.fsum(
                 0.5 * (x1 - x0) * (u0 + u1)
                 for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
-            ) / (hi - lo)
+            ) / segment_width(lo, hi)
     except (OverflowError, ValueError):
         # fsum raises ValueError on infinite terms of both signs
         value = math.inf

@@ -81,13 +81,9 @@ def _random_atoms(rng: random.Random) -> Tuple[Tuple[float, ...], Tuple[float, .
 
 def _random_mixed(rng: random.Random) -> MixedDistribution:
     probs, values = _random_atoms(rng)
-    comps = []
-    for p, v in zip(probs, values):
-        if rng.random() < 0.4:
-            comps.append((p, UniformSegment(v, v + rng.uniform(0.1, 5.0))))
-        else:
-            comps.append((p, PointMass(v)))
-    return MixedDistribution(tuple(comps))
+    # per value, the segment draw and then its width
+    outcomes = [UniformSegment(v, v + rng.uniform(0.1, 5.0)) if rng.random() < 0.4 else PointMass(v) for v in values]
+    return MixedDistribution(tuple(zip(probs, outcomes)))
 
 
 def _run_trials(

@@ -5,7 +5,9 @@ scoring it live here: the stagewise recursion that applies a risk
 functional at every node (folding discounted continuation values into
 the current period's cost), and the flat route that builds the single
 distribution of the discounted total cost and applies one measure or
-disutility to it.
+disutility to it: `rmd` and `eud` are `measures.evaluate` and
+`measures.pushforward_mean` on `discounted_total_distribution`, which
+builds the law as its columns, with no object per component.
 
 Trees are immutable all the way down, so each `ScenarioTree` checks its
 nodes and compiles them into a plan in one walk, at construction: the
@@ -32,8 +34,8 @@ from operator import index
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .distributions import (
-    Columns,
     MixedDistribution,
+    check_atom,
     check_moved,
     check_segment,
     check_sums_to_one,
@@ -46,13 +48,12 @@ from .measures import (
     RF_CLASSES,
     RiskFunctional,
     _check_discount,
-    _check_disutility,
     _check_horizon,
-    _evaluate_columns,
     _is_int,
     _kernel,
     _on_atoms,
-    _pushforward_mean,
+    evaluate,
+    pushforward_mean,
 )
 
 DEFAULT_PATH_LIMIT = 10**7
@@ -596,18 +597,12 @@ def discounted_total_distribution(
     edge laws; across paths the laws mix with the path probabilities.  At
     most one edge per path may carry a segment-valued cost, because the
     convolution of two segments leaves the closed mixture family.  Atoms
-    are merged as `merge_atoms` merges them, and the law keeps its columns.
-    """
-    return MixedDistribution._from_columns(_total_columns(tree, lam, path_limit))
+    are merged as `merge_atoms` merges them.
 
-
-def _total_columns(tree: ScenarioTree, lam: float, path_limit: int) -> Columns:
-    """The columns of `discounted_total_distribution`, built without a
-    component object.
-
-    One walk over the plan, pre-order with the first child first, expands
-    all of a node's edges before it visits a child, and checks each leaf
-    as `PointMass` or `UniformSegment` would when it reaches it, so errors
+    The law is built as its columns, with no object per component: one
+    walk over the plan, pre-order with the first child first, expands all
+    of a node's edges before it visits a child, and checks each leaf as
+    `PointMass` or `UniformSegment` would when it reaches it, so errors
     come in the same order as they would with the law built object by
     object.  Leaves are collected as (value, weight) atoms and (lo, hi,
     weight) segments for `merge_columns`.
@@ -634,9 +629,7 @@ def _total_columns(tree: ScenarioTree, lam: float, path_limit: int) -> Columns:
             continue
         if not edges:
             if seg is None:
-                if not math.isfinite(shift):
-                    raise ValidationError("PointMass value must be finite")
-                atoms.append((shift, prob))
+                atoms.append((check_atom(shift), prob))
                 continue
             lo, hi = seg[0] + shift, seg[1] + shift
             check_segment(lo, hi)
@@ -662,26 +655,20 @@ def _total_columns(tree: ScenarioTree, lam: float, path_limit: int) -> Columns:
                         "their sum leaves the mixed point/uniform family"
                     )
         stack.extend(reversed(branches))
-    return merge_columns(atoms, segments)
+    return MixedDistribution._from_columns(merge_columns(atoms, segments))
 
 
 def rmd(tree: ScenarioTree, rf: RiskFunctional, lam: float) -> float:
-    """One risk functional applied to the discounted total cost; as
-    `evaluate` on `discounted_total_distribution`, without building it."""
+    """One risk functional applied to the discounted total cost:
+    `evaluate` on `discounted_total_distribution`, the functional checked
+    first."""
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
-    cols = _total_columns(tree, lam, DEFAULT_PATH_LIMIT)
-    _, lows, highs = cols
-    if len(lows) == 1 and lows[0] == highs[0]:
-        # every functional here maps a constant to itself, as in `evaluate`
-        return lows[0]
-    return _evaluate_columns(rf, cols)
+    return evaluate(rf, discounted_total_distribution(tree, lam))
 
 
 def eud(tree: ScenarioTree, u: DisutilityFunction, lam: float) -> float:
-    """Expected disutility of the discounted total cost; as
-    `pushforward_mean` on `discounted_total_distribution`, without
-    building it."""
-    cols = _total_columns(tree, lam, DEFAULT_PATH_LIMIT)
-    _check_disutility(u)
-    return _pushforward_mean(u, cols)
+    """Expected disutility of the discounted total cost:
+    `pushforward_mean` on `discounted_total_distribution`, the disutility
+    checked after the law."""
+    return pushforward_mean(u, discounted_total_distribution(tree, lam))

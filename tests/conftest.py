@@ -212,25 +212,6 @@ def mixture(parts: Sequence[Tuple[float, object]]) -> MixedDistribution:
     return MixedDistribution(tuple(comps))
 
 
-def random_mixed(
-    rng: random.Random,
-    max_components: int = 5,
-    segment_chance: float = 0.4,
-    value_span: Tuple[float, float] = (-10.0, 10.0),
-) -> MixedDistribution:
-    n = rng.randint(1, max_components)
-    raw = [rng.random() + 1e-3 for _ in range(n)]
-    total = math.fsum(raw)
-    parts = []
-    for r in raw:
-        v = rng.uniform(*value_span)
-        if rng.random() < segment_chance:
-            parts.append((r / total, (v, v + rng.uniform(0.1, 5.0))))
-        else:
-            parts.append((r / total, v))
-    return mixture(parts)
-
-
 def random_tied_law(rng: random.Random, dyadic: bool) -> MixedDistribution:
     """Random law built to tie: integer atoms and segment ends drawn from a
     small pool, so atoms share values and segments start and end on atoms,

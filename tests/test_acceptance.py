@@ -39,6 +39,7 @@ from riskdp import (
     solve_dp,
     tail_mdp,
 )
+from riskdp.properties import _random_mixed
 
 from .conftest import (
     assert_close,
@@ -46,7 +47,6 @@ from .conftest import (
     one_step_values,
     random_increasing_disutility,
     random_mdp,
-    random_mixed,
     random_tree,
     variance,
 )
@@ -227,7 +227,7 @@ def test_criterion_8_tail_expectation_vs_discretization():
     rng = random.Random(8)
     alphas = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
     for i in range(1000):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         alpha = alphas[i % len(alphas)]
         assert_close(cte(alpha, d), discretized_cte(alpha, d), rel=1e-7)
     print("criterion 8: PASS (1000 laws vs 10^5-atom discretization at 1e-7)")

@@ -141,6 +141,8 @@ MEAN_OVERFLOW_TEXT = json.dumps({
         {"s'": "u", "p": 0.5 + 4e-13, "r": 1.7976931348623157e308},
     ]}],
 })
+# a segment across the whole float range, wider than the range itself
+FULL_RANGE_TEXT = '{"components": [{"w": 1, "uniform": [-1.7976931348623157e308, 1.7976931348623157e308]}]}'
 # deeper than the json module's recursion allows
 DEEP_RF_JSON = '{"kind": "mean"}'
 for _ in range(1200):
@@ -164,6 +166,8 @@ for _ in range(1200):
         ("eval", "[" * 3000, ["--mean"]),
         ("solve", HORIZON_TRUE_TEXT, ["--mean"]),
         ("solve", MEAN_OVERFLOW_TEXT, ["--mean"]),
+        ("eval", FULL_RANGE_TEXT, ["--cte", "0.5"]),
+        ("eval", FULL_RANGE_TEXT, ["--var", "0.5"]),
     ],
     ids=[
         "point-not-a-number",
@@ -178,6 +182,8 @@ for _ in range(1200):
         "file-nested-too-deeply",
         "horizon-is-true",
         "mean-overflows",
+        "cte-of-a-segment-wider-than-the-float-range",
+        "var-of-a-segment-wider-than-the-float-range",
     ],
 )
 def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_text, flags):

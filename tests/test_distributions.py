@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from riskdp import (
     essential_sup,
     merge_atoms,
 )
+from riskdp.properties import _random_mixed
 
-from .conftest import assert_close, random_mixed
+from .conftest import assert_close
 
 
 def test_point_mass_rejects_non_finite():
@@ -114,6 +116,38 @@ def test_columns_follow_component_order_and_are_made_once():
     assert "_columns" not in repr(d)
 
 
+def test_a_law_made_from_columns_keeps_only_its_columns():
+    # the moved lows and highs, one float each per component; the weights
+    # are the source's
+    n = 10**4
+    source = MixedDistribution(
+        tuple((1.0 / n, PointMass(float(k)) if k % 2 else UniformSegment(float(k), k + 0.5)) for k in range(n))
+    )
+    source.columns()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        moved = affine_transform(source, 2.0, 1.0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert moved.columns()[0] is source.columns()[0]
+    assert kept <= 100 * n
+
+
+def test_a_law_is_frozen_and_keeps_the_dataclass_forms():
+    d = MixedDistribution(((0.75, PointMass(1.0)), (0.25, UniformSegment(0.0, 2.0))))
+    with pytest.raises(AttributeError):
+        d.components = ()
+    assert repr(d) == (
+        "MixedDistribution(components=((0.75, PointMass(value=1.0)), "
+        "(0.25, UniformSegment(lo=0.0, hi=2.0))))"
+    )
+    assert hash(d) == hash((d.components,))
+    assert d != MixedDistribution(((0.75, PointMass(1.0)), (0.25, UniformSegment(0.0, 3.0))))
+    assert d == MixedDistribution.from_json_dict(d.to_json_dict()) == affine_transform(d, 1.0, 0.0)
+
+
 def test_tail_mass_and_tail_sum_on_clipped_segment():
     d = MixedDistribution.uniform(0.0, 20.0)
     assert_close(d.tail_mass(15.0), 0.25)
@@ -190,7 +224,7 @@ def test_merge_atoms_groups_near_duplicates():
 def test_merge_atoms_preserves_mean():
     rng = random.Random(7)
     for _ in range(50):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         doubled = MixedDistribution.mix([(0.5, d), (0.5, d)])
         merged = merge_atoms(doubled)
         before = math.fsum(
@@ -232,7 +266,7 @@ def test_json_rejects_malformed(payload):
 @settings(max_examples=200, deadline=None)
 def test_cdf_is_monotone_and_bounded(seed):
     rng = random.Random(seed)
-    d = random_mixed(rng)
+    d = _random_mixed(rng)
     ys = sorted(rng.uniform(-20.0, 20.0) for _ in range(8))
     vals = [d.cdf(y) for y in ys]
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in vals)

@@ -22,6 +22,7 @@ from riskdp import (
     PiecewiseLinear,
     PointMass,
     Power,
+    UniformSegment,
     ValidationError,
     ValueAtRisk,
     affine_transform,
@@ -37,11 +38,13 @@ from riskdp import (
     mean,
     pushforward_mean,
     rf_from_json_dict,
+    rmd,
     rf_label,
     rf_to_json_dict,
     value_at_risk,
 )
 from riskdp.measures import evaluate_atoms
+from riskdp.properties import _random_mixed
 
 from .conftest import (
     assert_close,
@@ -49,7 +52,6 @@ from .conftest import (
     mixture,
     quadrature_erm,
     random_increasing_disutility,
-    random_mixed,
     random_tied_law,
     rockafellar_uryasev_cte,
 )
@@ -71,14 +73,14 @@ def test_mean_of_route_mixtures():
 def test_erm_zero_gamma_is_exactly_the_mean():
     rng = random.Random(11)
     for _ in range(20):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         assert erm(0.0, d) == mean(d)
 
 
 def test_erm_tiny_gamma_stays_near_the_mean():
     rng = random.Random(12)
     for _ in range(20):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         for g in (1e-9, -1e-9, 1e-8, -1e-8):
             assert_close(erm(g, d), mean(d), rel=1e-6)
 
@@ -86,7 +88,7 @@ def test_erm_tiny_gamma_stays_near_the_mean():
 def test_erm_matches_quadrature():
     rng = random.Random(13)
     for _ in range(60):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         for g in GAMMA_GRID:
             assert_close(erm(g, d), quadrature_erm(g, d), rel=1e-8)
 
@@ -95,7 +97,7 @@ def test_erm_nondecreasing_in_gamma():
     rng = random.Random(14)
     grid = [-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0]
     for _ in range(50):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         vals = [erm(g, d) for g in grid]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9
@@ -104,7 +106,7 @@ def test_erm_nondecreasing_in_gamma():
 def test_erm_between_mean_and_sup_for_averse_gamma():
     rng = random.Random(15)
     for _ in range(50):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         for g in (0.1, 1.0, 3.0):
             v = erm(g, d)
             assert mean(d) - 1e-9 <= v <= essential_sup(d) + 1e-9
@@ -149,7 +151,7 @@ def test_value_at_risk_interpolates_inside_segment():
 def test_value_at_risk_nondecreasing_in_alpha():
     rng = random.Random(16)
     for _ in range(50):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         vals = [value_at_risk(a, d) for a in ALPHA_GRID]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-12
@@ -182,14 +184,14 @@ def test_cte_inside_the_top_atom_is_the_supremum():
 def test_cte_at_zero_is_the_mean():
     rng = random.Random(17)
     for _ in range(50):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         assert_close(cte(0.0, d), mean(d))
 
 
 def test_cte_nondecreasing_and_bounded_by_sup():
     rng = random.Random(18)
     for _ in range(50):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         vals = [cte(a, d) for a in ALPHA_GRID]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9
@@ -200,7 +202,7 @@ def test_cte_matches_discretization_oracle():
     # a lighter version of the acceptance sweep, fast enough to run often
     rng = random.Random(19)
     for _ in range(60):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         for a in ALPHA_GRID:
             assert_close(cte(a, d), discretized_cte(a, d, atoms=20000), rel=1e-6)
 
@@ -331,7 +333,7 @@ def test_integer_parameters_become_floats_and_round_trip():
 def test_evaluate_dispatch_matches_direct_calls():
     rng = random.Random(20)
     for _ in range(20):
-        d = random_mixed(rng)
+        d = _random_mixed(rng)
         assert evaluate(Expectation(), d) == mean(d)
         assert evaluate(Erm(0.4), d) == erm(0.4, d)
         assert evaluate(ValueAtRisk(0.7), d) == value_at_risk(0.7, d)
@@ -433,7 +435,7 @@ def test_functional_json_rejects_malformed(payload):
 @settings(max_examples=200, deadline=None)
 def test_shift_moves_every_translation_invariant_functional(seed):
     rng = random.Random(seed)
-    d = random_mixed(rng)
+    d = _random_mixed(rng)
     b = rng.uniform(-10.0, 10.0)
     shifted = affine_transform(d, 1.0, b)
     for rf in (Expectation(), Erm(0.5), Erm(-0.5), Cte(0.7),
@@ -445,7 +447,7 @@ def test_shift_moves_every_translation_invariant_functional(seed):
 @settings(max_examples=200, deadline=None)
 def test_scale_factors_out_of_homogeneous_functionals(seed):
     rng = random.Random(seed)
-    d = random_mixed(rng)
+    d = _random_mixed(rng)
     for a in (0.5, 2.0, 10.0):
         scaled = affine_transform(d, a, 0.0)
         for rf in (Expectation(), ValueAtRisk(0.6), Cte(0.6),
@@ -608,6 +610,56 @@ def test_a_sum_past_the_float_range_is_reported(case):
     with pytest.raises(EvaluationOverflowError) as info:
         run()
     assert str(info.value) == message
+
+
+def test_a_segment_at_the_float_limit_keeps_a_finite_mean_and_tail():
+    # lo + hi overflows, so the midpoint is taken as 0.5 * lo + 0.5 * hi
+    law = MixedDistribution.uniform(1.7e308, LIMIT)
+    mid = 0.5 * 1.7e308 + 0.5 * LIMIT
+    assert mean(law) == evaluate(Expectation(), law) == pushforward_mean(Linear(), law) == mid
+    assert law.tail_sum(0.0) == mid
+    assert_close(value_at_risk(0.5, law), mid, rel=1e-15)
+    assert_close(cte(0.5, law), 0.25 * 1.7e308 + 0.75 * LIMIT, rel=1e-15)
+    assert_close(evaluate(Composite(((0.5, Expectation()), (0.5, Cte(0.5)))), law), 0.5 * mid + 0.5 * cte(0.5, law))
+
+
+# a segment across the float range: its width, and so its density, is not
+# a float
+FULL_RANGE = MixedDistribution.uniform(-LIMIT, LIMIT)
+TOO_WIDE = f"segment {FULL_RANGE.components[0][1]!r} is wider than the floating range"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: value_at_risk(0.5, FULL_RANGE),
+        lambda: cte(0.5, FULL_RANGE),
+        lambda: evaluate(ValueAtRisk(0.5), FULL_RANGE),
+        lambda: erm(1.0, FULL_RANGE),
+        lambda: FULL_RANGE.cdf(0.0),
+        lambda: rmd(deterministic_tree([FULL_RANGE]), Cte(0.5), 1.0),
+    ],
+    ids=["var", "cte", "evaluate", "erm", "cdf", "rmd"],
+)
+def test_a_segment_wider_than_the_float_range_is_reported(run):
+    with pytest.raises(EvaluationOverflowError) as info:
+        run()
+    assert str(info.value) == TOO_WIDE
+
+
+def test_a_segment_wider_than_the_float_range_keeps_what_needs_no_density():
+    assert mean(FULL_RANGE) == 0.0
+    assert FULL_RANGE.cdf(LIMIT) == 1.0 and FULL_RANGE.tail_mass(-LIMIT) == 1.0
+    assert value_at_risk(0.0, FULL_RANGE) == -LIMIT
+
+
+def test_a_quantile_under_a_vanishing_slope_is_interpolated():
+    # a subnormal weight over a width of 2 gives a subnormal or zero slope
+    def law(w):
+        return MixedDistribution(((w, UniformSegment(1.0, 3.0)), (1.0, PointMass(5.0))))
+
+    assert value_at_risk(5e-324, law(5e-324)) == 3.0
+    assert value_at_risk(5e-324, law(1e-323)) == 2.0
 
 
 def test_exponential_segment_mean_takes_its_limit_when_the_exponent_underflows():

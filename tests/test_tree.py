@@ -335,10 +335,12 @@ FLOAT_MAX = 1.7976931348623157e308
 def run_overflow_cases() -> dict:
     """Trees with a run of single-scalar-edge nodes whose value leaves the
     finite floats, each as (tree, discount, the error the recursion
-    raises).  Under the mean, a node whose one edge carries a segment at
-    the float limit is worth inf, and a run at discount 0 above it meets
-    0 * inf = nan.  In the fork, the first child's subtree would collapse
-    a segment, but the last child's subtree comes first in the plan."""
+    raises), and two whose value stays finite, each with the value it
+    returns.  Under the mean, a node whose one edge carries a segment at
+    the float limit is worth that segment's finite midpoint, so the runs
+    above it at discount 0 and 1 stay finite.  In the fork, the first
+    child's subtree would collapse a segment, but the last child's
+    subtree comes first in the plan."""
     seg = MixedDistribution.uniform(0.0, 1.0)
     # from the leaf up: five ones, two 1e308s, five ones; the sum passes
     # the float limit halfway up and stays inf
@@ -351,14 +353,17 @@ def run_overflow_cases() -> dict:
         return node
 
     limit_edge = (Edge(1.0, MixedDistribution.uniform(1.7e308, FLOAT_MAX), TreeNode(RUN_STAGES, ())),)
-    infinite = chain([2.0] * (RUN_STAGES - 1), TreeNode(RUN_STAGES - 1, limit_edge), 0)
+    near_limit = chain([2.0] * (RUN_STAGES - 1), TreeNode(RUN_STAGES - 1, limit_edge), 0)
     collapse = TreeNode(1, (Edge(1.0, seg, chain([1e17] * (RUN_STAGES - 2), TreeNode(RUN_STAGES, ()), 2)),))
     overflowing = chain(halfway[1:], TreeNode(RUN_STAGES, ()), 1)
     fork = TreeNode(0, (Edge(0.5, 0.0, collapse), Edge(0.5, 0.0, overflowing)))
     return {
         "a run overflows halfway at discount 1": (deterministic_tree(halfway), 1.0, OVERFLOW),
-        "a run at discount 0 over an infinite child": (ScenarioTree(RUN_STAGES, infinite), 0.0, OVERFLOW),
-        "a run at discount 1 over an infinite child": (ScenarioTree(RUN_STAGES, infinite), 1.0, OVERFLOW),
+        "a run at discount 0 over a child near the float limit": (ScenarioTree(RUN_STAGES, near_limit), 0.0, 2.0),
+        # 0.5 * 1.7e308 + 0.5 * FLOAT_MAX, which absorbs each cost of 2
+        "a run at discount 1 over a child near the float limit": (
+            ScenarioTree(RUN_STAGES, near_limit), 1.0, 1.7488465674311577e308,
+        ),
         "a run overflows before a later collapsed segment": (ScenarioTree(RUN_STAGES, fork), 1.0, OVERFLOW),
         "the collapsed segment alone": (
             ScenarioTree(RUN_STAGES, TreeNode(0, (Edge(1.0, 0.0, collapse),))),
@@ -370,8 +375,12 @@ def run_overflow_cases() -> dict:
 
 @pytest.mark.parametrize("case", list(run_overflow_cases()))
 def test_runs_of_scalar_edges_that_overflow_keep_their_error(case):
-    tree, lam, (kind, message) = run_overflow_cases()[case]
+    tree, lam, outcome = run_overflow_cases()[case]
     spec = IrmSpec.repeat(Expectation(), RUN_STAGES)
+    if isinstance(outcome, float):
+        assert irm_root_value(tree, spec, lam) == irm_evaluate(tree, spec, lam).root_value == outcome
+        return
+    kind, message = outcome
     for run in (irm_root_value, irm_evaluate):
         with pytest.raises(kind) as info:
             run(tree, spec, lam)
