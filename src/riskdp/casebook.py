@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .distributions import MixedDistribution, affine_transform
 from .errors import ValidationError
 from .measures import Cte, _check_alpha, _check_discount, erm
-from .mdp import FiniteHorizonMdp, Transition
 from .tree import Edge, IrmSpec, ScenarioTree, TreeNode, deterministic_tree, irm_root_value
+
+if TYPE_CHECKING:
+    # imported where an MDP is built, so the other models load no solver
+    from .mdp import FiniteHorizonMdp
 
 PAYMENT_DAYS = 20
 PAYMENT_AMOUNT = 1000.0
@@ -120,6 +123,8 @@ def payments_mdp(lam: float) -> FiniteHorizonMdp:
     """Day-0 choice between paying upfront and entering the installment
     plan; afterwards the day-by-day dynamics are forced.
     """
+    from .mdp import FiniteHorizonMdp, Transition
+
     states: List[Tuple[str, ...]] = [("start",)]
     states += [("settled", "owing")] * PAYMENT_DAYS
     actions = ("upfront", "installments")
@@ -186,6 +191,8 @@ def two_year_tree() -> ScenarioTree:
 
 def deferred_choice_mdp(lam: float) -> FiniteHorizonMdp:
     """Choose at time 0 which deferred bill to face; the rest is forced."""
+    from .mdp import FiniteHorizonMdp, Transition
+
     states = (
         ("start",),
         ("wait_one", "wait_two"),

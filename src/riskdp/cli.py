@@ -5,6 +5,11 @@ randomness is involved) and returns one output record; the command
 boundary (`_Command`) renders it as JSON (the default) or CSV, writes
 it to stdout or --out, and owns the exit codes: 0 on success, 1 when a
 checked property or assertion fails, 2 on bad input.
+
+Only what the option decorators and the shared boundary need is imported
+here; each command imports the layers it calls (`casebook`, `tree`,
+`mdp`, `properties`) in its own body, so a process loads only what its
+command runs.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import click
 
-from . import casebook
 from .distributions import MixedDistribution
 from .errors import RiskModelError
 from .measures import (
@@ -34,20 +38,6 @@ from .measures import (
     rf_from_json_dict,
     rf_label,
 )
-from .mdp import (
-    _with_discount,
-    mdp_from_json_dict,
-    solution_to_json_dict,
-    solve_dp,
-)
-from .properties import (
-    check_composite_monotonic,
-    check_monotonic,
-    check_positive_homogeneity,
-    check_translation_invariance,
-    preference_over_time,
-)
-from .tree import IrmSpec, irm_root_value
 
 DEU_GAMMAS = (0.0001, 0.001, 0.01)
 DEFAULT_PATH_ALPHAS = (0.5, 0.8)
@@ -182,7 +172,10 @@ class _Command(click.Command):
         else:
             text = _csv_text(result.header, result.rows)
         if out:
-            Path(out).write_text(text, encoding="utf-8")
+            try:
+                Path(out).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise click.UsageError(f"cannot write {out}: {exc}", ctx) from exc
         else:
             click.echo(text, nl=False)
         if result.failure:
@@ -213,6 +206,9 @@ def payments(lam: float, alpha: float) -> _Output:
     per-period expected-disutility values that always favor the
     installment plan regardless of risk.
     """
+    from . import casebook
+    from .tree import IrmSpec, irm_root_value
+
     spec = IrmSpec.repeat(Cte(alpha), casebook.PAYMENT_DAYS)
     a_val = irm_root_value(casebook.upfront_tree(), spec, lam)
     b_val = irm_root_value(casebook.installment_tree(), spec, lam)
@@ -274,6 +270,8 @@ def fig1(lambda_steps: int, alpha_steps: int) -> _Output:
     column and the sweep fails if any column's flip strays more than one
     cell from it.
     """
+    from . import casebook
+
     grid = casebook.preference_region(lambda_steps, alpha_steps)
     worst = grid.boundary_discrepancy_cells()
     data = {
@@ -307,6 +305,9 @@ def xy(gamma: float, lam: float) -> _Output:
     years w.p. 0.1) with the entropic measure and with the expectation,
     at evaluation times 0 and 1, and flags any preference flip.
     """
+    from . import casebook
+    from .properties import preference_over_time
+
     options = [
         (casebook.one_year_payment(), 1),
         (casebook.two_year_payment(), 2),
@@ -358,6 +359,9 @@ def paths(alphas: Tuple[float, ...], gammas: Tuple[float, ...], lam: float) -> _
     over the risk-parameter grid and verifies the highway curve stays
     above the local-roads curve.
     """
+    from . import casebook
+    from .tree import IrmSpec, irm_root_value
+
     alphas = alphas or DEFAULT_PATH_ALPHAS
     gammas = gammas or DEFAULT_PATH_GAMMAS
     hw, lr = casebook.highway_time(), casebook.local_roads_time()
@@ -416,6 +420,8 @@ def lemma1(
     shifted, and the entropic values are compared at every risk
     parameter; the upper member must never score below the lower one.
     """
+    from . import casebook
+
     xs = xs or casebook.DEFAULT_X_GRID
     scales = scales or casebook.DEFAULT_SCALE_GRID
     shifts = shifts or casebook.DEFAULT_SHIFT_GRID
@@ -452,6 +458,9 @@ def solve(mdp_file: str, lam: Optional[float], **rf_flags) -> _Output:
     or, with --rf-json and a list, one per stage.  Output carries the
     value table, the policy, and a most-likely trajectory.
     """
+    from .mdp import _with_discount, mdp_from_json_dict, solution_to_json_dict, solve_dp
+    from .tree import IrmSpec
+
     raw = _load_json_file(mdp_file)
     parsed = _parse_rf(**rf_flags)
     mdp = mdp_from_json_dict(raw)
@@ -498,16 +507,17 @@ def eval_cmd(dist_file: str, **rf_flags) -> _Output:
 # ---------------------------------------------------------------------------
 
 
+# (checker in riskdp.properties, functional)
 STANDARD_CHECKS = (
-    (check_monotonic, Expectation()),
-    (check_monotonic, Erm(1.0)),
-    (check_monotonic, Cte(0.5)),
-    (check_translation_invariance, Expectation()),
-    (check_translation_invariance, Erm(1.0)),
-    (check_translation_invariance, Cte(0.5)),
-    (check_positive_homogeneity, Expectation()),
-    (check_positive_homogeneity, ValueAtRisk(0.5)),
-    (check_positive_homogeneity, Cte(0.5)),
+    ("check_monotonic", Expectation()),
+    ("check_monotonic", Erm(1.0)),
+    ("check_monotonic", Cte(0.5)),
+    ("check_translation_invariance", Expectation()),
+    ("check_translation_invariance", Erm(1.0)),
+    ("check_translation_invariance", Cte(0.5)),
+    ("check_positive_homogeneity", Expectation()),
+    ("check_positive_homogeneity", ValueAtRisk(0.5)),
+    ("check_positive_homogeneity", Cte(0.5)),
 )
 
 
@@ -524,22 +534,24 @@ def check(trials: int, seed: int, **rf_flags) -> _Output:
     pass.  With an objective flag, runs all three properties on that
     functional and reports what holds.
     """
+    from . import properties
+
     reports = []
     if _rf_flags_given(rf_flags):
         rf = _parse_rf(**rf_flags)
         if isinstance(rf, list):
             raise click.UsageError("check takes a single risk functional")
         for checker in (
-            check_monotonic,
-            check_translation_invariance,
-            check_positive_homogeneity,
+            properties.check_monotonic,
+            properties.check_translation_invariance,
+            properties.check_positive_homogeneity,
         ):
             reports.append(checker(rf, trials=trials, seed=seed))
     else:
-        for checker, rf in STANDARD_CHECKS:
-            reports.append(checker(rf, trials=trials, seed=seed))
+        for name, rf in STANDARD_CHECKS:
+            reports.append(getattr(properties, name)(rf, trials=trials, seed=seed))
         reports.append(
-            check_composite_monotonic(
+            properties.check_composite_monotonic(
                 [Expectation(), Cte(0.5)], [0.5, 0.5], trials=trials, seed=seed
             )
         )

@@ -475,8 +475,13 @@ def merge_columns(
             weight = math.fsum([w for _, w in group])
             total = checked_fsum([v * w for v, w in group], "merged atom at {!r}", first)
             value = total / weight if weight > 0.0 else first
+        if not math.isfinite(value):
+            # a lone atom's first * w overflows at the float limit under a
+            # weight a little above one, as the weight check allows; the
+            # atom is its own mean
+            value = check_atom(first if len(group) == 1 else value)
         weights.append(weight)
-        lows.append(check_atom(value))
+        lows.append(value)
     highs = lows[:]
     segments.sort()
     for lo, hi, w in segments:

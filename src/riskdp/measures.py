@@ -314,11 +314,43 @@ def _erm(gamma: float, cols: Columns) -> float:
         weights.append(w)
     shift = max(terms)
     if not math.isfinite(shift):
-        raise EvaluationOverflowError(
-            f"entropic evaluation overflowed at gamma={gamma!r}"
-        )
+        return _erm_from_end(gamma, cols)
     total = math.fsum(w * math.exp(t - shift) for w, t in zip(weights, terms))
     value = (shift + math.log(total)) / gamma
+    if not math.isfinite(value):
+        return _erm_from_end(gamma, cols)
+    return value
+
+
+def _erm_from_end(gamma: float, cols: Columns) -> float:
+    """`_erm` where gamma times a value leaves the floating range.
+
+    The entropic value lies between the mean and the end e of the law
+    that gamma weighs most (its sup for gamma > 0, its inf for
+    gamma < 0), so it is taken as e + ln E[exp(gamma (Y - e))] / gamma,
+    in which no exponent is positive: a term that leaves the range
+    contributes exactly 0.  A segment's term is gamma (near end - e)
+    + ln(1 - exp(-z)) - ln z with z = |gamma| (hi - lo), and ln z is
+    summed from logs so that it stays finite where z does not.  Only a
+    value that is itself outside the floating range raises.
+    """
+    end = column_sup(cols) if gamma > 0.0 else column_inf(cols)
+    log_gamma = math.log(abs(gamma))
+    terms = []
+    weights = []
+    for w, lo, hi in zip(*cols):
+        if w <= 0.0:
+            continue
+        t = gamma * ((hi if gamma > 0.0 else lo) - end)
+        z = abs(gamma) * (hi - lo)  # the width is finite: _erm took it
+        if z > 0.0:
+            t += math.log(-math.expm1(-z)) - log_gamma - math.log(hi - lo)
+        terms.append(t)
+        weights.append(w)
+    # the term at the end is finite
+    shift = max(terms)
+    total = math.fsum(w * math.exp(t - shift) for w, t in zip(weights, terms))
+    value = end + (shift + math.log(total)) / gamma
     if not math.isfinite(value):
         raise EvaluationOverflowError(
             f"entropic evaluation overflowed at gamma={gamma!r}"

@@ -195,6 +195,15 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_tex
     assert "Error:" in result.stderr
 
 
+def test_out_into_a_missing_directory_exits_2_without_a_traceback(tmp_path):
+    out = tmp_path / "no" / "such" / "x.json"
+    result = run(["paths", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    assert f"Error: cannot write {out}" in result.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -527,14 +536,94 @@ def test_check_csv_rows_carry_pass_flags():
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def test_importing_the_cli_loads_no_scipy():
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this riskdp."""
     src = str(Path(riskdp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    result = _python(
         "import riskdp.cli, sys; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
     assert result.stdout.strip() == "[]"
+
+
+# runs the command in argv, then writes its exit code and the riskdp
+# submodules loaded as the last line of stderr
+RUN_COMMAND = """
+import json, sys
+from riskdp.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    loaded = sorted(m[len("riskdp."):] for m in sys.modules if m.startswith("riskdp."))
+    print(json.dumps([exc.code, loaded]), file=sys.stderr)
+"""
+EVAL_MODULES = ["cli", "distributions", "errors", "measures"]
+COMMAND_MODULES = {
+    "eval": EVAL_MODULES,
+    "check": EVAL_MODULES + ["properties"],
+    "solve": EVAL_MODULES + ["tree", "mdp"],
+    "paths": EVAL_MODULES + ["casebook", "tree"],
+    "payments": EVAL_MODULES + ["casebook", "tree"],
+    "fig1": EVAL_MODULES + ["casebook", "tree"],
+    "lemma1": EVAL_MODULES + ["casebook", "tree"],
+    "xy": EVAL_MODULES + ["casebook", "tree", "properties"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, highway_file, payments_file):
+    args = {
+        "eval": [highway_file, "--cte", "0.5"],
+        "check": ["--trials", "5"],
+        "solve": [payments_file, "--cte", "0.5"],
+        "fig1": ["--lambda-steps", "3", "--alpha-steps", "3"],
+    }.get(command, [])
+    result = _python(RUN_COMMAND, command, *args)
+    code, loaded = json.loads(result.stderr.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted(COMMAND_MODULES[command])
+
+
+def test_importing_the_package_loads_no_submodule():
+    result = _python(
+        "import riskdp, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('riskdp.'))); "
+        "print(riskdp.mdp.__name__, riskdp.tree.__name__, 'mdp' in dir(riskdp))"
+    )
+    assert result.stdout.splitlines() == ["[]", "riskdp.mdp riskdp.tree True"]
+
+
+PACKAGE_NAMES = [
+    "MixedDistribution", "PointMass", "UniformSegment", "affine_transform", "essential_inf",
+    "essential_sup", "merge_atoms",
+    "EnumerationLimitError", "EvaluationOverflowError", "RiskModelError", "ValidationError",
+    "Composite", "Cte", "DisutilityFunction", "Erm", "Expectation", "Exponential", "Linear",
+    "PiecewiseLinear", "Power", "RiskFunctional", "ValueAtRisk", "apply_disutility", "cte", "deu",
+    "erm", "evaluate", "mean", "pushforward_mean", "rf_from_json_dict", "rf_label",
+    "rf_to_json_dict", "value_at_risk",
+    "Edge", "IrmResult", "IrmSpec", "ScenarioTree", "TreeNode", "deterministic_tree",
+    "discounted_total_distribution", "eud", "irm_evaluate", "irm_root_value", "rmd",
+    "tree_from_json_dict", "tree_to_json_dict",
+    "CheckReport", "PreferencePoint", "check_composite_monotonic", "check_monotonic",
+    "check_positive_homogeneity", "check_translation_invariance", "preference_over_time",
+    "FiniteHorizonMdp", "Policy", "SolveResult", "Transition", "ValueTable", "brute_force_optimal",
+    "evaluate_policy", "mdp_from_json_dict", "mdp_to_json_dict", "solution_to_json_dict",
+    "solve_dp", "tail_mdp", "unroll",
+]
+
+
+def test_the_package_exports_its_names_on_demand():
+    assert riskdp.__all__ == PACKAGE_NAMES
+    namespace: dict = {}
+    exec("from riskdp import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PACKAGE_NAMES)
+    assert all(namespace[name] is getattr(riskdp, name) for name in PACKAGE_NAMES)
+    with pytest.raises(AttributeError, match="^module 'riskdp' has no attribute 'no_such_name'$"):
+        riskdp.no_such_name

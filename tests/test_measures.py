@@ -32,6 +32,7 @@ from riskdp import (
     deterministic_tree,
     deu,
     erm,
+    essential_inf,
     essential_sup,
     eud,
     evaluate,
@@ -610,6 +611,19 @@ def test_a_sum_past_the_float_range_is_reported(case):
     with pytest.raises(EvaluationOverflowError) as info:
         run()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("gamma", [1e10, -1e10], ids=["averse", "seeking"])
+@pytest.mark.parametrize(
+    "law", [MixedDistribution.point(1e300), MixedDistribution.uniform(0.0, 1e300)], ids=["atom", "segment"]
+)
+def test_the_entropic_value_stays_finite_where_gamma_times_a_value_overflows(gamma, law):
+    value = erm(gamma, law)
+    assert evaluate(Erm(gamma), law) == value
+    if gamma > 0.0:
+        assert mean(law) <= value <= essential_sup(law)
+    else:
+        assert essential_inf(law) <= value <= mean(law)
 
 
 def test_a_segment_at_the_float_limit_keeps_a_finite_mean_and_tail():

@@ -43,6 +43,7 @@ from riskdp import (
     irm_evaluate,
     irm_root_value,
     mean,
+    merge_atoms,
     rf_from_json_dict,
     rmd,
     tree_from_json_dict,
@@ -597,6 +598,18 @@ def test_flat_law_errors_keep_their_type_message_and_order(monkeypatch, case, ca
     with pytest.raises(kind) as info:
         run()
     assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_a_lone_atom_at_the_float_limit_keeps_its_value():
+    # its weight is a little above one, as the weight check allows, so
+    # value * weight leaves the floating range
+    limit, weight = 1.7976931348623157e308, 1.0 + 4e-13
+    law = merge_atoms(MixedDistribution(((weight, PointMass(limit)),)))
+    assert law.columns() == ([weight], [limit], [limit])
+    tree = ScenarioTree(1, TreeNode(0, (Edge(weight, limit, TreeNode(1, ())),)))
+    assert discounted_total_distribution(tree, 1.0).columns() == ([weight], [limit], [limit])
+    assert rmd(tree, Cte(0.5), 1.0) == irm_root_value(tree, IrmSpec.repeat(Cte(0.5), 1), 1.0) == limit
+    assert eud(tree, PiecewiseLinear(((0.0, 0.0), (limit, 1.0))), 1.0) == weight
 
 
 def test_flat_law_reproduces_the_pinned_bits():
