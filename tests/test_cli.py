@@ -308,6 +308,17 @@ def test_every_command_lists_format_and_out_last_in_its_help(command):
     assert options[-3:] == ["--format", "--out", "--help"]
 
 
+def test_every_command_prints_the_pinned_bytes(highway_file, payments_file):
+    """Exit code and stdout of each command line recorded in
+    data/cli_bits.json (see data/make_cli_bits.py), byte for byte."""
+    fixture = json.loads((Path(__file__).parent / "data" / "cli_bits.json").read_text())
+    files = {"PAYMENTS": payments_file, "HIGHWAY": highway_file}
+    assert {case["args"][0] for case in fixture["cases"]} == set(COMMAND_ARGS)
+    for case in fixture["cases"]:
+        result = run([files.get(a, a) for a in case["args"]])
+        assert (result.exit_code, result.stdout) == (case["exit_code"], case["stdout"]), case["args"]
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -157,6 +157,13 @@ def test_tail_mass_and_tail_sum_on_clipped_segment():
     assert d.tail_sum(-1.0) == pytest.approx(10.0)
 
 
+def test_mix_rejects_a_negative_weight():
+    parts = [(-0.5, MixedDistribution.point(0.0)), (1.5, MixedDistribution.point(1.0))]
+    with pytest.raises(ValidationError) as info:
+        MixedDistribution.mix(parts)
+    assert str(info.value) == "mixture weight -0.5 must be finite and >= 0"
+
+
 def test_essential_bounds_skip_zero_weight():
     d = MixedDistribution(
         ((0.0, PointMass(99.0)), (1.0, UniformSegment(1.0, 2.0)))

@@ -866,6 +866,12 @@ def test_mdp_json_rejects_duplicates_and_bad_shapes():
         mdp_from_json_dict({"horizon": 1})
 
 
+def test_mdp_json_must_be_an_object():
+    with pytest.raises(ValidationError) as info:
+        mdp_from_json_dict([])
+    assert str(info.value) == "MDP JSON must be an object"
+
+
 def test_solution_report_shape_and_trace():
     mdp = casebook.payments_mdp(0.95)
     spec = IrmSpec.repeat(Cte(0.9), casebook.PAYMENT_DAYS)

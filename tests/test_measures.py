@@ -420,6 +420,7 @@ def test_functional_json_roundtrip():
         {"kind": "cte", "alpha": 1.0},
         {"kind": "composite", "terms": []},
         {"kind": "composite", "terms": [{"w": 0.5, "rf": {"kind": "mean"}}]},
+        {"kind": "composite", "terms": [5]},
     ],
 )
 def test_functional_json_rejects_malformed(payload):
@@ -480,6 +481,25 @@ def test_disutility_validation():
     with pytest.raises(ValidationError):
         # curve through the knots misses (0, 0)
         PiecewiseLinear(((1.0, 5.0), (2.0, 6.0)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Composite(()), "Composite needs at least one term"),
+        (lambda: PiecewiseLinear(((0.0, 0.0), (0.0, 1.0))), "PiecewiseLinear knot costs must increase"),
+        (lambda: PiecewiseLinear(((0.0, 0.0), (math.inf, 1.0))), "PiecewiseLinear knots must be finite"),
+        (
+            lambda: pushforward_mean("linear", MixedDistribution.point(1.0)),
+            "unknown disutility 'linear'",
+        ),
+    ],
+    ids=["empty-composite", "knot-costs-not-increasing", "infinite-knot", "unknown-disutility"],
+)
+def test_malformed_functionals_and_curves_keep_their_message(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_disutility_pointwise_values():
@@ -758,3 +778,16 @@ def test_ordered_pair_rejects_bad_arguments():
         casebook.ordered_pair(0.0)
     with pytest.raises(ValidationError):
         casebook.ordered_pair_gaps([1.0], [0.0], [0.0], [0.5])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: casebook.preference_region(1, 5), "need at least 2 steps per axis"),
+    ],
+    ids=["region-one-discount-step"],
+)
+def test_casebook_arguments_keep_their_errors(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message

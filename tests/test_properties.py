@@ -225,3 +225,11 @@ def test_preference_scan_input_validation():
         preference_over_time(Erm(0.001), 0.9, [(d, True)])
     with pytest.raises(ValidationError):
         preference_over_time(Erm(0.001), 0.9, [(d, 1)], times=[True])
+
+
+def test_preference_scan_rejects_what_is_not_a_functional_or_a_law():
+    d = casebook.one_year_payment()
+    with pytest.raises(ValidationError, match="^unknown risk functional 'mean'$"):
+        preference_over_time("mean", 0.9, [(d, 1)])
+    with pytest.raises(ValidationError, match="^each option needs a MixedDistribution cost$"):
+        preference_over_time(Erm(0.001), 0.9, [(0.5, 1)])

@@ -116,8 +116,13 @@ def test_boolean_cost_is_rejected():
         (TreeNode(0, (Edge(1.0, 0.0, None),)), "edge child must be a TreeNode, got None"),
         (TreeNode(0, (Edge(True, 0.0, TreeNode(1, ())),)), "edge probability must be a number, got True"),
         (TreeNode(0, (Edge("1", 0.0, TreeNode(1, ())),)), "edge probability must be a number, got '1'"),
+        (TreeNode(1, ()), "root must sit at stage 0"),
+        (
+            TreeNode(0, (Edge(1.0, 0.0, TreeNode(1, (Edge(1.0, 0.0, TreeNode(2, ())),))),)),
+            "internal node at stage 1 exceeds horizon",
+        ),
     ],
-    ids=["root", "edge", "child", "bool-probability", "str-probability"],
+    ids=["root", "edge", "child", "bool-probability", "str-probability", "root-stage", "internal-past-horizon"],
 )
 def test_malformed_nodes_and_edges_are_rejected(root, match):
     with pytest.raises(ValidationError, match=match):
@@ -190,6 +195,20 @@ def test_spec_stages_are_stored_as_a_tuple():
 def test_a_single_functional_is_not_a_spec():
     with pytest.raises(ValidationError, match="sequence of risk functionals"):
         IrmSpec(Cte(0.5))
+
+
+@pytest.mark.parametrize(
+    "stages, message",
+    [
+        ((), "IrmSpec needs at least one stage"),
+        (("cte",), "IrmSpec stage 'cte' is not a risk functional"),
+    ],
+    ids=["empty", "not-a-functional"],
+)
+def test_malformed_specs_are_rejected(stages, message):
+    with pytest.raises(ValidationError) as info:
+        IrmSpec(stages)
+    assert str(info.value) == message
 
 
 def test_rmd_rejects_a_non_functional_before_building_the_law():
@@ -438,6 +457,16 @@ def test_installment_chain_tail_recursion_closed_form():
     # billed branch folds into amount * geometric sum, scaled by q/(1-alpha)
     want = (0.0475 / 0.5) * 1000.0 * (1.0 - 0.95**20) / 0.05
     assert_close(got, want, rel=1e-12)
+
+
+def test_installment_closed_form_in_the_upper_band():
+    """At tail levels from the no-bill mass up, the value is the whole
+    discounted total on the billed branch."""
+    for alpha in (1.0 - casebook.PAYMENT_PROBABILITY, 0.97, 0.999):
+        for lam in (0.5, 0.95, 1.0):
+            spec = IrmSpec.repeat(Cte(alpha), casebook.PAYMENT_DAYS)
+            got = irm_root_value(casebook.installment_tree(), spec, lam)
+            assert_close(got, casebook.installment_recursive_value(alpha, lam), rel=1e-12)
 
 
 def test_route_trees_under_stagewise_tail_expectation():
@@ -811,6 +840,14 @@ def test_repr_reads_as_the_generated_dataclass_repr():
     assert repr(chain.root) == f"TreeNode(stage=0, edges=({chain.root.edges[0]!r},))"
 
 
+def test_repr_of_a_node_with_a_list_of_edges_reads_as_the_generated_one():
+    node = TreeNode(0, [Edge(0.5, 1.0, TreeNode(1, ())), Edge(0.5, 2.0, TreeNode(1, ()))])
+    assert repr(node) == (
+        "TreeNode(stage=0, edges=[Edge(probability=0.5, cost=1.0, child=TreeNode(stage=1, edges=())), "
+        "Edge(probability=0.5, cost=2.0, child=TreeNode(stage=1, edges=()))])"
+    )
+
+
 def test_deep_chain_repr_needs_no_recursion():
     _, tree = deep_chain(DEEP_STAGES)
     text = repr(tree)
@@ -831,6 +868,19 @@ def test_nodes_differ_on_stage_or_edge_count_and_defer_to_other_types():
     assert TreeNode(stage=1, edges=()) != TreeNode(stage=2, edges=())
     assert leaf.__eq__("leaf") is NotImplemented
     assert leaf != "leaf"
+
+
+def test_trees_differ_on_the_class_of_a_nested_node():
+    class Marked(TreeNode):
+        pass
+
+    def tree(leaf_class):
+        return ScenarioTree(1, TreeNode(0, (Edge(1.0, 2.0, leaf_class(1, ())),)))
+
+    plain, marked = tree(TreeNode), tree(Marked)
+    assert plain != marked and marked != plain
+    assert plain.root != marked.root and marked.root != plain.root
+    assert tree(Marked) == marked and hash(tree(Marked)) == hash(marked)
 
 
 def test_deep_chain_records_every_node_value():
