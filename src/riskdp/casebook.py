@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from .distributions import MixedDistribution, affine_transform
 from .errors import ValidationError
 from .measures import Cte, _check_alpha, _check_discount, erm
-from .tree import Edge, IrmSpec, ScenarioTree, TreeNode, deterministic_tree, irm_root_value
+from .tree import IrmSpec, ScenarioTree, _tree_from_preorder, deterministic_tree, irm_root_value
 
 if TYPE_CHECKING:
     # imported where an MDP is built, so the other models load no solver
@@ -61,28 +61,17 @@ def installment_marginals() -> Tuple[MixedDistribution, ...]:
     return (day,) * PAYMENT_DAYS
 
 
-def _payment_chain(amount: float) -> TreeNode:
-    """Deterministic chain of daily payments for stages 1 .. PAYMENT_DAYS."""
-    node = TreeNode(stage=PAYMENT_DAYS, edges=())
-    for n in range(PAYMENT_DAYS - 1, 0, -1):
-        node = TreeNode(stage=n, edges=(Edge(1.0, amount, node),))
-    return node
-
-
 def upfront_tree() -> ScenarioTree:
     return deterministic_tree([PAYMENT_AMOUNT] + [0.0] * (PAYMENT_DAYS - 1))
 
 
 def installment_tree() -> ScenarioTree:
-    """Whether any payment is due resolves once, before the day-0 bill."""
-    root = TreeNode(
-        stage=0,
-        edges=(
-            Edge(PAYMENT_PROBABILITY, PAYMENT_AMOUNT, _payment_chain(PAYMENT_AMOUNT)),
-            Edge(1.0 - PAYMENT_PROBABILITY, 0.0, _payment_chain(0.0)),
-        ),
-    )
-    return ScenarioTree(horizon=PAYMENT_DAYS, root=root)
+    """Whether any payment is due resolves once, before the day-0 bill;
+    then each branch pays its amount daily for stages 1 .. PAYMENT_DAYS-1."""
+    nodes = [(0, [(PAYMENT_PROBABILITY, PAYMENT_AMOUNT), (1.0 - PAYMENT_PROBABILITY, 0.0)])]
+    for amount in (PAYMENT_AMOUNT, 0.0):
+        nodes += [(n, [(1.0, amount)]) for n in range(1, PAYMENT_DAYS)] + [(PAYMENT_DAYS, [])]
+    return ScenarioTree(horizon=PAYMENT_DAYS, root=_tree_from_preorder(nodes))
 
 
 def installment_recursive_value(alpha: float, lam: float) -> float:
@@ -166,27 +155,14 @@ def two_year_payment() -> MixedDistribution:
 
 def one_year_tree() -> ScenarioTree:
     """Nothing happens in year 0; the year-1 bill lands or not."""
-    leaf = TreeNode(stage=2, edges=())
-    branch = TreeNode(
-        stage=1,
-        edges=(Edge(0.3, 1000.0, leaf), Edge(0.7, 0.0, TreeNode(stage=2, edges=()))),
-    )
-    root = TreeNode(stage=0, edges=(Edge(1.0, 0.0, branch),))
-    return ScenarioTree(horizon=2, root=root)
+    nodes = [(0, [(1.0, 0.0)]), (1, [(0.3, 1000.0), (0.7, 0.0)]), (2, []), (2, [])]
+    return ScenarioTree(horizon=2, root=_tree_from_preorder(nodes))
 
 
 def two_year_tree() -> ScenarioTree:
     """Two quiet years, then the larger bill lands or not."""
-    branch = TreeNode(
-        stage=2,
-        edges=(
-            Edge(0.1, 2000.0, TreeNode(stage=3, edges=())),
-            Edge(0.9, 0.0, TreeNode(stage=3, edges=())),
-        ),
-    )
-    wait = TreeNode(stage=1, edges=(Edge(1.0, 0.0, branch),))
-    root = TreeNode(stage=0, edges=(Edge(1.0, 0.0, wait),))
-    return ScenarioTree(horizon=3, root=root)
+    nodes = [(0, [(1.0, 0.0)]), (1, [(1.0, 0.0)]), (2, [(0.1, 2000.0), (0.9, 0.0)]), (3, []), (3, [])]
+    return ScenarioTree(horizon=3, root=_tree_from_preorder(nodes))
 
 
 def deferred_choice_mdp(lam: float) -> FiniteHorizonMdp:
@@ -252,12 +228,11 @@ def local_roads_time() -> MixedDistribution:
 
 
 def _route_tree(branches: Sequence[Tuple[float, object]]) -> ScenarioTree:
-    edges = []
-    for p, cost in branches:
-        leaf = TreeNode(stage=2, edges=())
-        inner = TreeNode(stage=1, edges=(Edge(1.0, cost, leaf),))
-        edges.append(Edge(p, 0.0, inner))
-    return ScenarioTree(horizon=2, root=TreeNode(stage=0, edges=tuple(edges)))
+    """Traffic state (probability p) first, then its travel time as cost."""
+    nodes = [(0, [(p, 0.0) for p, _ in branches])]
+    for _, cost in branches:
+        nodes += [(1, [(1.0, cost)]), (2, [])]
+    return ScenarioTree(horizon=2, root=_tree_from_preorder(nodes))
 
 
 def highway_tree() -> ScenarioTree:

@@ -23,6 +23,7 @@ from .distributions import MixedDistribution
 from .errors import RiskModelError
 from .measures import (
     LEAF_KINDS,
+    Composite,
     Cte,
     Erm,
     Expectation,
@@ -104,6 +105,8 @@ def _parse_rf(**rf_flags) -> object:
         return cls() if param is None else cls(rf_flags[key])
     try:
         data = json.loads(rf_flags["rf_json"])
+    except json.JSONDecodeError as exc:
+        raise click.UsageError(f"--rf-json is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise click.UsageError("--rf-json is nested too deeply") from exc
     if isinstance(data, list):
@@ -146,8 +149,8 @@ class _Command(click.Command):
     Adds --format and --out after the command's own options, renders the
     _Output the command returns as JSON or CSV to stdout or the file, and
     then raises its failure, if any, so a failed check exits 1 after
-    printing.  A library error or a malformed --rf-json becomes a usage
-    error, so bad input exits 2 with a message instead of a traceback.
+    printing.  A library error becomes a usage error, so bad input exits
+    2 with a message instead of a traceback.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -164,9 +167,6 @@ class _Command(click.Command):
             result = super().invoke(ctx)
         except RiskModelError as exc:
             raise click.UsageError(str(exc), ctx) from exc
-        except json.JSONDecodeError as exc:
-            # files go through _load_json_file, so this is the --rf-json text
-            raise click.UsageError(f"--rf-json is not valid JSON: {exc}", ctx) from exc
         if fmt == "json":
             text = json.dumps(result.data, indent=2) + "\n"
         else:
@@ -364,26 +364,21 @@ def paths(alphas: Tuple[float, ...], gammas: Tuple[float, ...], lam: float) -> _
 
     alphas = alphas or DEFAULT_PATH_ALPHAS
     gammas = gammas or DEFAULT_PATH_GAMMAS
-    hw, lr = casebook.highway_time(), casebook.local_roads_time()
-    hw_tree, lr_tree = casebook.highway_tree(), casebook.local_roads_tree()
+    routes = {
+        "highway": (casebook.highway_time(), casebook.highway_tree()),
+        "local_roads": (casebook.local_roads_time(), casebook.local_roads_tree()),
+    }
     stats = []
     for alpha in alphas:
         spec = IrmSpec.repeat(Cte(alpha), 2)
-        stats.append(
-            {
-                "alpha": alpha,
-                "highway": {
-                    "mean": mean(hw),
-                    "cte": cte(alpha, hw),
-                    "icte": irm_root_value(hw_tree, spec, lam),
-                },
-                "local_roads": {
-                    "mean": mean(lr),
-                    "cte": cte(alpha, lr),
-                    "icte": irm_root_value(lr_tree, spec, lam),
-                },
+        stats.append({"alpha": alpha})
+        for name, (law, tree) in routes.items():
+            stats[-1][name] = {
+                "mean": mean(law),
+                "cte": cte(alpha, law),
+                "icte": irm_root_value(tree, spec, lam),
             }
-        )
+    hw, lr = (law for law, _ in routes.values())
     curve = [(g, erm(g, hw), erm(g, lr)) for g in gammas]
     violations = [g for g, p, q in curve if p < q - ORDERING_TOL]
     data = {
@@ -507,7 +502,10 @@ def eval_cmd(dist_file: str, **rf_flags) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-# (checker in riskdp.properties, functional)
+# checkers in riskdp.properties: all three run on a user functional, and
+# the standard suite is (checker, functional) rows, the last a convex
+# combination
+PROPERTY_CHECKERS = ("check_monotonic", "check_translation_invariance", "check_positive_homogeneity")
 STANDARD_CHECKS = (
     ("check_monotonic", Expectation()),
     ("check_monotonic", Erm(1.0)),
@@ -518,6 +516,7 @@ STANDARD_CHECKS = (
     ("check_positive_homogeneity", Expectation()),
     ("check_positive_homogeneity", ValueAtRisk(0.5)),
     ("check_positive_homogeneity", Cte(0.5)),
+    ("check_monotonic", Composite(((0.5, Expectation()), (0.5, Cte(0.5))))),
 )
 
 
@@ -536,25 +535,13 @@ def check(trials: int, seed: int, **rf_flags) -> _Output:
     """
     from . import properties
 
-    reports = []
+    checks = STANDARD_CHECKS
     if _rf_flags_given(rf_flags):
         rf = _parse_rf(**rf_flags)
         if isinstance(rf, list):
             raise click.UsageError("check takes a single risk functional")
-        for checker in (
-            properties.check_monotonic,
-            properties.check_translation_invariance,
-            properties.check_positive_homogeneity,
-        ):
-            reports.append(checker(rf, trials=trials, seed=seed))
-    else:
-        for name, rf in STANDARD_CHECKS:
-            reports.append(getattr(properties, name)(rf, trials=trials, seed=seed))
-        reports.append(
-            properties.check_composite_monotonic(
-                [Expectation(), Cte(0.5)], [0.5, 0.5], trials=trials, seed=seed
-            )
-        )
+        checks = [(name, rf) for name in PROPERTY_CHECKERS]
+    reports = [getattr(properties, name)(rf, trials=trials, seed=seed) for name, rf in checks]
     failed = [r for r in reports if not r.passed]
     data = {
         "reports": [r.to_json_dict() for r in reports],

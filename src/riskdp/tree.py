@@ -83,7 +83,8 @@ class TreeNode:
     """A node at a stage with its outgoing edges.
 
     `==`, `hash` and `repr` walk the subtree off an explicit stack, so
-    they work at any depth; `repr` reads as the one dataclasses generate.
+    they work at any depth: `==` and `hash` read `_node_parts`, and `repr`
+    reads as the one dataclasses generate.
     """
 
     stage: int
@@ -96,31 +97,24 @@ class TreeNode:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            if (a.stage, len(a.edges)) != (b.stage, len(b.edges)):
-                return False
-            for ea, eb in zip(a.edges, b.edges):
-                if (ea.probability, ea.cost) != (eb.probability, eb.cost):
-                    return False
-                stack.append((ea.child, eb.child))
-        return True
+        return self is other or list(_node_parts(self)) == list(_node_parts(other))
 
     def __hash__(self) -> int:
-        parts, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            parts.append((node.stage, tuple((e.probability, e.cost) for e in node.edges)))
-            stack.extend(e.child for e in node.edges)
-        return hash(tuple(parts))
+        return hash(tuple(_node_parts(self)))
 
     def __repr__(self) -> str:
         return _tree_repr(self)
+
+
+def _node_parts(top: TreeNode) -> Iterator[Tuple[type, int, Tuple[Tuple[float, EdgeCost], ...]]]:
+    """(class, stage, ((probability, cost) per edge)) of each node under
+    top, in pre-order off an explicit stack; the edge counts make the
+    sequence spell out the tree's shape."""
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        yield node.__class__, node.stage, tuple([(e.probability, e.cost) for e in node.edges])
+        stack.extend([e.child for e in node.edges])
 
 
 def _tree_repr(top: Union[TreeNode, Edge]) -> str:
@@ -545,8 +539,7 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
             for cost in costs:
                 value = cost + lam * value
                 append(value)
-            if not math.isfinite(value):
-                raise ValidationError("PointMass value must be finite")
+            check_atom(value)
             continue
         if law is None:
             append(0.0)
