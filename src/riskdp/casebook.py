@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .distributions import MixedDistribution, affine_transform
+from .distributions import MixedDistribution, affine_transform, json_number
 from .errors import ValidationError
-from .measures import Cte, _check_alpha, _check_discount, erm
+from .measures import Cte, _check_alpha, _check_discount, _is_int, erm
 from .tree import IrmSpec, ScenarioTree, _tree_from_preorder, deterministic_tree, irm_root_value
 
 if TYPE_CHECKING:
@@ -255,7 +255,7 @@ def ordered_pair(x: float) -> Tuple[MixedDistribution, MixedDistribution]:
     parameter.  At x = 3, scaling by 20 and shifting by 20 yields exactly
     the two commute-time laws.
     """
-    x = float(x)
+    x = json_number(x, "x")
     if not math.isfinite(x) or x <= 0.0:
         raise ValidationError(f"need x > 0, got {x!r}")
     p = x * x / (1.0 + x * x)
@@ -334,6 +334,8 @@ class RegionGrid:
 
 def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> RegionGrid:
     """Sweep the recursion over the grid; no closed form inside the cells."""
+    if not (_is_int(lambda_steps) and _is_int(alpha_steps)):
+        raise ValidationError(f"steps per axis must be integers, got {lambda_steps!r}, {alpha_steps!r}")
     if lambda_steps < 2 or alpha_steps < 2:
         raise ValidationError("need at least 2 steps per axis")
     lambda_axis = tuple(j / (lambda_steps - 1) for j in range(lambda_steps))

@@ -168,7 +168,7 @@ class MixedDistribution:
         """Mixture of distributions with the given nonnegative weights."""
         weights, lows, highs = [], [], []
         for p, dist in parts:
-            if not math.isfinite(p) or p < 0.0:
+            if not math.isfinite(json_number(p, "mixture weight")) or p < 0.0:
                 raise ValidationError(f"mixture weight {p!r} must be finite and >= 0")
             if p == 0.0:
                 continue
@@ -365,7 +365,7 @@ def column_inf(cols: Columns) -> float:
 def affine_transform(dist: MixedDistribution, a: float, b: float) -> MixedDistribution:
     """Distribution of a*Y + b for a > 0; weights are unchanged, and the
     law keeps its columns."""
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not (math.isfinite(json_number(a, "affine scale")) and math.isfinite(json_number(b, "affine shift"))):
         raise ValidationError("affine coefficients must be finite")
     if a <= 0.0:
         raise ValidationError(f"affine scale must be positive, got {a!r}")

@@ -399,7 +399,11 @@ def _policy_action(mdp: FiniteHorizonMdp, policy: Policy, n: int, s: State) -> A
     if (n, s) not in policy:
         raise ValidationError(f"policy has no action at stage {n}, state {s!r}")
     a = policy[(n, s)]
-    if (n, s, a) not in mdp.transitions:
+    try:
+        available = (n, s, a) in mdp.transitions
+    except TypeError:  # an unhashable action is in no action set
+        available = False
+    if not available:
         raise ValidationError(
             f"policy plays unavailable action {a!r} at stage {n}, state {s!r}"
         )

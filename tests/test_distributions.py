@@ -39,8 +39,11 @@ def test_point_mass_rejects_non_finite():
         lambda x: UniformSegment(x, 2.0),
         lambda x: UniformSegment(-1.0, x),
         lambda x: MixedDistribution(((x, PointMass(0.0)),)),
+        lambda x: MixedDistribution.mix([(x, MixedDistribution.point(0.0))]),
+        lambda x: affine_transform(MixedDistribution.point(0.0), x, 1.0),
+        lambda x: affine_transform(MixedDistribution.point(0.0), 1.0, x),
     ],
-    ids=["point", "segment-lo", "segment-hi", "weight"],
+    ids=["point", "segment-lo", "segment-hi", "weight", "mix-weight", "affine-scale", "affine-shift"],
 )
 def test_constructor_numbers_must_be_real_numbers(make, bad):
     with pytest.raises(ValidationError, match="must be a number"):

@@ -866,6 +866,22 @@ def test_mdp_json_rejects_duplicates_and_bad_shapes():
         mdp_from_json_dict({"horizon": 1})
 
 
+def test_an_unhashable_policy_action_is_unavailable():
+    mdp = casebook.payments_mdp(1.0)
+    spec = IrmSpec.repeat(Cte(0.9), casebook.PAYMENT_DAYS)
+    values, policy = solve_dp(mdp, spec)
+    policy[(0, "start")] = ["x"]
+    message = "policy plays unavailable action ['x'] at stage 0, state 'start'"
+    for call in (
+        lambda: evaluate_policy(mdp, policy, spec),
+        lambda: unroll(mdp, policy),
+        lambda: solution_to_json_dict(mdp, values, policy),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_mdp_json_must_be_an_object():
     with pytest.raises(ValidationError) as info:
         mdp_from_json_dict([])

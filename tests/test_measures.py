@@ -784,8 +784,12 @@ def test_ordered_pair_rejects_bad_arguments():
     "build, message",
     [
         (lambda: casebook.preference_region(1, 5), "need at least 2 steps per axis"),
+        (lambda: casebook.ordered_pair("3"), "x must be a number, got '3'"),
+        (lambda: casebook.ordered_pair(True), "x must be a number, got True"),
+        (lambda: casebook.preference_region(2.5, 3), "steps per axis must be integers, got 2.5, 3"),
+        (lambda: casebook.preference_region("a", 3), "steps per axis must be integers, got 'a', 3"),
     ],
-    ids=["region-one-discount-step"],
+    ids=["region-one-discount-step", "pair-str", "pair-bool", "region-float-steps", "region-str-steps"],
 )
 def test_casebook_arguments_keep_their_errors(build, message):
     with pytest.raises(ValidationError) as info:
