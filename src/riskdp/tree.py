@@ -108,8 +108,8 @@ class TreeNode:
 
 def _node_parts(top: TreeNode) -> Iterator[Tuple[type, int, Tuple[Tuple[float, EdgeCost], ...]]]:
     """(class, stage, ((probability, cost) per edge)) of each node under
-    top, in pre-order off an explicit stack; the edge counts make the
-    sequence spell out the tree's shape."""
+    top, in pre-order (last child first) off an explicit stack; the edge
+    counts make the sequence spell out the tree's shape."""
     stack = [top]
     while stack:
         node = stack.pop()
