@@ -195,6 +195,42 @@ def test_malformed_input_exits_2_without_a_traceback(tmp_path, command, file_tex
     assert "Error:" in result.stderr
 
 
+# each command line with a fragment of the cause its error names
+USAGE_ERRORS = [
+    ([], "COMMAND"),
+    (["nosuch"], "'nosuch'"),
+    (["payments", "--lam", "0.9"], "--lam"),
+    (["eval", "ABSENT", "--mean"], "ABSENT"),
+    (["solve", "ABSENT", "--mean"], "ABSENT"),
+    (["check", "--trials", "abc"], "'abc'"),
+    (["payments", "--alpha", "x"], "'x'"),
+    (["eval", "HIGHWAY", "--mean", "--format", "xml"], "'xml'"),
+    (["eval", "HIGHWAY", "--cte"], "--cte"),
+    (["paths", "surplus"], "surplus"),
+    (["eval", "HIGHWAY", "surplus", "--mean"], "surplus"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, cause",
+    USAGE_ERRORS,
+    ids=[
+        "no-command", "unknown-command", "abbreviated-option", "missing-eval-file",
+        "missing-solve-file", "trials-not-an-integer", "alpha-not-a-number", "unknown-format",
+        "cte-without-a-value", "extra-argument", "extra-file-argument",
+    ],
+)
+def test_usage_errors_exit_2_with_their_cause_on_stderr(args, cause, highway_file, tmp_path):
+    files = {"HIGHWAY": highway_file, "ABSENT": str(tmp_path / "absent.json")}
+    result = run([files.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    if args:  # a bare `riskdp` may answer with its usage alone
+        assert "Error:" in result.stderr
+    assert files.get(cause, cause) in result.stderr
+
+
 def test_out_into_a_missing_directory_exits_2_without_a_traceback(tmp_path):
     out = tmp_path / "no" / "such" / "x.json"
     result = run(["paths", "--out", str(out)])
