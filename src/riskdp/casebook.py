@@ -288,7 +288,7 @@ def ordered_pair_gaps(
     for x in x_grid:
         upper, lower = ordered_pair(x)
         for a in scale_grid:
-            if a <= 0.0:
+            if json_number(a, "scale") <= 0.0:
                 raise ValidationError(f"scales must be positive, got {a!r}")
             for b in shift_grid:
                 up = affine_transform(upper, a, b)

@@ -170,6 +170,8 @@ class MixedDistribution:
         for p, dist in parts:
             if not math.isfinite(json_number(p, "mixture weight")) or p < 0.0:
                 raise ValidationError(f"mixture weight {p!r} must be finite and >= 0")
+            if not isinstance(dist, MixedDistribution):
+                raise ValidationError(f"mixture part {dist!r} is not a MixedDistribution")
             if p == 0.0:
                 continue
             part_weights, part_lows, part_highs = dist.columns()

@@ -734,6 +734,8 @@ def deu(
     marginals = list(marginals)
     if not marginals:
         raise ValidationError("deu needs at least one per-period marginal")
+    if not all(isinstance(dist, MixedDistribution) for dist in marginals):
+        raise ValidationError("each per-period marginal must be a MixedDistribution")
     return math.fsum(
         lam**n * pushforward_mean(u, dist) for n, dist in enumerate(marginals)
     )

@@ -165,6 +165,8 @@ def test_mix_rejects_a_negative_weight():
     with pytest.raises(ValidationError) as info:
         MixedDistribution.mix(parts)
     assert str(info.value) == "mixture weight -0.5 must be finite and >= 0"
+    with pytest.raises(ValidationError, match="mixture part 'x' is not a MixedDistribution"):
+        MixedDistribution.mix([(1.0, "x")])
 
 
 def test_essential_bounds_skip_zero_weight():

@@ -719,6 +719,8 @@ def test_deu_discounts_per_period_means():
         deu(Linear(), 1.5, marginals)
     with pytest.raises(ValidationError):
         deu(Linear(), 0.5, [])
+    with pytest.raises(ValidationError, match="marginal must be a MixedDistribution"):
+        deu(Linear(), 0.9, ["x"])
 
 
 def test_deu_of_payment_plans_with_identity_curve():
@@ -778,6 +780,8 @@ def test_ordered_pair_rejects_bad_arguments():
         casebook.ordered_pair(0.0)
     with pytest.raises(ValidationError):
         casebook.ordered_pair_gaps([1.0], [0.0], [0.0], [0.5])
+    with pytest.raises(ValidationError, match="scale must be a number, got 'a'"):
+        casebook.ordered_pair_gaps([1.0], ["a"], [0.0], [0.5])
 
 
 @pytest.mark.parametrize(
