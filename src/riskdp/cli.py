@@ -1,26 +1,30 @@
 """Command-line harness over the library.
 
 Every command is deterministic given its flags (plus --seed where
-randomness is involved) and returns one output record; the command
-boundary (`_Command`) renders it as JSON (the default) or CSV, writes
-it to stdout or --out, and owns the exit codes: 0 on success, 1 when a
-checked property or assertion fails, 2 on bad input.
+randomness is involved) and returns one output record.  `main` is the
+one boundary of every command: it parses the command line with argparse
+from one option table per command, renders the record as JSON (the
+default) or CSV, writes it to stdout or --out, and owns the exit codes:
+0 on success, 1 when a checked property or assertion fails, 2 on bad
+input.
 
-Only what the option decorators and the shared boundary need is imported
-here; each command imports the layers it calls (`casebook`, `tree`,
-`mdp`, `properties`) in its own body, so a process loads only what its
-command runs.
+Only what the option tables and the boundary need is imported here; each
+command imports the layers it calls (`casebook`, `tree`, `mdp`,
+`properties`) in its own body, so a process loads only what its command
+runs.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import re
+import sys
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple
-
-import click
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .distributions import MixedDistribution
-from .errors import RiskModelError
+from .errors import RiskModelError, ValidationError
 from .measures import (
     LEAF_KINDS,
     Composite,
@@ -54,83 +58,11 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     def cell(v: object) -> str:
         if isinstance(v, bool):
             return "1" if v else "0"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+        return str(v)  # a float's str is its repr
 
     lines = [",".join(header)]
     lines.extend(",".join(cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-_RF_HELP = {
-    "mean": "Plain expectation.",
-    "erm": "Entropic measure with this risk parameter.",
-    "var": "Quantile at this level.",
-    "cte": "Tail expectation at this level.",
-}
-_RF_KEYS = (*LEAF_KINDS, "rf_json")
-
-
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _rf_options(fn):
-    """One flag per leaf functional kind, named as its JSON kind, then --rf-json."""
-    for kind, (_, param) in LEAF_KINDS.items():
-        kwargs = {"is_flag": True} if param is None else {"type": float, "default": None}
-        fn = click.option(_flag(kind), help=_RF_HELP.get(kind), **kwargs)(fn)
-    fn = click.option(_flag("rf_json"), type=str, default=None, help="Risk functional as JSON (an object, or a list with one object per stage).")(fn)
-    return fn
-
-
-def _rf_flags_given(rf_flags: dict) -> List[str]:
-    """The objective flags set on the command line, by option name; an
-    unset --mean is False, and a zero level still counts as set."""
-    return [key for key in _RF_KEYS if rf_flags[key] is not None and rf_flags[key] is not False]
-
-
-def _parse_rf(**rf_flags) -> object:
-    """One of the rf flags, exactly; --rf-json may carry a per-stage list."""
-    given = _rf_flags_given(rf_flags)
-    if len(given) != 1:
-        raise click.UsageError(
-            f"pick exactly one of {'/'.join(map(_flag, _RF_KEYS))}"
-            + (f" (got {', '.join(map(_flag, given))})" if given else "")
-        )
-    (key,) = given
-    if key in LEAF_KINDS:
-        cls, param = LEAF_KINDS[key]
-        return cls() if param is None else cls(rf_flags[key])
-    try:
-        data = json.loads(rf_flags["rf_json"])
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"--rf-json is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise click.UsageError("--rf-json is nested too deeply") from exc
-    if isinstance(data, list):
-        return [rf_from_json_dict(d) for d in data]
-    return rf_from_json_dict(data)
-
-
-def _load_json_file(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(
-            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise click.UsageError(f"JSON in {path} is nested too deeply") from exc
-
-
-def _contains_erm(rf: RiskFunctional) -> bool:
-    return fold_functional(rf, lambda f, terms: isinstance(f, Erm) or any(v for _, v in terms))
 
 
 class _Output(NamedTuple):
@@ -143,30 +75,119 @@ class _Output(NamedTuple):
     failure: Optional[str] = None
 
 
-class _Command(click.Command):
-    """The one output and error boundary of every command.
+# each command by name: its function, which takes the parsed options as
+# keywords, and its option table
+_COMMANDS: Dict[str, Tuple[Callable[..., _Output], tuple]] = {}
 
-    Adds --format and --out after the command's own options, renders the
-    _Output the command returns as JSON or CSV to stdout or the file, and
-    then raises its failure, if any, so a failed check exits 1 after
-    printing.  A library error becomes a usage error, so bad input exits
-    2 with a message instead of a traceback.
+
+def _command(*options: Tuple[str, dict], name: Optional[str] = None) -> Callable:
+    """Register a command under name (by default its function's) with its
+    option table: (flag or positional name, keyword arguments of
+    argparse's add_argument) rows, in the order --help lists them."""
+    return lambda fn: _COMMANDS.setdefault(name or fn.__name__, (fn, options))[0]
+
+
+_RF_KEYS = (*LEAF_KINDS, "rf_json")
+# one flag per leaf functional kind, named as its JSON kind, then --rf-json
+RF_OPTIONS = (
+    ("--mean", dict(action="store_true", help="Plain expectation.")),
+    ("--erm", dict(type=float, help="Entropic measure with this risk parameter.")),
+    ("--var", dict(type=float, help="Quantile at this level.")),
+    ("--cte", dict(type=float, help="Tail expectation at this level.")),
+    ("--rf-json", dict(help="Risk functional as JSON (an object, or a list with one object per stage).")),
+)
+SHARED_OPTIONS = (
+    ("--format", dict(dest="fmt", choices=("json", "csv"), default="json", help="Output format (default: %(default)s).")),
+    ("--out", dict(help="Write output to this file instead of stdout.")),
+    ("--help", dict(action="help", help="Show this message and exit.")),
+)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _rf_flags_given(rf_flags: dict) -> List[str]:
+    """The objective flags set on the command line, by option name; an
+    unset --mean is False, and a zero level still counts as set."""
+    return [key for key in _RF_KEYS if rf_flags[key] is not None and rf_flags[key] is not False]
+
+
+def _parse_rf(**rf_flags) -> object:
+    """One of the rf flags, exactly; --rf-json may carry a per-stage list."""
+    given = _rf_flags_given(rf_flags)
+    if len(given) != 1:
+        raise ValidationError(
+            f"pick exactly one of {'/'.join(map(_flag, _RF_KEYS))}"
+            + (f" (got {', '.join(map(_flag, given))})" if given else "")
+        )
+    (key,) = given
+    if key in LEAF_KINDS:
+        cls, param = LEAF_KINDS[key]
+        return cls() if param is None else cls(rf_flags[key])
+    try:
+        data = json.loads(rf_flags["rf_json"])
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--rf-json is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("--rf-json is nested too deeply") from exc
+    if isinstance(data, list):
+        return [rf_from_json_dict(d) for d in data]
+    return rf_from_json_dict(data)
+
+
+def _load_json_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise ValidationError(f"JSON in {path} is nested too deeply") from exc
+
+
+def _contains_erm(rf: RiskFunctional) -> bool:
+    return fold_functional(rf, lambda f, terms: isinstance(f, Erm) or any(v for _, v in terms))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse without -h or abbreviated options, whose usage errors are
+    `ValidationError`s, so they meet every other bad input at `main`."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        # a value such as -1e-3 follows its option, as -0.5 does
+        self._negative_number_matcher = re.compile(r"-\.?\d.*")
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> NoReturn:
+    """Run one command line (by default sys.argv[1:]) and exit with its code.
+
+    Parses it with each command's option table followed by --format,
+    --out and --help, renders the _Output the command returns as JSON or
+    CSV to stdout or the --out file, and only then exits 1 on its
+    failure, if any.  Any `RiskModelError`, bad flags included, exits 2
+    with its message instead of a traceback.
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.params = [
-            *self.params,
-            click.Option(["--format", "fmt"], type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Output format."),
-            click.Option(["--out"], type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to this file instead of stdout."),
-        ]
-
-    def invoke(self, ctx: click.Context) -> None:
-        fmt, out = ctx.params.pop("fmt"), ctx.params.pop("out")
-        try:
-            result = super().invoke(ctx)
-        except RiskModelError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
+    parser = _Parser(prog="riskdp", description="Exact risk evaluation on finite stochastic models.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__.split("\n", 1)[0], description=fn.__doc__)
+        for flag, kwargs in (*options, *SHARED_OPTIONS):
+            sub.add_argument(flag, **kwargs)
+    try:
+        args = vars(parser.parse_args(argv))
+        command, fmt, out = args.pop("command"), args.pop("fmt"), args.pop("out")
+        result = _COMMANDS[command][0](**args)
         if fmt == "json":
             text = json.dumps(result.data, indent=2) + "\n"
         else:
@@ -175,19 +196,20 @@ class _Command(click.Command):
             try:
                 Path(out).write_text(text, encoding="utf-8")
             except OSError as exc:
-                raise click.UsageError(f"cannot write {out}: {exc}", ctx) from exc
+                raise ValidationError(f"cannot write {out}: {exc}") from exc
         else:
-            click.echo(text, nl=False)
-        if result.failure:
-            raise click.ClickException(result.failure)
-
-
-@click.group()
-def main() -> None:
-    """Exact risk evaluation on finite stochastic models."""
-
-
-main.command_class = _Command
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: exit quietly, sending it nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
+    except RiskModelError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    if result.failure:
+        print(f"Error: {result.failure}", file=sys.stderr)
+        raise SystemExit(1)
+    raise SystemExit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +217,10 @@ main.command_class = _Command
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--lambda", "lam", type=float, default=0.95, show_default=True, help="Discount factor per day.")
-@click.option("--alpha", type=float, default=0.9, show_default=True, help="Tail level of the stagewise tail expectation.")
+@_command(
+    ("--lambda", dict(dest="lam", type=float, default=0.95, help="Discount factor per day (default: %(default)s).")),
+    ("--alpha", dict(type=float, default=0.9, help="Tail level of the stagewise tail expectation (default: %(default)s).")),
+)
 def payments(lam: float, alpha: float) -> _Output:
     """Compare paying upfront against the installment plan.
 
@@ -259,9 +282,10 @@ def payments(lam: float, alpha: float) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--lambda-steps", type=int, default=100, show_default=True, help="Grid points on the discount axis.")
-@click.option("--alpha-steps", type=int, default=100, show_default=True, help="Grid points on the tail-level axis.")
+@_command(
+    ("--lambda-steps", dict(type=int, default=100, help="Grid points on the discount axis (default: %(default)s).")),
+    ("--alpha-steps", dict(type=int, default=100, help="Grid points on the tail-level axis (default: %(default)s).")),
+)
 def fig1(lambda_steps: int, alpha_steps: int) -> _Output:
     """Sweep the payment-plan preference region over (discount, tail level).
 
@@ -295,9 +319,10 @@ def fig1(lambda_steps: int, alpha_steps: int) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--gamma", type=float, default=0.001, show_default=True, help="Risk parameter of the entropic measure.")
-@click.option("--lambda", "lam", type=float, default=0.92, show_default=True, help="Yearly discount factor.")
+@_command(
+    ("--gamma", dict(type=float, default=0.001, help="Risk parameter of the entropic measure (default: %(default)s).")),
+    ("--lambda", dict(dest="lam", type=float, default=0.92, help="Yearly discount factor (default: %(default)s).")),
+)
 def xy(gamma: float, lam: float) -> _Output:
     """Evaluate the two deferred payment options from successive years.
 
@@ -308,10 +333,7 @@ def xy(gamma: float, lam: float) -> _Output:
     from . import casebook
     from .properties import preference_over_time
 
-    options = [
-        (casebook.one_year_payment(), 1),
-        (casebook.two_year_payment(), 2),
-    ]
+    options = [(casebook.one_year_payment(), 1), (casebook.two_year_payment(), 2)]
     names = ("one_year", "two_year")
     measures = [Erm(gamma), Expectation()]
     blocks = []
@@ -346,11 +368,12 @@ def xy(gamma: float, lam: float) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--alpha", "alphas", type=float, multiple=True, help="Tail levels to report (repeatable).")
-@click.option("--gamma", "gammas", type=float, multiple=True, help="Risk parameters for the entropic curve (repeatable).")
-@click.option("--lambda", "lam", type=float, default=1.0, show_default=True, help="Discount factor across the two stages.")
-def paths(alphas: Tuple[float, ...], gammas: Tuple[float, ...], lam: float) -> _Output:
+@_command(
+    ("--alpha", dict(dest="alphas", type=float, action="append", help="Tail levels to report (repeatable).")),
+    ("--gamma", dict(dest="gammas", type=float, action="append", help="Risk parameters for the entropic curve (repeatable).")),
+    ("--lambda", dict(dest="lam", type=float, default=1.0, help="Discount factor across the two stages (default: %(default)s).")),
+)
+def paths(alphas: Optional[List[float]], gammas: Optional[List[float]], lam: float) -> _Output:
     """Report risk statistics for the two commute routes.
 
     For each tail level: the plain mean, the one-shot tail expectation of
@@ -384,9 +407,7 @@ def paths(alphas: Tuple[float, ...], gammas: Tuple[float, ...], lam: float) -> _
     data = {
         "lambda": lam,
         "tail_levels": stats,
-        "erm_curve": [
-            {"gamma": g, "highway": p, "local_roads": q} for g, p, q in curve
-        ],
+        "erm_curve": [{"gamma": g, "highway": p, "local_roads": q} for g, p, q in curve],
         "ordering_violations": len(violations),
     }
     failure = f"entropic ordering violated at gamma in {violations}" if violations else None
@@ -398,17 +419,13 @@ def paths(alphas: Tuple[float, ...], gammas: Tuple[float, ...], lam: float) -> _
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--x", "xs", type=float, multiple=True, help="Shape parameters (repeatable).")
-@click.option("--scale", "scales", type=float, multiple=True, help="Positive scales (repeatable).")
-@click.option("--shift", "shifts", type=float, multiple=True, help="Shifts (repeatable).")
-@click.option("--gamma", "gammas", type=float, multiple=True, help="Risk parameters (repeatable).")
-def lemma1(
-    xs: Tuple[float, ...],
-    scales: Tuple[float, ...],
-    shifts: Tuple[float, ...],
-    gammas: Tuple[float, ...],
-) -> _Output:
+@_command(
+    ("--x", dict(dest="x_grid", type=float, action="append", help="Shape parameters (repeatable).")),
+    ("--scale", dict(dest="scale_grid", type=float, action="append", help="Positive scales (repeatable).")),
+    ("--shift", dict(dest="shift_grid", type=float, action="append", help="Shifts (repeatable).")),
+    ("--gamma", dict(dest="gamma_grid", type=float, action="append", help="Risk parameters (repeatable).")),
+)
+def lemma1(**grids: Optional[List[float]]) -> _Output:
     """Sweep the ordered-pair inequality grid and report violations.
 
     For each shape parameter the pair of mixtures is built, rescaled and
@@ -417,11 +434,8 @@ def lemma1(
     """
     from . import casebook
 
-    xs = xs or casebook.DEFAULT_X_GRID
-    scales = scales or casebook.DEFAULT_SCALE_GRID
-    shifts = shifts or casebook.DEFAULT_SHIFT_GRID
-    gammas = gammas or casebook.DEFAULT_GAMMA_GRID
-    rows = casebook.ordered_pair_gaps(xs, scales, shifts, gammas)
+    # a grid not given keeps ordered_pair_gaps' default
+    rows = casebook.ordered_pair_gaps(**{k: v for k, v in grids.items() if v is not None})
     worst = min(gap for _, _, _, _, gap in rows)
     violations = sum(1 for _, _, _, _, gap in rows if gap < -ORDERING_TOL)
     data = {
@@ -442,10 +456,11 @@ def lemma1(
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.argument("mdp_file", type=click.Path(exists=True, dir_okay=False))
-@_rf_options
-@click.option("--lambda", "lam", type=float, default=None, help="Override the discount factor from the file.")
+@_command(
+    ("mdp_file", dict(metavar="MDP_FILE")),
+    *RF_OPTIONS,
+    ("--lambda", dict(dest="lam", type=float, help="Override the discount factor from the file.")),
+)
 def solve(mdp_file: str, lam: Optional[float], **rf_flags) -> _Output:
     """Solve an MDP file under a stagewise risk objective.
 
@@ -461,16 +476,13 @@ def solve(mdp_file: str, lam: Optional[float], **rf_flags) -> _Output:
     mdp = mdp_from_json_dict(raw)
     if lam is not None:
         mdp = _with_discount(mdp, lam)
-    if isinstance(parsed, list):
-        spec = IrmSpec(tuple(parsed))
-    else:
-        spec = IrmSpec.repeat(parsed, mdp.horizon)
+    spec = IrmSpec(tuple(parsed)) if isinstance(parsed, list) else IrmSpec.repeat(parsed, mdp.horizon)
     if mdp.discount < 1.0 and any(_contains_erm(rf) for rf in spec.stages):
-        click.echo(
+        print(
             "note: entropic stages with discounting optimize the stagewise "
             "recursion, which differs from the entropic value of the "
             "discounted total",
-            err=True,
+            file=sys.stderr,
         )
     values, policy = solve_dp(mdp, spec)
     data = {
@@ -482,15 +494,13 @@ def solve(mdp_file: str, lam: Optional[float], **rf_flags) -> _Output:
     return _Output(data, ("n", "s", "a"), [(r["n"], r["s"], r["a"]) for r in data["policy"]])
 
 
-@main.command(name="eval")
-@click.argument("dist_file", type=click.Path(exists=True, dir_okay=False))
-@_rf_options
+@_command(("dist_file", dict(metavar="DIST_FILE")), *RF_OPTIONS, name="eval")
 def eval_cmd(dist_file: str, **rf_flags) -> _Output:
     """Apply one risk functional to a distribution file."""
     raw = _load_json_file(dist_file)
     parsed = _parse_rf(**rf_flags)
     if isinstance(parsed, list):
-        raise click.UsageError("eval takes a single risk functional, not a per-stage list")
+        raise ValidationError("eval takes a single risk functional, not a per-stage list")
     dist = MixedDistribution.from_json_dict(raw)
     label = rf_label(parsed)
     value = evaluate(parsed, dist)
@@ -520,10 +530,11 @@ STANDARD_CHECKS = (
 )
 
 
-@main.command()
-@_rf_options
-@click.option("--trials", type=int, default=200, show_default=True, help="Random trials per property.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the random instances.")
+@_command(
+    *RF_OPTIONS,
+    ("--trials", dict(type=int, default=200, help="Random trials per property (default: %(default)s).")),
+    ("--seed", dict(type=int, default=0, help="Seed for the random instances (default: %(default)s).")),
+)
 def check(trials: int, seed: int, **rf_flags) -> _Output:
     """Run randomized property checks.
 
@@ -539,14 +550,11 @@ def check(trials: int, seed: int, **rf_flags) -> _Output:
     if _rf_flags_given(rf_flags):
         rf = _parse_rf(**rf_flags)
         if isinstance(rf, list):
-            raise click.UsageError("check takes a single risk functional")
+            raise ValidationError("check takes a single risk functional")
         checks = [(name, rf) for name in PROPERTY_CHECKERS]
     reports = [getattr(properties, name)(rf, trials=trials, seed=seed) for name, rf in checks]
     failed = [r for r in reports if not r.passed]
-    data = {
-        "reports": [r.to_json_dict() for r in reports],
-        "all_passed": not failed,
-    }
+    data = {"reports": [r.to_json_dict() for r in reports], "all_passed": not failed}
     rows = [(r.property_name, r.measure_label, r.trials, r.passed) for r in reports]
     failure = f"{len(failed)} of {len(reports)} property checks failed" if failed else None
     return _Output(data, ("property", "measure", "trials", "passed"), rows, failure)

@@ -1,4 +1,5 @@
-"""Shared fixtures: independent numerical oracles and random generators.
+"""Shared fixtures: independent numerical oracles, random generators, and
+an in-process runner of the command line.
 
 The oracles here recompute tail expectations and entropic values from
 scratch (discretization, the Rockafellar-Uryasev minimum, quadrature) so
@@ -7,9 +8,11 @@ code with them.
 """
 from __future__ import annotations
 
+import io
 import math
 import random
-from typing import Optional, Sequence, Tuple
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +31,38 @@ from riskdp import (
 )
 
 DISCRETIZATION_ATOMS = 10**5
+
+
+class CliResult(NamedTuple):
+    """What one `riskdp` command line printed and how it exited."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: Optional[SystemExit]  # None on exit 0
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode("utf-8")
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(args: Sequence[str]) -> CliResult:
+    """Run `riskdp args` in this process: main(args) with stdout and
+    stderr captured, to the SystemExit it always ends in.  Any other
+    exception propagates."""
+    from riskdp.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            main(list(args))
+    except SystemExit as exc:
+        return CliResult(exc.code, out.getvalue(), err.getvalue(), exc if exc.code else None)
+    raise AssertionError("riskdp.cli.main returned instead of exiting")
 
 
 def assert_close(got: float, want: float, rel: float = 1e-9, abs_tol: float = 0.0) -> None:

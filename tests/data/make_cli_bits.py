@@ -3,8 +3,9 @@
 
     PYTHONPATH=src python3 tests/data/make_cli_bits.py > tests/data/cli_bits.json
 
-Each case is a command line run through click's test runner, once with
---format json and once with --format csv.  The grids are small (fig1 on
+Each case is a command line run in this process through
+`tests/conftest.py`'s `run_cli`, once with --format json and once with
+--format csv.  The grids are small (fig1 on
 7 x 9 cells, check with 20 trials), and the cases include flag sets, a
 failed check (exit 1) and a broken --rf-json (exit 2, nothing on
 stdout).  solve and eval read the files named PAYMENTS (the payment-plan
@@ -18,9 +19,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
+from riskdp import casebook, mdp_to_json_dict
 
-from riskdp import casebook, cli, mdp_to_json_dict
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+from tests.conftest import run_cli
 
 COMPOSITE = '{"kind": "composite", "terms": [{"w": 0.5, "rf": {"kind": "mean"}}, {"w": 0.5, "rf": {"kind": "cte", "alpha": 0.9}}]}'
 CASES = [
@@ -64,9 +66,7 @@ def main() -> None:
         for args in CASES:
             for fmt in ("json", "csv"):
                 line = [*args, "--format", fmt]
-                result = CliRunner().invoke(cli.main, [files.get(a, a) for a in line])
-                if result.exception is not None and not isinstance(result.exception, SystemExit):
-                    raise result.exception
+                result = run_cli([files.get(a, a) for a in line])
                 cases.append({"args": line, "exit_code": result.exit_code, "stdout": result.stdout})
     json.dump({"cases": cases}, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -1,7 +1,7 @@
 """End-to-end checks of the command-line interface.
 
-Each test drives a command through click's test runner and inspects the
-JSON (or CSV) it prints, the exit code, and where relevant the stderr
+Each test runs a command line in this process (`conftest.run_cli`) and
+inspects the JSON (or CSV) it prints, the exit code, and where relevant the stderr
 side channel.  Exit codes follow the contract: 0 on success, 1 when a
 checked property fails, 2 on bad input.
 """
@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import riskdp
 from riskdp import mdp_to_json_dict
@@ -25,14 +24,10 @@ from riskdp.casebook import (
     payments_mdp,
     preference_boundary,
 )
-from riskdp.cli import main
 from riskdp.measures import LEAF_KINDS, evaluate, mean, rf_from_json_dict, rf_to_json_dict
 
 from .conftest import assert_close
-
-
-def run(args, **kwargs):
-    return CliRunner().invoke(main, args, catch_exceptions=False, **kwargs)
+from .conftest import run_cli as run
 
 
 @pytest.fixture()
@@ -284,7 +279,7 @@ def test_mutated_input_files_exit_0_or_2_without_a_traceback(tmp_path):
         data = json.loads(json.dumps(bases[command][0]))
         _mutate(rng, data)
         path.write_text(json.dumps(data), encoding="utf-8")
-        result = CliRunner().invoke(main, [command, str(path), *bases[command][1]])
+        result = run([command, str(path), *bases[command][1]])
         assert result.exit_code in (0, 2), (command, data, result.output)
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
@@ -598,6 +593,27 @@ def test_importing_the_cli_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     assert result.stdout.strip() == "[]"
+
+
+# runs `riskdp paths`, then writes to stderr the top-level modules it
+# loaded that are neither the standard library's nor riskdp; what the
+# interpreter loaded before the first line (site and its .pth files, as
+# for `python -c pass`) does not count
+RUN_PATHS_FOREIGN_MODULES = """
+import json, sys
+started = {m.partition(".")[0] for m in sys.modules}
+from riskdp.cli import main
+try:
+    main(["paths"])
+except SystemExit:
+    loaded = {m.partition(".")[0] for m in sys.modules} - started
+    print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"riskdp"})), file=sys.stderr)
+"""
+
+
+def test_the_cli_loads_only_the_standard_library():
+    result = _python(RUN_PATHS_FOREIGN_MODULES)
+    assert json.loads(result.stderr.splitlines()[-1]) == []
 
 
 # runs the command in argv, then writes its exit code and the riskdp

@@ -18,8 +18,6 @@ import random
 import time
 from functools import partial
 
-from click.testing import CliRunner
-
 from riskdp import (
     Composite,
     Cte,
@@ -52,7 +50,8 @@ from riskdp import (
     rmd,
     value_at_risk,
 )
-from riskdp.cli import main
+
+from .conftest import run_cli
 
 LIMIT = 1.7976931348623157e308
 TINY = 5e-324
@@ -256,13 +255,12 @@ def test_extreme_floats_raise_only_typed_errors():
 
 def test_extreme_floats_through_the_cli_exit_0_or_2(tmp_path):
     rng = random.Random(20122)
-    runner = CliRunner()
     path = tmp_path / "input.json"
     for k in range(CLI_CASES):
         command = rng.choice(("eval", "solve"))
         path.write_text(json_law_text(rng) if command == "eval" else mdp_text(rng), encoding="utf-8")
         args = [command, str(path), *cli_flags(rng)]
-        result = runner.invoke(main, args, catch_exceptions=True)
+        result = run_cli(args)
         # a usage error is a SystemExit, which is not an Exception
         assert result.exit_code in (0, 2) and not isinstance(result.exception, Exception), (
             k, args, path.read_text(), repr(result.exception)
