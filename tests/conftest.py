@@ -29,6 +29,7 @@ from riskdp import (
     TreeNode,
     UniformSegment,
 )
+from riskdp.cli import main
 
 DISCRETIZATION_ATOMS = 10**5
 
@@ -54,8 +55,6 @@ def run_cli(args: Sequence[str]) -> CliResult:
     """Run `riskdp args` in this process: main(args) with stdout and
     stderr captured, to the SystemExit it always ends in.  Any other
     exception propagates."""
-    from riskdp.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):

@@ -3,16 +3,15 @@
 
     PYTHONPATH=src python3 tests/data/make_cli_bits.py > tests/data/cli_bits.json
 
-Each case is a command line run in this process through
-`tests/conftest.py`'s `run_cli`, once with --format json and once with
---format csv.  The grids are small (fig1 on
-7 x 9 cells, check with 20 trials), and the cases include flag sets, a
-failed check (exit 1) and a broken --rf-json (exit 2, nothing on
-stdout).  solve and eval read the files named PAYMENTS (the payment-plan
-MDP at discount 1) and HIGHWAY (the highway travel-time law), which this
-script writes from `casebook` into a temporary directory; the file
-paths never reach stdout.  test_cli checks that every command still
-prints these bytes.
+Each case is a command line run in this process by `run_cli` of
+tests/conftest.py, once with --format json and once with --format csv.
+The grids are small (fig1 on 7 x 9 cells, check with 20 trials), and the
+cases include flag sets, a failed check (exit 1) and a broken --rf-json
+(exit 2, nothing on stdout).  solve and eval read the files named
+PAYMENTS (the payment-plan MDP at discount 1) and HIGHWAY (the highway
+travel-time law), which this script writes from `casebook` into a
+temporary directory; the file paths never reach stdout.  test_cli checks
+that every command still prints these bytes.
 """
 import json
 import sys
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from riskdp import casebook, mdp_to_json_dict
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))  # the repository root
 from tests.conftest import run_cli
 
 COMPOSITE = '{"kind": "composite", "terms": [{"w": 0.5, "rf": {"kind": "mean"}}, {"w": 0.5, "rf": {"kind": "cte", "alpha": 0.9}}]}'
