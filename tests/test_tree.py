@@ -51,6 +51,7 @@ from riskdp import (
 )
 
 from .conftest import assert_close, random_tree
+from .data import make_tree_bits
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +152,120 @@ def test_deterministic_tree_shape():
     assert t.path_count() == 1
     with pytest.raises(ValidationError):
         deterministic_tree([])
+
+
+def two_fault_cases() -> dict:
+    """Inputs with two faults each, by name: a builder and the error that
+    must win, as (type, message).  `ScenarioTree` checks an ancestor
+    before its descendants and a node's edges in order; the JSON reader
+    parses every node before it checks the tree's structure;
+    `deterministic_tree` checks its costs in period order."""
+    leaf = lambda n: TreeNode(n, ())  # noqa: E731
+
+    def tree(horizon: int, *edges: Edge):
+        return lambda: ScenarioTree(horizon, TreeNode(0, edges))
+
+    def down(n: int, *edges: Edge) -> TreeNode:
+        return TreeNode(n, edges)
+
+    def json_tree(horizon, *children):
+        return lambda: tree_from_json_dict({"horizon": horizon, "root": {"children": list(children)}})
+
+    def edge(p, cost, *children):
+        return {"p": p, "cost": cost, "node": {"children": list(children)}}
+
+    def sums_to(total: str):
+        return (ValidationError, f"edge probabilities sum to {total}; must be 1 within 1e-12")
+
+    shared = down(1, Edge(0.5, 0.0, leaf(2)))
+    cost_x = (ValidationError, "edge cost must be a number or a MixedDistribution, got 'x'")
+    p_x = (ValidationError, "edge 'p' must be a number, got 'x'")
+    return {
+        # an ancestor's fault against a descendant's, on one path
+        "tree: root probabilities off one above a bad cost": (
+            tree(2, Edge(0.5, 0.0, down(1, Edge(1.0, "x", leaf(2)))), Edge(0.4, 0.0, down(1, Edge(1.0, 0.0, leaf(2))))),
+            sums_to("0.9"),
+        ),
+        "tree: a bad root probability above an edge that is not an Edge": (
+            tree(2, Edge(0.0, 0.0, down(1, (1.0, 0.0, leaf(2))))),
+            (ValidationError, "edge probability 0.0 must be positive"),
+        ),
+        "tree: a child at the wrong stage above a bad cost": (
+            tree(3, Edge(1.0, 0.0, down(2, Edge(1.0, "x", leaf(3))))),
+            (ValidationError, "child at stage 2 under a stage-0 node"),
+        ),
+        "tree: an internal node past the horizon above a leaf past it": (
+            tree(1, Edge(1.0, 0.0, down(1, Edge(1.0, 0.0, leaf(2))))),
+            (ValidationError, "internal node at stage 1 exceeds horizon"),
+        ),
+        "tree: a shared node whose own probabilities are off one": (
+            tree(2, Edge(0.5, 0.0, shared), Edge(0.5, 1.0, shared)),
+            sums_to("0.5"),
+        ),
+        "deterministic_tree: an infinite cost before a string cost": (
+            lambda: deterministic_tree([math.inf, "x"]),
+            (ValidationError, "edge cost inf must be finite"),
+        ),
+        "deterministic_tree: a boolean cost before a nan cost": (
+            lambda: deterministic_tree([1.0, True, math.nan]),
+            (ValidationError, "edge cost must be a number or a MixedDistribution, got True"),
+        ),
+        # a parse-time fault against a structural one
+        "json: a bad 'p' in the last subtree and root probabilities off one": (
+            json_tree(2, edge(0.5, 0.0, edge(1.0, 0.0)), edge(0.4, 0.0, edge("x", 0.0))),
+            p_x,
+        ),
+        "json: a bad cost law and a leaf short of the horizon": (
+            json_tree(2, edge(0.5, 0.0), edge(0.5, {"components": "x"}, edge(1.0, 0.0))),
+            (ValidationError, "'components' must be a list"),
+        ),
+        "json: a node without a 'children' list and a negative probability": (
+            json_tree(1, edge(-0.5, 0.0), {"p": 1.5, "cost": 0.0, "node": {}}),
+            (ValidationError, "tree node JSON must be an object with a 'children' list"),
+        ),
+        "json: an edge without a cost and a bad horizon": (
+            json_tree(0, {"p": 1.0, "node": {"children": []}}),
+            (ValidationError, "tree edges must be {'p':, 'cost':, 'node':} objects"),
+        ),
+        "json: a non-integer horizon and a node without children": (
+            json_tree(1.5, {"p": 1.0, "cost": 0.0, "node": {}}),
+            (ValidationError, "tree horizon must be an integer"),
+        ),
+        # two faults of one kind on two edges of one node
+        "tree: two bad probabilities": (
+            tree(1, Edge(-0.5, 0.0, leaf(1)), Edge(math.nan, 0.0, leaf(1))),
+            (ValidationError, "edge probability -0.5 must be positive"),
+        ),
+        "tree: two bad costs": (
+            tree(1, Edge(0.5, "x", leaf(1)), Edge(0.5, math.inf, leaf(1))),
+            cost_x,
+        ),
+        "tree: two edges that are not Edges": (
+            tree(1, (1.0, 0.0, leaf(1)), "e"),
+            (ValidationError, "tree edges must be Edge objects, got (1.0, 0.0, TreeNode(stage=1, edges=()))"),
+        ),
+        "tree: two children at the wrong stage": (
+            tree(2, Edge(0.5, 0.0, leaf(2)), Edge(0.5, 0.0, leaf(3))),
+            (ValidationError, "child at stage 2 under a stage-0 node"),
+        ),
+        "tree: a child that is not a TreeNode before a bad probability": (
+            tree(1, Edge(0.5, 0.0, None), Edge(-0.5, 0.0, leaf(1))),
+            (ValidationError, "edge child must be a TreeNode, got None"),
+        ),
+        "json: two bad 'p's": (json_tree(1, edge("x", 0.0), edge("y", 0.0)), p_x),
+        "json: two negative probabilities": (
+            json_tree(1, edge(-0.5, 0.0), edge(0.0, 0.0)),
+            (ValidationError, "edge probability -0.5 must be positive"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(two_fault_cases()))
+def test_the_first_of_two_tree_faults_wins(case):
+    run, (kind, message) = two_fault_cases()[case]
+    with pytest.raises(kind) as info:
+        run()
+    assert (type(info.value), str(info.value)) == (kind, message)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +807,17 @@ def test_recursion_reproduces_the_pinned_bits():
                 assert list(result.node_values) == keys, (name, lam, label)
                 assert [v.hex() for v in result.node_values.values()] == want, (name, lam, label)
                 assert irm_root_value(tree, spec, lam).hex() == want[0], (name, lam, label)
+
+
+def test_every_built_tree_keeps_its_pinned_shape():
+    """The repr, JSON form, node and path counts and node-key order of
+    every tree the package builds, as recorded in data/tree_bits.json
+    (see data/make_tree_bits.py)."""
+    fixture = json.loads((DATA / "tree_bits.json").read_text())
+    built = make_tree_bits.trees()
+    assert [name for name, _ in built] == [case["name"] for case in fixture["cases"]]
+    for (name, tree), case in zip(built, fixture["cases"]):
+        assert {"name": name, **json.loads(json.dumps(make_tree_bits.record(tree)))} == case, name
 
 
 def test_flat_tail_expectation_of_installments():
