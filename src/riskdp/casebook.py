@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from .distributions import MixedDistribution, affine_transform, json_number
 from .errors import ValidationError
 from .measures import Cte, _check_alpha, _check_discount, _is_int, erm
-from .tree import IrmSpec, ScenarioTree, _tree_from_preorder, deterministic_tree, irm_root_value
+from .tree import IrmSpec, ScenarioTree, _tree, deterministic_tree, irm_root_value
 
 if TYPE_CHECKING:
     # imported where an MDP is built, so the other models load no solver
@@ -71,7 +71,7 @@ def installment_tree() -> ScenarioTree:
     nodes = [(0, [(PAYMENT_PROBABILITY, PAYMENT_AMOUNT), (1.0 - PAYMENT_PROBABILITY, 0.0)])]
     for amount in (PAYMENT_AMOUNT, 0.0):
         nodes += [(n, [(1.0, amount)]) for n in range(1, PAYMENT_DAYS)] + [(PAYMENT_DAYS, [])]
-    return ScenarioTree(horizon=PAYMENT_DAYS, root=_tree_from_preorder(nodes))
+    return _tree(PAYMENT_DAYS, nodes)
 
 
 def installment_recursive_value(alpha: float, lam: float) -> float:
@@ -155,14 +155,13 @@ def two_year_payment() -> MixedDistribution:
 
 def one_year_tree() -> ScenarioTree:
     """Nothing happens in year 0; the year-1 bill lands or not."""
-    nodes = [(0, [(1.0, 0.0)]), (1, [(0.3, 1000.0), (0.7, 0.0)]), (2, []), (2, [])]
-    return ScenarioTree(horizon=2, root=_tree_from_preorder(nodes))
+    return _tree(2, [(0, [(1.0, 0.0)]), (1, [(0.3, 1000.0), (0.7, 0.0)]), (2, []), (2, [])])
 
 
 def two_year_tree() -> ScenarioTree:
     """Two quiet years, then the larger bill lands or not."""
     nodes = [(0, [(1.0, 0.0)]), (1, [(1.0, 0.0)]), (2, [(0.1, 2000.0), (0.9, 0.0)]), (3, []), (3, [])]
-    return ScenarioTree(horizon=3, root=_tree_from_preorder(nodes))
+    return _tree(3, nodes)
 
 
 def deferred_choice_mdp(lam: float) -> FiniteHorizonMdp:
@@ -232,7 +231,7 @@ def _route_tree(branches: Sequence[Tuple[float, object]]) -> ScenarioTree:
     nodes = [(0, [(p, 0.0) for p, _ in branches])]
     for _, cost in branches:
         nodes += [(1, [(1.0, cost)]), (2, [])]
-    return ScenarioTree(horizon=2, root=_tree_from_preorder(nodes))
+    return _tree(2, nodes)
 
 
 def highway_tree() -> ScenarioTree:

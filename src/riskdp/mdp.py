@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Opt
 from .distributions import check_atom, check_sums_to_one, json_number
 from .errors import EnumerationLimitError, ValidationError
 from .measures import _check_discount, _check_horizon, _is_int, _on_atoms
-from .tree import IrmSpec, ScenarioTree, _check_spec, _tree_from_preorder, irm_root_value
+from .tree import IrmSpec, ScenarioTree, _check_spec, _tree, irm_root_value
 
 DEFAULT_NODE_LIMIT = 10**6
 DEFAULT_POLICY_LIMIT = 10**6
@@ -446,7 +446,7 @@ def unroll(
         probs, costs, succ = plan.cells[n][plan.index[n][s]][a]
         nodes.append((n, list(zip(probs, costs))))
         stack.extend((n + 1, states[n + 1][j]) for j in reversed(succ))
-    return ScenarioTree(horizon=mdp.horizon, root=_tree_from_preorder(nodes))
+    return _tree(mdp.horizon, nodes)
 
 
 def brute_force_optimal(

@@ -9,21 +9,28 @@ disutility to it: `rmd` and `eud` are `measures.evaluate` and
 `measures.pushforward_mean` on `discounted_total_distribution`, which
 builds the law as its columns, with no object per component.
 
-Trees are immutable all the way down, so each `ScenarioTree` checks its
-nodes and compiles them into a plan in one walk, at construction: the
-nodes with every child before its parent, in steps.  A leaf is a step;
-so is any other node that is not a single scalar edge, with one
-(probability, cost, child step) triple per edge and its one-step law as
-columns; and each maximal run of nodes with a single scalar edge is one
-step holding the run's probabilities and costs.  Everything after
-construction reads that plan (the recursion, the flat law, the JSON
-form, the node value table, `node_count` and `path_count`), not the
-nodes.  The recursion builds no law object: it walks a run as plain
-arithmetic, and moves each other node's columns by the discounted child
-values and hands them to its stage's kernel, which the `IrmSpec` picked
-when it was built.  The plan depends on neither the risk functionals nor
-the discount, and is not a dataclass field, so `==`, `repr` and the JSON
-form of a tree do not see it.
+A tree is its plan.  One compiler, `_compile`, checks a tree's nodes,
+listed in pre-order as (stage, [(probability, cost) per edge]), and
+builds the plan: the nodes with every child before its parent, in
+steps.  A leaf is a step; so is any other node that is not a single
+scalar edge, with one (probability, cost, child step) triple per edge
+and its one-step law as columns; and each maximal run of nodes with a
+single scalar edge is one step holding the run's probabilities and
+costs.  Every builder in the package (`deterministic_tree`,
+`tree_from_json_dict`, `mdp.unroll`, the casebook) hands the compiler
+that list, and a hand-built `ScenarioTree(horizon, root)` hands it the
+nodes of its graph, each checked for shape as it is listed.
+
+Everything after construction reads the plan (the recursion, the flat
+law, the JSON form, the node value table, `node_count` and
+`path_count`).  The `TreeNode`/`Edge` graph is a view: `root` is built
+from the plan when first read, by the children-first fold that also
+writes the JSON form, and kept.  The recursion builds no law object: it
+walks a run as plain arithmetic, and moves each other node's columns by
+the discounted child values and hands them to its stage's kernel, which
+the `IrmSpec` picked when it was built.  The plan depends on neither the
+risk functionals nor the discount, and is not a dataclass field, so
+`==`, `repr` and the JSON form of a tree do not see it.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import ItemsView, Mapping, ValuesView
 from operator import index
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .distributions import (
     MixedDistribution,
@@ -59,6 +66,8 @@ from .measures import (
 DEFAULT_PATH_LIMIT = 10**7
 
 EdgeCost = Union[float, MixedDistribution]
+# a node as the compiler takes it: (stage, [(probability, cost) per edge])
+Listed = Tuple[int, Sequence[Tuple[Any, Any]]]
 
 
 @dataclass(frozen=True)
@@ -198,7 +207,9 @@ class ScenarioTree:
 
     Strict means no node object is reachable twice; sharing would make
     the per-node value table ambiguous.  Construction checks the nodes
-    and compiles them into the tree's plan, held as `_plan`.
+    and compiles them into the tree's plan, held as `_plan`.  A tree that
+    a builder compiled from its pre-order list holds only the plan until
+    `root` is read.
     """
 
     horizon: int
@@ -206,7 +217,16 @@ class ScenarioTree:
 
     def __post_init__(self) -> None:
         _check_horizon(self.horizon)
-        object.__setattr__(self, "_plan", _compile(self.root, self.horizon))
+        object.__setattr__(self, "_plan", _compile(_preorder(self.root), self.horizon))
+
+    def __getattr__(self, name: str) -> Any:
+        """Build `root` from the plan on its first read and keep it; called
+        only for an attribute the tree does not hold."""
+        if name != "root":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        root = _fold(self._plan, lambda stage, edges: TreeNode(stage, tuple([Edge(*e) for e in edges])))
+        object.__setattr__(self, "root", root)
+        return root
 
     def node_count(self) -> int:
         return self._plan.tops[-1] + 1
@@ -215,83 +235,90 @@ class ScenarioTree:
         return self._plan.paths
 
 
-def _compile(root: TreeNode, horizon: int) -> _Plan:
-    """Check the tree under root and build its plan, in one walk off an
-    explicit stack, so depth is bounded by memory only.  A node is checked
-    when first reached and becomes a step once its subtrees are done.
+def _tree(horizon: int, nodes: Iterable[Listed]) -> ScenarioTree:
+    """The tree whose nodes are listed in pre-order, compiled with its
+    `root` unbuilt."""
+    tree = object.__new__(ScenarioTree)
+    object.__setattr__(tree, "horizon", _check_horizon(horizon))
+    object.__setattr__(tree, "_plan", _compile(nodes, horizon))
+    return tree
+
+
+def _preorder(root: TreeNode) -> Iterator[Listed]:
+    """The nodes under a hand-built root as `_compile` takes them, in
+    pre-order, first child first, off an explicit stack.  Each node's
+    shape is checked before it is listed: that it was not reached
+    before, its edges, their children and the children's stages.
     """
     if not isinstance(root, TreeNode):
         raise ValidationError(f"tree root must be a TreeNode, got {root!r}")
     if root.stage != 0:
         raise ValidationError("root must sit at stage 0")
-    steps: List[Any] = []  # a run stays a list, growing upward, until the end
-    tops: List[int] = []
-    done: List[int] = []  # steps of finished subtrees
     seen: set = set()
-    nodes = paths = 0
-    # (node, False) when first reached; (node, True) once checked, to
-    # join the plan when its subtrees are done
-    stack: List[Tuple[TreeNode, bool]] = [(root, False)]
+    stack = [root]
     while stack:
-        node, checked = stack.pop()
-        if checked:
-            e = node.edges[0]
-            if len(node.edges) == 1 and not isinstance(e.cost, MixedDistribution):
-                done.pop()  # its child: the last step, which may be a run to extend
-                if type(steps[-1]) is list:
-                    tops.pop()
-                else:
-                    steps.append([node.stage, [], [], None])
-                run = steps[-1]
-                run[0] = node.stage
-                run[1].append(e.probability)
-                run[2].append(e.cost)
-            else:
-                edges = tuple([(e.probability, e.cost, done.pop()) for e in node.edges])
-                steps.append((node.stage, edges, None, _node_law(edges, tops)))
-            done.append(len(steps) - 1)
-            tops.append(nodes)
-            nodes += 1
-            continue
+        node = stack.pop()
         if id(node) in seen:
             raise ValidationError("tree nodes must not be shared")
         seen.add(id(node))
-        if node.is_leaf:
-            if node.stage != horizon:
-                raise ValidationError(f"leaf at stage {node.stage} but horizon is {horizon}")
-            done.append(len(steps))
-            steps.append((node.stage, (), None, None))
-            tops.append(nodes)
-            nodes += 1
-            paths += 1
-            continue
-        if node.stage >= horizon:
-            raise ValidationError(f"internal node at stage {node.stage} exceeds horizon")
-        for e in node.edges:
+        edges = node.edges
+        if not isinstance(edges, (tuple, list)):
+            raise ValidationError(f"tree node edges must be a tuple or list of Edge objects, got {edges!r}")
+        for e in edges:
             if not isinstance(e, Edge):
                 raise ValidationError(f"tree edges must be Edge objects, got {e!r}")
-            p = json_number(e.probability, "edge probability")
-            if not math.isfinite(p) or p <= 0.0:
-                raise ValidationError(f"edge probability {e.probability!r} must be positive")
-            if isinstance(e.cost, bool) or not isinstance(e.cost, (int, float, MixedDistribution)):
-                raise ValidationError(
-                    f"edge cost must be a number or a MixedDistribution, got {e.cost!r}"
-                )
-            if not isinstance(e.cost, MixedDistribution) and not math.isfinite(e.cost):
-                raise ValidationError(f"edge cost {e.cost!r} must be finite")
             if not isinstance(e.child, TreeNode):
                 raise ValidationError(f"edge child must be a TreeNode, got {e.child!r}")
             if e.child.stage != node.stage + 1:
-                raise ValidationError(
-                    f"child at stage {e.child.stage} under a stage-{node.stage} node"
-                )
-        check_sums_to_one((e.probability for e in node.edges), "edge probabilities")
-        # the last child is walked first, so the subtrees finish in reverse
-        # and the first child's position ends on top of done
-        stack.append((node, True))
-        stack.extend([(e.child, False) for e in node.edges])
+                raise ValidationError(f"child at stage {e.child.stage} under a stage-{node.stage} node")
+        yield node.stage, [(e.probability, e.cost) for e in edges]
+        stack += [e.child for e in reversed(edges)]
+
+
+def _compile(nodes: Iterable[Listed], horizon: int) -> _Plan:
+    """Check the nodes of a tree, listed in pre-order, and build its plan.
+    Each node is checked as it is listed; then the steps are built in
+    reverse pre-order, which is the plan's order, so each node finds its
+    children's steps on top of a stack of finished subtrees and depth is
+    bounded by memory only.
+    """
+    listed: List[Listed] = []
+    for stage, branches in nodes:
+        if not branches and stage != horizon:
+            raise ValidationError(f"leaf at stage {stage} but horizon is {horizon}")
+        if branches and stage >= horizon:
+            raise ValidationError(f"internal node at stage {stage} exceeds horizon")
+        for p, cost in branches:
+            if not 0.0 < json_number(p, "edge probability") < math.inf:
+                raise ValidationError(f"edge probability {p!r} must be positive")
+            if isinstance(cost, bool) or not isinstance(cost, (int, float, MixedDistribution)):
+                raise ValidationError(f"edge cost must be a number or a MixedDistribution, got {cost!r}")
+            if not isinstance(cost, MixedDistribution) and not math.isfinite(cost):
+                raise ValidationError(f"edge cost {cost!r} must be finite")
+        if branches:
+            check_sums_to_one((p for p, _ in branches), "edge probabilities")
+        listed.append((stage, branches))
+    steps: List[Any] = []  # a run stays a list, growing upward, until the end
+    tops: List[int] = []
+    done: List[int] = []  # steps of finished subtrees, the first child's on top
+    for position, (stage, branches) in enumerate(reversed(listed)):
+        if len(branches) == 1 and not isinstance(branches[0][1], MixedDistribution):
+            done.pop()  # its child: the last step, which may be a run to extend
+            if type(steps[-1]) is list:
+                tops.pop()
+            else:
+                steps.append([stage, [], [], None])
+            run = steps[-1]
+            run[0] = stage
+            run[1].append(branches[0][0])
+            run[2].append(branches[0][1])
+        else:
+            edges = tuple([(p, cost, done.pop()) for p, cost in branches])
+            steps.append((stage, edges, None, _node_law(edges, tops) if edges else None))
+        done.append(len(steps) - 1)
+        tops.append(position)
     steps = [(s[0], tuple(s[1]), tuple(s[2]), None) if type(s) is list else s for s in steps]
-    return _Plan(tuple(steps), tuple(tops), paths)
+    return _Plan(tuple(steps), tuple(tops), sum(1 for _, branches in listed if not branches))
 
 
 def _node_law(edges: Tuple[Tuple[float, Any, int], ...], tops: List[int]) -> _Law:
@@ -310,17 +337,21 @@ def _node_law(edges: Tuple[Tuple[float, Any, int], ...], tops: List[int]) -> _La
     return weights, lows, lows if lows == highs else highs, children
 
 
-def _tree_from_preorder(nodes: List[Tuple[int, List[Tuple[float, EdgeCost]]]]) -> TreeNode:
-    """Root of the tree listed in pre-order as (stage, [(probability,
-    cost) per edge]).  Built in reverse, so each node finds its children
-    on top of the stack of finished subtrees.
-    """
-    done: List[TreeNode] = []
-    for stage, branches in reversed(nodes):
-        children = [done.pop() for _ in branches]
-        edges = tuple(Edge(p, cost, child) for (p, cost), child in zip(branches, children))
-        done.append(TreeNode(stage=stage, edges=edges))
-    return done[0]
+def _fold(plan: _Plan, make: Callable[[int, List[Tuple[Any, Any, Any]]], Any]) -> Any:
+    """make(stage, [(probability, cost, made child) per edge]) of every
+    node of the plan, children first; returns the root's.  Each step's
+    top is kept by step, so a node finds its children's, with no
+    recursion."""
+    tops: List[Any] = []
+    for stage, edges, costs, _ in plan.steps:
+        if costs is None:
+            tops.append(make(stage, [(p, cost, tops[child]) for p, cost, child in edges]))
+            continue
+        node = tops[-1]  # a run, from the node below it up
+        for n, p, cost in zip(range(stage + len(costs) - 1, stage - 1, -1), edges, costs):
+            node = make(n, [(p, cost, node)])
+        tops.append(node)
+    return tops[-1]
 
 
 def deterministic_tree(costs: Sequence[EdgeCost]) -> ScenarioTree:
@@ -328,8 +359,7 @@ def deterministic_tree(costs: Sequence[EdgeCost]) -> ScenarioTree:
     costs = list(costs)
     if not costs:
         raise ValidationError("deterministic_tree needs at least one period cost")
-    nodes = [(n, [(1.0, cost)]) for n, cost in enumerate(costs)] + [(len(costs), [])]
-    return ScenarioTree(horizon=len(costs), root=_tree_from_preorder(nodes))
+    return _tree(len(costs), [(n, [(1.0, cost)]) for n, cost in enumerate(costs)] + [(len(costs), [])])
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +374,14 @@ def _cost_from_json(data) -> EdgeCost:
 
 
 def tree_to_json_dict(tree: ScenarioTree) -> dict:
-    tops: List[dict] = []  # each step's top node, so children are built first
-    for _, edges, costs, _ in tree._plan.steps:
-        if costs is not None:  # a run, from the node below it up
-            node = tops[-1]
-            for p, cost in zip(edges, costs):
-                node = {"children": [{"p": p, "cost": cost, "node": node}]}
-            tops.append(node)
-            continue
+    def node(stage: int, edges: List[Tuple[Any, EdgeCost, dict]]) -> dict:
         children = []
         for p, cost, child in edges:
             cost = cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost
-            children.append({"p": p, "cost": cost, "node": tops[child]})
-        tops.append({"children": children})
-    return {"horizon": tree.horizon, "root": tops[-1]}
+            children.append({"p": p, "cost": cost, "node": child})
+        return {"children": children}
+
+    return {"horizon": tree.horizon, "root": _fold(tree._plan, node)}
 
 
 def tree_from_json_dict(data: dict) -> ScenarioTree:
@@ -379,7 +403,7 @@ def tree_from_json_dict(data: dict) -> ScenarioTree:
         branches = [(json_number(e["p"], "edge 'p'"), _cost_from_json(e["cost"])) for e in entries]
         nodes.append((stage, branches))
         stack.extend((e["node"], stage + 1) for e in reversed(entries))
-    return ScenarioTree(horizon=horizon, root=_tree_from_preorder(nodes))
+    return _tree(horizon, nodes)
 
 
 # ---------------------------------------------------------------------------

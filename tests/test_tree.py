@@ -48,6 +48,7 @@ from riskdp import (
     rmd,
     tree_from_json_dict,
     tree_to_json_dict,
+    unroll,
 )
 
 from .conftest import assert_close, random_tree
@@ -122,8 +123,21 @@ def test_boolean_cost_is_rejected():
             TreeNode(0, (Edge(1.0, 0.0, TreeNode(1, (Edge(1.0, 0.0, TreeNode(2, ())),))),)),
             "internal node at stage 1 exceeds horizon",
         ),
+        (
+            TreeNode(0, (Edge(1.0, 0.0, TreeNode(1, None)),)),
+            "tree node edges must be a tuple or list of Edge objects, got None",
+        ),
+        (TreeNode(0, {Edge(1.0, 0.0, TreeNode(1, ())): 1}), r"tree node edges must be a tuple or list of Edge objects, got \{"),
+        (TreeNode(0, 5), "tree node edges must be a tuple or list of Edge objects, got 5"),
+        (
+            TreeNode(0, (e for e in [Edge(1.0, 0.0, TreeNode(1, ()))])),
+            "tree node edges must be a tuple or list of Edge objects, got <generator",
+        ),
     ],
-    ids=["root", "edge", "child", "bool-probability", "str-probability", "root-stage", "internal-past-horizon"],
+    ids=[
+        "root", "edge", "child", "bool-probability", "str-probability", "root-stage", "internal-past-horizon",
+        "edges-none", "edges-dict", "edges-int", "edges-generator",
+    ],
 )
 def test_malformed_nodes_and_edges_are_rejected(root, match):
     with pytest.raises(ValidationError, match=match):
@@ -156,9 +170,11 @@ def test_deterministic_tree_shape():
 
 def two_fault_cases() -> dict:
     """Inputs with two faults each, by name: a builder and the error that
-    must win, as (type, message).  `ScenarioTree` checks an ancestor
-    before its descendants and a node's edges in order; the JSON reader
-    parses every node before it checks the tree's structure;
+    must win, as (type, message).  Every tree is checked node by node in
+    pre-order, first child first, and each node's edges in order; a
+    hand-built node's shape (its edges, their children and the children's
+    stages) before its numbers (stage against horizon, probabilities,
+    costs).  The JSON reader parses every node before any of that;
     `deterministic_tree` checks its costs in period order."""
     leaf = lambda n: TreeNode(n, ())  # noqa: E731
 
@@ -256,6 +272,28 @@ def two_fault_cases() -> dict:
         "json: two negative probabilities": (
             json_tree(1, edge(-0.5, 0.0), edge(0.0, 0.0)),
             (ValidationError, "edge probability -0.5 must be positive"),
+        ),
+        # faults in two sibling subtrees: the first child's wins
+        "tree: a bad cost under the first child, probabilities off one under the second": (
+            tree(2, Edge(0.5, 0.0, down(1, Edge(1.0, "x", leaf(2)))), Edge(0.5, 0.0, down(1, Edge(0.5, 0.0, leaf(2))))),
+            cost_x,
+        ),
+        "json: probabilities off one under the first child, a short leaf under the second": (
+            json_tree(2, edge(0.5, 0.0, edge(0.5, 0.0)), edge(0.5, 0.0)),
+            sums_to("0.5"),
+        ),
+        # within one node, its shape before its numbers
+        "tree: a bad probability before an edge that is not an Edge": (
+            tree(1, Edge(-0.5, 0.0, leaf(1)), "e"),
+            (ValidationError, "tree edges must be Edge objects, got 'e'"),
+        ),
+        "tree: a bad cost before a child that is not a TreeNode": (
+            tree(1, Edge(0.5, "x", leaf(1)), Edge(0.5, 0.0, "leaf")),
+            (ValidationError, "edge child must be a TreeNode, got 'leaf'"),
+        ),
+        "tree: an internal node past the horizon with a child at the wrong stage": (
+            tree(1, Edge(1.0, 0.0, down(1, Edge(1.0, 0.0, leaf(3))))),
+            (ValidationError, "child at stage 3 under a stage-1 node"),
         ),
     }
 
@@ -1007,6 +1045,56 @@ def test_trees_differ_on_the_class_of_a_nested_node():
     assert plain != marked and marked != plain
     assert plain.root != marked.root and marked.root != plain.root
     assert tree(Marked) == marked and hash(tree(Marked)) == hash(marked)
+
+
+def hand_built(data: dict) -> ScenarioTree:
+    """The tree of a JSON form, built node by node from the leaves up off
+    an explicit stack, sharing no code with riskdp.tree."""
+    order, stack = [], [(data["root"], 0)]
+    while stack:
+        node, stage = stack.pop()
+        order.append((node, stage))
+        stack += [(e["node"], stage + 1) for e in node["children"]]
+    built = {}
+    for node, stage in reversed(order):  # every node after its descendants
+        edges = []
+        for e in node["children"]:
+            cost = MixedDistribution.from_json_dict(e["cost"]) if isinstance(e["cost"], dict) else e["cost"]
+            edges.append(Edge(e["p"], cost, built[id(e["node"])]))
+        built[id(node)] = TreeNode(stage, tuple(edges))
+    return ScenarioTree(data["horizon"], built[id(data["root"])])
+
+
+def test_a_tree_built_from_a_list_builds_its_root_only_when_read():
+    """Every walk reads a listed tree's plan, never its `root`; read, the
+    root is built once, without recursion, and the tree then compares,
+    hashes and prints as a hand-built twin does."""
+    costs, deep = deep_chain(DEEP_STAGES)
+    chain = TreeNode(DEEP_STAGES, ())
+    for n in range(DEEP_STAGES - 1, -1, -1):
+        chain = TreeNode(n, (Edge(1.0, costs[n], chain),))
+    payments = casebook.payments_mdp(0.9)
+    slots = [(n, s) for n, s in payments.reachable() if n < payments.horizon]
+    flat = json.loads((DATA / "flat_bits.json").read_text())["cases"]
+    trees = [(deep, ScenarioTree(DEEP_STAGES, chain))]
+    trees += [(tree_from_json_dict(case["tree"]), hand_built(case["tree"])) for case in flat[:4]]
+    listed = [casebook.installment_tree(), casebook.local_roads_tree(), casebook.one_year_tree()]
+    listed += [unroll(payments, {slot: "installments" for slot in slots}), deterministic_tree([1, 2.5, -0.0])]
+    trees += [(tree, hand_built(tree_to_json_dict(tree))) for tree in listed]
+    for tree, twin in trees:
+        spec = IrmSpec.repeat(Cte(0.5), tree.horizon)
+        assert list(irm_evaluate(tree, spec, 0.9999).node_values.items())
+        irm_root_value(tree, spec, 0.9999)
+        discounted_total_distribution(tree, 0.9999)
+        rmd(tree, Cte(0.5), 0.9999)
+        eud(tree, Linear(), 0.9999)
+        tree_to_json_dict(tree)
+        assert (tree.node_count(), tree.path_count()) == (twin.node_count(), twin.path_count())
+        assert "root" not in vars(tree)
+        assert tree.root is tree.root and "root" in vars(tree)
+        assert tree == twin and twin == tree
+        assert hash(tree) == hash(twin)
+        assert repr(tree) == repr(twin)
 
 
 def test_deep_chain_records_every_node_value():
