@@ -37,6 +37,16 @@ def json_number(value, field: str) -> float:
     return float(value)
 
 
+def read_pairs(values: Any, name: str, pair: str) -> List[Tuple[Any, Any]]:
+    """values as a list of pairs; anything that is not an iterable of
+    pairs raises, naming the argument and the pair it should hold.
+    """
+    try:
+        return [(a, b) for a, b in values]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be {pair} pairs, got {values!r}") from None
+
+
 def checked_fsum(terms: Iterable[float], what: str, *args: Any) -> float:
     """math.fsum of terms, each finite unless its exact value left the
     floating range.  A sum that is not finite, exactly or as a term says,
@@ -125,7 +135,8 @@ class MixedDistribution:
     _cols: Columns
 
     def __init__(self, components: Iterable[Component]) -> None:
-        comps = [(w if type(w) is float else json_number(w, "component weight"), o) for w, o in components]
+        pairs = read_pairs(components, "MixedDistribution components", "(weight, outcome)")
+        comps = [(w if type(w) is float else json_number(w, "component weight"), o) for w, o in pairs]
         if not comps:
             raise ValidationError("distribution needs at least one component")
         for w, outcome in comps:
@@ -159,7 +170,7 @@ class MixedDistribution:
     @classmethod
     def of_atoms(cls, pairs: Iterable[Tuple[float, float]]) -> "MixedDistribution":
         """Build an all-atom distribution from (weight, value) pairs."""
-        return cls(tuple((w, PointMass(v)) for w, v in pairs))
+        return cls([(w, PointMass(v)) for w, v in read_pairs(pairs, "of_atoms pairs", "(weight, value)")])
 
     @classmethod
     def mix(
@@ -167,7 +178,7 @@ class MixedDistribution:
     ) -> "MixedDistribution":
         """Mixture of distributions with the given nonnegative weights."""
         weights, lows, highs = [], [], []
-        for p, dist in parts:
+        for p, dist in read_pairs(parts, "mix parts", "(weight, MixedDistribution)"):
             if not math.isfinite(json_number(p, "mixture weight")) or p < 0.0:
                 raise ValidationError(f"mixture weight {p!r} must be finite and >= 0")
             if not isinstance(dist, MixedDistribution):

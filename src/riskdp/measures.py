@@ -52,6 +52,7 @@ from .distributions import (
     column_tail_sum,
     json_number,
     midpoint,
+    read_pairs,
     segment_width,
 )
 from .errors import EvaluationOverflowError, ValidationError
@@ -140,7 +141,8 @@ class Composite:
     terms: Tuple[Tuple[float, "RiskFunctional"], ...]
 
     def __post_init__(self) -> None:
-        terms = tuple((json_number(c, "Composite coefficient"), rf) for c, rf in self.terms)
+        terms = read_pairs(self.terms, "Composite terms", "(coefficient, functional)")
+        terms = tuple((json_number(c, "Composite coefficient"), rf) for c, rf in terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValidationError("Composite needs at least one term")
@@ -593,7 +595,7 @@ class PiecewiseLinear:
     def __post_init__(self) -> None:
         knots = tuple(
             (json_number(c, "PiecewiseLinear knot cost"), json_number(u, "PiecewiseLinear knot value"))
-            for c, u in self.knots
+            for c, u in read_pairs(self.knots, "PiecewiseLinear knots", "(cost, disutility)")
         )
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:

@@ -356,7 +356,10 @@ def _fold(plan: _Plan, make: Callable[[int, List[Tuple[Any, Any, Any]]], Any]) -
 
 def deterministic_tree(costs: Sequence[EdgeCost]) -> ScenarioTree:
     """A single-path tree: one edge per period, probability one each."""
-    costs = list(costs)
+    try:
+        costs = list(costs)
+    except TypeError:
+        raise ValidationError(f"deterministic_tree costs must be a sequence, got {costs!r}") from None
     if not costs:
         raise ValidationError("deterministic_tree needs at least one period cost")
     return _tree(len(costs), [(n, [(1.0, cost)]) for n, cost in enumerate(costs)] + [(len(costs), [])])

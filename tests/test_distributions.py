@@ -83,6 +83,25 @@ def test_empty_distribution_rejected():
         MixedDistribution(())
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MixedDistribution("x"), "MixedDistribution components must be (weight, outcome) pairs, got 'x'"),
+        (
+            lambda: MixedDistribution([(1.0,)]),
+            "MixedDistribution components must be (weight, outcome) pairs, got [(1.0,)]",
+        ),
+        (lambda: MixedDistribution.of_atoms(None), "of_atoms pairs must be (weight, value) pairs, got None"),
+        (lambda: MixedDistribution.mix(None), "mix parts must be (weight, MixedDistribution) pairs, got None"),
+    ],
+    ids=["components-str", "components-short-pair", "of-atoms-none", "mix-none"],
+)
+def test_a_law_given_as_anything_but_pairs_is_rejected(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_mix_constructor_flattens_and_scales():
     d = MixedDistribution.mix(
         [(0.9, MixedDistribution.point(10.0)), (0.1, MixedDistribution.uniform(20.0, 80.0))]

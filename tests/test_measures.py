@@ -493,8 +493,18 @@ def test_disutility_validation():
             lambda: pushforward_mean("linear", MixedDistribution.point(1.0)),
             "unknown disutility 'linear'",
         ),
+        (lambda: Composite(None), "Composite terms must be (coefficient, functional) pairs, got None"),
+        (lambda: Composite(((1.0,),)), "Composite terms must be (coefficient, functional) pairs, got ((1.0,),)"),
+        (lambda: PiecewiseLinear(None), "PiecewiseLinear knots must be (cost, disutility) pairs, got None"),
+        (
+            lambda: PiecewiseLinear(((0, 0, 1), (1, 1))),
+            "PiecewiseLinear knots must be (cost, disutility) pairs, got ((0, 0, 1), (1, 1))",
+        ),
     ],
-    ids=["empty-composite", "knot-costs-not-increasing", "infinite-knot", "unknown-disutility"],
+    ids=[
+        "empty-composite", "knot-costs-not-increasing", "infinite-knot", "unknown-disutility",
+        "composite-none", "composite-short-term", "knots-none", "knot-triple",
+    ],
 )
 def test_malformed_functionals_and_curves_keep_their_message(build, message):
     with pytest.raises(ValidationError) as info:

@@ -166,6 +166,10 @@ def test_deterministic_tree_shape():
     assert t.path_count() == 1
     with pytest.raises(ValidationError):
         deterministic_tree([])
+    for costs in (None, 5):
+        with pytest.raises(ValidationError) as info:
+            deterministic_tree(costs)
+        assert str(info.value) == f"deterministic_tree costs must be a sequence, got {costs!r}"
 
 
 def two_fault_cases() -> dict:
