@@ -301,6 +301,7 @@ def _compile(nodes: Iterable[Listed], horizon: int) -> _Plan:
     steps: List[Any] = []  # a run stays a list, growing upward, until the end
     tops: List[int] = []
     done: List[int] = []  # steps of finished subtrees, the first child's on top
+    leaf = (horizon, (), None, None)  # every leaf sits at the horizon, so they share one step
     for position, (stage, branches) in enumerate(reversed(listed)):
         if len(branches) == 1 and not isinstance(branches[0][1], MixedDistribution):
             done.pop()  # its child: the last step, which may be a run to extend
@@ -314,7 +315,7 @@ def _compile(nodes: Iterable[Listed], horizon: int) -> _Plan:
             run[2].append(branches[0][1])
         else:
             edges = tuple([(p, cost, done.pop()) for p, cost in branches])
-            steps.append((stage, edges, None, _node_law(edges, tops) if edges else None))
+            steps.append((stage, edges, None, _node_law(edges, tops)) if edges else leaf)
         done.append(len(steps) - 1)
         tops.append(position)
     steps = [(s[0], tuple(s[1]), tuple(s[2]), None) if type(s) is list else s for s in steps]
@@ -377,14 +378,12 @@ def _cost_from_json(data) -> EdgeCost:
 
 
 def tree_to_json_dict(tree: ScenarioTree) -> dict:
-    def node(stage: int, edges: List[Tuple[Any, EdgeCost, dict]]) -> dict:
-        children = []
-        for p, cost, child in edges:
-            cost = cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost
-            children.append({"p": p, "cost": cost, "node": child})
-        return {"children": children}
+    def edge(p: Any, cost: EdgeCost, child: dict) -> dict:
+        cost = cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost
+        return {"p": p, "cost": cost, "node": child}
 
-    return {"horizon": tree.horizon, "root": _fold(tree._plan, node)}
+    root = _fold(tree._plan, lambda stage, edges: {"children": [edge(*e) for e in edges]})
+    return {"horizon": tree.horizon, "root": root}
 
 
 def tree_from_json_dict(data: dict) -> ScenarioTree:
