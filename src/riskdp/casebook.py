@@ -155,7 +155,8 @@ def two_year_payment() -> MixedDistribution:
 
 def one_year_tree() -> ScenarioTree:
     """Nothing happens in year 0; the year-1 bill lands or not."""
-    return _tree(2, [(0, [(1.0, 0.0)]), (1, [(0.3, 1000.0), (0.7, 0.0)]), (2, []), (2, [])])
+    nodes = [(0, [(1.0, 0.0)]), (1, [(0.3, 1000.0), (0.7, 0.0)]), (2, []), (2, [])]
+    return _tree(2, nodes)
 
 
 def two_year_tree() -> ScenarioTree:

@@ -67,7 +67,7 @@ DEFAULT_PATH_LIMIT = 10**7
 
 EdgeCost = Union[float, MixedDistribution]
 # a node as the compiler takes it: (stage, [(probability, cost) per edge])
-Listed = Tuple[int, Sequence[Tuple[Any, Any]]]
+_Listed = Tuple[int, Sequence[Tuple[Any, Any]]]
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class _Plan(NamedTuple):
     `steps` groups the nodes, in that order, into steps of three kinds,
     each a tuple (stage, edges, costs, law):
 
-    - a leaf: (stage, (), None, None);
+    - a leaf: (horizon, (), None, None), one tuple shared by every leaf;
     - a run, a maximal chain of nodes with one scalar-cost edge each:
       (stage of its top node, the edge probabilities, the edge costs,
       None), both from the bottom up.  Each node's value is its cost plus
@@ -235,7 +235,7 @@ class ScenarioTree:
         return self._plan.paths
 
 
-def _tree(horizon: int, nodes: Iterable[Listed]) -> ScenarioTree:
+def _tree(horizon: int, nodes: Iterable[_Listed]) -> ScenarioTree:
     """The tree whose nodes are listed in pre-order, compiled with its
     `root` unbuilt."""
     tree = object.__new__(ScenarioTree)
@@ -244,7 +244,7 @@ def _tree(horizon: int, nodes: Iterable[Listed]) -> ScenarioTree:
     return tree
 
 
-def _preorder(root: TreeNode) -> Iterator[Listed]:
+def _preorder(root: TreeNode) -> Iterator[_Listed]:
     """The nodes under a hand-built root as `_compile` takes them, in
     pre-order, first child first, off an explicit stack.  Each node's
     shape is checked before it is listed: that it was not reached
@@ -275,14 +275,14 @@ def _preorder(root: TreeNode) -> Iterator[Listed]:
         stack += [e.child for e in reversed(edges)]
 
 
-def _compile(nodes: Iterable[Listed], horizon: int) -> _Plan:
+def _compile(nodes: Iterable[_Listed], horizon: int) -> _Plan:
     """Check the nodes of a tree, listed in pre-order, and build its plan.
     Each node is checked as it is listed; then the steps are built in
     reverse pre-order, which is the plan's order, so each node finds its
     children's steps on top of a stack of finished subtrees and depth is
     bounded by memory only.
     """
-    listed: List[Listed] = []
+    listed: List[_Listed] = []
     for stage, branches in nodes:
         if not branches and stage != horizon:
             raise ValidationError(f"leaf at stage {stage} but horizon is {horizon}")
