@@ -582,6 +582,42 @@ def test_preference_region_reproduces_the_pinned_bits():
         assert [irm_root_value(installment, spec, lam).hex() for lam in grid.lambda_axis] == want, alpha
 
 
+def test_below_its_root_the_installment_tree_has_one_scalar_edge_per_node():
+    """Every functional maps a constant to itself, so no tail level moves
+    the value of a node with one scalar-cost edge: below the installment
+    tree's root only its one-step law sees the tail level."""
+    root = casebook.installment_tree().root
+    stack, seen = [e.child for e in root.edges], 0
+    while stack:
+        node = stack.pop()
+        seen += 1
+        if node.stage == casebook.PAYMENT_DAYS:
+            assert node.edges == ()
+            continue
+        assert len(node.edges) == 1
+        assert isinstance(node.edges[0].cost, float)
+        stack.append(node.edges[0].child)
+    assert seen == 2 * casebook.PAYMENT_DAYS
+
+
+@pytest.mark.parametrize("lambda_steps, alpha_steps", [(2, 2), (3, 17), (41, 7), (257, 3)])
+def test_preference_region_cells_are_the_recursion_cell_by_cell(lambda_steps, alpha_steps):
+    """Each cell of the region is the comparison of the two trees' root
+    values under the cell's tail level and discount, each recursion run
+    on its own."""
+    grid = casebook.preference_region(lambda_steps, alpha_steps)
+    assert (len(grid.lambda_axis), len(grid.alpha_axis)) == (lambda_steps, alpha_steps)
+    upfront, installment = casebook.upfront_tree(), casebook.installment_tree()
+    cells = []
+    for alpha in grid.alpha_axis:
+        spec = IrmSpec.repeat(Cte(alpha), casebook.PAYMENT_DAYS)
+        cells.append(tuple(
+            irm_root_value(upfront, spec, lam) <= irm_root_value(installment, spec, lam)
+            for lam in grid.lambda_axis
+        ))
+    assert grid.cells == tuple(cells)
+
+
 def test_a_negative_zero_component_moves_to_positive_zero():
     """A law component at -0.0 under a child value of +0.0 moves to +0.0,
     as a scalar edge cost and the flat law already do, so on a one-stage
