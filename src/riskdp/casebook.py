@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .distributions import MixedDistribution, affine_transform, json_number
 from .errors import ValidationError
-from .measures import Cte, _check_alpha, _check_discount, _is_int, erm
-from .tree import IrmSpec, ScenarioTree, _tree, deterministic_tree, irm_root_value
+from .measures import Cte, _check_alpha, _check_discount, _is_int, _kernel, _on_atoms, erm
+from .tree import IrmSpec, ScenarioTree, _tree, deterministic_tree, irm_evaluate, irm_root_value
 
 if TYPE_CHECKING:
     # imported where an MDP is built, so the other models load no solver
@@ -333,7 +333,16 @@ class RegionGrid:
 
 
 def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> RegionGrid:
-    """Sweep the recursion over the grid; no closed form inside the cells."""
+    """Sweep the recursion over the grid; no closed form inside the cells.
+
+    Every cell is still decided by the stagewise recursion, but it runs
+    once per discount, not once per cell.  Below its root the installment
+    tree has one scalar-cost edge per node, and every functional maps a
+    constant to itself, so no tail level moves those nodes' values.  Each
+    tail level's functional is applied only at the root, to the root's
+    one-step law at each discount, built with the recursion's operations
+    so every value keeps its bits.
+    """
     if not (_is_int(lambda_steps) and _is_int(alpha_steps)):
         raise ValidationError(f"steps per axis must be integers, got {lambda_steps!r}, {alpha_steps!r}")
     if lambda_steps < 2 or alpha_steps < 2:
@@ -345,14 +354,16 @@ def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> Region
     # the upfront tree is deterministic, so no tail level moves its values
     spec = IrmSpec.repeat(Cte(alpha_axis[0]), PAYMENT_DAYS)
     a_row = [irm_root_value(a_tree, spec, lam) for lam in lambda_axis]
+    edges = b_tree.root.edges
+    probs = [e.probability for e in edges]
+    root_laws = []
+    for lam in lambda_axis:
+        below = irm_evaluate(b_tree, spec, lam).node_values
+        root_laws.append([e.cost + lam * below[(k,)] for k, e in enumerate(edges)])
     cells = []
     for alpha in alpha_axis:
-        spec = IrmSpec.repeat(Cte(alpha), PAYMENT_DAYS)
-        row = []
-        for a_val, lam in zip(a_row, lambda_axis):
-            b_val = irm_root_value(b_tree, spec, lam)
-            row.append(a_val <= b_val)
-        cells.append(tuple(row))
+        kernel = _kernel(Cte(alpha))
+        cells.append(tuple(a_val <= _on_atoms(kernel, probs, atoms) for a_val, atoms in zip(a_row, root_laws)))
     boundary = tuple((lam, preference_boundary(lam)) for lam in lambda_axis)
     return RegionGrid(
         lambda_axis=lambda_axis,

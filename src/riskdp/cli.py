@@ -290,9 +290,10 @@ def fig1(lambda_steps: int, alpha_steps: int) -> _Output:
     """Sweep the payment-plan preference region over (discount, tail level).
 
     Every cell is decided by the stagewise recursion on the two trees,
-    never by the closed form; the closed-form boundary is attached per
-    column and the sweep fails if any column's flip strays more than one
-    cell from it.
+    never by the closed form.  The recursion runs once per discount, and
+    each tail level's functional is applied at the installment tree's
+    root.  The closed-form boundary is attached per column and the sweep
+    fails if any column's flip strays more than one cell from it.
     """
     from . import casebook
 
