@@ -228,6 +228,21 @@ class ScenarioTree:
         object.__setattr__(self, "root", root)
         return root
 
+    def __eq__(self, other: object) -> bool:
+        """Two trees that hold no `root` compare by horizon and plan, and
+        build no graph; otherwise by horizon and root, as a hand-built
+        graph may hold `TreeNode` subclasses, which the plan does not
+        record."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if "root" in vars(self) or "root" in vars(other):
+            return (self.horizon, self.root) == (other.horizon, other.root)
+        return (self.horizon, self._plan) == (other.horizon, other._plan)
+
+    def __hash__(self) -> int:
+        # equal graphs compile to equal plans, so equal trees hash equal
+        return hash((self.horizon, self._plan))
+
     def node_count(self) -> int:
         return self._plan.tops[-1] + 1
 

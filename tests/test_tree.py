@@ -1137,6 +1137,49 @@ def test_a_tree_built_from_a_list_builds_its_root_only_when_read():
         assert repr(tree) == repr(twin)
 
 
+def bumped(data: dict) -> dict:
+    """A copy of a tree's JSON form whose root's first edge costs one
+    more."""
+    data = json.loads(json.dumps(data))
+    edge = data["root"]["children"][0]
+    if isinstance(edge["cost"], dict):
+        edge["cost"] = affine_transform(MixedDistribution.from_json_dict(edge["cost"]), 1.0, 1.0).to_json_dict()
+    else:
+        edge["cost"] += 1.0
+    return data
+
+
+def test_trees_compare_and_hash_alike_before_and_after_their_roots_are_built():
+    """Two trees read from JSON compare and hash without building their
+    roots, and give the answers their graphs give: against each other,
+    against a hand-built twin, and once their roots are read."""
+    for name, tree in make_tree_bits.trees():
+        data = tree_to_json_dict(tree)
+        one, two, other = tree_from_json_dict(data), tree_from_json_dict(data), tree_from_json_dict(bumped(data))
+        assert one == two and two == one and hash(one) == hash(two), name
+        assert one != other and other != one, name
+        assert not any("root" in vars(t) for t in (one, two, other)), name
+        twin = hand_built(data)
+        assert hash(twin) == hash(one), name
+        assert twin == one and one == twin and twin != other, name
+        assert "root" in vars(one) and "root" not in vars(two), name
+        assert one == two and two == one and hash(one) == hash(two), name
+        assert one != other and other != one, name
+
+
+def test_large_trees_read_from_json_compare_and_hash_without_their_roots():
+    def node(stage: int) -> dict:
+        if stage == 8:
+            return {"children": []}
+        return {"children": [{"p": p, "cost": float(stage + k), "node": node(stage + 1)} for k, p in enumerate((0.5, 0.25, 0.25))]}
+
+    data = {"horizon": 8, "root": node(0)}
+    one, two = tree_from_json_dict(data), tree_from_json_dict(data)
+    assert one.node_count() == 9841
+    assert one == two and hash(one) == hash(two)
+    assert "root" not in vars(one) and "root" not in vars(two)
+
+
 def test_deep_chain_records_every_node_value():
     costs, tree = deep_chain(DEEP_STAGES)
     spec = IrmSpec.repeat(Cte(0.5), DEEP_STAGES)
