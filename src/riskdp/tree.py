@@ -30,7 +30,8 @@ walks a run as plain arithmetic, and moves each other node's columns by
 the discounted child values and hands them to its stage's kernel, which
 the `IrmSpec` picked when it was built.  The plan depends on neither the
 risk functionals nor the discount, and is not a dataclass field, so
-`==`, `repr` and the JSON form of a tree do not see it.
+`repr` and the JSON form of a tree do not see it.  `hash` reads it, and
+so does `==` between two trees whose roots are unbuilt.
 """
 from __future__ import annotations
 
@@ -235,9 +236,8 @@ class ScenarioTree:
         record."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if "root" in vars(self) or "root" in vars(other):
-            return (self.horizon, self.root) == (other.horizon, other.root)
-        return (self.horizon, self._plan) == (other.horizon, other._plan)
+        view = "root" if "root" in vars(self) or "root" in vars(other) else "_plan"
+        return (self.horizon, getattr(self, view)) == (other.horizon, getattr(other, view))
 
     def __hash__(self) -> int:
         # equal graphs compile to equal plans, so equal trees hash equal
@@ -276,18 +276,21 @@ def _preorder(root: TreeNode) -> Iterator[_Listed]:
         if id(node) in seen:
             raise ValidationError("tree nodes must not be shared")
         seen.add(id(node))
-        edges = node.edges
+        edges, stage = node.edges, node.stage
         if not isinstance(edges, (tuple, list)):
             raise ValidationError(f"tree node edges must be a tuple or list of Edge objects, got {edges!r}")
+        branches, children = [], []
         for e in edges:
             if not isinstance(e, Edge):
                 raise ValidationError(f"tree edges must be Edge objects, got {e!r}")
             if not isinstance(e.child, TreeNode):
                 raise ValidationError(f"edge child must be a TreeNode, got {e.child!r}")
-            if e.child.stage != node.stage + 1:
-                raise ValidationError(f"child at stage {e.child.stage} under a stage-{node.stage} node")
-        yield node.stage, [(e.probability, e.cost) for e in edges]
-        stack += [e.child for e in reversed(edges)]
+            if e.child.stage != stage + 1:
+                raise ValidationError(f"child at stage {e.child.stage} under a stage-{stage} node")
+            branches.append((e.probability, e.cost))
+            children.append(e.child)
+        yield stage, branches
+        stack.extend(reversed(children))
 
 
 def _compile(nodes: Iterable[_Listed], horizon: int) -> _Plan:
