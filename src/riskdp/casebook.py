@@ -351,7 +351,8 @@ def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> Region
     alpha_axis = tuple(i / alpha_steps for i in range(alpha_steps))
     a_tree = upfront_tree()
     b_tree = installment_tree()
-    # the upfront tree is deterministic, so no tail level moves its values
+    # no tail level moves the values of the upfront tree, which is
+    # deterministic, nor of the installment nodes below the root
     spec = IrmSpec.repeat(Cte(alpha_axis[0]), PAYMENT_DAYS)
     a_row = [irm_root_value(a_tree, spec, lam) for lam in lambda_axis]
     edges = b_tree.root.edges

@@ -290,7 +290,7 @@ def _preorder(root: TreeNode) -> Iterator[_Listed]:
             branches.append((e.probability, e.cost))
             children.append(e.child)
         yield stage, branches
-        stack.extend(reversed(children))
+        stack += children[::-1]
 
 
 def _compile(nodes: Iterable[_Listed], horizon: int) -> _Plan:
