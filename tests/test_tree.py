@@ -600,7 +600,7 @@ def test_below_its_root_the_installment_tree_has_one_scalar_edge_per_node():
     assert seen == 2 * casebook.PAYMENT_DAYS
 
 
-@pytest.mark.parametrize("lambda_steps, alpha_steps", [(2, 2), (3, 17), (41, 7), (257, 3)])
+@pytest.mark.parametrize("lambda_steps, alpha_steps", [(2, 2), (3, 17), (41, 7), (257, 3), (3, 1000)])
 def test_preference_region_cells_are_the_recursion_cell_by_cell(lambda_steps, alpha_steps):
     """Each cell of the region is the comparison of the two trees' root
     values under the cell's tail level and discount, each recursion run
