@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .distributions import MixedDistribution, affine_transform, json_number
 from .errors import ValidationError
-from .measures import Cte, _check_alpha, _check_discount, _is_int, _kernel, _on_atoms, erm
+from .measures import Cte, _check_alpha, _check_discount, _cte_levels, _is_int, erm
 from .tree import IrmSpec, ScenarioTree, _tree, deterministic_tree, irm_evaluate, irm_root_value
 
 if TYPE_CHECKING:
@@ -335,13 +335,15 @@ class RegionGrid:
 def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> RegionGrid:
     """Sweep the recursion over the grid; no closed form inside the cells.
 
-    Every cell is still decided by the stagewise recursion, but it runs
+    Every cell is still the stagewise recursion's value, but it runs
     once per discount, not once per cell.  Below its root the installment
     tree has one scalar-cost edge per node, and every functional maps a
     constant to itself, so no tail level moves those nodes' values.  Each
     tail level's functional is applied only at the root, to the root's
-    one-step law at each discount, built with the recursion's operations
-    so every value keeps its bits.
+    one-step law at each discount, built with the recursion's operations.
+    That law's breakpoint statistics are read once for all tail levels
+    (`measures._cte_levels`), and each level's value keeps the bits of
+    the tail-expectation kernel on that law.
     """
     if not (_is_int(lambda_steps) and _is_int(alpha_steps)):
         raise ValidationError(f"steps per axis must be integers, got {lambda_steps!r}, {alpha_steps!r}")
@@ -357,18 +359,15 @@ def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> Region
     a_row = [irm_root_value(a_tree, spec, lam) for lam in lambda_axis]
     edges = b_tree.root.edges
     probs = [e.probability for e in edges]
-    root_laws = []
-    for lam in lambda_axis:
+    columns = []
+    for lam, a_val in zip(lambda_axis, a_row):
         below = irm_evaluate(b_tree, spec, lam).node_values
-        root_laws.append([e.cost + lam * below[(k,)] for k, e in enumerate(edges)])
-    cells = []
-    for alpha in alpha_axis:
-        kernel = _kernel(Cte(alpha))
-        cells.append(tuple(a_val <= _on_atoms(kernel, probs, atoms) for a_val, atoms in zip(a_row, root_laws)))
+        atoms = [e.cost + lam * below[(k,)] for k, e in enumerate(edges)]
+        columns.append([a_val <= v for v in _cte_levels(alpha_axis, probs, atoms)])
     boundary = tuple((lam, preference_boundary(lam)) for lam in lambda_axis)
     return RegionGrid(
         lambda_axis=lambda_axis,
         alpha_axis=alpha_axis,
-        cells=tuple(cells),
+        cells=tuple(zip(*columns)),
         boundary=boundary,
     )

@@ -292,7 +292,8 @@ def fig1(lambda_steps: int, alpha_steps: int) -> _Output:
     Every cell is decided by the stagewise recursion on the two trees,
     never by the closed form.  The recursion runs once per discount, and
     each tail level's functional is applied at the installment tree's
-    root.  The closed-form boundary is attached per column and the sweep
+    root, its kernel result taken from the root law's breakpoint
+    statistics, read once for all levels.  The closed-form boundary is attached per column and the sweep
     fails if any column's flip strays more than one cell from it.
     """
     from . import casebook

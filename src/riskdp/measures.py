@@ -20,7 +20,10 @@ stored columns to the kernel; the flat route of a tree (`tree.rmd`) is
 is never built.  The MDP solver and the tree recursion pick a kernel
 once per stage functional and hand each cell or node law to it, a law of
 atoms through ``_on_atoms``, which keeps the finiteness check and the
-one-atom shortcut of :func:`evaluate_atoms`.
+one-atom shortcut of :func:`evaluate_atoms`.  ``_cte_levels`` reads a
+law of atoms at many tail levels: it takes the law's breakpoint
+statistics once and gives each level the bits of the tail-expectation
+kernel, as the fig1 sweep needs at the installment tree's root.
 
 The kernels stay in the floating range where the true value does: a
 midpoint whose sum overflows is taken as half of each end.  A value
@@ -459,6 +462,49 @@ def _cte(alpha: float, cols: Columns) -> float:
         return v
     beta = 1.0 - tail_p
     return (column_tail_sum(cols, v) + (beta - alpha) * v) / (1.0 - alpha)
+
+
+def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Sequence[float]) -> List[float]:
+    """``[_on_atoms(_kernel(Cte(a)), weights, values) for a in alphas]``
+    for one or more checked levels, with the same bits and the same error
+    at the same first level, the law's breakpoint statistics read once.
+
+    `_value_at_risk` ends its walk at the first break whose CDF, as
+    ``column_cdf`` takes it in component order, reaches the level.  Those
+    CDFs never decrease (the weights are nonnegative and rounding is
+    monotone), so a bisection finds that break.  A level whose walk ends
+    in the linear inversion, which only float dust in the weights allows
+    on atoms, is handed to `_cte`.  Each break's tail mass and tail sum
+    are taken when a level first ends there, so a tail sum that overflows
+    where no level ends raises nothing.  The CDF table costs O(n²) in the
+    atom count: this is for laws of few atoms read at many levels.
+    """
+    _check_atoms(values)
+    if len(values) == 1:
+        return [values[0]] * len(alphas)
+    cols = (weights, values, values)
+    breaks: List[float] = []  # as `_value_at_risk` sorts and keeps them
+    for y, _ in sorted((v, w) for w, v in zip(weights, values) if w > 0.0):
+        if not breaks or y != breaks[-1]:
+            breaks.append(y)
+    cdfs = [column_cdf(cols, y) for y in breaks]
+    lefts = [cdf - column_atom_mass_at(cols, y) for cdf, y in zip(cdfs, breaks)]  # Pr(Y < y)
+    tails: Dict[int, Tuple[float, float]] = {}
+    out = []
+    for alpha in alphas:
+        k = bisect_left(cdfs, alpha)
+        if k == len(breaks):  # float dust: no break reaches the level
+            out.append(column_sup(cols))
+            continue
+        if k and lefts[k] >= alpha:
+            out.append(_cte(alpha, cols))
+            continue
+        if k not in tails:
+            tails[k] = (column_tail_mass(cols, breaks[k]), column_tail_sum(cols, breaks[k]))
+        tail_p, tail_sum = tails[k]
+        v = column_inf(cols) if alpha == 0.0 else breaks[k]  # the sign of a zero, as `_value_at_risk` gives it
+        out.append(v if tail_p <= 0.0 else (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha))
+    return out
 
 
 def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:

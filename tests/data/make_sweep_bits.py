@@ -11,6 +11,10 @@ and that of the installment tree at every (tail level, discount) point.
 Values are recorded with float.hex.  The committed file was written
 before runs of single-scalar-edge nodes became one plan step, and
 test_tree checks that the library still reproduces it bit for bit.
+The cells come from the sweep, which runs the recursion once per
+discount and takes each tail level's value at the installment root
+from the root law's breakpoint statistics; the values here come from a
+whole recursion per point, so the file pins each cell against them.
 """
 import json
 import sys

@@ -44,7 +44,8 @@ from riskdp import (
     rf_to_json_dict,
     value_at_risk,
 )
-from riskdp.measures import evaluate_atoms
+from riskdp import measures
+from riskdp.measures import _cte_levels, _kernel, _on_atoms, evaluate_atoms
 from riskdp.properties import _random_mixed
 
 from .conftest import (
@@ -264,6 +265,82 @@ def test_cte_matches_the_rockafellar_uryasev_minimum_on_tied_laws():
             assert_close(cte(a, d), rockafellar_uryasev_cte(a, d), rel=1e-9)
             checked += 1
     assert checked > 3000
+
+
+def _cte_per_level(alphas, weights, values):
+    return [_on_atoms(_kernel(Cte(a)), weights, values) for a in alphas]
+
+
+@st.composite
+def _atom_laws_and_levels(draw):
+    """An atom law built to tie, with dyadic, sixths or random weights,
+    some zero, and values from a small pool reaching the float limit;
+    its levels are a 100-level grid, the CDF's own levels and draws up
+    to just below one, some out of order."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from((8, 6, None)))
+    if kind is None:
+        raw = draw(st.lists(st.sampled_from((0.0,)) | st.floats(0.01, 1.0), min_size=n, max_size=n))
+        raw[0] += 0.5
+        weights = [r / math.fsum(raw) for r in raw]
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, kind), min_size=n - 1, max_size=n - 1)))
+        weights = [(b - a) / kind for a, b in zip([0, *cuts], [*cuts, kind])]
+    pool = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1.7e308, -1.7e308)
+    values = draw(st.lists(st.sampled_from(pool) | st.integers(-3, 3).map(float), min_size=n, max_size=n))
+    sums = [math.fsum(weights[:i]) for i in range(1, n)]
+    extra = draw(st.lists(
+        st.floats(0.0, 1.0, exclude_max=True) | st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k),
+        max_size=8,
+    ))
+    return weights, values, [i / 100 for i in range(100)] + [s for s in sums if s < 1.0] + extra
+
+
+@given(_atom_laws_and_levels())
+@settings(max_examples=200, deadline=None)
+def test_cte_levels_gives_the_bits_of_the_kernel_at_every_level(case):
+    weights, values, alphas = case
+    got = [x.hex() for x in _cte_levels(alphas, weights, values)]
+    assert got == [x.hex() for x in _cte_per_level(alphas, weights, values)]
+
+
+def test_cte_levels_follows_the_walk_where_float_dust_ends_it(monkeypatch):
+    """Float dust in the weights sends `_value_at_risk` at 2/3 to its
+    linear inversion, which `_cte_levels` leaves to `_cte`, and past
+    every break to `column_sup`, which keeps the sign of its zero."""
+    weights, values = [1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0]
+    alphas = [0.5, 2 / 3, 0.9]
+    want = [x.hex() for x in _cte_per_level(alphas, weights, values)]
+    handed = []
+    kernel = measures._cte
+    monkeypatch.setattr(measures, "_cte", lambda alpha, cols: handed.append(alpha) or kernel(alpha, cols))
+    assert [x.hex() for x in _cte_levels(alphas, weights, values)] == want
+    assert handed == [2 / 3]
+    monkeypatch.undo()
+    weights, values = [0.25, 0.5 - 2.0**-40, 0.25], [-1.0, 0.0, -0.0]
+    alphas = [0.5, 1.0 - 2.0**-53]
+    # the sort puts -0.0 first among the top values; column_sup keeps 0.0
+    want = ["-0x0.0p+0", "0x0.0p+0"]
+    assert [x.hex() for x in _cte_per_level(alphas, weights, values)] == want
+    assert [x.hex() for x in _cte_levels(alphas, weights, values)] == want
+
+
+def test_cte_levels_raises_at_the_first_level_whose_tail_sum_overflows():
+    big = 1.7976931348623157e308
+    weights, values = [1e-13, 0.5 + 4e-13, 0.5 + 4e-13], [0.0, big, big]
+    # only the break at 0.0 has a tail sum past the float range
+    assert _cte_levels([0.5], weights, values) == _cte_per_level([0.5], weights, values) == [big]
+    with pytest.raises(EvaluationOverflowError) as want:
+        _cte_per_level([0.5, 0.0], weights, values)
+    with pytest.raises(EvaluationOverflowError) as got:
+        _cte_levels([0.5, 0.0], weights, values)
+    assert str(got.value) == str(want.value) == "tail expectation overflowed the floating range"
+
+
+def test_cte_levels_of_one_atom_is_the_constant():
+    assert [x.hex() for x in _cte_levels([0.0, 0.5, 0.99], [1.0], [-0.0])] == ["-0x0.0p+0"] * 3
+    with pytest.raises(ValidationError, match="PointMass value must be finite"):
+        _cte_levels([0.5], [1.0], [math.inf])
 
 
 def test_route_tail_values():
