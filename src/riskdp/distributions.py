@@ -218,7 +218,9 @@ class MixedDistribution:
         return self._cols == other._cols
 
     def __hash__(self) -> int:
-        return hash((self.components,))
+        # a frozen dataclass hashes the tuple of its fields, so (lo,) and
+        # (lo, hi) hash as the PointMass and UniformSegment would
+        return hash((tuple((w, (lo,) if lo == hi else (lo, hi)) for w, lo, hi in zip(*self._cols)),))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(components={self.components!r})"

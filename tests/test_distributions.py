@@ -170,6 +170,18 @@ def test_a_law_is_frozen_and_keeps_the_dataclass_forms():
     assert d == MixedDistribution.from_json_dict(d.to_json_dict()) == affine_transform(d, 1.0, 0.0)
 
 
+def test_hashing_a_law_builds_no_outcome(monkeypatch):
+    d = MixedDistribution(((0.5, PointMass(-0.0)), (0.25, UniformSegment(0.0, 2.0)), (0.25, PointMass(3.0))))
+    want = hash((d.components,))
+
+    def built(self, *args):
+        raise AssertionError(f"built {type(self).__name__}{args}")
+
+    monkeypatch.setattr(PointMass, "__init__", built)
+    monkeypatch.setattr(UniformSegment, "__init__", built)
+    assert hash(d) == want
+
+
 def test_tail_mass_and_tail_sum_on_clipped_segment():
     d = MixedDistribution.uniform(0.0, 20.0)
     assert_close(d.tail_mass(15.0), 0.25)
