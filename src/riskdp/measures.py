@@ -473,8 +473,8 @@ def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Seque
     ``column_cdf`` takes it in component order, reaches the level.  Those
     CDFs never decrease (the weights are nonnegative and rounding is
     monotone), so a bisection finds that break.  A level whose walk ends
-    in the linear inversion, which only float dust in the weights allows
-    on atoms, is handed to `_cte`.  Each break's tail mass and tail sum
+    in the linear inversion or past every break, which only float dust in
+    the weights allows on atoms, is handed to `_cte`.  Each break's tail mass and tail sum
     are taken when a level first ends there, so a tail sum that overflows
     where no level ends raises nothing.  The CDF table costs O(n²) in the
     atom count: this is for laws of few atoms read at many levels.
@@ -493,10 +493,7 @@ def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Seque
     out = []
     for alpha in alphas:
         k = bisect_left(cdfs, alpha)
-        if k == len(breaks):  # float dust: no break reaches the level
-            out.append(column_sup(cols))
-            continue
-        if k and lefts[k] >= alpha:
+        if k == len(breaks) or (k and lefts[k] >= alpha):
             out.append(_cte(alpha, cols))
             continue
         if k not in tails:

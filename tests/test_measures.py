@@ -306,8 +306,8 @@ def test_cte_levels_gives_the_bits_of_the_kernel_at_every_level(case):
 
 def test_cte_levels_follows_the_walk_where_float_dust_ends_it(monkeypatch):
     """Float dust in the weights sends `_value_at_risk` at 2/3 to its
-    linear inversion, which `_cte_levels` leaves to `_cte`, and past
-    every break to `column_sup`, which keeps the sign of its zero."""
+    linear inversion, and near 1 past every break to `column_sup`, which
+    keeps the sign of its zero; `_cte_levels` leaves both to `_cte`."""
     weights, values = [1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0]
     alphas = [0.5, 2 / 3, 0.9]
     want = [x.hex() for x in _cte_per_level(alphas, weights, values)]
@@ -322,7 +322,9 @@ def test_cte_levels_follows_the_walk_where_float_dust_ends_it(monkeypatch):
     # the sort puts -0.0 first among the top values; column_sup keeps 0.0
     want = ["-0x0.0p+0", "0x0.0p+0"]
     assert [x.hex() for x in _cte_per_level(alphas, weights, values)] == want
+    monkeypatch.setattr(measures, "_cte", lambda alpha, cols: handed.append(alpha) or kernel(alpha, cols))
     assert [x.hex() for x in _cte_levels(alphas, weights, values)] == want
+    assert handed == [2 / 3, 1.0 - 2.0**-53]
 
 
 def test_cte_levels_raises_at_the_first_level_whose_tail_sum_overflows():
