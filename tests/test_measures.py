@@ -280,7 +280,7 @@ def _atom_laws_and_levels(draw):
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from((8, 6, None)))
     if kind is None:
-        raw = draw(st.lists(st.sampled_from((0.0,)) | st.floats(0.01, 1.0), min_size=n, max_size=n))
+        raw = draw(st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=n, max_size=n))
         raw[0] += 0.5
         weights = [r / math.fsum(raw) for r in raw]
     else:
@@ -308,22 +308,16 @@ def test_cte_levels_follows_the_walk_where_float_dust_ends_it(monkeypatch):
     """Float dust in the weights sends `_value_at_risk` at 2/3 to its
     linear inversion, and near 1 past every break to `column_sup`, which
     keeps the sign of its zero; `_cte_levels` leaves both to `_cte`."""
-    weights, values = [1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0]
-    alphas = [0.5, 2 / 3, 0.9]
-    want = [x.hex() for x in _cte_per_level(alphas, weights, values)]
+    linear = ([1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0], [0.5, 2 / 3, 0.9])
+    past = ([0.25, 0.5 - 2.0**-40, 0.25], [-1.0, 0.0, -0.0], [0.5, 1.0 - 2.0**-53])
+    wants = [[x.hex() for x in _cte_per_level(alphas, w, v)] for w, v, alphas in (linear, past)]
+    # the sort puts -0.0 first among the top values; column_sup keeps 0.0
+    assert wants[1] == ["-0x0.0p+0", "0x0.0p+0"]
     handed = []
     kernel = measures._cte
     monkeypatch.setattr(measures, "_cte", lambda alpha, cols: handed.append(alpha) or kernel(alpha, cols))
-    assert [x.hex() for x in _cte_levels(alphas, weights, values)] == want
-    assert handed == [2 / 3]
-    monkeypatch.undo()
-    weights, values = [0.25, 0.5 - 2.0**-40, 0.25], [-1.0, 0.0, -0.0]
-    alphas = [0.5, 1.0 - 2.0**-53]
-    # the sort puts -0.0 first among the top values; column_sup keeps 0.0
-    want = ["-0x0.0p+0", "0x0.0p+0"]
-    assert [x.hex() for x in _cte_per_level(alphas, weights, values)] == want
-    monkeypatch.setattr(measures, "_cte", lambda alpha, cols: handed.append(alpha) or kernel(alpha, cols))
-    assert [x.hex() for x in _cte_levels(alphas, weights, values)] == want
+    for (w, v, alphas), want in zip((linear, past), wants):
+        assert [x.hex() for x in _cte_levels(alphas, w, v)] == want
     assert handed == [2 / 3, 1.0 - 2.0**-53]
 
 
