@@ -11,27 +11,26 @@ builds the law as its columns, with no object per component.
 
 A tree is its plan.  One compiler, `_compile`, checks a tree's nodes,
 listed in pre-order as (stage, [(probability, cost) per edge]), and
-builds the plan: the nodes with every child before its parent, in
-steps.  A leaf is a step; so is any other node that is not a single
-scalar edge, with one (probability, cost, child step) triple per edge
-and its one-step law as columns; and each maximal run of nodes with a
-single scalar edge is one step holding the run's probabilities and
-costs.  Every builder in the package (`deterministic_tree`,
-`tree_from_json_dict`, `mdp.unroll`, the casebook) hands the compiler
-that list, and a hand-built `ScenarioTree(horizon, root)` hands it the
-nodes of its graph, each checked for shape as it is listed.
+builds the plan: one step per node, every child before its parent, with
+one (probability, cost, child step) triple per edge and, unless the node
+is a leaf or has a single scalar edge, its one-step law as columns.
+Every builder in the package (`deterministic_tree`, `tree_from_json_dict`,
+`mdp.unroll`, the casebook) hands the compiler that list, and a
+hand-built `ScenarioTree(horizon, root)` hands it the nodes of its
+graph, each checked for shape as it is listed.
 
 Everything after construction reads the plan (the recursion, the flat
 law, the JSON form, the node value table, `node_count` and
 `path_count`).  The `TreeNode`/`Edge` graph is a view: `root` is built
 from the plan when first read, by the children-first fold that also
 writes the JSON form, and kept.  The recursion builds no law object: it
-walks a run as plain arithmetic, and moves each other node's columns by
-the discounted child values and hands them to its stage's kernel, which
-the `IrmSpec` picked when it was built.  The plan depends on neither the
-risk functionals nor the discount, and is not a dataclass field, so
-`repr` and the JSON form of a tree do not see it.  `hash` reads it, and
-so does `==` between two trees whose roots are unbuilt.
+gives a node with a single scalar edge its cost plus the discounted
+child value, and moves each other node's columns by the discounted child
+values and hands them to its stage's kernel, which the `IrmSpec` picked
+when it was built.  The plan depends on neither the risk functionals nor
+the discount, and is not a dataclass field, so `repr` and the JSON form
+of a tree do not see it.  `hash` reads it, and so does `==` between two
+trees whose roots are unbuilt.
 """
 from __future__ import annotations
 
@@ -173,32 +172,21 @@ class _Plan(NamedTuple):
     """A tree compiled for the walks over it, built by `_compile` when the
     tree is constructed.
 
-    The nodes are taken in post-order with the children last-first: every
-    child comes before its parent and the root is last.  A node's
-    position in that order is where the recursion keeps its value.
-    `steps` groups the nodes, in that order, into steps of three kinds,
-    each a tuple (stage, edges, costs, law):
-
-    - a leaf: (horizon, (), None, None), one tuple shared by every leaf;
-    - a run, a maximal chain of nodes with one scalar-cost edge each:
-      (stage of its top node, the edge probabilities, the edge costs,
-      None), both from the bottom up.  Each node's value is its cost plus
-      the discounted value of the node below it, and the bottom node's
-      child is the step just before the run;
-    - any other node: (stage, ((probability, cost, child step), ...),
-      None, law), law being its one-step law before the child values
-      move it, as columns (weights, lows, highs, child positions) with
-      one entry per scalar edge cost and one per component of a
-      law-valued one: its weight is the edge probability, times the
-      component weight for a component.  highs is lows itself when every
-      entry is an atom.
-
-    `tops` holds the position of each step's top node, the node its
-    parent's edge leads to, and `paths` the number of leaves.
+    `steps` holds one step per node, in post-order with the children
+    last-first: every child comes before its parent and the root is last.
+    A step's position is where the recursion keeps its node's value.  A
+    step is (stage, ((probability, cost, child step), ...), law), law
+    being the node's one-step law before the child values move it, as
+    columns (weights, lows, highs, child steps) with one entry per scalar
+    edge cost and one per component of a law-valued one: its weight is
+    the edge probability, times the component weight for a component.
+    highs is lows itself when every entry is an atom.  law is None for a
+    leaf, (horizon, (), None), one tuple shared by every leaf, and for a
+    node with a single scalar edge, whose child is the step just before
+    it.  `paths` is the number of leaves.
     """
 
-    steps: Tuple[Tuple[int, tuple, Optional[Tuple[float, ...]], Optional[_Law]], ...]
-    tops: Tuple[int, ...]
+    steps: Tuple[Tuple[int, tuple, Optional[_Law]], ...]
     paths: int
 
 
@@ -225,7 +213,11 @@ class ScenarioTree:
         only for an attribute the tree does not hold."""
         if name != "root":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        root = _fold(self._plan, lambda stage, edges: TreeNode(stage, tuple([Edge(*e) for e in edges])))
+
+        def node(stage: int, edges: tuple, made: List[TreeNode]) -> TreeNode:
+            return TreeNode(stage, tuple([Edge(p, cost, made[child]) for p, cost, child in edges]))
+
+        root = _fold(self._plan, node)
         object.__setattr__(self, "root", root)
         return root
 
@@ -244,7 +236,7 @@ class ScenarioTree:
         return hash((self.horizon, self._plan))
 
     def node_count(self) -> int:
-        return self._plan.tops[-1] + 1
+        return len(self._plan.steps)
 
     def path_count(self) -> int:
         return self._plan.paths
@@ -316,36 +308,25 @@ def _compile(nodes: Iterable[_Listed], horizon: int) -> _Plan:
         if branches:
             check_sums_to_one((p for p, _ in branches), "edge probabilities")
         listed.append((stage, branches))
-    steps: List[Any] = []  # a run stays a list, growing upward, until the end
-    tops: List[int] = []
+    steps: List[Any] = []
     done: List[int] = []  # steps of finished subtrees, the first child's on top
-    leaf = (horizon, (), None, None)  # every leaf sits at the horizon, so they share one step
+    leaf = (horizon, (), None)  # every leaf sits at the horizon, so they share one step
     for position, (stage, branches) in enumerate(reversed(listed)):
-        if len(branches) == 1 and not isinstance(branches[0][1], MixedDistribution):
-            done.pop()  # its child: the last step, which may be a run to extend
-            if type(steps[-1]) is list:
-                tops.pop()
-            else:
-                steps.append([stage, [], [], None])
-            run = steps[-1]
-            run[0] = stage
-            run[1].append(branches[0][0])
-            run[2].append(branches[0][1])
-        else:
+        if branches:
             edges = tuple([(p, cost, done.pop()) for p, cost in branches])
-            steps.append((stage, edges, None, _node_law(edges, tops)) if edges else leaf)
-        done.append(len(steps) - 1)
-        tops.append(position)
-    steps = [(s[0], tuple(s[1]), tuple(s[2]), None) if type(s) is list else s for s in steps]
-    return _Plan(tuple(steps), tuple(tops), sum(1 for _, branches in listed if not branches))
+            one = len(edges) == 1 and not isinstance(edges[0][1], MixedDistribution)
+            steps.append((stage, edges, None if one else _node_law(edges)))
+        else:
+            steps.append(leaf)
+        done.append(position)
+    return _Plan(tuple(steps), sum(1 for _, branches in listed if not branches))
 
 
-def _node_law(edges: Tuple[Tuple[float, Any, int], ...], tops: List[int]) -> _Law:
+def _node_law(edges: Tuple[Tuple[float, Any, int], ...]) -> _Law:
     """The one-step law of an internal node with these plan edges, before
     the child values move it, as `_Plan` keeps it."""
     entries = []
     for p, cost, child in edges:
-        child = tops[child]
         if isinstance(cost, MixedDistribution):
             entries += [(p * w, lo, hi, child) for w, lo, hi in zip(*cost.columns())]
         else:
@@ -356,21 +337,15 @@ def _node_law(edges: Tuple[Tuple[float, Any, int], ...], tops: List[int]) -> _La
     return weights, lows, lows if lows == highs else highs, children
 
 
-def _fold(plan: _Plan, make: Callable[[int, List[Tuple[Any, Any, Any]]], Any]) -> Any:
-    """make(stage, [(probability, cost, made child) per edge]) of every
-    node of the plan, children first; returns the root's.  Each step's
-    top is kept by step, so a node finds its children's, with no
-    recursion."""
-    tops: List[Any] = []
-    for stage, edges, costs, _ in plan.steps:
-        if costs is None:
-            tops.append(make(stage, [(p, cost, tops[child]) for p, cost, child in edges]))
-            continue
-        node = tops[-1]  # a run, from the node below it up
-        for n, p, cost in zip(range(stage + len(costs) - 1, stage - 1, -1), edges, costs):
-            node = make(n, [(p, cost, node)])
-        tops.append(node)
-    return tops[-1]
+def _fold(plan: _Plan, make: Callable[[int, tuple, List[Any]], Any]) -> Any:
+    """make(stage, plan edges, made) of every node of the plan, children
+    first, made holding what it returned for each earlier step by
+    position, so a node finds its children's with no recursion; returns
+    the root's."""
+    made: List[Any] = []
+    for stage, edges, _ in plan.steps:
+        made.append(make(stage, edges, made))
+    return made[-1]
 
 
 def deterministic_tree(costs: Sequence[EdgeCost]) -> ScenarioTree:
@@ -396,11 +371,13 @@ def _cost_from_json(data) -> EdgeCost:
 
 
 def tree_to_json_dict(tree: ScenarioTree) -> dict:
-    def edge(p: Any, cost: EdgeCost, child: dict) -> dict:
-        cost = cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost
-        return {"p": p, "cost": cost, "node": child}
+    def node(stage: int, edges: tuple, made: List[dict]) -> dict:
+        return {"children": [
+            {"p": p, "cost": cost.to_json_dict() if isinstance(cost, MixedDistribution) else cost, "node": made[child]}
+            for p, cost, child in edges
+        ]}
 
-    root = _fold(tree._plan, lambda stage, edges: {"children": [edge(*e) for e in edges]})
+    root = _fold(tree._plan, node)
     return {"horizon": tree.horizon, "root": root}
 
 
@@ -494,38 +471,26 @@ class _NodeTable(Mapping):
             hash(key)  # an unhashable key raises as a dict would
             raise KeyError(key)
         steps = self._plan.steps
-        at, depth = len(steps) - 1, 0  # the step and how far below its top
+        at = len(steps) - 1
         for i in key:
-            _, edges, costs, _ = steps[at]
+            edges = steps[at][1]
             try:
                 i = index(i)
             except TypeError:
                 hash(key)
                 raise KeyError(key) from None
-            if costs is not None and i == 0:
-                depth += 1
-                if depth == len(costs):
-                    at, depth = at - 1, 0
-            elif costs is None and 0 <= i < len(edges):
-                at = edges[i][2]
-            else:
+            if not 0 <= i < len(edges):
                 raise KeyError(key)
-        return self._values[self._plan.tops[at] - depth]
+            at = edges[i][2]
+        return self._values[at]
 
     def _walk(self) -> Iterator[Tuple[Tuple[int, ...], float]]:
-        steps, tops, values = self._plan.steps, self._plan.tops, self._values
+        steps, values = self._plan.steps, self._values
         stack: List[Tuple[int, Tuple[int, ...]]] = [(len(steps) - 1, ())]
         while stack:
             at, key = stack.pop()
-            _, edges, costs, _ = steps[at]
-            if costs is None:
-                yield key, values[tops[at]]
-                stack.extend((child, key + (i,)) for i, (_, _, child) in enumerate(edges))
-                continue
-            for top in range(tops[at], tops[at] - len(costs), -1):
-                yield key, values[top]
-                key += (0,)
-            stack.append((at - 1, key))
+            yield key, values[at]
+            stack.extend((child, key + (i,)) for i, (_, _, child) in enumerate(steps[at][1]))
 
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return (key for key, _ in self._walk())
@@ -563,30 +528,26 @@ def _node_values(tree: ScenarioTree, spec: IrmSpec, lam: float) -> List[float]:
     """Backward recursion over the tree's plan: the value of every node,
     by plan position.  Leaves are worth zero; an internal node at period
     n applies the period-n functional to the mixture over its edges of
-    cost + lam * (child value).  A run of nodes with one scalar-cost edge
-    each is walked as plain arithmetic, cost + lam * (value below), since
-    every functional maps a constant to itself; its top value is checked
-    for finiteness as `PointMass` would check each, which is exact, as a
-    value that is not finite stays so up the run.  Any other node moves
-    each entry of its compiled law by lam * (child value) and hands it to
-    its stage's kernel, as the spec picked it: a law of atoms through
-    `_on_atoms`, any other after `check_moved` has checked it.
+    cost + lam * (child value).  A node with one scalar-cost edge is worth
+    cost + lam * (child value), checked for finiteness as `PointMass`
+    would check it, since every functional maps a constant to itself.
+    Any other node moves each entry of its compiled law by
+    lam * (child value) and hands it to its stage's kernel, as the spec
+    picked it: a law of atoms through `_on_atoms`, any other after
+    `check_moved` has checked it.
     """
     lam = _check_discount(lam)
     _check_spec(spec, tree.horizon)
     kernels = spec._kernels
     values: List[float] = []
     append = values.append
-    for stage, edges, costs, law in tree._plan.steps:
-        if costs is not None:
-            value = values[-1]
-            for cost in costs:
-                value = cost + lam * value
-                append(value)
-            check_atom(value)
-            continue
+    for stage, edges, law in tree._plan.steps:
         if law is None:
-            append(0.0)
+            if edges:
+                ((_, cost, child),) = edges
+                append(check_atom(cost + lam * values[child]))
+            else:
+                append(0.0)
             continue
         weights, lows, highs, children = law
         moves = [lam * values[child] for child in children]
@@ -657,13 +618,11 @@ def discounted_total_distribution(
     stack: List[Tuple[int, float, float, Any]] = [(len(steps) - 1, 1.0, 0.0, None)]
     while stack:
         at, prob, shift, seg = stack.pop()
-        stage, edges, costs, _ = steps[at]
-        if costs is not None:  # a run, from its top down
-            for q, cost in zip(reversed(edges), reversed(costs)):
-                prob, shift = prob * q, shift + lam**stage * cost
-                stage += 1
-            stack.append((at - 1, prob, shift, seg))
-            continue
+        stage, edges, law = steps[at]
+        while edges and law is None:  # one scalar edge: follow it in place
+            ((q, cost, at),) = edges
+            prob, shift = prob * q, shift + lam**stage * cost
+            stage, edges, law = steps[at]
         if not edges:
             if seg is None:
                 atoms.append((check_atom(shift), prob))

@@ -1240,7 +1240,7 @@ def test_the_node_table_reads_as_the_dict_it_replaces():
         random_tree(rng, max_horizon=6, max_children=2, segment_stage=rng.randrange(6)) for _ in range(40)
     ]
     trees += [deep_chain(50)[1], casebook.installment_tree(), casebook.highway_tree()]
-    runs = 0
+    one_edge = 0
     for tree in trees:
         spec = IrmSpec.repeat(Composite(((0.5, Expectation()), (0.5, Cte(0.6)))), tree.horizon)
         got = irm_evaluate(tree, spec, 0.9).node_values
@@ -1268,8 +1268,8 @@ def test_the_node_table_reads_as_the_dict_it_replaces():
             got[()] = 1.0
         changed = {**want, (): want[()] + 1.0}
         assert got != changed and changed != got
-        runs += sum(1 for step in tree._plan.steps if step[2] is not None)
-    assert runs > 40
+        one_edge += sum(1 for _, edges, law in tree._plan.steps if edges and law is None)
+    assert one_edge > 40
 
 
 def tree_node(tree: ScenarioTree, key: tuple) -> TreeNode:
@@ -1280,14 +1280,14 @@ def tree_node(tree: ScenarioTree, key: tuple) -> TreeNode:
 
 
 def test_runs_keep_their_edge_probabilities():
-    """A run of single scalar edges is one plan step; its probabilities,
-    which need only lie within 1e-12 of one, reach the JSON form and the
-    flat law as they would node by node."""
+    """A chain of single scalar edges compiles to one plan step per node;
+    its probabilities, which need only lie within 1e-12 of one, reach the
+    JSON form and the flat law as they would node by node."""
     near = 1.0 - 2.0**-45
     leaf = TreeNode(3, ())
     chain = TreeNode(1, (Edge(near, 2.0, TreeNode(2, (Edge(1.0, 3.0, leaf),))),))
     tree = ScenarioTree(3, TreeNode(0, (Edge(near, 1.0, chain),)))
-    assert [len(step[2]) for step in tree._plan.steps if step[2] is not None] == [3]
+    assert [len(edges) for _, edges, law in tree._plan.steps if edges and law is None] == [1, 1, 1]
     again = tree_from_json_dict(json.loads(json.dumps(tree_to_json_dict(tree))))
     assert again == tree
     assert tree_node(again, (0,)).edges[0].probability == near
