@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .distributions import MixedDistribution, affine_transform, json_number
 from .errors import ValidationError
-from .measures import Cte, _check_alpha, _check_discount, _cte_levels, _is_int, erm
+from .measures import Expectation, _check_alpha, _check_discount, _cte_levels, _is_int, erm
 from .tree import IrmSpec, ScenarioTree, _tree, deterministic_tree, irm_evaluate, irm_root_value
 
 if TYPE_CHECKING:
@@ -338,9 +338,11 @@ def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> Region
     Every cell is still the stagewise recursion's value, but it runs
     once per discount, not once per cell.  Below its root the installment
     tree has one scalar-cost edge per node, and every functional maps a
-    constant to itself, so no tail level moves those nodes' values.  Each
-    tail level's functional is applied only at the root, to the root's
-    one-step law at each discount, built with the recursion's operations.
+    constant to itself, so no tail level moves those nodes' values: the
+    recursion runs under the expectation, which reaches no tail kernel.
+    Each tail level's functional is applied only at the root, to the
+    root's one-step law at each discount, built with the recursion's
+    operations.
     That law's breakpoint statistics are read once for all tail levels
     (`measures._cte_levels`), and each level's value keeps the bits of
     the tail-expectation kernel on that law.
@@ -355,7 +357,7 @@ def preference_region(lambda_steps: int = 100, alpha_steps: int = 100) -> Region
     b_tree = installment_tree()
     # no tail level moves the values of the upfront tree, which is
     # deterministic, nor of the installment nodes below the root
-    spec = IrmSpec.repeat(Cte(alpha_axis[0]), PAYMENT_DAYS)
+    spec = IrmSpec.repeat(Expectation(), PAYMENT_DAYS)
     a_row = [irm_root_value(a_tree, spec, lam) for lam in lambda_axis]
     edges = b_tree.root.edges
     probs = [e.probability for e in edges]

@@ -8,12 +8,13 @@ cells of `casebook.preference_region` as one string of 0s and 1s per
 tail level, the stagewise tail-expectation value of the upfront tree at
 each discount (a deterministic tree, so the tail level cannot move it),
 and that of the installment tree at every (tail level, discount) point.
-Values are recorded with float.hex.  The committed file was written
-before runs of single-scalar-edge nodes became one plan step, and
-test_tree checks that the library still reproduces it bit for bit.
+Values are recorded with float.hex.  The committed file predates the
+tree plan's current step format, and test_tree checks that the library
+still reproduces it bit for bit.
 The cells come from the sweep, which runs the recursion once per
-discount and takes each tail level's value at the installment root
-from the root law's breakpoint statistics; the values here come from a
+discount under the expectation (no tail level moves a node below the
+installment root) and takes each tail level's value at the root from
+the root law's breakpoint statistics; the values here come from a
 whole recursion per point, so the file pins each cell against them.
 """
 import json

@@ -50,6 +50,7 @@ from riskdp import (
     tree_to_json_dict,
     unroll,
 )
+from riskdp import measures
 
 from .conftest import assert_close, random_tree
 from .data import make_tree_bits
@@ -598,6 +599,24 @@ def test_below_its_root_the_installment_tree_has_one_scalar_edge_per_node():
         assert isinstance(node.edges[0].cost, float)
         stack.append(node.edges[0].child)
     assert seen == 2 * casebook.PAYMENT_DAYS
+
+
+def test_preference_region_makes_no_single_level_tail_call(monkeypatch):
+    """The sweep reads every tail level from the root law's breakpoint
+    statistics; the recursion below the root needs no tail level, so on
+    atom laws that leave `_cte_levels` no float dust to hand off, the
+    single-level kernel is never called."""
+    calls = []
+    single = measures._cte
+
+    def spy(alpha, cols):
+        calls.append(alpha)
+        return single(alpha, cols)
+
+    monkeypatch.setattr(measures, "_cte", spy)
+    grid = casebook.preference_region(100, 100)
+    assert len(grid.cells) == 100
+    assert calls == []
 
 
 @pytest.mark.parametrize("lambda_steps, alpha_steps", [(2, 2), (3, 17), (41, 7), (257, 3), (3, 1000)])
