@@ -745,22 +745,13 @@ def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> flo
     return _finite_disutility(u, value, lo, hi)
 
 
-def _check_disutility(u: DisutilityFunction) -> None:
+def pushforward_mean(u: DisutilityFunction, dist: MixedDistribution) -> float:
+    """E[u(Y)] for a mixed distribution, the disutility checked first."""
     if not isinstance(u, DISUTILITY_CLASSES):
         raise ValidationError(f"unknown disutility {u!r}")
-
-
-def pushforward_mean(u: DisutilityFunction, dist: MixedDistribution) -> float:
-    """E[u(Y)] for a mixed distribution."""
-    _check_disutility(u)
-    return _pushforward_mean(u, dist.columns())
-
-
-def _pushforward_mean(u: DisutilityFunction, cols: Columns) -> float:
-    """E[u(Y)] on the columns of a law, for a checked disutility."""
     terms = [
         w * (apply_disutility(u, lo) if lo == hi else _segment_disutility_mean(u, lo, hi))
-        for w, lo, hi in zip(*cols)
+        for w, lo, hi in zip(*dist.columns())
     ]
     return checked_fsum(terms, "expected disutility")
 
