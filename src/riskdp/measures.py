@@ -630,7 +630,8 @@ class PiecewiseLinear:
 
     Knots are (cost, disutility) pairs; the curve is extended beyond the
     first and last knots with their boundary slopes, and must pass
-    through (0, 0).
+    through (0, 0).  The knot costs are kept as `_costs` (not a
+    dataclass field) for the bisection that finds a cost's piece.
     """
 
     knots: Tuple[Tuple[float, float], ...]
@@ -651,7 +652,8 @@ class PiecewiseLinear:
         for c, u in knots:
             if not (math.isfinite(c) and math.isfinite(u)):
                 raise ValidationError("PiecewiseLinear knots must be finite")
-        if abs(_pwl_apply(knots, 0.0)) > 1e-12:
+        object.__setattr__(self, "_costs", tuple([c for c, _ in knots]))
+        if abs(_pwl_apply(self, 0.0)) > 1e-12:
             raise ValidationError("PiecewiseLinear must map cost 0 to disutility 0")
 
 
@@ -659,9 +661,9 @@ DisutilityFunction = Union[Exponential, Linear, Power, PiecewiseLinear]
 DISUTILITY_CLASSES = (Exponential, Linear, Power, PiecewiseLinear)
 
 
-def _pwl_apply(knots: Tuple[Tuple[float, float], ...], c: float) -> float:
-    xs = [k[0] for k in knots]
-    i = bisect_right(xs, c)
+def _pwl_apply(u: PiecewiseLinear, c: float) -> float:
+    knots = u.knots
+    i = bisect_right(u._costs, c)
     if i == 0:
         (x0, y0), (x1, y1) = knots[0], knots[1]
     elif i == len(knots):
@@ -703,7 +705,7 @@ def apply_disutility(u: DisutilityFunction, c: float) -> float:
         elif isinstance(u, Power):
             value = c**u.k
         elif isinstance(u, PiecewiseLinear):
-            value = _pwl_apply(u.knots, c)
+            value = _pwl_apply(u, c)
         else:
             raise ValidationError(f"unknown disutility {u!r}")
     except OverflowError:  # out of range: raised here, or infinite otherwise
@@ -733,8 +735,8 @@ def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> flo
         else:
             # the curve is linear between knots, so the trapezoid rule on
             # each knot interval inside the segment is exact
-            xs = [lo, *(c for c, _ in u.knots if lo < c < hi), hi]
-            us = [_pwl_apply(u.knots, x) for x in xs]
+            xs = [lo, *(c for c in u._costs if lo < c < hi), hi]
+            us = [_pwl_apply(u, x) for x in xs]
             value = math.fsum(
                 0.5 * (x1 - x0) * (u0 + u1)
                 for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])

@@ -7,7 +7,13 @@ the current period's cost), and the flat route that builds the single
 distribution of the discounted total cost and applies one measure or
 disutility to it: `rmd` and `eud` are `measures.evaluate` and
 `measures.pushforward_mean` on `discounted_total_distribution`, which
-builds the law as its columns, with no object per component.
+builds the law as its columns, with no object per component.  Several
+functionals of one total at one discount are the flat route's common
+question, so the tree keeps the flat law of the last discount `rmd` or
+`eud` was called with, one law per tree (the law each call builds at
+its peak anyway), and a call at the same discount reads it again.
+`discounted_total_distribution` itself builds a fresh law on every
+call; the kept one is never handed out.
 
 A tree is its plan.  One compiler, `_compile`, checks a tree's nodes,
 listed in pre-order as (stage, [(probability, cost) per edge]), and
@@ -30,7 +36,8 @@ values and hands them to its stage's kernel, which the `IrmSpec` picked
 when it was built.  The plan depends on neither the risk functionals nor
 the discount, and is not a dataclass field, so `repr` and the JSON form
 of a tree do not see it.  `hash` reads it, and so does `==` between two
-trees whose roots are unbuilt.
+trees whose roots are unbuilt.  Nothing reads the kept flat law but
+`rmd` and `eud`.
 """
 from __future__ import annotations
 
@@ -654,17 +661,34 @@ def discounted_total_distribution(
     return MixedDistribution._from_columns(merge_columns(atoms, segments))
 
 
+def _kept_flat_law(tree: ScenarioTree, lam: float) -> MixedDistribution:
+    """The flat law at discount lam that `rmd` and `eud` read.  The tree
+    keeps the last one built as `_flat`, a (discount bits, law) pair that
+    is not a dataclass field; a call at another discount builds its law
+    with `discounted_total_distribution`, which checks the discount and
+    the path limit, and replaces the pair, and a build that raises keeps
+    nothing.  The pair is set whole, so two threads that race here at
+    most build a law twice.  The kept law never leaves this module."""
+    key = _check_discount(lam).hex()  # -0.0 and 0.0 differ in their bits
+    kept = getattr(tree, "_flat", None)
+    if kept is None or kept[0] != key:
+        kept = (key, discounted_total_distribution(tree, lam))
+        object.__setattr__(tree, "_flat", kept)
+    return kept[1]
+
+
 def rmd(tree: ScenarioTree, rf: RiskFunctional, lam: float) -> float:
     """One risk functional applied to the discounted total cost:
     `evaluate` on `discounted_total_distribution`, the functional checked
-    first."""
+    first.  The law is read from the tree, which keeps the one of the
+    last discount `rmd` or `eud` was called with."""
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
-    return evaluate(rf, discounted_total_distribution(tree, lam))
+    return evaluate(rf, _kept_flat_law(tree, lam))
 
 
 def eud(tree: ScenarioTree, u: DisutilityFunction, lam: float) -> float:
     """Expected disutility of the discounted total cost:
     `pushforward_mean` on `discounted_total_distribution`, the disutility
-    checked after the law."""
-    return pushforward_mean(u, discounted_total_distribution(tree, lam))
+    checked after the law.  The law is read from the tree, as in `rmd`."""
+    return pushforward_mean(u, _kept_flat_law(tree, lam))

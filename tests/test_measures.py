@@ -2,6 +2,7 @@
 invariants, disutility curves, and serialization."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -597,6 +598,18 @@ def test_disutility_pointwise_values():
     assert apply_disutility(u, -1.0) == -2.0
     with pytest.raises(ValidationError):
         apply_disutility(Power(2.0), -1.0)
+
+
+def test_piecewise_linear_knot_costs_are_not_a_field():
+    """The knot costs a PiecewiseLinear keeps for its bisection leave its
+    fields, ==, hash and repr as the knots alone make them."""
+    u = PiecewiseLinear(((0, 0), (1, 2), (3, 3)))
+    twin = PiecewiseLinear([[0.0, 0.0], [1.0, 2.0], [3.0, 3.0]])
+    assert [f.name for f in dataclasses.fields(PiecewiseLinear)] == ["knots"]
+    assert u == twin and hash(u) == hash(twin) == hash((((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)),))
+    assert repr(u) == repr(twin) == "PiecewiseLinear(knots=((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)))"
+    assert u != PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (4.0, 3.0)))
+    assert dataclasses.replace(u) == u and apply_disutility(dataclasses.replace(u), 2.0) == 2.5
 
 
 def test_pushforward_mean_closed_forms():

@@ -51,6 +51,7 @@ from riskdp import (
     unroll,
 )
 from riskdp import measures
+from riskdp import tree as tree_module
 
 from .conftest import assert_close, random_tree
 from .data import make_tree_bits
@@ -884,6 +885,111 @@ def test_flat_law_reproduces_the_pinned_bits():
         assert list(case["eud"]) == list(disutilities)
         for label, want in case["eud"].items():
             assert eud(tree, disutilities[label], lam).hex() == want, (name, label)
+
+
+def spy_on_flat_law_builds(monkeypatch) -> list:
+    """Record the discount of every flat law built through
+    `discounted_total_distribution` from inside riskdp.tree."""
+    builds = []
+    build = tree_module.discounted_total_distribution
+
+    def spy(tree, lam, **kwargs):
+        builds.append(lam)
+        return build(tree, lam, **kwargs)
+
+    monkeypatch.setattr(tree_module, "discounted_total_distribution", spy)
+    return builds
+
+
+def eight_flat_calls(tree: ScenarioTree, lam: float) -> list:
+    """The flat-route questions one plan is asked at one discount: six
+    functionals and two disutilities of the same total."""
+    rfs = (Expectation(), Erm(0.5), ValueAtRisk(0.6), ValueAtRisk(0.9), Cte(0.6), Cte(0.9))
+    us = (Exponential(0.1), PiecewiseLinear(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (5.0, 8.0))))
+    return [rmd(tree, rf, lam).hex() for rf in rfs] + [eud(tree, u, lam).hex() for u in us]
+
+
+def test_rmd_and_eud_build_the_flat_law_once_per_discount(monkeypatch):
+    """Eight flat-route calls on one tree at one discount build its law
+    once; the tree keeps one law, so a second discount builds again, and
+    so does going back to the first.  -0.0 and 0.0 are distinct keys."""
+    tree = random_tree(random.Random(2401), max_horizon=4, max_children=3, segment_stage=1)
+    want = {lam: eight_flat_calls(tree_from_json_dict(tree_to_json_dict(tree)), lam) for lam in (0.9, 0.5)}
+    builds = spy_on_flat_law_builds(monkeypatch)
+    assert eight_flat_calls(tree, 0.9) == want[0.9]
+    assert builds == [0.9]
+    assert eight_flat_calls(tree, 0.9) == want[0.9]
+    assert builds == [0.9]
+    assert eight_flat_calls(tree, 0.5) == want[0.5]
+    assert eight_flat_calls(tree, 0.9) == want[0.9]
+    assert builds == [0.9, 0.5, 0.9]
+    for lam in (0.0, -0.0, -0.0):
+        rmd(tree, Expectation(), lam)
+    assert [lam.hex() for lam in builds[3:]] == ["0x0.0p+0", "-0x0.0p+0"]
+
+
+def test_a_flat_law_build_that_raises_keeps_nothing(monkeypatch):
+    """A tree whose flat law cannot be built raises the same error on
+    every rmd and eud call, each of which tries the build again."""
+    seg = MixedDistribution.uniform(0.0, 1.0)
+    builds = spy_on_flat_law_builds(monkeypatch)
+    for tree, error in (
+        (deterministic_tree([seg, seg]), TWO_SEGMENTS),
+        (two_outcome_tree(0.5, 10.0), TOO_MANY_PATHS),
+    ):
+        del builds[:]
+        with monkeypatch.context() as patch:
+            if error is TOO_MANY_PATHS:  # under the default budget of 10**7
+                patch.setattr(ScenarioTree, "path_count", lambda self: 10**7 + 1)
+            for call in (lambda: rmd(tree, Cte(0.5), 1.0), lambda: eud(tree, Linear(), 1.0)) * 2:
+                with pytest.raises(error[0]) as info:
+                    call()
+                assert str(info.value) == error[1]
+        assert builds == [1.0] * 4
+
+
+def test_the_kept_flat_law_is_invisible():
+    """After rmd and eud the tree compares, hashes, prints and writes its
+    JSON form as before, and has the same dataclass fields.  The law that
+    discounted_total_distribution returns is fresh on every call, so a
+    caller that writes into its columns changes no later rmd."""
+    tree = random_tree(random.Random(2402), max_horizon=4, max_children=3, segment_stage=2)
+    fresh = tree_from_json_dict(tree_to_json_dict(tree))
+    before = (hash(tree), repr(tree), tree_to_json_dict(tree), dataclasses.fields(ScenarioTree))
+    value = rmd(tree, Cte(0.5), 0.9)
+    eud(tree, Exponential(0.5), 0.9)
+    assert (hash(tree), repr(tree), tree_to_json_dict(tree), dataclasses.fields(ScenarioTree)) == before
+    assert tree == fresh and fresh == tree and hash(fresh) == hash(tree)
+    rmd(fresh, Cte(0.5), 0.5)
+    assert tree == fresh and fresh == tree and hash(fresh) == hash(tree)
+    one, two = discounted_total_distribution(tree, 0.9), discounted_total_distribution(tree, 0.9)
+    assert one is not two and one.columns() is not two.columns()
+    weights, lows, highs = one.columns()
+    lows[0] += 100.0
+    highs[0] += 100.0
+    assert rmd(tree, Cte(0.5), 0.9) == value
+
+
+def test_rmd_and_eud_read_the_law_of_their_own_discount():
+    """On the pinned trees, with the discounts interleaved (a, b, a), every
+    rmd and eud value is evaluate or pushforward_mean on a fresh
+    discounted_total_distribution, by float.hex."""
+    fixture = json.loads((DATA / "flat_bits.json").read_text())
+    functionals = [rf_from_json_dict(rf) for rf in fixture["functionals"].values()]
+    disutilities = (
+        Exponential(0.5),
+        Linear(),
+        Power(2.0),
+        PiecewiseLinear(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (5.0, 8.0))),
+    )
+    for case in fixture["cases"]:
+        tree, a = tree_from_json_dict(case["tree"]), case["lambda"]
+        for lam in (a, 0.5 if a != 0.5 else 1.0, a):
+            law = discounted_total_distribution(tree_from_json_dict(case["tree"]), lam)
+            for rf in functionals:
+                assert rmd(tree, rf, lam).hex() == evaluate(rf, law).hex(), (case["name"], lam, rf)
+            for u in disutilities:
+                assert eud(tree, u, lam).hex() == measures.pushforward_mean(u, law).hex(), (case["name"], lam, u)
 
 
 def test_recursion_reproduces_the_pinned_bits():
