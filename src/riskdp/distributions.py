@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 from .errors import EvaluationOverflowError, ValidationError
@@ -419,8 +419,10 @@ def check_weights(weights: List[float]) -> None:
     all, then the first that `check_weight` rejects, then a sum off one."""
     if not weights:
         raise ValidationError("distribution needs at least one component")
-    for w in weights:
-        check_weight(w)
+    # a sum is finite only if every term is
+    if not (math.isfinite(sum(weights)) and min(weights) >= 0.0):
+        for w in weights:
+            check_weight(w)
     check_sums_to_one(weights, "component weights")
 
 
@@ -470,46 +472,64 @@ def merge_columns(
     one.  The segments are taken as valid.
     """
     atoms.sort(key=itemgetter(0))
-    groups: List[List[Tuple[float, float]]] = []
-    for v, w in atoms:
-        if groups and v - first <= MERGE_TOL:
-            groups[-1].append((v, w))
-        else:
-            first = v
-            groups.append([(v, w)])
-    weights: List[float] = []
-    lows: List[float] = []
-    for group in groups:
-        first, w = group[0]
-        if len(group) == 1:
-            # the fsum of one term is that term, except that -0.0 becomes
-            # 0.0, as it does when 0.0 is added
-            weight = w + 0.0
-            value = (first * w + 0.0) / weight if weight > 0.0 else first
-        else:
-            weight = math.fsum([w for _, w in group])
-            total = checked_fsum([v * w for v, w in group], "merged atom at {!r}", first)
-            value = total / weight if weight > 0.0 else first
-        if not math.isfinite(value):
-            # a lone atom's first * w overflows at the float limit under a
-            # weight a little above one, as the weight check allows; the
-            # atom is its own mean
-            value = check_atom(first if len(group) == 1 else value)
-        weights.append(weight)
-        lows.append(value)
+    values = [v for v, _ in atoms]
+    if min(map(sub, values[1:], values), default=math.inf) > MERGE_TOL:
+        # no two atoms within MERGE_TOL: each is a group of one, taken as
+        # the loop below takes it
+        weights = [w + 0.0 for _, w in atoms]
+        lows = [(v * w + 0.0) / w if w > 0.0 else v for v, w in atoms]
+        if not math.isfinite(sum(lows)):  # a sum is finite only if every term is
+            lows = [value if math.isfinite(value) else check_atom(v) for v, value in zip(values, lows)]
+    else:
+        groups: List[List[Tuple[float, float]]] = []
+        for v, w in atoms:
+            if groups and v - first <= MERGE_TOL:
+                groups[-1].append((v, w))
+            else:
+                first = v
+                groups.append([(v, w)])
+        weights, lows = [], []
+        for group in groups:
+            first, w = group[0]
+            if len(group) == 1:
+                # the fsum of one term is that term, except that -0.0 becomes
+                # 0.0, as it does when 0.0 is added
+                weight = w + 0.0
+                value = (first * w + 0.0) / weight if weight > 0.0 else first
+            else:
+                weight = math.fsum([w for _, w in group])
+                total = checked_fsum([v * w for v, w in group], "merged atom at {!r}", first)
+                value = total / weight if weight > 0.0 else first
+            if not math.isfinite(value):
+                # a lone atom's first * w overflows at the float limit under a
+                # weight a little above one, as the weight check allows; the
+                # atom is its own mean
+                value = check_atom(first if len(group) == 1 else value)
+            weights.append(weight)
+            lows.append(value)
+    count = len(lows)
     highs = lows[:]
-    segments.sort()
-    for lo, hi, w in segments:
-        # a segment joins the run of the last one kept, if there is one
-        if (
-            len(lows) > len(groups)
-            and abs(lo - lows[-1]) <= MERGE_TOL
-            and abs(hi - highs[-1]) <= MERGE_TOL
-        ):
-            weights[-1] += w
-        else:
-            weights.append(w)
-            lows.append(lo)
-            highs.append(hi)
+    segments.sort(key=itemgetter(0))
+    seg_lows = [lo for lo, _, _ in segments]
+    if min(map(sub, seg_lows[1:], seg_lows), default=math.inf) > MERGE_TOL:
+        # lows more than MERGE_TOL apart: in order by low is in order, and
+        # no segment joins the one before it
+        weights += [w for _, _, w in segments]
+        lows += seg_lows
+        highs += [hi for _, hi, _ in segments]
+    else:
+        segments.sort()
+        for lo, hi, w in segments:
+            # a segment joins the run of the last one kept, if there is one
+            if (
+                len(lows) > count
+                and abs(lo - lows[-1]) <= MERGE_TOL
+                and abs(hi - highs[-1]) <= MERGE_TOL
+            ):
+                weights[-1] += w
+            else:
+                weights.append(w)
+                lows.append(lo)
+                highs.append(hi)
     check_weights(weights)
     return weights, lows, highs

@@ -38,7 +38,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
@@ -391,18 +391,16 @@ def _value_at_risk(alpha: float, cols: Columns) -> float:
         if lo == hi:
             events.append((lo, w, 0.0))
         else:
-            rate = w / segment_width(lo, hi)
+            rate = w / (hi - lo if hi - lo < math.inf else segment_width(lo, hi))
             events.append((lo, 0.0, rate))
             events.append((hi, 0.0, -rate))
     events.sort()
-    breaks: List[float] = []
+    breaks = [events[0][0]]
     levels: List[float] = []  # running CDF at each breakpoint
     level = slope = 0.0
     active = 0
     for y, mass, rate in events:
-        if not breaks:
-            breaks.append(y)
-        elif y != breaks[-1]:
+        if y != breaks[-1]:
             levels.append(level)
             level += slope * (y - breaks[-1])
             breaks.append(y)
@@ -630,8 +628,7 @@ class PiecewiseLinear:
 
     Knots are (cost, disutility) pairs; the curve is extended beyond the
     first and last knots with their boundary slopes, and must pass
-    through (0, 0).  The knot costs are kept as `_costs` (not a
-    dataclass field) for the bisection that finds a cost's piece.
+    through (0, 0).
     """
 
     knots: Tuple[Tuple[float, float], ...]
@@ -652,8 +649,7 @@ class PiecewiseLinear:
         for c, u in knots:
             if not (math.isfinite(c) and math.isfinite(u)):
                 raise ValidationError("PiecewiseLinear knots must be finite")
-        object.__setattr__(self, "_costs", tuple([c for c, _ in knots]))
-        if abs(_pwl_apply(self, 0.0)) > 1e-12:
+        if abs(_pwl_apply(knots, 0.0)) > 1e-12:
             raise ValidationError("PiecewiseLinear must map cost 0 to disutility 0")
 
 
@@ -661,9 +657,11 @@ DisutilityFunction = Union[Exponential, Linear, Power, PiecewiseLinear]
 DISUTILITY_CLASSES = (Exponential, Linear, Power, PiecewiseLinear)
 
 
-def _pwl_apply(u: PiecewiseLinear, c: float) -> float:
-    knots = u.knots
-    i = bisect_right(u._costs, c)
+_KNOT_COST = itemgetter(0)  # a (cost, disutility) knot's cost, for bisection
+
+
+def _pwl_apply(knots: Tuple[Tuple[float, float], ...], c: float) -> float:
+    i = bisect_right(knots, c, key=_KNOT_COST)
     if i == 0:
         (x0, y0), (x1, y1) = knots[0], knots[1]
     elif i == len(knots):
@@ -676,6 +674,20 @@ def _pwl_apply(u: PiecewiseLinear, c: float) -> float:
         # slope times the run does not
         return y0 + (y1 - y0) / (x1 - x0) * (c - x0)
     return y0 + rise / (x1 - x0)
+
+
+def _pwl_segment_mean(knots: Tuple[Tuple[float, float], ...], lo: float, hi: float) -> float:
+    """E[u(Y)] for Y uniform on [lo, hi] under the curve through knots.
+    The curve is linear between knots, so the trapezoid rule on each knot
+    interval inside the segment is exact."""
+    first, end = bisect_right(knots, lo, key=_KNOT_COST), bisect_left(knots, hi, key=_KNOT_COST)
+    if first == end:  # no knot inside: the fsum of the one term is the term + 0.0
+        return (0.5 * (hi - lo) * (_pwl_apply(knots, lo) + _pwl_apply(knots, hi)) + 0.0) / segment_width(lo, hi)
+    xs = [lo, *[c for c, _ in knots[first:end]], hi]
+    us = [_pwl_apply(knots, x) for x in xs]
+    return math.fsum(
+        0.5 * (x1 - x0) * (u0 + u1) for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
+    ) / segment_width(lo, hi)
 
 
 # each disutility kind as its overflow messages name it
@@ -705,7 +717,7 @@ def apply_disutility(u: DisutilityFunction, c: float) -> float:
         elif isinstance(u, Power):
             value = c**u.k
         elif isinstance(u, PiecewiseLinear):
-            value = _pwl_apply(u, c)
+            value = _pwl_apply(u.knots, c)
         else:
             raise ValidationError(f"unknown disutility {u!r}")
     except OverflowError:  # out of range: raised here, or infinite otherwise
@@ -733,14 +745,7 @@ def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> flo
             k1 = u.k + 1.0
             value = (hi**k1 - lo**k1) / (k1 * (hi - lo))
         else:
-            # the curve is linear between knots, so the trapezoid rule on
-            # each knot interval inside the segment is exact
-            xs = [lo, *(c for c in u._costs if lo < c < hi), hi]
-            us = [_pwl_apply(u, x) for x in xs]
-            value = math.fsum(
-                0.5 * (x1 - x0) * (u0 + u1)
-                for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
-            ) / segment_width(lo, hi)
+            value = _pwl_segment_mean(u.knots, lo, hi)
     except (OverflowError, ValueError):
         # fsum raises ValueError on infinite terms of both signs
         value = math.inf
@@ -748,12 +753,26 @@ def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> flo
 
 
 def pushforward_mean(u: DisutilityFunction, dist: MixedDistribution) -> float:
-    """E[u(Y)] for a mixed distribution, the disutility checked first."""
+    """E[u(Y)] for a mixed distribution, the disutility checked first.
+    Under a PiecewiseLinear the terms are taken with no check of their
+    own, and taken again checked only where one is not finite, so the
+    first fault raises as it would."""
     if not isinstance(u, DISUTILITY_CLASSES):
         raise ValidationError(f"unknown disutility {u!r}")
+    cols = dist.columns()
+    if isinstance(u, PiecewiseLinear):
+        # the terms below, taken with no check of their own; where one is
+        # not finite, or taking them raises, the checked terms raise
+        knots = u.knots
+        try:
+            terms = [w * (_pwl_apply(knots, lo) if lo == hi else _pwl_segment_mean(knots, lo, hi)) for w, lo, hi in zip(*cols)]
+        except (OverflowError, ValueError):
+            terms = [math.inf]
+        if math.isfinite(sum(terms)):  # a sum is finite only if every term is
+            return checked_fsum(terms, "expected disutility")
     terms = [
         w * (apply_disutility(u, lo) if lo == hi else _segment_disutility_mean(u, lo, hi))
-        for w, lo, hi in zip(*dist.columns())
+        for w, lo, hi in zip(*cols)
     ]
     return checked_fsum(terms, "expected disutility")
 

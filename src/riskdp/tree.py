@@ -7,13 +7,8 @@ the current period's cost), and the flat route that builds the single
 distribution of the discounted total cost and applies one measure or
 disutility to it: `rmd` and `eud` are `measures.evaluate` and
 `measures.pushforward_mean` on `discounted_total_distribution`, which
-builds the law as its columns, with no object per component.  Several
-functionals of one total at one discount are the flat route's common
-question, so the tree keeps the flat law of the last discount `rmd` or
-`eud` was called with, one law per tree (the law each call builds at
-its peak anyway), and a call at the same discount reads it again.
-`discounted_total_distribution` itself builds a fresh law on every
-call; the kept one is never handed out.
+builds the law as its columns, with no object per component, afresh on
+every call.
 
 A tree is its plan.  One compiler, `_compile`, checks a tree's nodes,
 listed in pre-order as (stage, [(probability, cost) per edge]), and
@@ -36,15 +31,14 @@ values and hands them to its stage's kernel, which the `IrmSpec` picked
 when it was built.  The plan depends on neither the risk functionals nor
 the discount, and is not a dataclass field, so `repr` and the JSON form
 of a tree do not see it.  `hash` reads it, and so does `==` between two
-trees whose roots are unbuilt.  Nothing reads the kept flat law but
-`rmd` and `eud`.
+trees whose roots are unbuilt.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from collections.abc import ItemsView, Mapping, ValuesView
-from operator import index
+from operator import index, itemgetter, lt
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .distributions import (
@@ -604,13 +598,14 @@ def discounted_total_distribution(
     convolution of two segments leaves the closed mixture family.  Atoms
     are merged as `merge_atoms` merges them.
 
-    The law is built as its columns, with no object per component: one
+    The law is built as its columns, with no object per component: a
     walk over the plan, pre-order with the first child first, expands all
-    of a node's edges before it visits a child, and checks each leaf as
-    `PointMass` or `UniformSegment` would when it reaches it, so errors
-    come in the same order as they would with the law built object by
-    object.  Leaves are collected as (value, weight) atoms and (lo, hi,
-    weight) segments for `merge_columns`.
+    of a node's edges before it visits a child and collects the leaves as
+    (value, weight) atoms and (lo, hi, weight) segments for
+    `merge_columns` (see `_flat_leaves`).  A leaf is checked as
+    `PointMass` or `UniformSegment` would check it, and errors come in the
+    same order as they would with the law built object by object.  Each
+    call builds the law afresh and keeps nothing.
     """
     lam = _check_discount(lam)
     if tree.path_count() > path_limit:
@@ -618,8 +613,26 @@ def discounted_total_distribution(
             f"tree has more than {path_limit} root-to-leaf paths"
         )
     steps = tree._plan.steps
+    leaves = _flat_leaves(steps, tree.horizon, lam, False) or _flat_leaves(steps, tree.horizon, lam, True)
+    return MixedDistribution._from_columns(merge_columns(*leaves))
+
+
+def _flat_leaves(steps: tuple, horizon: int, lam: float, checked: bool) -> Optional[Tuple[list, list]]:
+    """The leaves of the walk in `discounted_total_distribution`: (value,
+    weight) atoms and (lo, hi, weight) segments, each in walk order.
+
+    Checked, the walk checks each leaf when it reaches it and raises at a
+    node that puts a second segment on a path, so the first fault raises.
+    Unchecked, it adds the leaves of a last-stage node whose costs are all
+    atoms with one list comprehension per path into the node, and checks
+    all leaves together at the end; a fault of either kind returns None,
+    for the checked walk to find the first.  Both give the same leaves.
+    `last` holds each such node's edges at the stage's discount while the
+    walk runs.
+    """
     atoms: List[Tuple[float, float]] = []
     segments: List[Tuple[float, float, float]] = []
+    last: Dict[int, list] = {}  # plan position -> (edge probability, weight, discounted cost) per component
     # (plan position, path probability, discounted point costs so far, the
     # one segment so far as (lo, hi) or None)
     stack: List[Tuple[int, float, float, Any]] = [(len(steps) - 1, 1.0, 0.0, None)]
@@ -632,11 +645,21 @@ def discounted_total_distribution(
             stage, edges, law = steps[at]
         if not edges:
             if seg is None:
-                atoms.append((check_atom(shift), prob))
+                atoms.append((check_atom(shift) if checked else shift, prob))
                 continue
             lo, hi = seg[0] + shift, seg[1] + shift
-            check_segment(lo, hi)
+            if checked:
+                check_segment(lo, hi)
             segments.append((lo, hi, prob))
+            continue
+        if stage + 1 == horizon and not checked and law[2] is law[1]:  # leaf children, atoms only
+            if at not in last:
+                scale = lam**stage
+                last[at] = [(q, w, scale * lo) for q, cost, _ in edges for w, lo, _ in _edge_columns(cost) if w > 0.0]
+            if seg is None:
+                atoms += [(shift + lo, prob * q * w) for q, w, lo in last[at]]
+            else:
+                segments += [(seg[0] + (shift + lo), seg[1] + (shift + lo), prob * q * w) for q, w, lo in last[at]]
             continue
         scale = lam**stage
         branches = []
@@ -652,43 +675,40 @@ def discounted_total_distribution(
                     branches.append((child, p * w, shift + scale * lo, seg))
                 elif seg is None:
                     branches.append((child, p * w, shift, (scale * lo, scale * hi)))
+                elif not checked:
+                    return None
                 else:
                     raise ValidationError(
                         "a path carries two segment-valued costs; "
                         "their sum leaves the mixed point/uniform family"
                     )
         stack.extend(reversed(branches))
-    return MixedDistribution._from_columns(merge_columns(atoms, segments))
+    if checked:
+        return atoms, segments
+    low, high = itemgetter(0), itemgetter(1)
+    # a sum is finite only if every term is
+    ends = sum(map(low, atoms)) + sum(map(low, segments)) + sum(map(high, segments))
+    return (atoms, segments) if math.isfinite(ends) and all(map(lt, map(low, segments), map(high, segments))) else None
 
 
-def _kept_flat_law(tree: ScenarioTree, lam: float) -> MixedDistribution:
-    """The flat law at discount lam that `rmd` and `eud` read.  The tree
-    keeps the last one built as `_flat`, a (discount bits, law) pair that
-    is not a dataclass field; a call at another discount builds its law
-    with `discounted_total_distribution`, which checks the discount and
-    the path limit, and replaces the pair, and a build that raises keeps
-    nothing.  The pair is set whole, so two threads that race here at
-    most build a law twice.  The kept law never leaves this module."""
-    key = _check_discount(lam).hex()  # -0.0 and 0.0 differ in their bits
-    kept = getattr(tree, "_flat", None)
-    if kept is None or kept[0] != key:
-        kept = (key, discounted_total_distribution(tree, lam))
-        object.__setattr__(tree, "_flat", kept)
-    return kept[1]
+def _edge_columns(cost: EdgeCost) -> Iterable[Tuple[float, float, float]]:
+    """An edge cost's (weight, low, high) components, a scalar as one atom
+    of weight 1.0."""
+    return zip(*cost.columns()) if isinstance(cost, MixedDistribution) else ((1.0, cost, cost),)
 
 
 def rmd(tree: ScenarioTree, rf: RiskFunctional, lam: float) -> float:
     """One risk functional applied to the discounted total cost:
     `evaluate` on `discounted_total_distribution`, the functional checked
-    first.  The law is read from the tree, which keeps the one of the
-    last discount `rmd` or `eud` was called with."""
+    first.  Each call builds the law; a caller with several questions of
+    one total builds it once and calls `evaluate` on it."""
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
-    return evaluate(rf, _kept_flat_law(tree, lam))
+    return evaluate(rf, discounted_total_distribution(tree, lam))
 
 
 def eud(tree: ScenarioTree, u: DisutilityFunction, lam: float) -> float:
     """Expected disutility of the discounted total cost:
     `pushforward_mean` on `discounted_total_distribution`, the disutility
-    checked after the law.  The law is read from the tree, as in `rmd`."""
-    return pushforward_mean(u, _kept_flat_law(tree, lam))
+    checked after the law."""
+    return pushforward_mean(u, discounted_total_distribution(tree, lam))

@@ -19,6 +19,7 @@ from riskdp import (
     essential_sup,
     merge_atoms,
 )
+from riskdp.distributions import MERGE_TOL, check_atom, check_weights, checked_fsum, merge_columns
 from riskdp.properties import _random_mixed
 
 from .conftest import assert_close
@@ -262,6 +263,83 @@ def test_merge_atoms_groups_near_duplicates():
     d = MixedDistribution.of_atoms([(0.25, 1.0), (0.25, 1.0), (0.5, 2.0)])
     merged = merge_atoms(d)
     assert merged.components == ((0.5, PointMass(1.0)), (0.5, PointMass(2.0)))
+
+
+def test_check_weights_names_the_first_bad_weight():
+    """Whatever the sum, a weight that is negative or not finite is named,
+    the first one in order, before the sum is checked."""
+    cases = [
+        ([0.5, -0.5, 1.0], "component weight -0.5 must be finite and >= 0"),
+        ([1.5, -0.5], "component weight -0.5 must be finite and >= 0"),
+        ([0.5, math.nan, 0.5], "component weight nan must be finite and >= 0"),
+        ([math.inf, -1.0], "component weight inf must be finite and >= 0"),
+        ([], "distribution needs at least one component"),
+        ([0.5, 0.6], "component weights sum to 1.1; must be 1 within 1e-12"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(ValidationError) as info:
+            check_weights(weights)
+        assert str(info.value) == message
+    check_weights([0.25, 0.0, -0.0, 0.75])
+
+
+def merge_by_groups(atoms: list, segments: list) -> tuple:
+    """merge_columns as one loop over groups of atoms and one over
+    segments, the form it was first written in."""
+    atoms.sort(key=lambda a: a[0])
+    groups = []
+    for v, w in atoms:
+        if groups and v - first <= MERGE_TOL:
+            groups[-1].append((v, w))
+        else:
+            first = v
+            groups.append([(v, w)])
+    weights, lows = [], []
+    for group in groups:
+        first, w = group[0]
+        if len(group) == 1:
+            weight = w + 0.0
+            value = (first * w + 0.0) / weight if weight > 0.0 else first
+        else:
+            weight = math.fsum([w for _, w in group])
+            value = checked_fsum([v * w for v, w in group], "merged atom at {!r}", first) / weight if weight > 0.0 else first
+        weights.append(weight)
+        lows.append(value if math.isfinite(value) else check_atom(first if len(group) == 1 else value))
+    highs = lows[:]
+    for lo, hi, w in sorted(segments):
+        if len(lows) > len(groups) and abs(lo - lows[-1]) <= MERGE_TOL and abs(hi - highs[-1]) <= MERGE_TOL:
+            weights[-1] += w
+        else:
+            weights.append(w)
+            lows.append(lo)
+            highs.append(hi)
+    check_weights(weights)
+    return weights, lows, highs
+
+
+def test_merge_columns_is_the_group_loop():
+    """Atoms more than MERGE_TOL apart, and segments whose lows are, are
+    merged without the group loops; the columns are still theirs, bit for
+    bit, with ties, near ties, signed zeros and zero weights among the
+    inputs or not."""
+    rng = random.Random(2404)
+    for _ in range(400):
+        tight = rng.random() < 0.5
+        spread = lambda: rng.uniform(-50.0, 50.0) if rng.random() < 0.9 else -0.0  # noqa: E731
+        pick = lambda: rng.choice([-0.0, 0.0, 1.0, 1.0 + 5e-13, 2.5]) if tight else spread()  # noqa: E731
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        if n + m == 0:
+            continue
+        weights = [rng.choice([0.0, 1.0, 2.0, 3.0]) for _ in range(n + m)]
+        weights[0] = weights[0] or 1.0
+        weights = [w / math.fsum(weights) for w in weights]
+        atoms = [(pick(), w) for w in weights[:n]]
+        segments = []
+        for w in weights[n:]:
+            lo = pick()
+            segments.append((lo, lo + rng.choice([1.0, 1.0 + 5e-13, rng.uniform(0.5, 5.0)]), w))
+        bits = lambda cols: [[x.hex() for x in col] for col in cols]  # noqa: E731
+        assert bits(merge_columns(list(atoms), list(segments))) == bits(merge_by_groups(atoms, segments))
 
 
 def test_merge_atoms_preserves_mean():

@@ -2,7 +2,6 @@
 invariants, disutility curves, and serialization."""
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -600,18 +599,6 @@ def test_disutility_pointwise_values():
         apply_disutility(Power(2.0), -1.0)
 
 
-def test_piecewise_linear_knot_costs_are_not_a_field():
-    """The knot costs a PiecewiseLinear keeps for its bisection leave its
-    fields, ==, hash and repr as the knots alone make them."""
-    u = PiecewiseLinear(((0, 0), (1, 2), (3, 3)))
-    twin = PiecewiseLinear([[0.0, 0.0], [1.0, 2.0], [3.0, 3.0]])
-    assert [f.name for f in dataclasses.fields(PiecewiseLinear)] == ["knots"]
-    assert u == twin and hash(u) == hash(twin) == hash((((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)),))
-    assert repr(u) == repr(twin) == "PiecewiseLinear(knots=((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)))"
-    assert u != PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (4.0, 3.0)))
-    assert dataclasses.replace(u) == u and apply_disutility(dataclasses.replace(u), 2.0) == 2.5
-
-
 def test_pushforward_mean_closed_forms():
     seg = MixedDistribution.uniform(0.0, 2.0)
     assert_close(pushforward_mean(Linear(), seg), 1.0, rel=1e-12)
@@ -653,6 +640,40 @@ def test_pushforward_mean_piecewise_linear_is_the_trapezoid_sum():
     ]
     for (lo, hi), want in cases:
         assert_close(pushforward_mean(u, MixedDistribution.uniform(lo, hi)), want, rel=1e-12)
+
+
+def test_pushforward_mean_piecewise_linear_takes_the_checked_terms():
+    """Under a PiecewiseLinear, pushforward_mean takes its terms with no
+    check of their own, and the checked ones only where a term is not
+    finite.  Its value is still the fsum of the checked terms, bit for
+    bit, each segment's by the trapezoid rule over the knots inside it:
+    on laws whose segments hold no knot, one or several, or end on one."""
+    u = PiecewiseLinear(((-10.0, -5.0), (0.0, 0.0), (10.0, 4.0), (30.0, 20.0)))
+    ends = [-25.0, -10.0, -3.5, 0.0, 2.0, 10.0, 17.25, 30.0, 45.0]
+
+    def trapezoid_mean(lo: float, hi: float) -> float:
+        xs = [lo, *(c for c, _ in u.knots if lo < c < hi), hi]
+        us = [apply_disutility(u, x) for x in xs]
+        return math.fsum(0.5 * (x1 - x0) * (u0 + u1) for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])) / (hi - lo)
+
+    rng = random.Random(2403)
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            lo = rng.choice(ends + [rng.uniform(-40.0, 50.0)])
+            if rng.random() < 0.5:
+                parts.append((lo, lo))
+            else:
+                parts.append((lo, rng.choice([x for x in ends if x > lo] + [lo + rng.uniform(0.1, 30.0)])))
+        law = mixture([(1.0 / len(parts), lo if lo == hi else (lo, hi)) for lo, hi in parts])
+        want = math.fsum(
+            w * (apply_disutility(u, lo) if lo == hi else trapezoid_mean(lo, hi)) for w, lo, hi in zip(*law.columns())
+        )
+        assert pushforward_mean(u, law).hex() == want.hex(), parts
+    # a finite term before one that overflows: the checked terms raise
+    with pytest.raises(EvaluationOverflowError) as info:
+        pushforward_mean(STEEP_PWL, mixture([(0.5, (0.0, 2.0)), (0.5, 1e308)]))
+    assert str(info.value) == "piecewise-linear disutility overflowed at cost 1e+308"
 
 
 STEEP_PWL = PiecewiseLinear(((-5.0, -5.0), (0.0, 0.0), (3.0, 6.0), (10.0, 30.0)))

@@ -53,7 +53,7 @@ from riskdp import (
 from riskdp import measures
 from riskdp import tree as tree_module
 
-from .conftest import assert_close, random_tree
+from .conftest import assert_close, mixture, random_tree
 from .data import make_tree_bits
 
 DATA = Path(__file__).parent / "data"
@@ -887,80 +887,73 @@ def test_flat_law_reproduces_the_pinned_bits():
             assert eud(tree, disutilities[label], lam).hex() == want, (name, label)
 
 
-def spy_on_flat_law_builds(monkeypatch) -> list:
-    """Record the discount of every flat law built through
-    `discounted_total_distribution` from inside riskdp.tree."""
-    builds = []
-    build = tree_module.discounted_total_distribution
-
-    def spy(tree, lam, **kwargs):
-        builds.append(lam)
-        return build(tree, lam, **kwargs)
-
-    monkeypatch.setattr(tree_module, "discounted_total_distribution", spy)
-    return builds
+def leaf_bits(leaves) -> list:
+    """Atoms and segments from `_flat_leaves`, every number by float.hex."""
+    return [[[x.hex() for x in leaf] for leaf in part] for part in leaves]
 
 
-def eight_flat_calls(tree: ScenarioTree, lam: float) -> list:
-    """The flat-route questions one plan is asked at one discount: six
-    functionals and two disutilities of the same total."""
-    rfs = (Expectation(), Erm(0.5), ValueAtRisk(0.6), ValueAtRisk(0.9), Cte(0.6), Cte(0.9))
-    us = (Exponential(0.1), PiecewiseLinear(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (5.0, 8.0))))
-    return [rmd(tree, rf, lam).hex() for rf in rfs] + [eud(tree, u, lam).hex() for u in us]
+def test_the_unchecked_flat_walk_gives_the_checked_walks_leaves():
+    """Where nothing faults, the walk that adds a last-stage node's leaves
+    unchecked and checks them together gives the leaves of the walk that
+    checks each one, bit for bit and in the same order: on random trees
+    and on the tie-heavy pinned trees, some of whose paths have
+    probability zero."""
+    rng = random.Random(2401)
+    trees = [
+        random_tree(rng, max_horizon=4, max_children=3, segment_stage=rng.choice([None, 0, 1, 2, 3]))
+        for _ in range(150)
+    ]
+    trees += [tree_from_json_dict(case["tree"]) for case in json.loads((DATA / "flat_bits.json").read_text())["cases"]]
+    for tree in trees:
+        for lam in (1.0, 0.9, 0.5, 0.0):
+            walk = lambda checked: tree_module._flat_leaves(tree._plan.steps, tree.horizon, lam, checked)  # noqa: E731
+            try:
+                checked = walk(True)
+            except ValidationError:  # a discount of 0 collapses a segment
+                assert lam == 0.0 and walk(False) is None
+                continue
+            assert leaf_bits(walk(False)) == leaf_bits(checked)
 
 
-def test_rmd_and_eud_build_the_flat_law_once_per_discount(monkeypatch):
-    """Eight flat-route calls on one tree at one discount build its law
-    once; the tree keeps one law, so a second discount builds again, and
-    so does going back to the first.  -0.0 and 0.0 are distinct keys."""
-    tree = random_tree(random.Random(2401), max_horizon=4, max_children=3, segment_stage=1)
-    want = {lam: eight_flat_calls(tree_from_json_dict(tree_to_json_dict(tree)), lam) for lam in (0.9, 0.5)}
-    builds = spy_on_flat_law_builds(monkeypatch)
-    assert eight_flat_calls(tree, 0.9) == want[0.9]
-    assert builds == [0.9]
-    assert eight_flat_calls(tree, 0.9) == want[0.9]
-    assert builds == [0.9]
-    assert eight_flat_calls(tree, 0.5) == want[0.5]
-    assert eight_flat_calls(tree, 0.9) == want[0.9]
-    assert builds == [0.9, 0.5, 0.9]
-    for lam in (0.0, -0.0, -0.0):
-        rmd(tree, Expectation(), lam)
-    assert [lam.hex() for lam in builds[3:]] == ["0x0.0p+0", "-0x0.0p+0"]
-
-
-def test_a_flat_law_build_that_raises_keeps_nothing(monkeypatch):
-    """A tree whose flat law cannot be built raises the same error on
-    every rmd and eud call, each of which tries the build again."""
+def test_a_fault_among_unchecked_leaves_raises_in_walk_order():
+    """A last-stage node whose costs are all atoms adds its leaves
+    unchecked; a fault among them still raises before one that the walk
+    meets later, and after one that it meets first."""
+    leaf = lambda: TreeNode(2, ())  # noqa: E731
     seg = MixedDistribution.uniform(0.0, 1.0)
-    builds = spy_on_flat_law_builds(monkeypatch)
-    for tree, error in (
-        (deterministic_tree([seg, seg]), TWO_SEGMENTS),
-        (two_outcome_tree(0.5, 10.0), TOO_MANY_PATHS),
-    ):
-        del builds[:]
-        with monkeypatch.context() as patch:
-            if error is TOO_MANY_PATHS:  # under the default budget of 10**7
-                patch.setattr(ScenarioTree, "path_count", lambda self: 10**7 + 1)
-            for call in (lambda: rmd(tree, Cte(0.5), 1.0), lambda: eud(tree, Linear(), 1.0)) * 2:
-                with pytest.raises(error[0]) as info:
-                    call()
-                assert str(info.value) == error[1]
-        assert builds == [1.0] * 4
+    atoms = mixture([(0.5, 1.0), (0.5, 2.0)])
+    # reached with a shift of 1e308, its first leaf leaves the floats
+    overflowing = TreeNode(1, (Edge(0.5, mixture([(0.5, 1e308), (0.5, 1.0)]), leaf()), Edge(0.5, atoms, leaf())))
+    # reached with a segment, its atoms 1e17 away collapse it
+    collapsing = TreeNode(1, (Edge(0.5, 1e17, leaf()), Edge(0.5, atoms, leaf())))
+    doubled = TreeNode(1, (Edge(1.0, seg, leaf()),))
+    collapsed = (ValidationError, "UniformSegment requires lo < hi; use PointMass for a single value")
+    cases = [
+        ((0.5, 1e308, overflowing), (0.5, seg, doubled), OVERFLOW),
+        ((0.5, seg, doubled), (0.5, 1e308, overflowing), TWO_SEGMENTS),
+        ((0.5, seg, collapsing), (0.5, 1e308, overflowing), collapsed),
+        ((0.5, 1e308, overflowing), (0.5, seg, collapsing), OVERFLOW),
+    ]
+    for first, second, (kind, message) in cases:
+        tree = ScenarioTree(2, TreeNode(0, (Edge(*first), Edge(*second))))
+        assert tree_module._flat_leaves(tree._plan.steps, 2, 1.0, False) is None
+        for call in (lambda: discounted_total_distribution(tree, 1.0), lambda: rmd(tree, Cte(0.5), 1.0)):
+            with pytest.raises(kind) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (kind, message)
 
 
-def test_the_kept_flat_law_is_invisible():
-    """After rmd and eud the tree compares, hashes, prints and writes its
-    JSON form as before, and has the same dataclass fields.  The law that
-    discounted_total_distribution returns is fresh on every call, so a
+def test_rmd_and_eud_keep_nothing_on_the_tree():
+    """rmd and eud build the flat law on every call and keep nothing: the
+    tree's attributes, ==, hash, repr and JSON form are as before, and
+    each law discounted_total_distribution returns is a fresh one, so a
     caller that writes into its columns changes no later rmd."""
     tree = random_tree(random.Random(2402), max_horizon=4, max_children=3, segment_stage=2)
     fresh = tree_from_json_dict(tree_to_json_dict(tree))
-    before = (hash(tree), repr(tree), tree_to_json_dict(tree), dataclasses.fields(ScenarioTree))
+    before = (sorted(vars(tree)), hash(tree), repr(tree), tree_to_json_dict(tree))
     value = rmd(tree, Cte(0.5), 0.9)
     eud(tree, Exponential(0.5), 0.9)
-    assert (hash(tree), repr(tree), tree_to_json_dict(tree), dataclasses.fields(ScenarioTree)) == before
-    assert tree == fresh and fresh == tree and hash(fresh) == hash(tree)
-    rmd(fresh, Cte(0.5), 0.5)
+    assert (sorted(vars(tree)), hash(tree), repr(tree), tree_to_json_dict(tree)) == before
     assert tree == fresh and fresh == tree and hash(fresh) == hash(tree)
     one, two = discounted_total_distribution(tree, 0.9), discounted_total_distribution(tree, 0.9)
     assert one is not two and one.columns() is not two.columns()
