@@ -321,13 +321,15 @@ def segment_width(lo: float, hi: float) -> float:
 
 
 def column_cdf(cols: Columns, y: float) -> float:
-    """Pr(Y <= y)."""
+    """Pr(Y <= y).  A segment's share is clamped at its weight, which the
+    rounded quotient can pass by an ulp just below its top, so the CDF
+    never decreases in y."""
     total = 0.0
     for w, lo, hi in zip(*cols):
         if y >= hi:
             total += w
         elif y > lo:
-            total += w * (y - lo) / segment_width(lo, hi)
+            total += min(w * (y - lo) / segment_width(lo, hi), w)
     return total
 
 
@@ -337,7 +339,8 @@ def column_atom_mass_at(cols: Columns, y: float) -> float:
 
 
 def column_tail_mass(cols: Columns, v: float) -> float:
-    """Pr(Y > v)."""
+    """Pr(Y > v), a segment's share clamped at its weight as in
+    `column_cdf`, so it never increases in v."""
     total = 0.0
     for w, lo, hi in zip(*cols):
         if lo == hi:
@@ -346,7 +349,7 @@ def column_tail_mass(cols: Columns, v: float) -> float:
         elif v <= lo:
             total += w
         elif v < hi:
-            total += w * (hi - v) / segment_width(lo, hi)
+            total += min(w * (hi - v) / segment_width(lo, hi), w)
     return total
 
 

@@ -25,6 +25,15 @@ law of atoms at many tail levels: it takes the law's breakpoint
 statistics once and gives each level the bits of the tail-expectation
 kernel, as the fig1 sweep needs at the installment tree's root.
 
+Each disutility is taken by one route too.  ``_disutility`` picks its
+kind once per call: the name its overflow messages use, and its value at
+a cost and its mean on a segment, both bound to its parameter and
+checking nothing.  :func:`pushforward_mean` takes every term that way
+and, only where their sum is not finite or taking them raises, takes
+them again through ``_checked_disutility``, so the first faulty
+component raises; :func:`apply_disutility` is that checked helper on one
+cost.
+
 The kernels stay in the floating range where the true value does: a
 midpoint whose sum overflows is taken as half of each end.  A value
 whose exact sum or whose disutility leaves the range raises
@@ -654,7 +663,6 @@ class PiecewiseLinear:
 
 
 DisutilityFunction = Union[Exponential, Linear, Power, PiecewiseLinear]
-DISUTILITY_CLASSES = (Exponential, Linear, Power, PiecewiseLinear)
 
 
 _KNOT_COST = itemgetter(0)  # a (cost, disutility) knot's cost, for bisection
@@ -690,90 +698,92 @@ def _pwl_segment_mean(knots: Tuple[Tuple[float, float], ...], lo: float, hi: flo
     ) / segment_width(lo, hi)
 
 
-# each disutility kind as its overflow messages name it
-_OVERFLOW_NAMES = {Exponential: "exponential", Power: "power", PiecewiseLinear: "piecewise-linear"}
+def _exponential_segment_mean(gamma: float, lo: float, hi: float) -> float:
+    z = gamma * (hi - lo)
+    if z == 0.0:
+        # z underflowed; expm1(z) / z tends to one
+        return math.expm1(gamma * (0.5 * (lo + hi)))
+    return math.exp(gamma * lo) * math.expm1(z) / z - 1.0
 
 
-def _finite_disutility(u: DisutilityFunction, value: float, lo: float, hi: float) -> float:
-    """value, unless it left the floating range as the disutility of the
-    cost lo (lo == hi) or of the segment [lo, hi]."""
-    if not math.isfinite(value):
-        name = next(name for cls, name in _OVERFLOW_NAMES.items() if isinstance(u, cls))
+# a negative cost to a power may be complex, with no exception, so these
+# two refuse it
+def _power_value(k: float, c: float) -> float:
+    if c < 0.0:
+        raise ValidationError("Power disutility is defined on costs >= 0")
+    return c**k
+
+
+def _power_segment_mean(k: float, lo: float, hi: float) -> float:
+    if lo < 0.0:
+        raise ValidationError("Power disutility is defined on costs >= 0")
+    k1 = k + 1.0
+    return (hi**k1 - lo**k1) / (k1 * (hi - lo))
+
+
+# a checked disutility's name in overflow messages, its value at a cost,
+# and its mean on a segment [lo, hi]
+DisutilityKind = Tuple[str, Callable[[float], float], Callable[[float, float], float]]
+
+
+def _disutility(u: DisutilityFunction) -> DisutilityKind:
+    """The kind of a disutility, picked once, as `_kernel` picks a risk
+    functional's: its value and segment mean are bound to its parameter
+    and check nothing, except that Power's refuse a negative cost.  An
+    unknown disutility raises."""
+    if isinstance(u, Exponential):
+        gamma = u.gamma
+        return "exponential", lambda c: math.expm1(gamma * c), partial(_exponential_segment_mean, gamma)
+    if isinstance(u, Power):
+        return "power", partial(_power_value, u.k), partial(_power_segment_mean, u.k)
+    if isinstance(u, PiecewiseLinear):
+        return "piecewise-linear", partial(_pwl_apply, u.knots), partial(_pwl_segment_mean, u.knots)
+    if isinstance(u, Linear):
+        return "linear", lambda c: c, midpoint
+    raise ValidationError(f"unknown disutility {u!r}")
+
+
+def _checked_disutility(kind: DisutilityKind, lo: float, hi: float) -> float:
+    """The disutility of the cost lo (lo == hi), or its mean on the
+    segment [lo, hi]; a value that leaves the floating range raises
+    `EvaluationOverflowError`."""
+    name, value, segment_mean = kind
+    try:
+        result = value(lo) if lo == hi else segment_mean(lo, hi)
+    except ValidationError:  # a cost outside the disutility's domain
+        raise
+    except (OverflowError, ValueError):  # out of range, or fsum's infinities of both signs
+        result = math.inf
+    if not math.isfinite(result):
         where = f"at cost {lo!r}" if lo == hi else f"on segment {UniformSegment(lo, hi)!r}"
         raise EvaluationOverflowError(f"{name} disutility overflowed {where}")
-    return value
+    return result
 
 
 def apply_disutility(u: DisutilityFunction, c: float) -> float:
-    """Evaluate the disutility at a single cost; a value that leaves the
-    floating range raises `EvaluationOverflowError`."""
-    if isinstance(u, Linear):
-        return c
-    if isinstance(u, Power) and c < 0.0:
-        raise ValidationError("Power disutility is defined on costs >= 0")
-    try:
-        if isinstance(u, Exponential):
-            value = math.expm1(u.gamma * c)
-        elif isinstance(u, Power):
-            value = c**u.k
-        elif isinstance(u, PiecewiseLinear):
-            value = _pwl_apply(u.knots, c)
-        else:
-            raise ValidationError(f"unknown disutility {u!r}")
-    except OverflowError:  # out of range: raised here, or infinite otherwise
-        value = math.inf
-    return _finite_disutility(u, value, c, c)
-
-
-def _segment_disutility_mean(u: DisutilityFunction, lo: float, hi: float) -> float:
-    """E[u(Y)] for Y uniform on [lo, hi] and a checked disutility, in
-    closed form; a value that leaves the floating range raises
-    `EvaluationOverflowError`."""
-    if isinstance(u, Linear):
-        return midpoint(lo, hi)
-    if isinstance(u, Power) and lo < 0.0:
-        raise ValidationError("Power disutility is defined on costs >= 0")
-    try:
-        if isinstance(u, Exponential):
-            z = u.gamma * (hi - lo)
-            if z == 0.0:
-                # z underflowed; expm1(z) / z tends to one
-                value = math.expm1(u.gamma * (0.5 * (lo + hi)))
-            else:
-                value = math.exp(u.gamma * lo) * math.expm1(z) / z - 1.0
-        elif isinstance(u, Power):
-            k1 = u.k + 1.0
-            value = (hi**k1 - lo**k1) / (k1 * (hi - lo))
-        else:
-            value = _pwl_segment_mean(u.knots, lo, hi)
-    except (OverflowError, ValueError):
-        # fsum raises ValueError on infinite terms of both signs
-        value = math.inf
-    return _finite_disutility(u, value, lo, hi)
+    """Evaluate the disutility at a single finite cost; a value that
+    leaves the floating range raises `EvaluationOverflowError`."""
+    kind = _disutility(u)
+    c = json_number(c, "cost")
+    if not math.isfinite(c):
+        raise ValidationError(f"cost must be finite, got {c!r}")
+    return _checked_disutility(kind, c, c)
 
 
 def pushforward_mean(u: DisutilityFunction, dist: MixedDistribution) -> float:
     """E[u(Y)] for a mixed distribution, the disutility checked first.
-    Under a PiecewiseLinear the terms are taken with no check of their
-    own, and taken again checked only where one is not finite, so the
+    The terms are taken with no check of their own, and taken again
+    checked only where one is not finite or taking them raises, so the
     first fault raises as it would."""
-    if not isinstance(u, DISUTILITY_CLASSES):
-        raise ValidationError(f"unknown disutility {u!r}")
+    kind = _disutility(u)
+    _, value, segment_mean = kind
     cols = dist.columns()
-    if isinstance(u, PiecewiseLinear):
-        # the terms below, taken with no check of their own; where one is
-        # not finite, or taking them raises, the checked terms raise
-        knots = u.knots
-        try:
-            terms = [w * (_pwl_apply(knots, lo) if lo == hi else _pwl_segment_mean(knots, lo, hi)) for w, lo, hi in zip(*cols)]
-        except (OverflowError, ValueError):
-            terms = [math.inf]
-        if math.isfinite(sum(terms)):  # a sum is finite only if every term is
-            return checked_fsum(terms, "expected disutility")
-    terms = [
-        w * (apply_disutility(u, lo) if lo == hi else _segment_disutility_mean(u, lo, hi))
-        for w, lo, hi in zip(*cols)
-    ]
+    try:
+        terms = [w * (value(lo) if lo == hi else segment_mean(lo, hi)) for w, lo, hi in zip(*cols)]
+    except (OverflowError, ValueError):
+        terms = [math.inf]
+    if not math.isfinite(sum(terms)):  # a sum is finite only if every term is
+        terms = [w * _checked_disutility(kind, lo, hi) for w, lo, hi in zip(*cols)]
     return checked_fsum(terms, "expected disutility")
 
 

@@ -326,12 +326,7 @@ def _compile(nodes: Iterable[_Listed], horizon: int) -> _Plan:
 def _node_law(edges: Tuple[Tuple[float, Any, int], ...]) -> _Law:
     """The one-step law of an internal node with these plan edges, before
     the child values move it, as `_Plan` keeps it."""
-    entries = []
-    for p, cost, child in edges:
-        if isinstance(cost, MixedDistribution):
-            entries += [(p * w, lo, hi, child) for w, lo, hi in zip(*cost.columns())]
-        else:
-            entries.append((p, cost, cost, child))
+    entries = [(p * w, lo, hi, child) for p, cost, child in edges for w, lo, hi in _edge_columns(cost)]
     weights, lows, highs, children = map(tuple, zip(*entries))
     # an atom has low == high, so every entry is an atom just when the
     # columns are equal
@@ -665,10 +660,7 @@ def _flat_leaves(steps: tuple, horizon: int, lam: float, checked: bool) -> Optio
         branches = []
         for q, cost, child in edges:
             p = prob * q
-            if not isinstance(cost, MixedDistribution):
-                branches.append((child, p, shift + scale * cost, seg))
-                continue
-            for w, lo, hi in zip(*cost.columns()):
+            for w, lo, hi in _edge_columns(cost):
                 if w <= 0.0:
                     continue
                 if lo == hi:

@@ -19,7 +19,15 @@ from riskdp import (
     essential_sup,
     merge_atoms,
 )
-from riskdp.distributions import MERGE_TOL, check_atom, check_weights, checked_fsum, merge_columns
+from riskdp.distributions import (
+    MERGE_TOL,
+    check_atom,
+    check_weights,
+    checked_fsum,
+    column_cdf,
+    column_tail_mass,
+    merge_columns,
+)
 from riskdp.properties import _random_mixed
 
 from .conftest import assert_close
@@ -395,3 +403,19 @@ def test_cdf_is_monotone_and_bounded(seed):
     # complementary tail
     for y, v in zip(ys, vals):
         assert_close(v + d.tail_mass(y), 1.0, rel=1e-9)
+
+
+
+@pytest.mark.parametrize(
+    "w, lo, hi",
+    [(0.4329501211003163, -5.8847648541059066, 0.8570911353484885), (0.9614779889500835, 0.7844693774162117, 7.5659958451496285)],
+    ids=["cdf-below-the-top", "tail-above-the-bottom"],
+)
+def test_a_segment_share_never_passes_its_weight(w, lo, hi):
+    # unclamped, w * (y - lo) / (hi - lo) is an ulp above w just below the
+    # top of the first segment, and w * (hi - v) / (hi - lo) just above the
+    # bottom of the second
+    cols = ([w], [lo], [hi])
+    below_top, above_bottom = math.nextafter(hi, -math.inf), math.nextafter(lo, math.inf)
+    assert column_cdf(cols, below_top) <= column_cdf(cols, hi) == w
+    assert column_tail_mass(cols, above_bottom) <= column_tail_mass(cols, lo) == w

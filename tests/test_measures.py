@@ -599,6 +599,99 @@ def test_disutility_pointwise_values():
         apply_disutility(Power(2.0), -1.0)
 
 
+STEEP_PWL = PiecewiseLinear(((-5.0, -5.0), (0.0, 0.0), (3.0, 6.0), (10.0, 30.0)))
+
+
+@pytest.mark.parametrize("u", [Linear(), Exponential(1.0), Power(2.0), STEEP_PWL], ids=["linear", "exponential", "power", "pwl"])
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        ("x", "cost must be a number, got 'x'"),
+        (None, "cost must be a number, got None"),
+        (True, "cost must be a number, got True"),
+        (math.nan, "cost must be finite, got nan"),
+        (math.inf, "cost must be finite, got inf"),
+        (-math.inf, "cost must be finite, got -inf"),
+    ],
+    ids=["str", "none", "bool", "nan", "inf", "-inf"],
+)
+def test_apply_disutility_takes_a_finite_number_as_its_cost(u, cost, message):
+    with pytest.raises(ValidationError) as info:
+        apply_disutility(u, cost)
+    assert str(info.value) == message
+
+
+def test_pushforward_mean_is_the_fsum_of_the_closed_form_terms():
+    """Under every kind, pushforward_mean is the fsum of each component's
+    weight times its disutility (an atom) or its mean disutility (a
+    segment), bit for bit, with the closed forms taken here."""
+    knots = STEEP_PWL.knots
+
+    def pwl(c: float) -> float:
+        # the knot interval that holds c, the first and last extended
+        k = 1
+        while k < len(knots) - 1 and knots[k][0] <= c:
+            k += 1
+        (x0, y0), (x1, y1) = knots[k - 1], knots[k]
+        return y0 + (y1 - y0) * (c - x0) / (x1 - x0)
+
+    def pwl_mean(lo: float, hi: float) -> float:
+        xs = [lo, *(c for c, _ in knots if lo < c < hi), hi]
+        return math.fsum(0.5 * (x1 - x0) * (pwl(x0) + pwl(x1)) for x0, x1 in zip(xs, xs[1:])) / (hi - lo)
+
+    oracles = {
+        "linear": (Linear(), lambda c: c, lambda lo, hi: 0.5 * (lo + hi)),
+        "exponential": (
+            Exponential(0.25),
+            lambda c: math.expm1(0.25 * c),
+            lambda lo, hi: math.exp(0.25 * lo) * math.expm1(0.25 * (hi - lo)) / (0.25 * (hi - lo)) - 1.0,
+        ),
+        "power": (Power(2.5), lambda c: c**2.5, lambda lo, hi: (hi**3.5 - lo**3.5) / (3.5 * (hi - lo))),
+        "pwl": (STEEP_PWL, pwl, pwl_mean),
+    }
+    rng = random.Random(2501)
+    for name, (u, value, segment_mean) in oracles.items():
+        for _ in range(200):
+            parts = []
+            for _ in range(rng.randint(1, 8)):
+                lo = rng.choice([0.0, 3.0, 10.0, rng.uniform(0.0, 20.0)])
+                hi = lo if rng.random() < 0.5 else lo + rng.choice([7.0, rng.uniform(0.01, 15.0)])
+                parts.append(lo if lo == hi else (lo, hi))
+            law = mixture([(1.0 / len(parts), part) for part in parts])
+            want = math.fsum(w * (value(lo) if lo == hi else segment_mean(lo, hi)) for w, lo, hi in zip(*law.columns()))
+            assert pushforward_mean(u, law).hex() == want.hex(), (name, parts)
+
+
+POWER_DOMAIN = "Power disutility is defined on costs >= 0"
+
+
+@pytest.mark.parametrize(
+    "u, parts, error, message",
+    [
+        (Power(2.0), [(0.5, 1.0), (0.5, -1.0)], ValidationError, POWER_DOMAIN),
+        # a negative cost to the power 2.5 is complex, not an exception
+        (Power(2.5), [(0.5, 1.0), (0.5, -1.0)], ValidationError, POWER_DOMAIN),
+        (Power(2.0), [(0.5, 1.0), (0.5, (-1.0, 1.0))], ValidationError, POWER_DOMAIN),
+        # the first faulty component raises, whichever fault comes later
+        (Power(2.0), [(0.5, 1e308), (0.5, -1.0)], EvaluationOverflowError, "power disutility overflowed at cost 1e+308"),
+        (Power(2.0), [(0.5, -1.0), (0.5, 1e308)], ValidationError, POWER_DOMAIN),
+        # a segment mean that overflows with no exception, before an atom
+        # whose disutility raises one
+        (
+            Exponential(1.0),
+            [(0.5, (709.7, 710.2)), (0.5, 1e9)],
+            EvaluationOverflowError,
+            "exponential disutility overflowed on segment UniformSegment(lo=709.7, hi=710.2)",
+        ),
+    ],
+    ids=["negative-atom", "negative-atom-complex", "segment-across-zero", "overflow-first", "domain-first", "silent-overflow-first"],
+)
+def test_pushforward_mean_raises_at_the_first_faulty_component(u, parts, error, message):
+    with pytest.raises(error) as info:
+        pushforward_mean(u, mixture(parts))
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_pushforward_mean_closed_forms():
     seg = MixedDistribution.uniform(0.0, 2.0)
     assert_close(pushforward_mean(Linear(), seg), 1.0, rel=1e-12)
@@ -676,7 +769,6 @@ def test_pushforward_mean_piecewise_linear_takes_the_checked_terms():
     assert str(info.value) == "piecewise-linear disutility overflowed at cost 1e+308"
 
 
-STEEP_PWL = PiecewiseLinear(((-5.0, -5.0), (0.0, 0.0), (3.0, 6.0), (10.0, 30.0)))
 DISUTILITY_OVERFLOWS = {
     "exponential atom": (
         lambda: apply_disutility(Exponential(1.0), 1e9),
