@@ -20,7 +20,11 @@ stored columns to the kernel; the flat route of a tree (`tree.rmd`) is
 is never built.  The MDP solver and the tree recursion pick a kernel
 once per stage functional and hand each cell or node law to it, a law of
 atoms through ``_on_atoms``, which keeps the finiteness check and the
-one-atom shortcut of :func:`evaluate_atoms`.  ``_cte_levels`` reads a
+one-atom shortcut of :func:`evaluate_atoms`.  A law of atoms comes as
+columns whose lows are its highs, and on it the quantile and
+tail-expectation kernels take one sort and one pass (``_atoms_quantile``)
+and the entropic kernel takes gamma * v as each atom's log-moment, with
+the bits and errors of the general route.  ``_cte_levels`` reads a
 law of atoms at many tail levels: it takes the law's breakpoint
 statistics once and gives each level the bits of the tail-expectation
 kernel, as the fig1 sweep needs at the installment tree's root.
@@ -47,13 +51,15 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter, mul
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
     Columns,
     MixedDistribution,
     UniformSegment,
+    check_atom,
     check_sums_to_one,
     checked_fsum,
     column_atom_mass_at,
@@ -319,17 +325,16 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
 def _erm(gamma: float, cols: Columns) -> float:
     if gamma == 0.0:
         return _mean(cols)
-    terms = []
-    weights = []
-    for w, lo, hi in zip(*cols):
-        if w <= 0.0:
-            continue
-        terms.append(_log_mgf(lo, hi, gamma))
-        weights.append(w)
+    weights, lows, highs = cols
+    if lows is highs:  # only atoms, where `_log_mgf(v, v, gamma)` is gamma * v
+        terms = [gamma * v for w, v in zip(weights, lows) if w > 0.0]
+    else:
+        terms = [_log_mgf(lo, hi, gamma) for w, lo, hi in zip(*cols) if w > 0.0]
+    weights = [w for w in weights if w > 0.0]
     shift = max(terms)
     if not math.isfinite(shift):
         return _erm_from_end(gamma, cols)
-    total = math.fsum(w * math.exp(t - shift) for w, t in zip(weights, terms))
+    total = math.fsum(map(mul, weights, map(math.exp, map(sub, terms, repeat(shift)))))
     value = (shift + math.log(total)) / gamma
     if not math.isfinite(value):
         return _erm_from_end(gamma, cols)
@@ -378,7 +383,63 @@ def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
 
 
 def _value_at_risk(alpha: float, cols: Columns) -> float:
-    """The lower quantile on columns.
+    """The lower quantile on columns: a law of atoms (lows is highs) by
+    the one sort and one pass of `_atoms_quantile`, and where that cannot
+    decide, or any other law, by `_quantile_walk`; the same bits either
+    way."""
+    found = _atoms_quantile(alpha, cols)
+    return _quantile_walk(alpha, cols) if found is None else found[0]
+
+
+def _atoms_quantile(alpha: float, cols: Columns) -> Optional[Tuple[float, float, List[float]]]:
+    """The lower quantile y of a law of atoms, with Pr(Y > y) and the
+    parts w * v of E[Y; Y > y] as ``column_tail_mass`` and
+    ``column_tail_sum`` take them; None for a level of 0, for a law that
+    is not all atoms, and where the walk must decide.
+
+    The atoms are sorted by value once, and their running mass in that
+    order locates a candidate y; a zero takes the sign the walk keeps,
+    that of the lightest positive-weight atom at zero, the first of equal
+    weights.  One pass in component order then sums CDF(y) and Pr(Y < y)
+    as ``column_cdf`` sums them (Pr(Y < y) is the CDF at the break below
+    y, since only atoms of weight zero lie between), and collects the
+    atom mass at y.  Those CDFs never decrease in y, the weights of a
+    checked law being nonnegative and rounding monotone, so
+    CDF(y) >= alpha > Pr(Y < y) means that y is the break the walk ends
+    at, and CDF(y) - mass(y) < alpha that it returns y there.  Anything
+    else, which only float dust in the weights brings about, is left to
+    the walk.
+    """
+    weights, values, highs = cols
+    if not alpha or values is not highs:
+        return None
+    order = sorted(range(len(values)), key=values.__getitem__)
+    k = bisect_left(list(accumulate(map(weights.__getitem__, order))), alpha)
+    if k == len(order):
+        return None
+    y = values[order[k]]
+    if y == 0.0:
+        y = min((w, i, v) for i, (w, v) in enumerate(zip(weights, values)) if v == 0.0 and w > 0.0)[2]
+    cdf = cdf_below = tail_mass = 0.0
+    at_y: List[float] = []
+    tail_parts: List[float] = []
+    for w, v in zip(weights, values):
+        if v < y:
+            cdf_below += w
+            cdf += w
+        elif v > y:
+            tail_mass += w
+            tail_parts.append(w * v)
+        else:
+            cdf += w
+            at_y.append(w)
+    if cdf >= alpha > cdf_below and cdf - math.fsum(at_y) < alpha:
+        return y, tail_mass, tail_parts
+    return None
+
+
+def _quantile_walk(alpha: float, cols: Columns) -> float:
+    """The lower quantile on columns, any law.
 
     The CDF is piecewise linear with jumps only at atoms.  The
     breakpoints (atom values, segment ends) are sorted once, and a running
@@ -463,12 +524,16 @@ def cte(alpha: float, dist: MixedDistribution) -> float:
 
 
 def _cte(alpha: float, cols: Columns) -> float:
-    v = _value_at_risk(alpha, cols)
-    tail_p = column_tail_mass(cols, v)
+    found = _atoms_quantile(alpha, cols)
+    if found is None:
+        v = _quantile_walk(alpha, cols)
+        tail_p = column_tail_mass(cols, v)
+    else:
+        v, tail_p, tail_parts = found
     if tail_p <= 0.0:
         return v
-    beta = 1.0 - tail_p
-    return (column_tail_sum(cols, v) + (beta - alpha) * v) / (1.0 - alpha)
+    tail_sum = column_tail_sum(cols, v) if found is None else checked_fsum(tail_parts, "tail expectation")
+    return (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
 
 
 def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Sequence[float]) -> List[float]:
@@ -527,14 +592,14 @@ def evaluate_atoms(rf: RiskFunctional, weights: Sequence[float], values: Sequenc
     the same position, without building the law.
 
     It gives the same bits and raises the same errors in the same order:
-    a value that is not finite first, as ``PointMass`` would, then an
-    unknown functional, and one atom is returned as the constant it is.
-    The weights are taken as given, as a checked tree or MDP gives them.
-    A walk that evaluates many laws under one functional picks its kernel
-    once with ``_kernel`` and calls ``_on_atoms``.
+    each value in turn as ``PointMass`` checks it (a number, then a finite
+    one), then an unknown functional, and one atom is returned as the
+    constant it is.  The weights are taken as given, as a checked tree or
+    MDP gives them.  A walk that evaluates many laws under one functional
+    picks its kernel once with ``_kernel`` and calls ``_on_atoms``.
     """
+    values = [check_atom(v if type(v) is float else json_number(v, "PointMass value")) for v in values]
     if not isinstance(rf, RF_CLASSES):
-        _check_atoms(values)
         raise ValidationError(f"unknown risk functional {rf!r}")
     return _on_atoms(_kernel(rf), weights, values)
 
@@ -658,44 +723,51 @@ class PiecewiseLinear:
         for c, u in knots:
             if not (math.isfinite(c) and math.isfinite(u)):
                 raise ValidationError("PiecewiseLinear knots must be finite")
-        if abs(_pwl_apply(knots, 0.0)) > 1e-12:
+        if abs(_pwl_value(*_pwl_pieces(knots), 0.0)) > 1e-12:
             raise ValidationError("PiecewiseLinear must map cost 0 to disutility 0")
 
 
 DisutilityFunction = Union[Exponential, Linear, Power, PiecewiseLinear]
 
 
-_KNOT_COST = itemgetter(0)  # a (cost, disutility) knot's cost, for bisection
+def _pwl_pieces(knots: Tuple[Tuple[float, float], ...]) -> Tuple[List[float], List[Tuple[float, ...]]]:
+    """A piecewise-linear curve read once: its knot costs, and for each
+    count i of knots at or below a cost, the curve's piece there as
+    (x0, y0, y1 - y0, x1 - x0): the knot interval that ends at knot i,
+    the first and last intervals extended beyond the knots."""
+    spans = [(x0, y0, y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])]
+    return [c for c, _ in knots], [spans[0], *spans, spans[-1]]
 
 
-def _pwl_apply(knots: Tuple[Tuple[float, float], ...], c: float) -> float:
-    i = bisect_right(knots, c, key=_KNOT_COST)
-    if i == 0:
-        (x0, y0), (x1, y1) = knots[0], knots[1]
-    elif i == len(knots):
-        (x0, y0), (x1, y1) = knots[-2], knots[-1]
-    else:
-        (x0, y0), (x1, y1) = knots[i - 1], knots[i]
-    rise = (y1 - y0) * (c - x0)
-    if not math.isfinite(rise):
-        # far out on an extended piece the product can overflow where the
-        # slope times the run does not
-        return y0 + (y1 - y0) / (x1 - x0) * (c - x0)
-    return y0 + rise / (x1 - x0)
+def _pwl_on(piece: Tuple[float, ...], c: float) -> float:
+    x0, y0, rise, run = piece
+    up = rise * (c - x0)
+    # far out on an extended piece the product can overflow where the
+    # slope times the run does not
+    return y0 + up / run if math.isfinite(up) else y0 + rise / run * (c - x0)
 
 
-def _pwl_segment_mean(knots: Tuple[Tuple[float, float], ...], lo: float, hi: float) -> float:
-    """E[u(Y)] for Y uniform on [lo, hi] under the curve through knots.
+def _pwl_value(costs: List[float], pieces: List[Tuple[float, ...]], c: float) -> float:
+    return _pwl_on(pieces[bisect_right(costs, c)], c)
+
+
+def _pwl_segment_mean(costs: List[float], pieces: List[Tuple[float, ...]], lo: float, hi: float) -> float:
+    """E[u(Y)] for Y uniform on [lo, hi] under the curve of `_pwl_pieces`.
     The curve is linear between knots, so the trapezoid rule on each knot
-    interval inside the segment is exact."""
-    first, end = bisect_right(knots, lo, key=_KNOT_COST), bisect_left(knots, hi, key=_KNOT_COST)
-    if first == end:  # no knot inside: the fsum of the one term is the term + 0.0
-        return (0.5 * (hi - lo) * (_pwl_apply(knots, lo) + _pwl_apply(knots, hi)) + 0.0) / segment_width(lo, hi)
-    xs = [lo, *[c for c, _ in knots[first:end]], hi]
-    us = [_pwl_apply(knots, x) for x in xs]
-    return math.fsum(
-        0.5 * (x1 - x0) * (u0 + u1) for x0, x1, u0, u1 in zip(xs, xs[1:], us, us[1:])
-    ) / segment_width(lo, hi)
+    interval inside the segment is exact.  One bisection finds lo's
+    piece; each knot inside is then taken in order on the piece it
+    starts, which is the piece a bisection at it finds."""
+    i = bisect_right(costs, lo)
+    x, u = lo, _pwl_on(pieces[i], lo)
+    terms = []
+    while i < len(costs) and costs[i] < hi:
+        i += 1
+        c, u_c = costs[i - 1], _pwl_on(pieces[i], costs[i - 1])
+        terms.append(0.5 * (c - x) * (u + u_c))
+        x, u = c, u_c
+    # a knot at hi starts the piece a bisection at hi finds
+    terms.append(0.5 * (hi - x) * (u + _pwl_on(pieces[i + (i < len(costs) and costs[i] == hi)], hi)))
+    return math.fsum(terms) / segment_width(lo, hi)
 
 
 def _exponential_segment_mean(gamma: float, lo: float, hi: float) -> float:
@@ -737,7 +809,8 @@ def _disutility(u: DisutilityFunction) -> DisutilityKind:
     if isinstance(u, Power):
         return "power", partial(_power_value, u.k), partial(_power_segment_mean, u.k)
     if isinstance(u, PiecewiseLinear):
-        return "piecewise-linear", partial(_pwl_apply, u.knots), partial(_pwl_segment_mean, u.knots)
+        costs, pieces = _pwl_pieces(u.knots)
+        return "piecewise-linear", partial(_pwl_value, costs, pieces), partial(_pwl_segment_mean, costs, pieces)
     if isinstance(u, Linear):
         return "linear", lambda c: c, midpoint
     raise ValidationError(f"unknown disutility {u!r}")

@@ -22,6 +22,7 @@ from riskdp import (
     ScenarioTree,
     Transition,
     ValidationError,
+    ValueAtRisk,
     brute_force_optimal,
     casebook,
     evaluate_policy,
@@ -35,6 +36,7 @@ from riskdp import (
     unroll,
 )
 
+from riskdp import measures
 from riskdp.mdp import _with_discount
 
 from .conftest import assert_close, random_mdp
@@ -357,6 +359,23 @@ def test_solver_reproduces_the_pinned_bits():
             assert [[n, s, a] for (n, s), a in policy.items()] == want["policy"], label
             pinned = evaluate_policy(mdp, last_actions, spec)
             assert [[n, s, v.hex()] for (n, s), v in pinned.items()] == want["last_action_values"], label
+
+
+def test_tail_solves_of_a_tie_free_model_scan_no_cdf(monkeypatch):
+    """Every cell law is a law of atoms, and without ties or float dust
+    each takes the one-sort atoms route of the quantile kernel: no
+    `column_cdf` scan.  A built law of the same atoms does scan, which
+    shows the count is taken."""
+    scans = []
+    scan = measures.column_cdf
+    monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
+    mdp = random_mdp(random.Random(3), 0.9, max_horizon=4, max_states=4)
+    assert any(len(mdp.transitions[key]) > 1 for key in mdp.transitions)
+    for rf in (Cte(0.9), ValueAtRisk(0.9)):
+        solve_dp(mdp, IrmSpec.repeat(rf, mdp.horizon))
+        assert scans == [], rf
+    measures.value_at_risk(0.9, measures.MixedDistribution.of_atoms([(0.5, 1.0), (0.5, 2.0)]))
+    assert scans
 
 
 def test_dominated_action_is_never_chosen():

@@ -2,6 +2,7 @@
 invariants, disutility curves, and serialization."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -339,6 +340,75 @@ def test_cte_levels_of_one_atom_is_the_constant():
         _cte_levels([0.5], [1.0], [math.inf])
 
 
+def _outcome(kernel, *args):
+    """A kernel's value by its bits, or its error by type and message."""
+    try:
+        return kernel(*args).hex()
+    except Exception as e:  # the two routes must fail alike, whatever the failure
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def _atom_laws_to_the_float_limit(draw):
+    """`_atom_laws_and_levels`, whose large values are sometimes moved to
+    the float limit and its weights to a sum a little above one, as the
+    weight check allows, so that tail sums overflow; with a gamma, and
+    with the running sums of the weights as more levels."""
+    weights, values, alphas = draw(_atom_laws_and_levels())
+    if draw(st.booleans()):
+        values = [math.copysign(1.7976931348623157e308, v) if abs(v) > 3.0 else v for v in values]
+        weights = [w * (1.0 + 8e-13) for w in weights]
+    gamma = draw(st.sampled_from((*GAMMA_GRID, 1e-3, 1e10, -1e10, 1e300)))
+    # the CDF's levels as a sum in component order reaches them
+    running = [a for a in itertools.accumulate(weights) if a < 1.0]
+    return weights, values, alphas + running, gamma
+
+
+@given(_atom_laws_to_the_float_limit())
+@settings(max_examples=200, deadline=None)
+def test_the_atoms_route_gives_the_bits_and_errors_of_the_general_route(case):
+    """Columns whose lows are their highs take the atoms route of the
+    quantile, tail-expectation and entropic kernels; a copy of the values
+    as the highs sends the same law down the general route."""
+    weights, values, alphas, gamma = case
+    atoms, general = (weights, values, values), (weights, values, list(values))
+    for alpha in alphas:
+        for kernel in (measures._value_at_risk, measures._cte):
+            assert _outcome(kernel, alpha, atoms) == _outcome(kernel, alpha, general)
+    assert _outcome(measures._erm, gamma, atoms) == _outcome(measures._erm, gamma, general)
+
+
+def test_the_atoms_route_leaves_float_dust_to_the_walk(monkeypatch):
+    """The dust laws of `test_cte_levels_follows_the_walk_where_float_dust_ends_it`:
+    at 2/3 the walk ends in its linear inversion, and near 1 past every
+    break.  In a third, the CDF summed in component order reaches the
+    level at -1.0, and summed in sorted order only at 2.0.  The atoms
+    route declines those levels, and only those, and the walk gives the
+    bits of the general route."""
+    linear = ([1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0], [0.5, 2 / 3, 0.9])
+    past = ([0.25, 0.5 - 2.0**-40, 0.25], [-1.0, 0.0, -0.0], [0.5, 1.0 - 2.0**-53])
+    early = (
+        [0.17793427210397902, 0.1344832459520809, 0.0, 0.3710668226529772, 0.10298105178064217, 0.21353460751112083],
+        [-3.0, -2.0, -3.0, -1.0, -2.0, 2.0],
+        [0.5, 0.7864653924896793],
+    )
+    walked = []
+    walk = measures._quantile_walk
+    monkeypatch.setattr(
+        measures, "_quantile_walk", lambda alpha, cols: walked.append((alpha, cols[1] is cols[2])) or walk(alpha, cols)
+    )
+    for weights, values, alphas in (linear, past, early):
+        for alpha in alphas:
+            for kernel in (measures._value_at_risk, measures._cte):
+                assert _outcome(kernel, alpha, (weights, values, values)) == _outcome(
+                    kernel, alpha, (weights, values, list(values))
+                )
+    declined = [2 / 3, 1.0 - 2.0**-53, 0.7864653924896793]
+    assert [alpha for alpha, atoms in walked if atoms] == [a for a in declined for _ in range(2)]
+    weights, values, (_, level) = early
+    assert measures._value_at_risk(level, (weights, values, values)) == -1.0
+
+
 def test_route_tail_values():
     hw, lr = casebook.highway_time(), casebook.local_roads_time()
     assert_close(cte(0.5, hw), 18.0, rel=1e-12)
@@ -445,6 +515,17 @@ def test_evaluate_atoms_gives_the_bits_of_evaluate_on_the_same_atoms():
                 evaluate_atoms(rf, weights, values)
     with pytest.raises(ValidationError, match="unknown risk functional 'cte'"):
         evaluate_atoms("cte", [1.0], [2.0])
+    # each value is read as PointMass reads it: an int as its float, a
+    # bool or a string refused, in order
+    got = evaluate_atoms(ValueAtRisk(0.5), [0.5, 0.5], [1, 2])
+    assert type(got) is float and got.hex() == evaluate(ValueAtRisk(0.5), MixedDistribution.of_atoms([(0.5, 1), (0.5, 2)])).hex()
+    for values in ([True, 2.0], ["a", 2.0], [math.inf, "a"]):
+        with pytest.raises(ValidationError) as want:
+            MixedDistribution.of_atoms(zip([0.5, 0.5], values))
+        with pytest.raises(ValidationError) as got:
+            evaluate_atoms(ValueAtRisk(0.5), [0.5, 0.5], values)
+        assert str(got.value) == str(want.value)
+    assert str(want.value) == "PointMass value must be finite"
 
 
 def test_evaluate_constant_shortcut_agrees_with_every_functional():
@@ -763,6 +844,12 @@ def test_pushforward_mean_piecewise_linear_takes_the_checked_terms():
             w * (apply_disutility(u, lo) if lo == hi else trapezoid_mean(lo, hi)) for w, lo, hi in zip(*law.columns())
         )
         assert pushforward_mean(u, law).hex() == want.hex(), parts
+    # on the piece before it, this curve misses its knot at 0 by an ulp; a
+    # segment ending on the knot reads it there as a bisection does, on the
+    # piece the knot starts
+    u, lo = PiecewiseLinear(((-6.0, -28.433138815774107), (0.0, 0.0), (1.0, 0.5))), -5.999999999999999
+    want = (0.5 * (0.0 - lo) * (apply_disutility(u, lo) + apply_disutility(u, 0.0)) + 0.0) / (0.0 - lo)
+    assert pushforward_mean(u, MixedDistribution.uniform(lo, 0.0)).hex() == want.hex()
     # a finite term before one that overflows: the checked terms raise
     with pytest.raises(EvaluationOverflowError) as info:
         pushforward_mean(STEEP_PWL, mixture([(0.5, (0.0, 2.0)), (0.5, 1e308)]))
