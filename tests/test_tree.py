@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskdp import (
     Composite,
@@ -1299,6 +1301,128 @@ def test_large_trees_read_from_json_compare_and_hash_without_their_roots():
     assert one.node_count() == 9841
     assert one == two and hash(one) == hash(two)
     assert "root" not in vars(one) and "root" not in vars(two)
+
+
+def test_trees_equal_after_a_list_edge_is_rewritten_hash_alike():
+    """A node may hold its edges in a list, which stays writable after the
+    tree is built; two trees that then compare equal hash alike."""
+
+    def one_stage(cost: float) -> ScenarioTree:
+        return ScenarioTree(1, TreeNode(0, [Edge(1.0, cost, TreeNode(1, []))]))
+
+    a, b = one_stage(1.0), one_stage(2.0)
+    a.root.edges[0] = Edge(1.0, 2.0, TreeNode(1, []))
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+def built_by_hand(data: dict, edges: type) -> ScenarioTree:
+    """`hand_built`, with each node's edges held in edges (list or tuple)."""
+    tree = hand_built(data)
+
+    def rebuilt(node: TreeNode) -> TreeNode:
+        return TreeNode(node.stage, edges(Edge(e.probability, e.cost, rebuilt(e.child)) for e in node.edges))
+
+    return ScenarioTree(tree.horizon, rebuilt(tree.root))
+
+
+def listed(data: dict) -> ScenarioTree:
+    """The tree of a JSON form, handed to the compiler as its pre-order
+    list of (stage, [(probability, cost) per edge])."""
+    nodes, stack = [], [(data["root"], 0)]
+    while stack:
+        node, stage = stack.pop()
+        costs = [MixedDistribution.from_json_dict(e["cost"]) if isinstance(e["cost"], dict) else e["cost"] for e in node["children"]]
+        nodes.append((stage, [(e["p"], c) for e, c in zip(node["children"], costs)]))
+        stack += [(e["node"], stage + 1) for e in reversed(node["children"])]
+    return tree_module._tree(data["horizon"], nodes)
+
+
+def twin_laws(rng: random.Random) -> list:
+    """Laws of the same components built every public way: the
+    constructor, `of_atoms` (when every component is an atom), `mix` with
+    one part, and the JSON reader, each twice over."""
+    parts = []
+    for _ in range(rng.randint(1, 5)):
+        lo = float(rng.randint(-4, 4))
+        parts.append(lo if rng.random() < 0.7 else (lo, lo + rng.choice((0.5, 1.0, 3.0))))
+    cuts = sorted(rng.randint(0, 16) for _ in range(len(parts) - 1))
+    weights = [(b - a) / 16.0 for a, b in zip([0, *cuts], [*cuts, 16])]
+    law = mixture(list(zip(weights, parts)))
+    laws = [law, mixture(list(zip(weights, parts))), MixedDistribution.mix([(1.0, law)])]
+    laws.append(MixedDistribution.from_json_dict(json.loads(json.dumps(law.to_json_dict()))))
+    if not any(isinstance(p, tuple) for p in parts):
+        laws.append(MixedDistribution.of_atoms(list(zip(weights, parts))))
+    return laws
+
+
+def twin_functionals(rng: random.Random) -> list:
+    """A risk functional built directly and read back from its JSON form,
+    with its numbers given as floats and, where they are whole, as ints."""
+    alpha = rng.choice((0, 0.5, 0.9, rng.random()))
+    gamma = rng.choice((-2, 1, rng.uniform(-3.0, 3.0)))
+    rf = rng.choice(
+        [
+            Expectation(),
+            Erm(gamma),
+            ValueAtRisk(alpha),
+            Cte(alpha),
+            Composite(((0.25, Cte(alpha)), (0.75, Erm(gamma)))),
+        ]
+    )
+    return [rf, rf_from_json_dict(json.loads(json.dumps(measures.rf_to_json_dict(rf)))), dataclasses.replace(rf)]
+
+
+def twin_disutilities(rng: random.Random) -> list:
+    """A disutility built with its numbers as ints and as floats, its
+    knots as lists and as tuples."""
+    k = rng.choice((1, 2, 3))
+    choice = rng.randrange(4)
+    if choice == 0:
+        return [Exponential(k), Exponential(float(k))]
+    if choice == 1:
+        return [Linear(), Linear()]
+    if choice == 2:
+        return [Power(k), Power(float(k))]
+    knots = [[-1, -1], [0, 0], [k, 2 * k]]
+    return [PiecewiseLinear(knots), PiecewiseLinear(tuple((float(c), float(u)) for c, u in knots))]
+
+
+def assert_equal_and_hash_alike(twins: list, name: str) -> None:
+    for a in twins:
+        for b in twins:
+            assert a == b, name
+            assert hash(a) == hash(b), name
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_equal_values_hash_alike(seed):
+    """Twins of every public value type, built each public way, compare
+    equal and hash alike: trees (hand-built with list and with tuple
+    edges, listed, read from JSON, root read and unread), their nodes and
+    edges, laws, specs, risk functionals and disutilities."""
+    rng = random.Random(seed)
+    data = tree_to_json_dict(random_tree(rng, segment_stage=rng.randrange(3)))
+    read = tree_from_json_dict(data)
+    assert read.root is not None
+    trees = [
+        built_by_hand(data, list),
+        built_by_hand(data, tuple),
+        listed(data),
+        tree_from_json_dict(data),
+        read,
+    ]
+    assert_equal_and_hash_alike(trees, "trees")
+    assert_equal_and_hash_alike([t.root for t in trees], "nodes")
+    assert_equal_and_hash_alike([t.root.edges[-1] for t in trees], "edges")
+    assert_equal_and_hash_alike(twin_laws(rng), "laws")
+    rfs = twin_functionals(rng)
+    assert_equal_and_hash_alike(rfs, "functionals")
+    horizon = rng.randint(1, 4)
+    specs = [IrmSpec.repeat(rfs[0], horizon), IrmSpec([rfs[1]] * horizon), IrmSpec(tuple(rfs[2:]) * horizon)]
+    assert_equal_and_hash_alike(specs, "specs")
+    assert_equal_and_hash_alike(twin_disutilities(rng), "disutilities")
 
 
 def test_deep_chain_records_every_node_value():
