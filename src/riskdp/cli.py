@@ -470,14 +470,16 @@ def solve(mdp_file: str, lam: Optional[float], **rf_flags) -> _Output:
     or, with --rf-json and a list, one per stage.  Output carries the
     value table, the policy, and a most-likely trajectory.
     """
-    from .mdp import _with_discount, mdp_from_json_dict, solution_to_json_dict, solve_dp
+    from dataclasses import replace
+
+    from .mdp import mdp_from_json_dict, solution_to_json_dict, solve_dp
     from .tree import IrmSpec
 
     raw = _load_json_file(mdp_file)
     parsed = _parse_rf(**rf_flags)
     mdp = mdp_from_json_dict(raw)
     if lam is not None:
-        mdp = _with_discount(mdp, lam)
+        mdp = replace(mdp, discount=lam)
     spec = IrmSpec(tuple(parsed)) if isinstance(parsed, list) else IrmSpec.repeat(parsed, mdp.horizon)
     if mdp.discount < 1.0 and any(_contains_erm(rf) for rf in spec.stages):
         print(

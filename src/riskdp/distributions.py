@@ -7,7 +7,8 @@ measure downstream has an exact closed form on it, so nothing is ever
 sampled or approximated.
 
 A law is its columns: parallel lists of weights, lows and highs, an atom
-having low == high.  That is the one form a `MixedDistribution` stores,
+having low == high; a law of atoms alone holds one list as both its lows
+and its highs.  That is the one form a `MixedDistribution` stores,
 and every statistic is implemented once, on columns.  The components,
 (weight, `PointMass` or `UniformSegment`) pairs, are a view built when
 read, so a law made from columns (`affine_transform`, `merge_atoms`, the
@@ -139,14 +140,16 @@ class MixedDistribution:
         comps = [(w if type(w) is float else json_number(w, "component weight"), o) for w, o in pairs]
         if not comps:
             raise ValidationError("distribution needs at least one component")
+        atoms = True
         for w, outcome in comps:
             check_weight(w)
             if not isinstance(outcome, (PointMass, UniformSegment)):
                 raise ValidationError(f"unsupported outcome {outcome!r}")
+            atoms = atoms and isinstance(outcome, PointMass)
         weights = [w for w, _ in comps]
         check_sums_to_one(weights, "component weights")
         lows = [o.value if isinstance(o, PointMass) else o.lo for _, o in comps]
-        highs = [o.value if isinstance(o, PointMass) else o.hi for _, o in comps]
+        highs = lows if atoms else [o.value if isinstance(o, PointMass) else o.hi for _, o in comps]
         object.__setattr__(self, "_cols", (weights, lows, highs))
 
     # -- constructors --------------------------------------------------
@@ -177,7 +180,7 @@ class MixedDistribution:
         cls, parts: Iterable[Tuple[float, "MixedDistribution"]]
     ) -> "MixedDistribution":
         """Mixture of distributions with the given nonnegative weights."""
-        weights, lows, highs = [], [], []
+        weights, lows, highs, atoms = [], [], [], True
         for p, dist in read_pairs(parts, "mix parts", "(weight, MixedDistribution)"):
             if not math.isfinite(json_number(p, "mixture weight")) or p < 0.0:
                 raise ValidationError(f"mixture weight {p!r} must be finite and >= 0")
@@ -189,17 +192,19 @@ class MixedDistribution:
             weights += [p * w for w in part_weights]
             lows += part_lows
             highs += part_highs
+            atoms = atoms and part_lows is part_highs
         check_weights(weights)
-        return cls._from_columns((weights, lows, highs))
+        return cls._from_columns((weights, lows, lows if atoms else highs))
 
     # -- the stored form -------------------------------------------------
 
     def columns(self) -> Columns:
         """The components as parallel (weights, lows, highs) lists, in
-        component order; an atom has low == high, a segment low < high.
-        They are the law's one stored form, the same object on every
-        call, and may be shared with the law they were made from, so
-        callers only read them.
+        component order; an atom has low == high, a segment low < high,
+        and the highs are the lows list itself when every component is an
+        atom.  They are the law's one stored form, the same object on
+        every call, and may be shared with the law they were made from,
+        so callers only read them.
         """
         return self._cols
 
@@ -260,7 +265,7 @@ class MixedDistribution:
         raw = data["components"]
         if not isinstance(raw, list):
             raise ValidationError("'components' must be a list")
-        weights, lows, highs = [], [], []
+        weights, lows, highs, atoms = [], [], [], True
         for i, entry in enumerate(raw):
             if not isinstance(entry, dict) or "w" not in entry:
                 raise ValidationError(f"component {i} must be an object with a 'w' key")
@@ -275,6 +280,7 @@ class MixedDistribution:
                     )
                 lo, hi = (json_number(b, f"component {i}: 'uniform'") for b in bounds)
                 check_segment(lo, hi)
+                atoms = False
             else:
                 raise ValidationError(
                     f"component {i} needs either a 'point' or a 'uniform' key"
@@ -282,7 +288,7 @@ class MixedDistribution:
             lows.append(lo)
             highs.append(hi)
         check_weights(weights)
-        return cls._from_columns((weights, lows, highs))
+        return cls._from_columns((weights, lows, lows if atoms else highs))
 
 
 def essential_sup(dist: MixedDistribution) -> float:
@@ -389,7 +395,7 @@ def affine_transform(dist: MixedDistribution, a: float, b: float) -> MixedDistri
         raise ValidationError(f"affine scale must be positive, got {a!r}")
     weights, lows, highs = dist.columns()
     moved_lows = [a * lo + b for lo in lows]
-    moved_highs = [a * hi + b for hi in highs]
+    moved_highs = moved_lows if highs is lows else [a * hi + b for hi in highs]
     check_moved(lows, highs, moved_lows, moved_highs)
     return MixedDistribution._from_columns((weights, moved_lows, moved_highs))
 
@@ -511,7 +517,8 @@ def merge_columns(
             weights.append(weight)
             lows.append(value)
     count = len(lows)
-    highs = lows[:]
+    # a law of atoms keeps one list as its lows and its highs
+    highs = lows[:] if segments else lows
     segments.sort(key=itemgetter(0))
     seg_lows = [lo for lo, _, _ in segments]
     if min(map(sub, seg_lows[1:], seg_lows), default=math.inf) > MERGE_TOL:

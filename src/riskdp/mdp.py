@@ -122,8 +122,7 @@ class _Plan(NamedTuple):
 class _TransitionTable(Mapping):
     """The transition table of a compiled MDP, read-only: each key, in the
     order given, maps to its outcomes as `Transition`s, built from the
-    kept columns when read.  `==` and `repr` read as a dict's; two tables
-    compare their kept columns, which gives the same answer."""
+    kept columns when read.  `==` and `repr` read as a dict's."""
 
     def __init__(self, outcomes: Dict[Key, Outcomes]) -> None:
         self._outcomes = outcomes
@@ -139,11 +138,6 @@ class _TransitionTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._outcomes)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _TransitionTable):
-            return self._outcomes == other._outcomes
-        return super().__eq__(other)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -308,21 +302,6 @@ class FiniteHorizonMdp:
             if k < self.horizon:
                 frontier = {j for i in row for _, _, succ in cells[k][i].values() for j in succ}
         return rows
-
-
-def _with_discount(mdp: FiniteHorizonMdp, lam: float) -> FiniteHorizonMdp:
-    """mdp with the discount lam, equal to the model `dataclasses.replace`
-    would rebuild: lam is checked as the constructor checks it, and the
-    tables and the plan, which do not depend on it, are shared."""
-    return _bare_mdp(
-        horizon=mdp.horizon,
-        states=mdp.states,
-        actions=mdp.actions,
-        initial=mdp.initial,
-        discount=_check_discount(lam, positive=True),
-        transitions=mdp.transitions,
-        _plan=mdp._plan,
-    )
 
 
 class SolveResult(NamedTuple):

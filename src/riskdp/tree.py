@@ -29,9 +29,8 @@ gives a node with a single scalar edge its cost plus the discounted
 child value, and moves each other node's columns by the discounted child
 values and hands them to its stage's kernel, which the `IrmSpec` picked
 when it was built.  The plan depends on neither the risk functionals nor
-the discount, and is not a dataclass field, so `repr` and the JSON form
-of a tree do not see it.  `hash` reads it, and so does `==` between two
-trees whose roots are unbuilt.
+the discount, and is not a dataclass field, so `==`, `hash`, `repr` and
+the JSON form of a tree do not see it.
 """
 from __future__ import annotations
 
@@ -199,7 +198,7 @@ class ScenarioTree:
     the per-node value table ambiguous.  Construction checks the nodes
     and compiles them into the tree's plan, held as `_plan`.  A tree that
     a builder compiled from its pre-order list holds only the plan until
-    `root` is read.
+    `root` is read; `==`, `hash` and `repr` read `root`.
     """
 
     horizon: int
@@ -221,20 +220,6 @@ class ScenarioTree:
         root = _fold(self._plan, node)
         object.__setattr__(self, "root", root)
         return root
-
-    def __eq__(self, other: object) -> bool:
-        """Two trees that hold no `root` compare by horizon and plan, and
-        build no graph; otherwise by horizon and root, as a hand-built
-        graph may hold `TreeNode` subclasses, which the plan does not
-        record."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        view = "root" if "root" in vars(self) or "root" in vars(other) else "_plan"
-        return (self.horizon, getattr(self, view)) == (other.horizon, getattr(other, view))
-
-    def __hash__(self) -> int:
-        # equal graphs compile to equal plans, so equal trees hash equal
-        return hash((self.horizon, self._plan))
 
     def node_count(self) -> int:
         return len(self._plan.steps)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import riskdp
-from riskdp import mdp_to_json_dict
+from riskdp import FiniteHorizonMdp, ValidationError, mdp_from_json_dict, mdp_to_json_dict
 from riskdp.casebook import (
     highway_time,
     installment_recursive_value,
@@ -373,6 +373,30 @@ def test_solve_discount_override_flips_the_plan(payments_file):
     assert data["trace"][0]["a"] == "installments"
     assert data["root_value"] == installment_recursive_value(0.0, 1.0)
 
+
+def test_solve_discount_override_prints_what_the_file_would(tmp_path):
+    """`solve FILE --lambda L` prints the bytes, and exits as, `solve` on
+    FILE with its "lambda" set to L, for every model of
+    data/solver_bits.json under each of its functionals; a bad L exits 2
+    with the message the model's constructor gives for it."""
+    fixture = json.loads((Path(__file__).parent / "data" / "solver_bits.json").read_text())
+    functionals = [json.dumps(f) for f in fixture["functionals"].values()]
+    given, edited = tmp_path / "given.json", tmp_path / "edited.json"
+    for case in fixture["cases"]:
+        given.write_text(json.dumps(case["mdp"]), encoding="utf-8")
+        for lam in (0.5, 1.0, 2.0**-1074):
+            edited.write_text(json.dumps(dict(case["mdp"], **{"lambda": lam})), encoding="utf-8")
+            for rf in functionals:
+                got = run(["solve", str(given), "--rf-json", rf, "--lambda", repr(lam)])
+                want = run(["solve", str(edited), "--rf-json", rf])
+                assert got.exit_code == 0 and got == want, (case["mdp"], lam, rf)
+        model = mdp_from_json_dict(case["mdp"])
+        for bad in ("0", "1.5", "nan"):
+            with pytest.raises(ValidationError) as info:
+                FiniteHorizonMdp(model.horizon, model.states, model.actions, model.initial, float(bad), model.transitions)
+            result = run(["solve", str(given), "--mean", "--lambda", bad])
+            assert result.exit_code == 2 and result.stdout == ""
+            assert result.stderr == f"Error: {info.value}\n"
 
 def test_solve_warns_when_entropic_stages_meet_discounting(payments_file):
     result = run(["solve", payments_file, "--erm", "0.5", "--lambda", "0.9"])

@@ -2,7 +2,6 @@
 policy enumeration, tail problems, and serialization."""
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections.abc import Mapping
 import math
@@ -37,7 +36,6 @@ from riskdp import (
 )
 
 from riskdp import measures
-from riskdp.mdp import _with_discount
 
 from .conftest import assert_close, random_mdp
 
@@ -364,8 +362,8 @@ def test_solver_reproduces_the_pinned_bits():
 def test_tail_solves_of_a_tie_free_model_scan_no_cdf(monkeypatch):
     """Every cell law is a law of atoms, and without ties or float dust
     each takes the one-sort atoms route of the quantile kernel: no
-    `column_cdf` scan.  A built law of the same atoms does scan, which
-    shows the count is taken."""
+    `column_cdf` scan.  A law with a segment does scan, which shows the
+    count is taken."""
     scans = []
     scan = measures.column_cdf
     monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
@@ -374,7 +372,8 @@ def test_tail_solves_of_a_tie_free_model_scan_no_cdf(monkeypatch):
     for rf in (Cte(0.9), ValueAtRisk(0.9)):
         solve_dp(mdp, IrmSpec.repeat(rf, mdp.horizon))
         assert scans == [], rf
-    measures.value_at_risk(0.9, measures.MixedDistribution.of_atoms([(0.5, 1.0), (0.5, 2.0)]))
+    law = measures.MixedDistribution.from_json_dict({"components": [{"w": 0.5, "point": 1.0}, {"w": 0.5, "uniform": [1.0, 2.0]}]})
+    measures.value_at_risk(0.9, law)
     assert scans
 
 
@@ -847,33 +846,6 @@ def test_transition_tables_compare_their_columns_as_their_transitions():
     # a table still equals a dict of the same Transitions, both ways
     table = transitions_of(fixture["cases"][0]["mdp"])
     assert models[0].transitions == table and table == models[0].transitions
-
-
-def test_a_discount_only_copy_is_the_rebuilt_model():
-    """`solve --lambda` swaps the discount without rebuilding the model:
-    the copy equals the model the constructor rebuilds, solves to the
-    same bits, and rejects a bad discount with the constructor's error."""
-    fixture = json.loads((DATA / "solver_bits.json").read_text())
-    functionals = [rf_from_json_dict(f) for f in fixture["functionals"].values()]
-    for case in fixture["cases"]:
-        mdp = mdp_from_json_dict(case["mdp"])
-        for lam in (0.5, 1.0, 1, mdp.discount, 2.0**-1074):
-            copy, rebuilt = _with_discount(mdp, lam), dataclasses.replace(mdp, discount=lam)
-            assert copy == rebuilt and rebuilt == copy
-            assert repr(copy) == repr(rebuilt)
-            assert type(copy.discount) is float and copy.discount.hex() == rebuilt.discount.hex()
-            assert copy._plan == rebuilt._plan
-            for rf in functionals:
-                spec = IrmSpec.repeat(rf, mdp.horizon)
-                (cv, cp), (rv, rp) = solve_dp(copy, spec), solve_dp(rebuilt, spec)
-                assert [(k, v.hex()) for k, v in cv.items()] == [(k, v.hex()) for k, v in rv.items()]
-                assert list(cp.items()) == list(rp.items())
-        for bad in (0.0, -0.5, 1.5, float("nan"), float("inf"), True, "0.5", None):
-            with pytest.raises(ValidationError) as want:
-                dataclasses.replace(mdp, discount=bad)
-            with pytest.raises(ValidationError) as got:
-                _with_discount(mdp, bad)
-            assert str(got.value) == str(want.value)
 
 
 def test_mdp_json_rejects_duplicates_and_bad_shapes():

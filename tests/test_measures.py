@@ -32,12 +32,14 @@ from riskdp import (
     cte,
     deterministic_tree,
     deu,
+    discounted_total_distribution,
     erm,
     essential_inf,
     essential_sup,
     eud,
     evaluate,
     mean,
+    merge_atoms,
     pushforward_mean,
     rf_from_json_dict,
     rmd,
@@ -57,6 +59,7 @@ from .conftest import (
     random_increasing_disutility,
     random_tied_law,
     rockafellar_uryasev_cte,
+    run_cli,
 )
 
 GAMMA_GRID = (-2.0, -0.5, -0.01, 0.01, 0.5, 2.0)
@@ -408,6 +411,44 @@ def test_the_atoms_route_leaves_float_dust_to_the_walk(monkeypatch):
     weights, values, (_, level) = early
     assert measures._value_at_risk(level, (weights, values, values)) == -1.0
 
+
+def test_a_law_of_atoms_takes_the_atoms_route_however_it_is_built(monkeypatch, tmp_path):
+    """Every builder of a law of atoms (the constructor, `of_atoms`, `mix`,
+    the JSON reader, `affine_transform`, `merge_atoms` and the flat law of
+    a tree) keeps one list as its lows and its highs, so the quantile and
+    tail-expectation kernels reach it by the one-sort atoms route, through
+    `value_at_risk`, `cte`, `evaluate`, `rmd` and `riskdp eval`: no
+    `column_cdf` scan."""
+    scans = []
+    scan = measures.column_cdf
+    monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
+    pairs = [(0.25, 3.0), (0.5, -1.0), (0.25, 2.0)]
+    law = MixedDistribution.of_atoms(pairs)
+    assert value_at_risk(0.9, law) == 3.0
+    assert scans == []
+    tree = casebook.installment_tree()
+    laws = [
+        law,
+        MixedDistribution([(w, PointMass(v)) for w, v in pairs]),
+        MixedDistribution.mix([(0.5, law), (0.5, MixedDistribution.point(1.0))]),
+        MixedDistribution.from_json_dict(law.to_json_dict()),
+        affine_transform(law, 2.0, 1.0),
+        merge_atoms(law),
+        discounted_total_distribution(tree, 0.9),
+    ]
+    for dist in laws:
+        _, lows, highs = dist.columns()
+        assert lows is highs and len(lows) > 1
+        for alpha in (0.3, 0.9):
+            value_at_risk(alpha, dist)
+            cte(alpha, dist)
+            evaluate(ValueAtRisk(alpha), dist)
+            evaluate(Composite(((0.5, Cte(alpha)), (0.5, ValueAtRisk(alpha)))), dist)
+    rmd(tree, Cte(0.9), 0.9)
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(law.to_json_dict()))
+    assert run_cli(["eval", str(path), "--cte", "0.9"]).exit_code == 0
+    assert scans == []
 
 def test_route_tail_values():
     hw, lr = casebook.highway_time(), casebook.local_roads_time()
