@@ -412,6 +412,62 @@ def test_the_atoms_route_leaves_float_dust_to_the_walk(monkeypatch):
     assert measures._value_at_risk(level, (weights, values, values)) == -1.0
 
 
+def _walk_cte(alpha, cols):
+    """`_cte` as the walk and the two tail scans take it."""
+    v = measures._quantile_walk(alpha, cols)
+    tail_p = measures.column_tail_mass(cols, v)
+    if tail_p <= 0.0:
+        return v
+    return (measures.column_tail_sum(cols, v) + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
+
+
+@st.composite
+def _segment_laws_and_levels(draw):
+    """The columns of a `random_tied_law`, so segments start and end on
+    atoms and some weights are zero.  Each zero takes a drawn sign; the
+    values of size 1 or more are sometimes moved to within 200 ulps of
+    the float limit, in order, so that tail sums overflow and a segment
+    across zero is wider than the range; and the weights sometimes sum a
+    little above one.  The levels are 0, the CDF at every component end
+    and its float neighbours, the running sums of the weights and a few
+    draws."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights, lows, highs = (list(c) for c in random_tied_law(rng, draw(st.booleans())).columns())
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        lows[i] = math.copysign(lo, -1.0) if lo == 0.0 and draw(st.booleans()) else lo
+        highs[i] = lows[i] if lo == hi else math.copysign(hi, -1.0) if hi == 0.0 and draw(st.booleans()) else hi
+    if draw(st.booleans()):
+        # 2**971 is the spacing of the floats just below the limit
+        def far(v):
+            return v if abs(v) < 1.0 else math.copysign(1.7976931348623157e308 - (200.0 - abs(v)) * 2.0**971, v)
+
+        lows, highs = [far(v) for v in lows], [far(v) for v in highs]
+    if draw(st.booleans()):
+        weights = [w * (1.0 + 8e-13) for w in weights]
+    cols = (weights, lows, highs)
+    levels = [0.0, *itertools.accumulate(weights), *draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))]
+    for y in lows + highs:
+        try:
+            cdf = measures.column_cdf(cols, y)
+        except EvaluationOverflowError:  # a segment wider than the range lies across y
+            continue
+        levels += [math.nextafter(cdf, 0.0), cdf, math.nextafter(cdf, 1.0)]
+    return cols, sorted({a for a in levels if 0.0 <= a < 1.0})
+
+
+@given(_segment_laws_and_levels())
+@settings(max_examples=300, deadline=None)
+def test_the_quantile_kernels_give_the_bits_and_errors_of_the_walk_and_the_tail_scans(case):
+    """On laws with segments, `_value_at_risk` gives the bits, the sign
+    of a zero included, or the error of `_quantile_walk`, and `_cte` those
+    of the walk followed by the ``column_tail_mass`` and
+    ``column_tail_sum`` scans."""
+    cols, levels = case
+    for alpha in levels:
+        assert _outcome(measures._value_at_risk, alpha, cols) == _outcome(measures._quantile_walk, alpha, cols), alpha
+        assert _outcome(measures._cte, alpha, cols) == _outcome(_walk_cte, alpha, cols), alpha
+
+
 def test_a_law_of_atoms_takes_the_atoms_route_however_it_is_built(monkeypatch, tmp_path):
     """Every builder of a law of atoms (the constructor, `of_atoms`, `mix`,
     the JSON reader, `affine_transform`, `merge_atoms` and the flat law of
