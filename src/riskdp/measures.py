@@ -20,11 +20,16 @@ stored columns to the kernel; the flat route of a tree (`tree.rmd`) is
 is never built.  The MDP solver and the tree recursion pick a kernel
 once per stage functional and hand each cell or node law to it, a law of
 atoms through ``_on_atoms``, which keeps the finiteness check and the
-one-atom shortcut of :func:`evaluate_atoms`.  A law of atoms comes as
-columns whose lows are its highs, and on it the quantile and
-tail-expectation kernels take one sort and one pass (``_atoms_quantile``)
-and the entropic kernel takes gamma * v as each atom's log-moment, with
-the bits and errors of the general route.  ``_cte_levels`` reads a
+one-atom shortcut of :func:`evaluate_atoms`.  On every law the quantile
+and tail-expectation kernels take one sort and one pass
+(``_quantile_pass``): a law of atoms sorts its atoms, any other law the
+breakpoints of its atoms and segments, and one pass in component order
+checks the candidate on the CDF itself.  They leave to the walk
+(``_quantile_walk``) only a level of 0, float dust, a subnormal slope
+and a zero-weight segment wider than the range, with the bits and errors
+of the walk either way.  A law of atoms comes as columns whose lows are
+its highs, and on it the entropic kernel takes gamma * v as each atom's
+log-moment.  ``_cte_levels`` reads a
 law of atoms at many tail levels: it takes the law's breakpoint
 statistics once and gives each level the bits of the tail-expectation
 kernel, as the fig1 sweep needs at the installment tree's root.
@@ -51,8 +56,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, repeat
-from operator import mul, sub
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, mul, sub
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
@@ -383,63 +388,169 @@ def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
 
 
 def _value_at_risk(alpha: float, cols: Columns) -> float:
-    """The lower quantile on columns: a law of atoms (lows is highs) by
-    the one sort and one pass of `_atoms_quantile`, and where that cannot
-    decide, or any other law, by `_quantile_walk`; the same bits either
-    way."""
-    found = _atoms_quantile(alpha, cols)
+    """The lower quantile on columns, by the one sort and one pass of
+    `_quantile_pass`, and where that cannot decide by `_quantile_walk`;
+    the same bits either way."""
+    found = _quantile_pass(alpha, cols)
     return _quantile_walk(alpha, cols) if found is None else found[0]
 
 
-def _atoms_quantile(alpha: float, cols: Columns) -> Optional[Tuple[float, float, List[float]]]:
-    """The lower quantile y of a law of atoms, with Pr(Y > y) and the
-    parts w * v of E[Y; Y > y] as ``column_tail_mass`` and
-    ``column_tail_sum`` take them; None for a level of 0, for a law that
-    is not all atoms, and where the walk must decide.
+def _quantile_pass(alpha: float, cols: Columns) -> Optional[Tuple[float, Any]]:
+    """The lower quantile v of any law, with its tail as `_scan` takes it
+    where v is a break (None where v lies inside a segment, whose tail
+    the caller takes); None for a level of 0 and where the walk must
+    decide.
 
-    The atoms are sorted by value once, and their running mass in that
-    order locates a candidate y; a zero takes the sign the walk keeps,
-    that of the lightest positive-weight atom at zero, the first of equal
-    weights.  One pass in component order then sums CDF(y) and Pr(Y < y)
-    as ``column_cdf`` sums them (Pr(Y < y) is the CDF at the break below
-    y, since only atoms of weight zero lie between), and collects the
-    atom mass at y.  Those CDFs never decrease in y, the weights of a
-    checked law being nonnegative and rounding monotone, so
-    CDF(y) >= alpha > Pr(Y < y) means that y is the break the walk ends
-    at, and CDF(y) - mass(y) < alpha that it returns y there.  Anything
-    else, which only float dust in the weights brings about, is left to
-    the walk.
+    A sort locates a candidate break y, the one the walk ends at, and
+    prev, the break below it: a law of atoms by the running mass of its
+    atoms sorted by value, any other law by the running CDF of its
+    events (`_locate`).  A zero takes the sign the walk keeps, that of
+    its least event at zero, the first built of equal ones.  One pass
+    in component order (`_scan`) then takes CDF(y) and CDF(prev) as
+    ``column_cdf`` sums them, the atom mass at y and the tail at y.
+    Those CDFs never decrease in y, the weights of a checked law being
+    nonnegative and rounding monotone, so CDF(y) >= alpha > CDF(prev)
+    means that y is the break the walk ends at.  There the walk returns
+    y, or, where CDF(y) less the atom mass at y still reaches alpha,
+    inverts the CDF's linear rise from prev with the same formula, which
+    only a segment brings about.  Only a segment needs prev, and a law
+    of atoms takes -inf for it, as the first break does.  Left to the
+    walk are a level of 0, a subnormal slope, a zero-weight segment
+    wider than the range (which can make the walk's scans raise) and
+    what only float dust in the weights brings about: a candidate off
+    the walk's break, a crossing past every break, and a rise to alpha
+    below the first break or between atoms.
     """
-    weights, values, highs = cols
-    if not alpha or values is not highs:
+    weights, lows, highs = cols
+    if not alpha:
         return None
-    order = sorted(range(len(values)), key=values.__getitem__)
-    k = bisect_left(list(accumulate(map(weights.__getitem__, order))), alpha)
-    if k == len(order):
-        return None
-    y = values[order[k]]
+    if lows is highs:
+        order = sorted(range(len(lows)), key=lows.__getitem__)
+        k = bisect_left(list(accumulate(map(weights.__getitem__, order))), alpha)
+        if k == len(order):
+            return None
+        y, prev = lows[order[k]], -math.inf
+        events: Any = ((v, w, 0.0) for w, v in zip(weights, lows) if w > 0.0)
+    else:
+        found = _locate(alpha, cols)
+        if found is None:
+            return None
+        y, prev, events = found
     if y == 0.0:
-        y = min((w, i, v) for i, (w, v) in enumerate(zip(weights, values)) if v == 0.0 and w > 0.0)[2]
-    cdf = cdf_below = tail_mass = 0.0
+        y = min(e for e in events if e[0] == 0.0)[0]
+    cdf, cdf_prev, at_y, tail = _scan(cols, y, prev)
+    if not cdf >= alpha > cdf_prev:
+        return None
+    cdf_left = cdf - math.fsum(at_y)  # Pr(Y < y)
+    if cdf_left < alpha:
+        return y, tail
+    slope = (cdf_left - cdf_prev) / (y - prev)  # 0 where prev is -inf
+    return (prev + (alpha - cdf_prev) / slope, None) if slope >= sys.float_info.min else None
+
+
+def _scan(cols: Columns, y: float, prev: float) -> Tuple[float, float, List[float], Tuple[float, List[float]]]:
+    """CDF(y) and CDF(prev) for prev < y, as ``column_cdf`` sums them, the
+    atom weights at y, and Pr(Y > y) with the parts of E[Y; Y > y] as
+    ``column_tail_mass`` and ``column_tail_sum`` take them, raising as
+    the first of those scans would: one pass in component order.  A
+    segment that ends between prev and y is taken as wholly below prev,
+    so it must weigh nothing or lie below prev.
+    """
+    cdf = cdf_prev = tail_mass = 0.0
     at_y: List[float] = []
     tail_parts: List[float] = []
-    for w, v in zip(weights, values):
-        if v < y:
-            cdf_below += w
+    for w, lo, hi in zip(*cols):
+        if hi < y:
             cdf += w
-        elif v > y:
-            tail_mass += w
-            tail_parts.append(w * v)
+            cdf_prev += w
+        elif lo == hi:
+            if lo == y:
+                cdf += w
+                at_y.append(w)
+            else:
+                tail_mass += w
+                tail_parts.append(w * lo)
         else:
-            cdf += w
-            at_y.append(w)
-    if cdf >= alpha > cdf_below and cdf - math.fsum(at_y) < alpha:
-        return y, tail_mass, tail_parts
-    return None
+            if lo < prev:
+                cdf_prev += min(w * (prev - lo) / segment_width(lo, hi), w)
+            if lo >= y:
+                tail_mass += w
+                tail_parts.append(w * midpoint(lo, hi))
+            elif hi == y:
+                cdf += w
+            else:
+                cdf += min(w * (y - lo) / segment_width(lo, hi), w)
+                q = w * (hi - y) / (hi - lo)
+                tail_mass += min(q, w)
+                tail_parts.append(q * midpoint(y, hi))
+    return cdf, cdf_prev, at_y, (tail_mass, tail_parts)
+
+
+def _events(cols: Columns) -> Tuple[List[Tuple[float, float, float]], bool]:
+    """The walk's events (y, atom mass at y, change of the CDF's slope at
+    y) of the positive-weight components, in component order, and
+    whether a zero-weight segment is wider than the range; a
+    positive-weight one raises, as `segment_width` does."""
+    events = []
+    wide = False
+    for w, lo, hi in zip(*cols):
+        if w <= 0.0:
+            wide = wide or hi - lo == math.inf
+        elif lo == hi:
+            events.append((lo, w, 0.0))
+        else:
+            rate = w / (hi - lo if hi - lo < math.inf else segment_width(lo, hi))
+            events.append((lo, 0.0, rate))
+            events.append((hi, 0.0, -rate))
+    return events, wide
+
+
+def _locate(alpha: float, cols: Columns) -> Optional[Tuple[float, float, List[Tuple[float, float, float]]]]:
+    """The first break y at which a running CDF over the events sorted by
+    value reaches alpha, the break below it (-inf for the first) and the
+    sorted events; None past every break and for a law with a
+    zero-weight segment wider than the range.
+
+    The sum runs from the end nearer alpha and stops at the crossing,
+    from the top as the mass above each break.  It only locates, so its
+    rounding does not matter: `_quantile_pass` checks y on the CDF
+    itself.  Equal values keep their build order.
+    """
+    events, wide = _events(cols)
+    if wide:
+        return None
+    events.sort(key=itemgetter(0))
+    slope = 0.0
+    if alpha <= 0.5:
+        level = 0.0
+        b, lower = events[0][0], -math.inf
+        for y, mass, rate in chain(events, [(math.inf, 0.0, 0.0)]):
+            if y != b:  # level is the CDF at b
+                if level >= alpha:
+                    return b, lower, events
+                level += slope * (y - b)
+                lower, b = b, y
+            level += mass
+            slope += rate
+        return None
+    above = pending = 0.0  # the mass above b, the atom mass at b
+    short = sum(cols[0]) - alpha  # the CDF at b falls short of alpha where above > short
+    b, higher = events[-1][0], None
+    for y, mass, rate in chain(reversed(events), [(-math.inf, 0.0, 0.0)]):
+        if y != b:
+            if above > short:
+                return None if higher is None else (higher, b, events)
+            above += pending + slope * (b - y)
+            pending, higher = 0.0, b
+        b = y
+        pending += mass
+        slope -= rate
+    return higher, b, events
 
 
 def _quantile_walk(alpha: float, cols: Columns) -> float:
-    """The lower quantile on columns, any law.
+    """The lower quantile on columns, any law, where `_quantile_pass`
+    cannot decide.
 
     The CDF is piecewise linear with jumps only at atoms.  The
     breakpoints (atom values, segment ends) are sorted once, and a running
@@ -453,17 +564,7 @@ def _quantile_walk(alpha: float, cols: Columns) -> float:
     """
     if alpha == 0.0:
         return column_inf(cols)
-    # (y, atom mass at y, change of the CDF's slope at y)
-    events = []
-    for w, lo, hi in zip(*cols):
-        if w <= 0.0:
-            continue
-        if lo == hi:
-            events.append((lo, w, 0.0))
-        else:
-            rate = w / (hi - lo if hi - lo < math.inf else segment_width(lo, hi))
-            events.append((lo, 0.0, rate))
-            events.append((hi, 0.0, -rate))
+    events, _ = _events(cols)
     events.sort()
     breaks = [events[0][0]]
     levels: List[float] = []  # running CDF at each breakpoint
@@ -524,16 +625,11 @@ def cte(alpha: float, dist: MixedDistribution) -> float:
 
 
 def _cte(alpha: float, cols: Columns) -> float:
-    found = _atoms_quantile(alpha, cols)
-    if found is None:
-        v = _quantile_walk(alpha, cols)
-        tail_p = column_tail_mass(cols, v)
-    else:
-        v, tail_p, tail_parts = found
+    v, tail = _quantile_pass(alpha, cols) or (_quantile_walk(alpha, cols), None)
+    tail_p, tail_parts = tail or _scan(cols, v, -math.inf)[3]
     if tail_p <= 0.0:
         return v
-    tail_sum = column_tail_sum(cols, v) if found is None else checked_fsum(tail_parts, "tail expectation")
-    return (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
+    return (checked_fsum(tail_parts, "tail expectation") + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
 
 
 def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Sequence[float]) -> List[float]:

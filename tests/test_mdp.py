@@ -362,8 +362,9 @@ def test_solver_reproduces_the_pinned_bits():
 def test_tail_solves_of_a_tie_free_model_scan_no_cdf(monkeypatch):
     """Every cell law is a law of atoms, and without ties or float dust
     each takes the one-sort atoms route of the quantile kernel: no
-    `column_cdf` scan.  A law with a segment does scan, which shows the
-    count is taken."""
+    `column_cdf` scan.  A level past every break of a law whose weights
+    sum a little below one, which the walk decides, does scan, which
+    shows the count is taken."""
     scans = []
     scan = measures.column_cdf
     monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
@@ -372,8 +373,10 @@ def test_tail_solves_of_a_tie_free_model_scan_no_cdf(monkeypatch):
     for rf in (Cte(0.9), ValueAtRisk(0.9)):
         solve_dp(mdp, IrmSpec.repeat(rf, mdp.horizon))
         assert scans == [], rf
-    law = measures.MixedDistribution.from_json_dict({"components": [{"w": 0.5, "point": 1.0}, {"w": 0.5, "uniform": [1.0, 2.0]}]})
-    measures.value_at_risk(0.9, law)
+    law = measures.MixedDistribution.from_json_dict(
+        {"components": [{"w": 0.5, "point": 1.0}, {"w": 0.4999999999995, "uniform": [1.0, 2.0]}]}
+    )
+    assert measures.value_at_risk(0.9999999999999, law) == 2.0
     assert scans
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ from riskdp import (
     rmd,
     rf_label,
     rf_to_json_dict,
+    tree_from_json_dict,
     value_at_risk,
 )
 from riskdp import measures
@@ -504,6 +506,26 @@ def test_a_law_of_atoms_takes_the_atoms_route_however_it_is_built(monkeypatch, t
     path = tmp_path / "atoms.json"
     path.write_text(json.dumps(law.to_json_dict()))
     assert run_cli(["eval", str(path), "--cte", "0.9"]).exit_code == 0
+    assert scans == []
+
+
+def test_flat_laws_with_segments_take_the_one_pass_route(monkeypatch):
+    """The flat law of every tree in data/flat_bits.json whose law has a
+    segment gives its quantile and tail expectation at 0.6 and 0.9, and
+    their composite, by the one sort and one pass of the kernels: no
+    `column_cdf` scan."""
+    scans = []
+    scan = measures.column_cdf
+    monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
+    cases = json.loads((Path(__file__).parent / "data" / "flat_bits.json").read_text())["cases"]
+    laws = [discounted_total_distribution(tree_from_json_dict(case["tree"]), case["lambda"]) for case in cases]
+    laws = [law for law in laws if law.columns()[1] != law.columns()[2]]
+    assert len(laws) >= 10
+    for law in laws:
+        for alpha in (0.6, 0.9):
+            value_at_risk(alpha, law)
+            cte(alpha, law)
+            evaluate(Composite(((0.5, Cte(alpha)), (0.5, ValueAtRisk(alpha)))), law)
     assert scans == []
 
 def test_route_tail_values():
