@@ -411,6 +411,8 @@ def unroll(
     """Scenario tree of the chain induced by a policy from the initial
     state.  Zero-probability branches are dropped.
     """
+    if not _is_int(node_limit):
+        raise ValidationError(f"node_limit must be an integer, got {node_limit!r}")
     plan, states = mdp._plan, mdp.states
     nodes = []
     stack = [(0, mdp.initial)]
@@ -442,6 +444,8 @@ def brute_force_optimal(
     scenarios forward, the solver folds values backward.
     """
     _check_spec(spec, mdp.horizon)
+    if not _is_int(policy_limit):
+        raise ValidationError(f"policy_limit must be an integer, got {policy_limit!r}")
     slots = [(n, s) for n, s in mdp.reachable() if n < mdp.horizon]
     choices = [mdp.actions_at(n, s) for n, s in slots]
     total = 1

@@ -588,6 +588,8 @@ def discounted_total_distribution(
     call builds the law afresh and keeps nothing.
     """
     lam = _check_discount(lam)
+    if not _is_int(path_limit):
+        raise ValidationError(f"path_limit must be an integer, got {path_limit!r}")
     if tree.path_count() > path_limit:
         raise EnumerationLimitError(
             f"tree has more than {path_limit} root-to-leaf paths"

@@ -6,6 +6,7 @@ import json
 from collections.abc import Mapping
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from riskdp import (
     ValueAtRisk,
     brute_force_optimal,
     casebook,
+    deterministic_tree,
+    discounted_total_distribution,
     evaluate_policy,
     irm_root_value,
     mdp_from_json_dict,
@@ -631,6 +634,22 @@ def test_enumeration_budget():
     mdp = casebook.deferred_choice_mdp(0.92)
     with pytest.raises(EnumerationLimitError):
         brute_force_optimal(mdp, IrmSpec.repeat(Expectation(), 3), policy_limit=1)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 2.0, True])
+def test_enumeration_limits_are_data_arguments(bad):
+    """A limit that is not an int (a bool is not one) raises
+    `ValidationError` naming it, before any enumeration."""
+    mdp = casebook.deferred_choice_mdp(0.92)
+    policy = {(n, s): mdp.actions_at(n, s)[0] for n, s in mdp.reachable() if n < mdp.horizon}
+    calls = [
+        ("path_limit", lambda: discounted_total_distribution(deterministic_tree([1.0, 2.0]), 0.5, path_limit=bad)),
+        ("node_limit", lambda: unroll(mdp, policy, node_limit=bad)),
+        ("policy_limit", lambda: brute_force_optimal(mdp, IrmSpec.repeat(Expectation(), 3), policy_limit=bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call()
 
 
 def test_tail_problem_validation():
