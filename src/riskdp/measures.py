@@ -451,10 +451,11 @@ def _quantile_pass(alpha: float, cols: Columns) -> Optional[Tuple[float, Any]]:
 def _scan(cols: Columns, y: float, prev: float) -> Tuple[float, float, List[float], Tuple[float, List[float]]]:
     """CDF(y) and CDF(prev) for prev < y, as ``column_cdf`` sums them, the
     atom weights at y, and Pr(Y > y) with the parts of E[Y; Y > y] as
-    ``column_tail_mass`` and ``column_tail_sum`` take them, raising as
-    the first of those scans would: one pass in component order.  A
-    segment that ends between prev and y is taken as wholly below prev,
-    so it must weigh nothing or lie below prev.
+    ``column_tail_mass`` and ``column_tail_sum`` take them: one pass in
+    component order.  A segment wider than the range that lies across y
+    raises as ``column_tail_mass`` would.  A segment that ends between
+    prev and y is taken as wholly below prev, so one there must weigh
+    nothing.
     """
     cdf = cdf_prev = tail_mass = 0.0
     at_y: List[float] = []
@@ -514,7 +515,8 @@ def _locate(alpha: float, cols: Columns) -> Optional[Tuple[float, float, List[Tu
     The sum runs from the end nearer alpha and stops at the crossing,
     from the top as the mass above each break.  It only locates, so its
     rounding does not matter: `_quantile_pass` checks y on the CDF
-    itself.  Equal values keep their build order.
+    itself.  Equal values keep their build order, which the sign of a
+    zero break needs.
     """
     events, wide = _events(cols)
     if wide:
