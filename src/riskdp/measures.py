@@ -429,15 +429,14 @@ def _quantile_pass(alpha: float, cols: Columns) -> Optional[Tuple[float, Any]]:
         k = bisect_left(list(accumulate(map(weights.__getitem__, order))), alpha)
         if k == len(order):
             return None
-        y, prev = lows[order[k]], -math.inf
-        events: Any = ((v, w, 0.0) for w, v in zip(weights, lows) if w > 0.0)
+        y, prev, events = lows[order[k]], -math.inf, None
     else:
         found = _locate(alpha, cols)
         if found is None:
             return None
         y, prev, events = found
-    if y == 0.0:
-        y = min(e for e in events if e[0] == 0.0)[0]
+    if y == 0.0:  # a law of atoms has an event at each positive-weight atom
+        y = min(e for e in events or ((v, w, 0.0) for w, v in zip(weights, lows) if w > 0.0) if e[0] == 0.0)[0]
     cdf, cdf_prev, at_y, tail = _scan(cols, y, prev)
     if not cdf >= alpha > cdf_prev:
         return None
