@@ -456,10 +456,23 @@ def _scan(cols: Columns, y: float, prev: float) -> Tuple[float, float, List[floa
     prev and y is taken as wholly below prev, so one there must weigh
     nothing.
     """
+    weights, lows, highs = cols
     cdf = cdf_prev = tail_mass = 0.0
     at_y: List[float] = []
     tail_parts: List[float] = []
-    for w, lo, hi in zip(*cols):
+    if lows is highs:  # only atoms: the same sums, over two columns
+        for w, v in zip(weights, lows):
+            if v < y:
+                cdf += w
+                cdf_prev += w
+            elif v > y:
+                tail_mass += w
+                tail_parts.append(w * v)
+            else:
+                cdf += w
+                at_y.append(w)
+        return cdf, cdf_prev, at_y, (tail_mass, tail_parts)
+    for w, lo, hi in zip(weights, lows, highs):
         if hi < y:
             cdf += w
             cdf_prev += w
@@ -511,30 +524,17 @@ def _locate(alpha: float, cols: Columns) -> Optional[Tuple[float, float, List[Tu
     sorted events; None past every break and for a law with a
     zero-weight segment wider than the range.
 
-    The sum runs from the end nearer alpha and stops at the crossing,
-    from the top as the mass above each break.  It only locates, so its
-    rounding does not matter: `_quantile_pass` checks y on the CDF
-    itself.  Equal values keep their build order, which the sign of a
-    zero break needs.
+    The sum runs from the top, as the mass above each break, and stops
+    at the crossing, so the levels of the tail read few events.  It only
+    locates, so its rounding does not matter: `_quantile_pass` checks y
+    on the CDF itself.  Equal values keep their build order, which the
+    sign of a zero break needs.
     """
     events, wide = _events(cols)
     if wide:
         return None
     events.sort(key=itemgetter(0))
-    slope = 0.0
-    if alpha <= 0.5:
-        level = 0.0
-        b, lower = events[0][0], -math.inf
-        for y, mass, rate in chain(events, [(math.inf, 0.0, 0.0)]):
-            if y != b:  # level is the CDF at b
-                if level >= alpha:
-                    return b, lower, events
-                level += slope * (y - b)
-                lower, b = b, y
-            level += mass
-            slope += rate
-        return None
-    above = pending = 0.0  # the mass above b, the atom mass at b
+    above = pending = slope = 0.0  # the mass above b, the atom mass at b
     short = sum(cols[0]) - alpha  # the CDF at b falls short of alpha where above > short
     b, higher = events[-1][0], None
     for y, mass, rate in chain(reversed(events), [(-math.inf, 0.0, 0.0)]):
