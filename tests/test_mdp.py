@@ -10,6 +10,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskdp import (
     Composite,
@@ -39,6 +41,7 @@ from riskdp import (
 )
 
 from riskdp import measures
+from riskdp.measures import evaluate_atoms
 
 from .conftest import assert_close, random_mdp
 
@@ -381,6 +384,124 @@ def test_tail_solves_of_a_tie_free_model_scan_no_cdf(monkeypatch):
     )
     assert measures.value_at_risk(0.9999999999999, law) == 2.0
     assert scans
+
+
+def _reference_induction(mdp, spec, policy=None):
+    """Backward induction read off the transition table, cell by cell:
+    each positive-probability outcome's atom is cost + lam * (successor
+    value), in outcome order, and the stage functional is taken by
+    `evaluate_atoms`.  Ties go to the earliest action; with a policy, a
+    state it leaves out gets no value."""
+    values = {(mdp.horizon, s): 0.0 for s in mdp.states[mdp.horizon]}
+    chosen = {}
+    for n in range(mdp.horizon - 1, -1, -1):
+        for s in mdp.states[n]:
+            actions = mdp.actions_at(n, s)
+            if policy is not None:
+                if (n, s) not in policy:
+                    continue
+                a = policy[(n, s)]
+                if a not in actions:
+                    raise ValidationError(f"policy plays unavailable action {a!r} at stage {n}, state {s!r}")
+                actions = (a,)
+            best = None
+            for a in actions:
+                probs, atoms = [], []
+                for t in mdp.transitions[(n, s, a)]:
+                    if t.probability == 0.0:
+                        continue
+                    if (n + 1, t.state) not in values:
+                        raise ValidationError(
+                            f"policy covers stage {n}, state {s!r} but not its successor {t.state!r}"
+                        )
+                    atom = t.cost + mdp.discount * values[(n + 1, t.state)]
+                    if not math.isfinite(atom):
+                        raise ValidationError("PointMass value must be finite")
+                    probs.append(t.probability)
+                    atoms.append(atom)
+                v = evaluate_atoms(spec.stages[n], probs, atoms)
+                if best is None or v < best[0]:
+                    best = (v, a)
+            values[(n, s)], chosen[(n, s)] = best
+    return values, chosen
+
+
+def _reference_policy_values(mdp, policy, spec):
+    values = _reference_induction(mdp, spec, policy)[0]
+    if (0, mdp.initial) not in values:
+        raise ValidationError("policy does not cover the initial state")
+    return values
+
+
+def _solved(call, *args):
+    """A solve's values by their bits and its policy in key order, or its
+    error by type and message."""
+    try:
+        got = call(*args)
+    except Exception as e:  # both sides must fail alike, whatever the failure
+        return type(e).__name__, str(e)
+    values, policy = got if isinstance(got, tuple) else (got, {})
+    return [(key, v.hex()) for key, v in values.items()], list(policy.items())
+
+
+_LEAVES = st.one_of(
+    st.just(Expectation()),
+    st.sampled_from((-0.5, 0.5, 2.0)).map(Erm),
+    st.sampled_from((0.0, 0.25, 0.5, 0.9)).map(ValueAtRisk),
+    st.sampled_from((0.0, 0.25, 0.5, 0.9)).map(Cte),
+)
+_FUNCTIONALS = _LEAVES | st.tuples(_LEAVES, _LEAVES).map(lambda p: Composite(((0.25, p[0]), (0.75, p[1]))))
+
+
+@st.composite
+def _models_specs_and_policies(draw):
+    """A `random_mdp` whose cells sometimes keep one outcome and gain
+    outcomes of probability zero at any position, with costs sometimes
+    scaled so that atoms and tail sums overflow; a functional per stage;
+    and a policy that covers part of the states, some of them with a
+    missing, unavailable or unhashable action."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    mdp = random_mdp(rng, draw(st.sampled_from((0.5, 0.9, 1.0))), max_horizon=4, max_states=4)
+    scale = draw(st.sampled_from((1.0, 1.0, 1e307)))
+    transitions = {}
+    for (n, s, a), outs in mdp.transitions.items():
+        outs = [t._replace(cost=t.cost * scale) for t in outs]
+        if rng.random() < 0.2:
+            outs = [outs[0]._replace(probability=1.0)]
+        listed = {t.state for t in outs}
+        for t in mdp.states[n + 1]:
+            if t not in listed and rng.random() < 0.5:
+                outs.insert(rng.randint(0, len(outs)), Transition(t, 0.0, rng.uniform(0.0, 10.0) * scale))
+        transitions[(n, s, a)] = tuple(outs)
+    mdp = FiniteHorizonMdp(
+        horizon=mdp.horizon,
+        states=mdp.states,
+        actions=mdp.actions,
+        initial=mdp.initial,
+        discount=mdp.discount,
+        transitions=transitions,
+    )
+    spec = IrmSpec(tuple(draw(st.lists(_FUNCTIONALS, min_size=mdp.horizon, max_size=mdp.horizon))))
+    cover = draw(st.sampled_from((1.0, 0.9, 0.6)))
+    policy = {}
+    for n in range(mdp.horizon):
+        for s in mdp.states[n]:
+            if rng.random() < cover:
+                policy[(n, s)] = rng.choice(mdp.actions_at(n, s))
+                if rng.random() < 0.03:
+                    policy[(n, s)] = rng.choice([*mdp.actions, "zz", ["x"]])
+    return mdp, spec, policy
+
+
+@given(_models_specs_and_policies())
+@settings(max_examples=150, deadline=None)
+def test_the_solver_gives_the_bits_and_errors_of_a_reference_induction(case):
+    """`solve_dp` and `evaluate_policy` give the value bits, the policy
+    and its key order, or the error message, of a backward induction
+    written out from the transition table."""
+    mdp, spec, policy = case
+    assert _solved(solve_dp, mdp, spec) == _solved(_reference_induction, mdp, spec)
+    assert _solved(evaluate_policy, mdp, policy, spec) == _solved(_reference_policy_values, mdp, policy, spec)
 
 
 def test_dominated_action_is_never_chosen():
