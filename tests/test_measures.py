@@ -383,6 +383,31 @@ def test_the_atoms_route_gives_the_bits_and_errors_of_the_general_route(case):
     assert _outcome(measures._erm, gamma, atoms) == _outcome(measures._erm, gamma, general)
 
 
+@st.composite
+def _atom_laws_with_zero_weights_added(draw):
+    """A law of `_atom_laws_to_the_float_limit` with its zero weights left
+    out, and the same law with zero-weight atoms added at any position,
+    of any value, the float limit and its neighbours included."""
+    weights, values, _, gamma = draw(_atom_laws_to_the_float_limit())
+    positive = [(w, v) for w, v in zip(weights, values) if w > 0.0]
+    padded = list(positive)
+    big = 1.7976931348623157e308
+    pool = st.sampled_from((0.0, -0.0, 1.7e308, -1.7e308, big, -big, math.nextafter(big, 0.0)))
+    for v in draw(st.lists(pool | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4)):
+        padded.insert(draw(st.integers(0, len(padded))), (0.0, v))
+    return [list(c) for c in zip(*positive)], [list(c) for c in zip(*padded)], gamma
+
+
+@given(_atom_laws_with_zero_weights_added())
+@settings(max_examples=300, deadline=None)
+def test_zero_weight_atoms_change_no_entropic_bits(case):
+    """The entropic kernel gives a law of atoms the same bits, or the
+    same error, with zero-weight atoms added as without them."""
+    (weights, values), (padded_weights, padded_values), gamma = case
+    want = _outcome(measures._erm, gamma, (weights, values, values))
+    assert _outcome(measures._erm, gamma, (padded_weights, padded_values, padded_values)) == want
+
+
 def test_the_atoms_route_leaves_float_dust_to_the_walk(monkeypatch):
     """The dust laws of `test_cte_levels_follows_the_walk_where_float_dust_ends_it`:
     at 2/3 the walk ends in its linear inversion, and near 1 past every
