@@ -19,16 +19,19 @@ only when they are read.  The backward induction, policy evaluation,
 reachability, tail problems and unrolling read the plan; each cell
 reaches the measures as columns of weights and atom values, through the
 kernel its `IrmSpec` picked for the stage, never as a built
-distribution.  The plan is not a dataclass field, so `==` and `repr` do
-not see it.  A tail problem is not compiled again: it takes its cells
-from its parent's plan.
+distribution.  The backward induction discounts each successor value
+once per stage, as a row by position, and gathers a cell's atoms (its
+costs plus that row at its successor positions) in one call.  The plan
+is not a dataclass field, so `==` and `repr` do not see it.  A tail
+problem is not compiled again: it takes its cells from its parent's
+plan.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .distributions import check_atom, check_sums_to_one, json_number
@@ -316,9 +319,13 @@ def _backward_induction(
     over the available actions, ties to the earliest, or playing the
     policy's action where one is given; a state the policy leaves out gets
     no value.  Each stage's kernel is the one the spec picked for it.
+
+    A policy's action is read once and its cell taken from the state's
+    cells; only an action with no cell there goes to `_policy_action`,
+    which raises its message.
     """
     _check_spec(spec, mdp.horizon)
-    lam = itertools.repeat(mdp.discount)
+    lam = mdp.discount
     plan, states, horizon = mdp._plan, mdp.states, mdp.horizon
     values: ValueTable = {(horizon, s): 0.0 for s in states[horizon]}
     policy_out: Policy = {}
@@ -326,21 +333,29 @@ def _backward_induction(
     later: List[Optional[float]] = [0.0] * len(states[horizon])
     for n in range(horizon - 1, -1, -1):
         kernel = spec._kernels[n]
+        # lam * (successor value) by position, once per stage; an outcome's
+        # atom is its cost plus its successor's entry
+        moved = [v if v is None else lam * v for v in later]
         row: List[Optional[float]] = [None] * len(states[n])
         for i, (s, offered) in enumerate(zip(states[n], plan.cells[n])):
             if policy is not None:
                 if (n, s) not in policy:
                     continue
-                a = _policy_action(mdp, policy, n, s)
-                offered = {a: offered[a]}
+                a = policy[(n, s)]
+                try:
+                    offered = {a: offered[a]}
+                except (KeyError, TypeError):  # unavailable, or unhashable
+                    _policy_action(mdp, policy, n, s)
             best = None
             for a, cell in offered.items():
                 probs, costs, succ = cell
                 try:
-                    # cost + lam * (successor value), per outcome
-                    atoms = list(map(add, costs, map(mul, lam, map(later.__getitem__, succ))))
+                    if len(succ) > 1:
+                        atoms = list(map(add, costs, itemgetter(*succ)(moved)))
+                    else:  # an itemgetter of one index gives the item itself
+                        atoms = [costs[0] + moved[succ[0]]]
                 except TypeError:  # a successor the policy leaves out
-                    _raise_first_bad_successor(mdp, n, s, cell, later)
+                    _raise_first_bad_successor(mdp, n, s, cell, moved)
                 v = _on_atoms(kernel, probs, atoms)
                 if best is None or v < best[0]:
                     best = (v, a)
@@ -352,18 +367,19 @@ def _backward_induction(
 
 
 def _raise_first_bad_successor(
-    mdp: FiniteHorizonMdp, n: int, s: State, cell: Cell, later: List[Optional[float]]
+    mdp: FiniteHorizonMdp, n: int, s: State, cell: Cell, moved: List[Optional[float]]
 ) -> None:
     """Raise for the first successor of a cell, in outcome order, that
-    has no value or whose atom is not finite."""
+    has no value or whose atom is not finite; moved holds lam * (value)
+    by successor position."""
     for c, j in zip(cell[1], cell[2]):
-        if later[j] is None:
+        if moved[j] is None:
             # only a policy can leave a successor without a value
             t = mdp.states[n + 1][j]
             raise ValidationError(
                 f"policy covers stage {n}, state {s!r} but not its successor {t!r}"
             )
-        check_atom(c + mdp.discount * later[j])
+        check_atom(c + moved[j])
 
 
 def solve_dp(mdp: FiniteHorizonMdp, spec: IrmSpec) -> SolveResult:

@@ -29,10 +29,11 @@ checks the candidate on the CDF itself.  They leave to the walk
 and a zero-weight segment wider than the range, with the bits and errors
 of the walk either way.  A law of atoms comes as columns whose lows are
 its highs, and on it the entropic kernel takes gamma * v as each atom's
-log-moment.  ``_cte_levels`` reads a
-law of atoms at many tail levels: it takes the law's breakpoint
-statistics once and gives each level the bits of the tail-expectation
-kernel, as the fig1 sweep needs at the installment tree's root.
+log-moment; it leaves zero weights out only where some weight is not
+positive, which in an MDP cell none is.  ``_cte_levels`` reads a law of
+atoms at many tail levels: it takes one pass (``_scan``) per break of
+the law and gives each level the bits of the tail-expectation kernel,
+as the fig1 sweep needs at the installment tree's root.
 
 Each disutility is taken by one route too.  ``_disutility`` picks its
 kind once per call: the name its overflow messages use, and its value at
@@ -56,7 +57,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, mul, sub
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -71,8 +72,6 @@ from .distributions import (
     column_cdf,
     column_inf,
     column_sup,
-    column_tail_mass,
-    column_tail_sum,
     json_number,
     midpoint,
     read_pairs,
@@ -328,14 +327,21 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
 
 
 def _erm(gamma: float, cols: Columns) -> float:
+    """The entropic value on columns.  Components of weight zero are left
+    out, and the filter runs only where some weight is not positive:
+    never on an MDP cell, whose outcomes of probability zero the plan
+    drops."""
     if gamma == 0.0:
         return _mean(cols)
     weights, lows, highs = cols
+    if not min(weights) > 0.0:
+        keep = [w > 0.0 for w in weights]
+        weights, lows = list(compress(weights, keep)), list(compress(lows, keep))
+        highs = lows if cols[1] is cols[2] else list(compress(highs, keep))
     if lows is highs:  # only atoms, where `_log_mgf(v, v, gamma)` is gamma * v
-        terms = [gamma * v for w, v in zip(weights, lows) if w > 0.0]
+        terms = [gamma * v for v in lows]
     else:
-        terms = [_log_mgf(lo, hi, gamma) for w, lo, hi in zip(*cols) if w > 0.0]
-    weights = [w for w in weights if w > 0.0]
+        terms = [_log_mgf(lo, hi, gamma) for lo, hi in zip(lows, highs)]
     shift = max(terms)
     if not math.isfinite(shift):
         return _erm_from_end(gamma, cols)
@@ -426,7 +432,8 @@ def _quantile_pass(alpha: float, cols: Columns) -> Optional[Tuple[float, Any]]:
         return None
     if lows is highs:
         order = sorted(range(len(lows)), key=lows.__getitem__)
-        k = bisect_left(list(accumulate(map(weights.__getitem__, order))), alpha)
+        # an itemgetter of one index gives the item itself; one weight is in order
+        k = bisect_left(list(accumulate(itemgetter(*order)(weights) if len(order) > 1 else weights)), alpha)
         if k == len(order):
             return None
         y, prev, events = lows[order[k]], -math.inf, None
@@ -643,9 +650,10 @@ def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Seque
     CDFs never decrease (the weights are nonnegative and rounding is
     monotone), so a bisection finds that break.  A level whose walk ends
     in the linear inversion or past every break, which only float dust in
-    the weights allows on atoms, is handed to `_cte`.  Each break's tail mass and tail sum
-    are taken when a level first ends there, so a tail sum that overflows
-    where no level ends raises nothing.  The CDF table costs O(n²) in the
+    the weights allows on atoms, is handed to `_cte`.  One `_scan` per
+    break gives its CDF, its atom mass and its tail; the tail parts are
+    summed when a level first ends there, so a tail sum that overflows
+    where no level ends raises nothing.  The scans cost O(n²) in the
     atom count: this is for laws of few atoms read at many levels.
     """
     _check_atoms(values)
@@ -656,18 +664,20 @@ def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Seque
     for y, _ in sorted((v, w) for w, v in zip(weights, values) if w > 0.0):
         if not breaks or y != breaks[-1]:
             breaks.append(y)
-    cdfs = [column_cdf(cols, y) for y in breaks]
-    lefts = [cdf - column_atom_mass_at(cols, y) for cdf, y in zip(cdfs, breaks)]  # Pr(Y < y)
-    tails: Dict[int, Tuple[float, float]] = {}
+    scans = [_scan(cols, y, -math.inf) for y in breaks]
+    cdfs = [cdf for cdf, _, _, _ in scans]
+    lefts = [cdf - math.fsum(at_y) for cdf, _, at_y, _ in scans]  # Pr(Y < y)
+    tail_sums: Dict[int, float] = {}
     out = []
     for alpha in alphas:
         k = bisect_left(cdfs, alpha)
         if k == len(breaks) or (k and lefts[k] >= alpha):
             out.append(_cte(alpha, cols))
             continue
-        if k not in tails:
-            tails[k] = (column_tail_mass(cols, breaks[k]), column_tail_sum(cols, breaks[k]))
-        tail_p, tail_sum = tails[k]
+        tail_p, tail_parts = scans[k][3]
+        if k not in tail_sums:
+            tail_sums[k] = checked_fsum(tail_parts, "tail expectation")
+        tail_sum = tail_sums[k]
         v = column_inf(cols) if alpha == 0.0 else breaks[k]  # the sign of a zero, as `_value_at_risk` gives it
         out.append(v if tail_p <= 0.0 else (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha))
     return out

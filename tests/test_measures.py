@@ -50,6 +50,7 @@ from riskdp import (
     value_at_risk,
 )
 from riskdp import measures
+from riskdp.distributions import column_tail_mass, column_tail_sum
 from riskdp.measures import _cte_levels, _kernel, _on_atoms, evaluate_atoms
 from riskdp.properties import _random_mixed
 
@@ -345,6 +346,20 @@ def test_cte_levels_of_one_atom_is_the_constant():
         _cte_levels([0.5], [1.0], [math.inf])
 
 
+def test_the_preference_sweep_takes_one_pass_per_break(monkeypatch):
+    """`_cte_levels` reads each break's CDF, atom mass and tail from one
+    `_scan`: the 100 x 100 preference sweep makes no `column_cdf` scan,
+    and one `_scan` at each of the two breaks of each of its 100 root
+    laws."""
+    cdfs, scans = [], []
+    cdf, scan = measures.column_cdf, measures._scan
+    monkeypatch.setattr(measures, "column_cdf", lambda *args: cdfs.append(args) or cdf(*args))
+    monkeypatch.setattr(measures, "_scan", lambda *args: scans.append(args) or scan(*args))
+    casebook.preference_region(100, 100)
+    assert cdfs == []
+    assert len(scans) == 200
+
+
 def _outcome(kernel, *args):
     """A kernel's value by its bits, or its error by type and message."""
     try:
@@ -442,10 +457,10 @@ def test_the_atoms_route_leaves_float_dust_to_the_walk(monkeypatch):
 def _walk_cte(alpha, cols):
     """`_cte` as the walk and the two tail scans take it."""
     v = measures._quantile_walk(alpha, cols)
-    tail_p = measures.column_tail_mass(cols, v)
+    tail_p = column_tail_mass(cols, v)
     if tail_p <= 0.0:
         return v
-    return (measures.column_tail_sum(cols, v) + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
+    return (column_tail_sum(cols, v) + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
 
 
 @st.composite
