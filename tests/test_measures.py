@@ -694,6 +694,22 @@ def test_evaluate_constant_shortcut_agrees_with_every_functional():
         assert evaluate(rf, d) == 3.5
 
 
+@pytest.mark.parametrize(
+    "v", [-0.0, 0.0, 0.1, 123.456, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+def test_every_measure_returns_a_one_atom_law_as_its_atom(v):
+    """Each one-measure function maps a constant to itself, bit for bit and
+    with the sign of a zero, as `evaluate` does."""
+    d = MixedDistribution.point(v)
+    got = [(mean(d), Expectation())]
+    got += [(erm(g, d), Erm(g)) for g in (3.0, 0.7, -2.5, 1e-300)]
+    for a in (0.0, 0.5, 0.9):
+        got += [(value_at_risk(a, d), ValueAtRisk(a)), (cte(a, d), Cte(a))]
+    for value, rf in got:
+        assert (rf, value.hex()) == (rf, v.hex())
+        assert (rf, evaluate(rf, d).hex()) == (rf, v.hex())
+
+
 def test_composite_is_the_weighted_sum():
     d = casebook.highway_time()
     combo = Composite(((0.5, Expectation()), (0.5, Cte(0.5))))
