@@ -12,15 +12,17 @@ that labels, the JSON form and the CLI flags all read.  Each measure is
 implemented once, as a kernel on the columns of a law (weights, lows,
 highs; see :data:`distributions.Columns`).  One dispatcher, ``_kernel``,
 maps a checked functional to its kernel, a composite to its leaves'
-kernels picked once.  :func:`evaluate` returns a law of one atom as the
-constant it is, read off the law's columns, and hands any other law's
-stored columns to the kernel; the flat route of a tree (`tree.rmd`) is
-:func:`evaluate` on the law of its discounted total.
-:func:`evaluate_atoms` feeds the kernel the atoms of a one-step law that
-is never built.  The MDP solver and the tree recursion pick a kernel
-once per stage functional and hand each cell or node law to it, a law of
-atoms through ``_on_atoms``, which keeps the finiteness check and the
-one-atom shortcut of :func:`evaluate_atoms`.  On every law the quantile
+kernels picked once.  A kernel is reached through one of two doors, and
+each returns a law of one atom as that atom, since every functional here
+maps a constant to itself.  ``_on_law`` is the door for a built law: it
+hands any other law's stored columns to the kernel, and :func:`evaluate`,
+:func:`mean`, :func:`erm`, :func:`value_at_risk` and :func:`cte` return
+through it after their own checks; the flat route of a tree (`tree.rmd`)
+is :func:`evaluate` on the law of its discounted total.  ``_on_atoms``
+is the door for the atoms of a one-step law that is never built: it
+checks that they are finite, as ``PointMass`` does.  The MDP solver and
+the tree recursion pick a kernel once per stage functional and hand it
+each cell or node law of atoms there.  On every law the quantile
 and tail-expectation kernels take one sort and one pass
 (``_quantile_pass``): a law of atoms sorts its atoms, any other law the
 breakpoints of its atoms and segments, and one pass in component order
@@ -65,7 +67,6 @@ from .distributions import (
     Columns,
     MixedDistribution,
     UniformSegment,
-    check_atom,
     check_sums_to_one,
     checked_fsum,
     column_atom_mass_at,
@@ -289,7 +290,7 @@ def rf_from_json_dict(data: dict) -> RiskFunctional:
 
 def mean(dist: MixedDistribution) -> float:
     """Expected value."""
-    return _mean(dist.columns())
+    return _on_law(_mean, dist)
 
 
 def _mean(cols: Columns) -> float:
@@ -323,7 +324,7 @@ def erm(gamma: float, dist: MixedDistribution) -> float:
     gamma = json_number(gamma, "gamma")
     if not math.isfinite(gamma):
         raise ValidationError("gamma must be finite")
-    return _erm(gamma, dist.columns())
+    return _on_law(partial(_erm, gamma), dist)
 
 
 def _erm(gamma: float, cols: Columns) -> float:
@@ -390,7 +391,7 @@ def _erm_from_end(gamma: float, cols: Columns) -> float:
 
 def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
     """Smallest y with CDF(y) >= alpha, by one sorted sweep of the CDF."""
-    return _value_at_risk(_check_alpha(alpha), dist.columns())
+    return _on_law(partial(_value_at_risk, _check_alpha(alpha)), dist)
 
 
 def _value_at_risk(alpha: float, cols: Columns) -> float:
@@ -629,7 +630,7 @@ def cte(alpha: float, dist: MixedDistribution) -> float:
     the quantile itself; when no mass lies strictly above the quantile the
     value is the essential supremum.
     """
-    return _cte(_check_alpha(alpha), dist.columns())
+    return _on_law(partial(_cte, _check_alpha(alpha)), dist)
 
 
 def _cte(alpha: float, cols: Columns) -> float:
@@ -687,32 +688,19 @@ def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:
     """Dispatch a risk functional onto a distribution."""
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
-    _, lows, highs = cols = dist.columns()
-    if len(lows) == 1 and lows[0] == highs[0]:
-        # every functional here maps a constant to itself
-        return lows[0]
-    return _kernel(rf)(cols)
-
-
-def evaluate_atoms(rf: RiskFunctional, weights: Sequence[float], values: Sequence[float]) -> float:
-    """``evaluate`` on the law with an atom at each value, of the weight in
-    the same position, without building the law.
-
-    It gives the same bits and raises the same errors in the same order:
-    each value in turn as ``PointMass`` checks it (a number, then a finite
-    one), then an unknown functional, and one atom is returned as the
-    constant it is.  The weights are taken as given, as a checked tree or
-    MDP gives them.  A walk that evaluates many laws under one functional
-    picks its kernel once with ``_kernel`` and calls ``_on_atoms``.
-    """
-    values = [check_atom(v if type(v) is float else json_number(v, "PointMass value")) for v in values]
-    if not isinstance(rf, RF_CLASSES):
-        raise ValidationError(f"unknown risk functional {rf!r}")
-    return _on_atoms(_kernel(rf), weights, values)
+    return _on_law(_kernel(rf), dist)
 
 
 # a checked functional's evaluation on the columns of a law
 Kernel = Callable[[Columns], float]
+
+
+def _on_law(kernel: Kernel, dist: MixedDistribution) -> float:
+    """The kernel on a built law: a law of one atom is that atom, as every
+    functional here maps a constant to itself, and any other law's stored
+    columns go to the kernel."""
+    _, lows, highs = cols = dist.columns()
+    return lows[0] if len(lows) == 1 and lows[0] == highs[0] else kernel(cols)
 
 
 def _check_atoms(values: Sequence[float]) -> None:
@@ -722,7 +710,10 @@ def _check_atoms(values: Sequence[float]) -> None:
 
 
 def _on_atoms(kernel: Kernel, weights: Sequence[float], values: Sequence[float]) -> float:
-    """``evaluate_atoms`` with the functional's kernel picked."""
+    """The kernel on the law with an atom at each value, of the weight in
+    the same position, never built: the values are checked as
+    ``PointMass`` checks a float, the weights taken as a checked tree or
+    MDP gives them, and one atom is that atom."""
     _check_atoms(values)
     return values[0] if len(values) == 1 else kernel((weights, values, values))
 

@@ -396,8 +396,8 @@ class IrmSpec:
     stages: Tuple[RiskFunctional, ...]
 
     def __post_init__(self) -> None:
-        """Check the stages and pick each one's kernel, once per distinct
-        functional object, held as `_kernels` (not a dataclass field)."""
+        """Check the stages and pick each one's kernel, held as `_kernels`
+        (not a dataclass field)."""
         try:
             object.__setattr__(self, "stages", tuple(self.stages))
         except TypeError:
@@ -409,11 +409,7 @@ class IrmSpec:
         for rf in self.stages:
             if not isinstance(rf, RF_CLASSES):
                 raise ValidationError(f"IrmSpec stage {rf!r} is not a risk functional")
-        picked: Dict[int, Any] = {}
-        for rf in self.stages:
-            if id(rf) not in picked:
-                picked[id(rf)] = _kernel(rf)
-        object.__setattr__(self, "_kernels", tuple(picked[id(rf)] for rf in self.stages))
+        object.__setattr__(self, "_kernels", tuple(map(_kernel, self.stages)))
 
     @classmethod
     def repeat(cls, rf: RiskFunctional, horizon: int) -> "IrmSpec":

@@ -21,6 +21,7 @@ from riskdp import (
     Expectation,
     FiniteHorizonMdp,
     IrmSpec,
+    MixedDistribution,
     ScenarioTree,
     Transition,
     ValidationError,
@@ -29,6 +30,7 @@ from riskdp import (
     casebook,
     deterministic_tree,
     discounted_total_distribution,
+    evaluate,
     evaluate_policy,
     irm_root_value,
     mdp_from_json_dict,
@@ -41,7 +43,6 @@ from riskdp import (
 )
 
 from riskdp import measures
-from riskdp.measures import evaluate_atoms
 
 from .conftest import assert_close, random_mdp
 
@@ -390,7 +391,7 @@ def _reference_induction(mdp, spec, policy=None):
     """Backward induction read off the transition table, cell by cell:
     each positive-probability outcome's atom is cost + lam * (successor
     value), in outcome order, and the stage functional is taken by
-    `evaluate_atoms`.  Ties go to the earliest action; with a policy, a
+    `evaluate` on the law of those atoms.  Ties go to the earliest action; with a policy, a
     state it leaves out gets no value."""
     values = {(mdp.horizon, s): 0.0 for s in mdp.states[mdp.horizon]}
     chosen = {}
@@ -419,7 +420,7 @@ def _reference_induction(mdp, spec, policy=None):
                         raise ValidationError("PointMass value must be finite")
                     probs.append(t.probability)
                     atoms.append(atom)
-                v = evaluate_atoms(spec.stages[n], probs, atoms)
+                v = evaluate(spec.stages[n], MixedDistribution.of_atoms(zip(probs, atoms)))
                 if best is None or v < best[0]:
                     best = (v, a)
             values[(n, s)], chosen[(n, s)] = best

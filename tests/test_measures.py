@@ -51,7 +51,7 @@ from riskdp import (
 )
 from riskdp import measures
 from riskdp.distributions import column_tail_mass, column_tail_sum
-from riskdp.measures import _cte_levels, _kernel, _on_atoms, evaluate_atoms
+from riskdp.measures import _cte_levels, _kernel, _on_atoms
 from riskdp.properties import _random_mixed
 
 from .conftest import (
@@ -643,7 +643,7 @@ def test_evaluate_dispatch_matches_direct_calls():
         assert evaluate(Cte(0.7), d) == cte(0.7, d)
 
 
-def test_evaluate_atoms_gives_the_bits_of_evaluate_on_the_same_atoms():
+def test_the_atoms_door_gives_the_bits_of_evaluate_on_the_same_atoms():
     rng = random.Random(21)
     functionals = (
         Expectation(), Erm(0.5), Erm(-0.5), ValueAtRisk(0.5), ValueAtRisk(0.75),
@@ -662,29 +662,14 @@ def test_evaluate_atoms_gives_the_bits_of_evaluate_on_the_same_atoms():
         values = [float(rng.randint(-3, 3)) for _ in range(n)]
         law = MixedDistribution.of_atoms(zip(weights, values))
         for rf in functionals:
-            assert evaluate_atoms(rf, weights, values).hex() == evaluate(rf, law).hex()
-    # a value that is not finite fails as PointMass does, before the
-    # functional is looked at
+            assert _on_atoms(_kernel(rf), weights, values).hex() == evaluate(rf, law).hex()
+    # a value that is not finite fails as PointMass does
     for values in ([math.inf], [1.0, math.nan]):
         weights = [1.0 / len(values)] * len(values)
         with pytest.raises(ValidationError, match="PointMass value must be finite"):
             MixedDistribution.of_atoms(zip(weights, values))
-        for rf in (Cte(0.5), "cte"):
-            with pytest.raises(ValidationError, match="PointMass value must be finite"):
-                evaluate_atoms(rf, weights, values)
-    with pytest.raises(ValidationError, match="unknown risk functional 'cte'"):
-        evaluate_atoms("cte", [1.0], [2.0])
-    # each value is read as PointMass reads it: an int as its float, a
-    # bool or a string refused, in order
-    got = evaluate_atoms(ValueAtRisk(0.5), [0.5, 0.5], [1, 2])
-    assert type(got) is float and got.hex() == evaluate(ValueAtRisk(0.5), MixedDistribution.of_atoms([(0.5, 1), (0.5, 2)])).hex()
-    for values in ([True, 2.0], ["a", 2.0], [math.inf, "a"]):
-        with pytest.raises(ValidationError) as want:
-            MixedDistribution.of_atoms(zip([0.5, 0.5], values))
-        with pytest.raises(ValidationError) as got:
-            evaluate_atoms(ValueAtRisk(0.5), [0.5, 0.5], values)
-        assert str(got.value) == str(want.value)
-    assert str(want.value) == "PointMass value must be finite"
+        with pytest.raises(ValidationError, match="PointMass value must be finite"):
+            _on_atoms(_kernel(Cte(0.5)), weights, values)
 
 
 def test_evaluate_constant_shortcut_agrees_with_every_functional():
@@ -1079,7 +1064,7 @@ LIMIT_LAW = MixedDistribution.of_atoms(list(zip(LIMIT_WEIGHTS, [LIMIT] * 2)))
 SUM_OVERFLOWS = {
     "mean": (lambda: mean(LIMIT_LAW), "mean overflowed the floating range"),
     "mean on atoms": (
-        lambda: evaluate_atoms(Expectation(), LIMIT_WEIGHTS, [LIMIT] * 2),
+        lambda: _on_atoms(_kernel(Expectation()), LIMIT_WEIGHTS, [LIMIT] * 2),
         "mean overflowed the floating range",
     ),
     "expected disutility": (
@@ -1088,8 +1073,8 @@ SUM_OVERFLOWS = {
     ),
     # each term is worth the limit; the coefficients sum above one
     "composite": (
-        lambda: evaluate_atoms(
-            Composite(tuple(zip(LIMIT_WEIGHTS, (Cte(0.1), Cte(0.2))))), [0.5, 0.5], [LIMIT] * 2
+        lambda: _on_atoms(
+            _kernel(Composite(tuple(zip(LIMIT_WEIGHTS, (Cte(0.1), Cte(0.2)))))), [0.5, 0.5], [LIMIT] * 2
         ),
         "composite value overflowed the floating range",
     ),
