@@ -125,12 +125,7 @@ def _parse_rf(**rf_flags) -> object:
     if key in LEAF_KINDS:
         cls, param = LEAF_KINDS[key]
         return cls() if param is None else cls(rf_flags[key])
-    try:
-        data = json.loads(rf_flags["rf_json"])
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--rf-json is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError("--rf-json is nested too deeply") from exc
+    data = _read_json(rf_flags["rf_json"], "--rf-json")
     if isinstance(data, list):
         return [rf_from_json_dict(d) for d in data]
     return rf_from_json_dict(data)
@@ -141,14 +136,17 @@ def _load_json_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    return _read_json(text, path)
+
+
+def _read_json(text: str, source: str) -> object:
+    """The JSON value of text, read from source (a file or an option)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ValidationError(f"invalid JSON in {source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
-        raise ValidationError(f"JSON in {path} is nested too deeply") from exc
+        raise ValidationError(f"JSON in {source} is nested too deeply") from exc
 
 
 def _contains_erm(rf: RiskFunctional) -> bool:
