@@ -391,8 +391,8 @@ def _reference_induction(mdp, spec, policy=None):
     """Backward induction read off the transition table, cell by cell:
     each positive-probability outcome's atom is cost + lam * (successor
     value), in outcome order, and the stage functional is taken by
-    `evaluate` on the law of those atoms.  Ties go to the earliest action; with a policy, a
-    state it leaves out gets no value."""
+    `evaluate` on the law of those atoms.  Ties go to the earliest
+    action; with a policy, a state it leaves out gets no value."""
     values = {(mdp.horizon, s): 0.0 for s in mdp.states[mdp.horizon]}
     chosen = {}
     for n in range(mdp.horizon - 1, -1, -1):
