@@ -191,7 +191,7 @@ def show(x: Any) -> str:
     """An outcome as text: floats by their bits, containers in order."""
     if isinstance(x, float):
         return x.hex()
-    if isinstance(x, dict) or hasattr(x, "items"):
+    if hasattr(x, "items"):  # a dict or a read-only mapping
         return "{" + ", ".join(f"{show(k)}: {show(v)}" for k, v in x.items()) + "}"
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(map(show, x)) + "]"
@@ -295,9 +295,8 @@ def _mdp_calls(rd: Any, case: Tuple[dict, list, list, tuple]) -> Calls:
     yield "solve_dp", "", lambda: rd.solve_dp(mdp(), spec())
     for k, policy in enumerate(policies):
         yield "evaluate_policy", f"policy {k}", lambda p=policy: rd.evaluate_policy(mdp(), p, spec())
-    tail_spec = stages[n:]
     yield "tail_mdp", f"stage {n} state {s!r}", lambda: rd.solve_dp(
-        rd.tail_mdp(mdp(), n, s), rd.IrmSpec(tuple(map(rd.rf_from_json_dict, tail_spec)))
+        rd.tail_mdp(mdp(), n, s), rd.IrmSpec(tuple(map(rd.rf_from_json_dict, stages[n:])))
     )
 
 
@@ -355,7 +354,7 @@ def show_case(corpus_path: str, entry: str, index: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the driver
+# the comparison
 # ---------------------------------------------------------------------------
 
 
