@@ -1,7 +1,7 @@
 """Run one seeded corpus through riskdp at a base revision and in the
 working tree, each package in its own process, and compare every outcome.
 
-    python3 scripts/differential.py --base REV [--cases N] [--seed S]
+    python3 scripts/differential.py --base REV [--cases N]
 
 `git archive REV` is unpacked into a temporary directory outside the
 repository.  The corpus is made once, from the suite's generators
@@ -21,7 +21,7 @@ sign of a zero), or the error's type and message.  Per entry it prints
 the outcome count, one SHA-256 digest of the outcome stream per side,
 and, where they differ, the number of differing outcomes and the first
 one with both sides' outcomes.  The exit status is 1 when any entry
-differs.  Standard library only, besides what the suite's generators
+differs, and 2 when a side fails or runs past SIDE_TIMEOUT_S.  Standard library only, besides what the suite's generators
 import.
 """
 from __future__ import annotations
@@ -44,6 +44,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0  # the corpus seed
+SIDE_TIMEOUT_S = 600  # 100,000 cases take about a minute a side
 LIMIT = sys.float_info.max
 # values where rounding and the sign of zero show
 EDGE_VALUES = (
@@ -151,14 +153,14 @@ def _functional(rng: random.Random, depth: int = 0) -> dict:
     return {"kind": "composite", "terms": [{"w": 0.5, "rf": _functional(rng, depth + 1)}, {"w": 0.5, "rf": _functional(rng, depth + 1)}]}
 
 
-def make_corpus(cases: int, seed: int) -> List[Tuple[str, Any]]:
+def make_corpus(cases: int) -> List[Tuple[str, Any]]:
     """cases cases: about 5% trees, 2% MDPs and the rest laws."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from riskdp import tree_to_json_dict
     from riskdp.properties import _random_mixed
     from tests.conftest import random_mdp, random_tied_law, random_tree
 
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     corpus: List[Tuple[str, Any]] = []
     for _ in range(cases):
         u = rng.random()
@@ -363,6 +365,20 @@ def _side(src: Path, *args: str) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, __file__, *args], env=env)
 
 
+def _finished(procs: List[subprocess.Popen]) -> bool:
+    """Whether every side exits 0 within SIDE_TIMEOUT_S; past it, the
+    sides still running are killed."""
+    deadline = time.monotonic() + SIDE_TIMEOUT_S
+    try:
+        return not any([proc.wait(timeout=max(0.0, deadline - time.monotonic())) for proc in procs])
+    except subprocess.TimeoutExpired:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+        print(f"a side ran past {SIDE_TIMEOUT_S} s and was stopped", file=sys.stderr)
+        return False
+
+
 def _differences(a: Tuple[str, array, bytes], b: Tuple[str, array, bytes]) -> Tuple[int, int]:
     """The number of outcomes that differ and the case of the first.  The
     corpus alone decides which outcomes a case has, so both sides list the
@@ -383,7 +399,6 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision to compare the working tree with")
     parser.add_argument("--cases", type=int, default=100_000, help="corpus size (default 100000)")
-    parser.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
     args = parser.parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)  # the sides print between these lines
     start = time.perf_counter()
@@ -396,10 +411,10 @@ def main(argv: List[str]) -> int:
             tar.extractall(tmp / "base", members=members, **safe)
         corpus = tmp / "corpus.pickle"
         with open(corpus, "wb") as f:
-            pickle.dump(make_corpus(args.cases, args.seed), f)
+            pickle.dump(make_corpus(args.cases), f)
         sides = {"base": tmp / "base" / "src", "work": ROOT / "src"}
         procs = {name: _side(src, "--run", str(corpus), str(tmp / f"{name}.pickle")) for name, src in sides.items()}
-        if any(proc.wait() for proc in procs.values()):
+        if not _finished(list(procs.values())):
             print("a side failed to run", file=sys.stderr)
             return 2
         results = {}
@@ -407,7 +422,7 @@ def main(argv: List[str]) -> int:
             with open(tmp / f"{name}.pickle", "rb") as f:
                 results[name] = pickle.load(f)
         print(f"base {args.base} ({results['base']['origin']}) against the working tree ({results['work']['origin']})")
-        print(f"{args.cases} cases, seed {args.seed}")
+        print(f"{args.cases} cases, seed {SEED}")
         base, work = results["base"]["entries"], results["work"]["entries"]
         differs = False
         for entry in ENTRIES:
@@ -425,7 +440,8 @@ def main(argv: List[str]) -> int:
             print(line + f", {n} differ; first in case {case}:")
             for name, src in sides.items():
                 print(f" {name}:")
-                _side(src, "--show", str(corpus), entry, str(case)).wait()
+                if not _finished([_side(src, "--show", str(corpus), entry, str(case))]):
+                    return 2
         print(f"{time.perf_counter() - start:.1f} s")
         return 1 if differs else 0
     finally:
