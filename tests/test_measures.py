@@ -2,6 +2,7 @@
 invariants, disutility curves, and serialization."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -15,15 +16,20 @@ from hypothesis import strategies as st
 from riskdp import (
     Composite,
     Cte,
+    Edge,
     Erm,
     EvaluationOverflowError,
     Expectation,
     Exponential,
+    IrmSpec,
     Linear,
     MixedDistribution,
     PiecewiseLinear,
     PointMass,
     Power,
+    ScenarioTree,
+    Transition,
+    TreeNode,
     UniformSegment,
     ValidationError,
     ValueAtRisk,
@@ -39,6 +45,7 @@ from riskdp import (
     essential_sup,
     eud,
     evaluate,
+    irm_root_value,
     mean,
     merge_atoms,
     pushforward_mean,
@@ -46,7 +53,9 @@ from riskdp import (
     rmd,
     rf_label,
     rf_to_json_dict,
+    solve_dp,
     tree_from_json_dict,
+    tree_to_json_dict,
     value_at_risk,
 )
 from riskdp import measures
@@ -54,13 +63,17 @@ from riskdp.distributions import column_tail_mass, column_tail_sum
 from riskdp.measures import _cte_levels, _kernel, _on_atoms
 from riskdp.properties import _random_mixed
 
+from . import exact
+
 from .conftest import (
     assert_close,
     discretized_cte,
     mixture,
     quadrature_erm,
     random_increasing_disutility,
+    random_mdp,
     random_tied_law,
+    random_tree,
     rockafellar_uryasev_cte,
     run_cli,
 )
@@ -309,6 +322,110 @@ def test_cte_levels_gives_the_bits_of_the_kernel_at_every_level(case):
     weights, values, alphas = case
     got = [x.hex() for x in _cte_levels(alphas, weights, values)]
     assert got == [x.hex() for x in _cte_per_level(alphas, weights, values)]
+
+
+# the tie of ROADMAP item 8: summed in the first order, the CDF at 4.0
+# reaches 0.45; exactly, it falls short by 1.39e-17, so 5.0 is the quantile
+TIE_ATOMS = [(0.1, 1.0), (0.3, 2.0), (0.05, 4.0), (0.25, 5.0), (0.30000000000000004, 6.0)]
+
+
+def test_a_tied_quantile_is_the_exact_one_in_every_order():
+    assert exact.quantile(0.45, [(w, v, v) for w, v in TIE_ATOMS]) == 5
+    for atoms in (TIE_ATOMS, [TIE_ATOMS[i] for i in (1, 2, 4, 0, 3)]):
+        law = MixedDistribution.of_atoms(atoms)
+        assert value_at_risk(0.45, law) == evaluate(ValueAtRisk(0.45), law) == 5.0
+        tree = ScenarioTree(1, TreeNode(0, tuple(Edge(w, v, TreeNode(1, ())) for w, v in atoms)))
+        spec = IrmSpec((ValueAtRisk(0.45),))
+        assert irm_root_value(tree, spec, 1.0) == rmd(tree, ValueAtRisk(0.45), 1.0) == 5.0
+
+
+def _law_of(comps):
+    return MixedDistribution(tuple((w, PointMass(lo) if lo == hi else UniformSegment(lo, hi)) for w, lo, hi in comps))
+
+
+@st.composite
+def _laws_and_a_permutation(draw):
+    """The components of a tied law, of a random mixed law or of an atom
+    law of `_atom_laws_and_levels`, and the same components permuted."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("dyadic", "tied", "mixed", "atoms")))
+    if kind == "atoms":
+        weights, values, _ = draw(_atom_laws_and_levels())
+        comps = [(w, v, v) for w, v in zip(weights, values)]
+    else:
+        law = random_tied_law(rng, kind == "dyadic") if kind != "mixed" else _random_mixed(rng)
+        comps = list(zip(*law.columns()))
+    order = draw(st.permutations(range(len(comps))))
+    return comps, [comps[i] for i in order]
+
+
+def _permutation_functionals(*orders):
+    """Every kind of functional, the tail ones at a grid of levels and at
+    the running sums of the weights in each order, where ties fall."""
+    levels = {0.0, 0.25, 0.45, 0.5, 0.9}
+    for comps in orders:
+        levels.update(a for a in itertools.accumulate(w for w, _, _ in comps) if a < 1.0)
+    out = [Expectation(), Erm(0.5), Erm(-2.0)]
+    for a in sorted(levels):
+        out += [ValueAtRisk(a), Cte(a)]
+    return out
+
+
+@given(_laws_and_a_permutation())
+@settings(max_examples=200, deadline=None)
+def test_every_functional_depends_only_on_the_law(case):
+    """`evaluate` gives a law the same bits, the sign of a zero included,
+    or the same error, in any order of its components; so does the
+    stagewise value of the one-stage tree with an edge per component."""
+    comps, permuted = case
+    laws = [_law_of(comps), _law_of(permuted)]
+    trees = [
+        ScenarioTree(1, TreeNode(0, tuple(
+            Edge(w, lo if lo == hi else MixedDistribution.uniform(lo, hi), TreeNode(1, ())) for w, lo, hi in order if w > 0.0
+        )))
+        for order in (comps, permuted)
+    ]
+    for rf in _permutation_functionals(comps, permuted):
+        assert _outcome(evaluate, rf, laws[0]) == _outcome(evaluate, rf, laws[1]), rf
+        spec = IrmSpec((rf,))
+        assert _outcome(irm_root_value, trees[0], spec, 1.0) == _outcome(irm_root_value, trees[1], spec, 1.0), rf
+
+
+def _permuted_children(node, rng):
+    rng.shuffle(node["children"])
+    for edge in node["children"]:
+        _permuted_children(edge["node"], rng)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_the_recursion_and_the_solver_depend_only_on_the_laws(seed):
+    """`irm_root_value` gives a random tree the same bits with the edges
+    of every node shuffled, and `solve_dp` a random MDP the same values
+    and policy with the outcomes of every cell shuffled."""
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_horizon=3, max_children=4, segment_stage=rng.choice((None, 0, 1)))
+    data = tree_to_json_dict(tree)
+    _permuted_children(data["root"], rng)
+    shuffled = tree_from_json_dict(data)
+    mdp = random_mdp(rng, 0.9, max_horizon=2, max_states=6, max_actions=2)
+    if rng.random() < 0.5:  # probabilities of 0.1 and integer costs, which tie
+        mdp = dataclasses.replace(mdp, transitions={
+            key: tuple(
+                Transition(t.state, 0.1 if i else 1.0 - 0.1 * (len(outs) - 1), float(rng.randint(0, 3)))
+                for i, t in enumerate(outs)
+            )
+            for key, outs in mdp.transitions.items()
+        })
+    cells = {key: tuple(rng.sample(outs, len(outs))) for key, outs in mdp.transitions.items()}
+    other = dataclasses.replace(mdp, transitions=cells)
+    for rf in (Expectation(), Erm(0.5), ValueAtRisk(0.3), ValueAtRisk(0.7), Cte(0.3), Cte(0.9)):
+        spec = IrmSpec.repeat(rf, tree.horizon)
+        assert _outcome(irm_root_value, tree, spec, 0.9) == _outcome(irm_root_value, shuffled, spec, 0.9), rf
+        spec = IrmSpec.repeat(rf, mdp.horizon)
+        (values, policy), (other_values, other_policy) = solve_dp(mdp, spec), solve_dp(other, spec)
+        assert [v.hex() for v in values.values()] == [v.hex() for v in other_values.values()], rf
+        assert policy == other_policy, rf
 
 
 def test_cte_levels_follows_the_walk_where_float_dust_ends_it(monkeypatch):
