@@ -419,7 +419,7 @@ def test_the_recursion_and_the_solver_depend_only_on_the_laws(seed):
         })
     cells = {key: tuple(rng.sample(outs, len(outs))) for key, outs in mdp.transitions.items()}
     other = dataclasses.replace(mdp, transitions=cells)
-    for rf in (Expectation(), Erm(0.5), ValueAtRisk(0.3), ValueAtRisk(0.7), Cte(0.3), Cte(0.9)):
+    for rf in (Expectation(), Erm(0.5), *(cls(a / 10) for a in range(10) for cls in (ValueAtRisk, Cte))):
         spec = IrmSpec.repeat(rf, tree.horizon)
         assert _outcome(irm_root_value, tree, spec, 0.9) == _outcome(irm_root_value, shuffled, spec, 0.9), rf
         spec = IrmSpec.repeat(rf, mdp.horizon)
