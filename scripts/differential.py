@@ -1,7 +1,7 @@
 """Run one seeded corpus through riskdp at a base revision and in the
 working tree, each package in its own process, and compare every outcome.
 
-    python3 scripts/differential.py --base REV [--cases N]
+    python3 scripts/differential.py --base REV [--cases N] [--exact]
 
 `git archive REV` is unpacked into a temporary directory outside the
 repository.  The corpus is made once, from the suite's generators
@@ -20,8 +20,11 @@ on MDPs.  An outcome is each value's bits (`float.hex`, which keeps the
 sign of a zero), or the error's type and message.  Per entry it prints
 the outcome count, one SHA-256 digest of the outcome stream per side,
 and, where they differ, the number of differing outcomes and the first
-one with both sides' outcomes.  The exit status is 1 when any entry
-differs, and 2 when a side fails or runs past SIDE_TIMEOUT_S.  Standard library only, besides what the suite's generators
+one with both sides' outcomes; with --exact, a differing
+`value_at_risk`, `cte` or `_cte_levels` law also shows the exact value
+at each level from the tests' oracle, tests/exact.py.  The exit status
+is 1 when any entry differs, and 2 when a side fails or runs past
+SIDE_TIMEOUT_S.  Standard library only, besides what the suite's generators
 import.
 """
 from __future__ import annotations
@@ -210,6 +213,19 @@ def outcome(call: Callable[[], Any]) -> str:
 Calls = Iterator[Tuple[str, str, Callable[[], Any]]]
 
 
+def _levels(comps: List[Tuple[float, float, float]]) -> List[float]:
+    """The tail levels a law is read at: LEVELS and one equal to a running
+    weight, as a decimal would be typed."""
+    levels = list(LEVELS)
+    running = 0.0
+    for w, _, _ in comps[:-1]:
+        running += w
+        if 0.0 < running < 1.0:
+            levels.append(running)
+            break
+    return levels
+
+
 def _law_calls(rd: Any, comps: List[Tuple[float, float, float]]) -> Calls:
     """(entry, label, call) for every entry on one law."""
     built = {}
@@ -221,13 +237,7 @@ def _law_calls(rd: Any, comps: List[Tuple[float, float, float]]) -> Calls:
             )
         return built["law"]
 
-    levels = list(LEVELS)
-    running = 0.0
-    for w, _, _ in comps[:-1]:  # a level equal to a running weight, as a decimal would be typed
-        running += w
-        if 0.0 < running < 1.0:
-            levels.append(running)
-            break
+    levels = _levels(comps)
     functionals = [rd.Expectation(), *map(rd.Erm, GAMMAS)]
     functionals += [cls(a) for a in levels for cls in (rd.ValueAtRisk, rd.Cte)]
     functionals.append(rd.Composite(((0.5, rd.Expectation()), (0.25, rd.Cte(0.5)), (0.25, rd.Erm(0.5)))))
@@ -355,6 +365,23 @@ def show_case(corpus_path: str, entry: str, index: int) -> None:
             print(f"  {label or '-'}: {outcome(call)}")
 
 
+def show_exact(corpus_path: str, entry: str, index: int) -> None:
+    """Print the exact value (tests/exact.py) of each quantile or tail
+    expectation of one entry on one law, rounded to the nearest float."""
+    sys.path.insert(0, str(ROOT))
+    from tests import exact
+
+    with open(corpus_path, "rb") as f:
+        kind, comps = pickle.load(f)[index]
+    oracle = {"value_at_risk": exact.quantile, "cte": exact.tail_expectation, "_cte_levels": exact.tail_expectation}
+    if kind != "law" or entry not in oracle:
+        return
+    levels = _levels(comps)
+    print(" exact:")
+    for a in sorted(levels) if entry == "_cte_levels" else levels:
+        print(f"  {a!r}: {outcome(lambda a=a: float(oracle[entry](a, comps)))}")
+
+
 # ---------------------------------------------------------------------------
 # the comparison
 # ---------------------------------------------------------------------------
@@ -399,6 +426,7 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision to compare the working tree with")
     parser.add_argument("--cases", type=int, default=100_000, help="corpus size (default 100000)")
+    parser.add_argument("--exact", action="store_true", help="print the exact quantiles and tail expectations of a differing law")
     args = parser.parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)  # the sides print between these lines
     start = time.perf_counter()
@@ -442,6 +470,8 @@ def main(argv: List[str]) -> int:
                 print(f" {name}:")
                 if not _finished([_side(src, "--show", str(corpus), entry, str(case))]):
                     return 2
+            if args.exact:
+                show_exact(str(corpus), entry, case)
         print(f"{time.perf_counter() - start:.1f} s")
         return 1 if differs else 0
     finally:

@@ -638,7 +638,10 @@ def _cte(alpha: float, cols: Columns) -> float:
     tail_p, tail_parts = tail or _scan(cols, v, -math.inf)[3]
     if tail_p <= 0.0:
         return v
-    return (checked_fsum(tail_parts, "tail expectation") + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
+    value = (checked_fsum(tail_parts, "tail expectation") + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
+    # the exact value lies at or below the top of the law, so a division that
+    # overflows gives that top
+    return value if value < math.inf else column_sup(cols)
 
 
 def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Sequence[float]) -> List[float]:
@@ -680,7 +683,8 @@ def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Seque
             tail_sums[k] = checked_fsum(tail_parts, "tail expectation")
         tail_sum = tail_sums[k]
         v = column_inf(cols) if alpha == 0.0 else breaks[k]  # the sign of a zero, as `_value_at_risk` gives it
-        out.append(v if tail_p <= 0.0 else (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha))
+        value = (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
+        out.append(v if tail_p <= 0.0 else value if value < math.inf else column_sup(cols))
     return out
 
 
