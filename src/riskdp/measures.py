@@ -58,9 +58,10 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
+from fractions import Fraction
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
@@ -69,8 +70,6 @@ from .distributions import (
     UniformSegment,
     check_sums_to_one,
     checked_fsum,
-    column_atom_mass_at,
-    column_cdf,
     column_inf,
     column_sup,
     json_number,
@@ -79,6 +78,8 @@ from .distributions import (
     segment_width,
 )
 from .errors import EvaluationOverflowError, ValidationError
+
+EPS = sys.float_info.epsilon
 
 
 def _check_alpha(alpha: float) -> float:
@@ -390,237 +391,191 @@ def _erm_from_end(gamma: float, cols: Columns) -> float:
 
 
 def value_at_risk(alpha: float, dist: MixedDistribution) -> float:
-    """Smallest y with CDF(y) >= alpha, by one sorted sweep of the CDF."""
+    """Smallest y with CDF(y) >= alpha, decided exactly."""
     return _on_law(partial(_value_at_risk, _check_alpha(alpha)), dist)
 
 
 def _value_at_risk(alpha: float, cols: Columns) -> float:
-    """The lower quantile on columns, by the one sort and one pass of
-    `_quantile_pass`, and where that cannot decide by `_quantile_walk`;
-    the same bits either way."""
-    found = _quantile_pass(alpha, cols)
-    return _quantile_walk(alpha, cols) if found is None else found[0]
+    breaks = _breaks(cols, alpha)
+    if cols[1] is not cols[2]:
+        return _segment_quantile(alpha, cols, breaks, False)[0]
+    keys, masses, levels, bound, zero = breaks
+    k = bisect_left(levels, alpha, 0, len(keys) - 1)
+    if not (levels[k] - alpha > bound and (not k or alpha - levels[k - 1] > bound)):
+        k = _atom_walk(alpha, masses, k)
+    return keys[k] or zero  # a zero break takes the law's zero
 
 
-def _quantile_pass(alpha: float, cols: Columns) -> Optional[Tuple[float, Any]]:
-    """The lower quantile v of any law, with its tail as `_scan` takes it
-    where v is a break (None where v lies inside a segment, whose tail
-    the caller takes); None for a level of 0 and where the walk must
-    decide.
+# a law read once for any number of levels: of a law of atoms, its
+# positive-weight atoms sorted by value, their weights, the running sum of
+# those, a bound on its rounding and the law's zero; of any other law, the
+# events (value, atom mass, change of the CDF's slope) of its
+# positive-weight components sorted by value
+Breaks = Union[Tuple[Sequence[float], Sequence[float], List[float], float, float], List[Tuple[float, float, float]]]
+# Pr(Y > v) and E[Y; Y > v] at a quantile v
+Tail = Tuple[float, float]
 
-    A sort locates a candidate break y, the one the walk ends at, and
-    prev, the break below it: a law of atoms by the running mass of its
-    atoms sorted by value, any other law by the running CDF of its
-    events (`_locate`).  A zero takes the sign the walk keeps, that of
-    its least event at zero, the first built of equal ones.  One pass
-    in component order (`_scan`) then takes CDF(y) and CDF(prev) as
-    ``column_cdf`` sums them, the atom mass at y and the tail at y.
-    Those CDFs never decrease in y, the weights of a checked law being
-    nonnegative and rounding monotone, so CDF(y) >= alpha > CDF(prev)
-    means that y is the break the walk ends at.  There the walk returns
-    y, or, where CDF(y) less the atom mass at y still reaches alpha,
-    inverts the CDF's linear rise from prev with the same formula, which
-    only a segment brings about.  Only a segment needs prev, and a law
-    of atoms takes -inf for it, as the first break does.  Left to the
-    walk are a level of 0, a subnormal slope, a zero-weight segment
-    wider than the range (which can make the walk's scans raise) and
-    what only float dust in the weights brings about: a candidate off
-    the walk's break, a crossing past every break, and a rise to alpha
-    below the first break or between atoms.
+
+def _breaks(cols: Columns, alpha: float) -> Breaks:
+    """The law read for levels up to alpha.  A running sum of n
+    nonnegative weights is off their exact sum by at most n - 1 units in
+    its last place, within the bound 4 n eps times the sum.  The zero of
+    a law of atoms is +0.0 where some atom at zero is, as a sum of signed
+    zeros is, and -0.0 where all are.  A positive-weight segment wider
+    than the range has no density to take and raises, unless alpha is
+    0, whose quantile is the least break.
     """
     weights, lows, highs = cols
-    if not alpha:
-        return None
     if lows is highs:
+        if 0.0 in weights:  # a zero weight makes no break
+            lows, weights = list(compress(lows, weights)), list(compress(weights, weights))
         order = sorted(range(len(lows)), key=lows.__getitem__)
-        # an itemgetter of one index gives the item itself; one weight is in order
-        k = bisect_left(list(accumulate(itemgetter(*order)(weights) if len(order) > 1 else weights)), alpha)
-        if k == len(order):
-            return None
-        y, prev, events = lows[order[k]], -math.inf, None
-    else:
-        found = _locate(alpha, cols)
-        if found is None:
-            return None
-        y, prev, events = found
-    if y == 0.0:  # a law of atoms has an event at each positive-weight atom
-        y = min(e for e in events or ((v, w, 0.0) for w, v in zip(weights, lows) if w > 0.0) if e[0] == 0.0)[0]
-    cdf, cdf_prev, at_y, tail = _scan(cols, y, prev)
-    if not cdf >= alpha > cdf_prev:
-        return None
-    cdf_left = cdf - math.fsum(at_y)  # Pr(Y < y)
-    if cdf_left < alpha:
-        return y, tail
-    slope = (cdf_left - cdf_prev) / (y - prev)  # 0 where prev is -inf
-    return (prev + (alpha - cdf_prev) / slope, None) if slope >= sys.float_info.min else None
-
-
-def _scan(cols: Columns, y: float, prev: float) -> Tuple[float, float, List[float], Tuple[float, List[float]]]:
-    """CDF(y) and CDF(prev) for prev < y, as ``column_cdf`` sums them, the
-    atom weights at y, and Pr(Y > y) with the parts of E[Y; Y > y] as
-    ``column_tail_mass`` and ``column_tail_sum`` take them: one pass in
-    component order.  A segment wider than the range that lies across y
-    raises as ``column_tail_mass`` would.  A segment that ends between
-    prev and y is taken as wholly below prev, so one there must weigh
-    nothing.
-    """
-    weights, lows, highs = cols
-    cdf = cdf_prev = tail_mass = 0.0
-    at_y: List[float] = []
-    tail_parts: List[float] = []
-    if lows is highs:  # only atoms: the same sums, over two columns
-        for w, v in zip(weights, lows):
-            if v < y:
-                cdf += w
-                cdf_prev += w
-            elif v > y:
-                tail_mass += w
-                tail_parts.append(w * v)
-            else:
-                cdf += w
-                at_y.append(w)
-        return cdf, cdf_prev, at_y, (tail_mass, tail_parts)
-    for w, lo, hi in zip(weights, lows, highs):
-        if hi < y:
-            cdf += w
-            cdf_prev += w
-        elif lo == hi:
-            if lo == y:
-                cdf += w
-                at_y.append(w)
-            else:
-                tail_mass += w
-                tail_parts.append(w * lo)
-        else:
-            if lo < prev:
-                cdf_prev += min(w * (prev - lo) / segment_width(lo, hi), w)
-            if lo >= y:
-                tail_mass += w
-                tail_parts.append(w * midpoint(lo, hi))
-            elif hi == y:
-                cdf += w
-            else:
-                cdf += min(w * (y - lo) / segment_width(lo, hi), w)
-                q = w * (hi - y) / (hi - lo)
-                tail_mass += min(q, w)
-                tail_parts.append(q * midpoint(y, hi))
-    return cdf, cdf_prev, at_y, (tail_mass, tail_parts)
-
-
-def _events(cols: Columns) -> Tuple[List[Tuple[float, float, float]], bool]:
-    """The walk's events (y, atom mass at y, change of the CDF's slope at
-    y) of the positive-weight components, in component order, and
-    whether a zero-weight segment is wider than the range; a
-    positive-weight one raises, as `segment_width` does."""
+        # an itemgetter of one index gives the item itself
+        get = itemgetter(*order) if len(order) > 1 else lambda column: (column[0],)
+        keys, masses = get(lows), get(weights)
+        levels = list(accumulate(masses))
+        zeros = keys[bisect_left(keys, 0.0):bisect_right(keys, 0.0)] if keys[0] <= 0.0 <= keys[-1] else None
+        zero = max(zeros, key=partial(math.copysign, 1.0)) if zeros else 0.0
+        return keys, masses, levels, 4.0 * len(keys) * EPS * levels[-1], zero
     events = []
-    wide = False
     for w, lo, hi in zip(*cols):
-        if w <= 0.0:
-            wide = wide or hi - lo == math.inf
-        elif lo == hi:
+        if w > 0.0 and lo == hi:
             events.append((lo, w, 0.0))
-        else:
-            rate = w / (hi - lo if hi - lo < math.inf else segment_width(lo, hi))
-            events.append((lo, 0.0, rate))
-            events.append((hi, 0.0, -rate))
-    return events, wide
-
-
-def _locate(alpha: float, cols: Columns) -> Optional[Tuple[float, float, List[Tuple[float, float, float]]]]:
-    """The first break y at which a running CDF over the events sorted by
-    value reaches alpha, the break below it (-inf for the first) and the
-    sorted events; None past every break and for a law with a
-    zero-weight segment wider than the range.
-
-    The sum runs from the top, as the mass above each break, and stops
-    at the crossing, so the levels of the tail read few events.  It only
-    locates, so its rounding does not matter: `_quantile_pass` checks y
-    on the CDF itself.  Equal values keep their build order, which the
-    sign of a zero break needs.
-    """
-    events, wide = _events(cols)
-    if wide:
-        return None
+        elif w > 0.0:
+            rate = w / (hi - lo)
+            if not rate and alpha:
+                segment_width(lo, hi)
+            events += ((lo, 0.0, rate), (hi, 0.0, -rate))
     events.sort(key=itemgetter(0))
+    return events
+
+
+def _atom_walk(alpha: float, masses: Sequence[float], k: int) -> int:
+    """The index of the first atom whose weight, with those before it,
+    reaches alpha, or the last, from a candidate k that the running sum
+    could not decide: it moves by the sign of the fsum of the weights
+    less alpha."""
+    while k + 1 < len(masses) and math.fsum(chain(masses[:k + 1], (-alpha,))) < 0.0:
+        k += 1
+    while k and math.fsum(chain(masses[:k], (-alpha,))) >= 0.0:
+        k -= 1
+    return k
+
+
+def _segment_quantile(
+    alpha: float, cols: Columns, events: List[Tuple[float, float, float]], tails: bool
+) -> Tuple[float, Optional[Tail]]:
+    """The lower quantile of a law with segments, with its tail where
+    tails is set.  A running CDF locates a candidate break y and the
+    break below it, prev (`_locate`); y steps up while CDF(y) falls
+    short of alpha and down while CDF(prev) reaches it, each decided
+    exactly (`_gaps`).  Where Pr(Y < y) also reaches alpha, the CDF
+    rises linearly from prev to y, which only segments bring about, and
+    the quantile v is found on that rise by the share of it that alpha
+    takes: on halves where the slope is subnormal, so a gap past the
+    floating range stays finite.  The tail above v is then the one above
+    y, the atoms at y and that rise past alpha, Pr(v < Y < y), whose
+    mean is the midpoint of v and y.  A zero break is +0.0 where some
+    event there is, -0.0 where all are.
+    """
+    y, prev = _locate(alpha, cols, events) if alpha else (events[0][0], -math.inf)
+    low, left, reach, at_y, above = _gaps(alpha, cols, prev, y, tails)
+    while reach < 0.0 and y < events[-1][0] or low >= 0.0 and prev > -math.inf:
+        if reach < 0.0 and y < events[-1][0]:
+            y, prev = min(e[0] for e in events if e[0] > y), y
+        else:
+            y, prev = prev, max((e[0] for e in events if e[0] < prev), default=-math.inf)
+        low, left, reach, at_y, above = _gaps(alpha, cols, prev, y, tails)
+    if prev == -math.inf or left < 0.0:
+        v = y or max((e[0] for e in events if e[0] == 0.0), key=partial(math.copysign, 1.0))
+    elif (left - low) / (y - prev) >= sys.float_info.min:
+        v = prev - low / ((left - low) / (y - prev))
+    else:
+        v = 2.0 * (0.5 * prev - low / (left - low) * (0.5 * y - 0.5 * prev))
+    if not tails:
+        return v, None
+    masses, parts, across = above
+    for w, lo, hi in across:
+        if hi > v:  # a segment's share above v and its mean
+            q = w * (hi - v) / (hi - lo)
+            masses.append(min(q, w))
+            parts.append(q * midpoint(v, hi))
+    if v < y:
+        masses += at_y
+        parts += [w * y for w in at_y]
+    return v, (math.fsum(masses), checked_fsum(parts, "tail expectation"))
+
+
+def _locate(alpha: float, cols: Columns, events: List[Tuple[float, float, float]]) -> Tuple[float, float]:
+    """The first break y at which a running CDF over the sorted events
+    reaches alpha, the greatest where none does, and the break below it
+    (-inf for the least).  The sum runs from the top, as the mass above
+    each break, and stops at the crossing, so the levels of the tail
+    read few events; it only locates, so its rounding does not matter:
+    `_segment_quantile` decides on the CDF itself."""
     above = pending = slope = 0.0  # the mass above b, the atom mass at b
-    short = sum(cols[0]) - alpha  # the CDF at b falls short of alpha where above > short
-    b, higher = events[-1][0], None
+    short = sum(cols[0]) - alpha  # the CDF at y falls short of alpha where above > short
+    b = events[-1][0]
     for y, mass, rate in chain(reversed(events), [(-math.inf, 0.0, 0.0)]):
         if y != b:
-            if above > short:
-                return None if higher is None else (higher, b, events)
             above += pending + slope * (b - y)
-            pending, higher = 0.0, b
+            if above > short or y == -math.inf:
+                return b, y
+            pending = 0.0
         b = y
         pending += mass
         slope -= rate
-    return higher, b, events
+    return b, -math.inf
 
 
-def _quantile_walk(alpha: float, cols: Columns) -> float:
-    """The lower quantile on columns, any law, where `_quantile_pass`
-    cannot decide.
+def _gaps(alpha: float, cols: Columns, prev: float, y: float, tails: bool) -> Tuple[Any, ...]:
+    """For adjacent breaks prev < y, in one pass: CDF(prev), Pr(Y < y)
+    and CDF(y), each less alpha, with the signs of the exact
+    differences; the weights of the atoms at y; and, where tails is set,
+    the masses above y and their parts of E[Y; Y > y].  Each difference
+    is the fsum of its terms or, where a segment's rounded share (off by
+    4 units in the last place at most, and by 2**-1074 more in the
+    subnormal range) could flip a sign, taken in `Fraction`s
+    (`_exact_gap`)."""
+    below, at_prev, at, at_y, above, parts, across = [-alpha], [], [], [], [], [], []
+    for w, lo, hi in zip(*cols):
+        if hi <= prev:
+            below.append(w)
+        elif lo == hi:
+            if lo == y:
+                at_y.append(w)
+            elif tails:
+                above.append(w)
+                parts.append(w * lo)
+        elif w > 0.0:
+            if lo < y:
+                at.append(w if hi <= y else w * ((y - lo) / (hi - lo)))
+                if lo < prev:
+                    at_prev.append(w * ((prev - lo) / (hi - lo)))
+                if tails:
+                    across.append((w, lo, hi))
+            elif tails:
+                above.append(w)
+                parts.append(w * midpoint(lo, hi))
+    low, left = math.fsum(below + at_prev), math.fsum(below + at)
+    reach = math.fsum(below + at + at_y) if at_y else left
+    bound = 1e-15 * (left + alpha) + 1e-300  # past 4 eps times the shares, and their subnormal dust
+    if abs(low) <= bound or abs(left) <= bound or abs(reach) <= bound:
+        low, left, reach = (_exact_gap(alpha, cols, t, strict) for t, strict in ((prev, False), (y, True), (y, False)))
+    return low, left, reach, at_y, (above, parts, across)
 
-    The CDF is piecewise linear with jumps only at atoms.  The
-    breakpoints (atom values, segment ends) are sorted once, and a running
-    CDF with its slope locates the first breakpoint whose CDF reaches
-    alpha.  The decision there is then made on ``column_cdf`` and
-    ``column_atom_mass_at`` themselves, walking to a neighbour while they
-    disagree with the running sum, and a crossing inside a segment is
-    inverted linearly.  The running sum only locates the crossing, so the
-    result does not depend on its rounding; the cost is O(n log n) in the
-    component count.
-    """
-    if alpha == 0.0:
-        return column_inf(cols)
-    events, _ = _events(cols)
-    events.sort()
-    breaks = [events[0][0]]
-    levels: List[float] = []  # running CDF at each breakpoint
-    level = slope = 0.0
-    active = 0
-    for y, mass, rate in events:
-        if y != breaks[-1]:
-            levels.append(level)
-            level += slope * (y - breaks[-1])
-            breaks.append(y)
-        level += mass
-        if rate:
-            slope += rate
-            active += 1 if rate > 0.0 else -1
-            if not active:
-                slope = 0.0  # no segment open: drop the rounding residue
-    levels.append(level)
-    k = min(bisect_left(levels, alpha), len(breaks) - 1)
-    cdf_at = column_cdf(cols, breaks[k])
-    cdf_prev = None
-    while cdf_at < alpha:  # the running sum crossed too early
-        k += 1
-        if k == len(breaks):
-            # alpha exceeded every accumulated mass (only possible through
-            # float dust in the weights); the top of the support is the
-            # right answer
-            return column_sup(cols)
-        cdf_prev, cdf_at = cdf_at, column_cdf(cols, breaks[k])
-    while cdf_prev is None and k > 0:  # the running sum crossed too late
-        below = column_cdf(cols, breaks[k - 1])
-        if below < alpha:
-            cdf_prev = below
-        else:
-            k, cdf_at = k - 1, below
-    if k == 0:
-        return breaks[0]
-    y, prev = breaks[k], breaks[k - 1]
-    cdf_left = cdf_at - column_atom_mass_at(cols, y)  # Pr(Y < y)
-    if cdf_left >= alpha:
-        # the CDF is linear on (prev, y); invert it there
-        slope = (cdf_left - cdf_prev) / (y - prev)
-        if slope >= sys.float_info.min:
-            return prev + (alpha - cdf_prev) / slope
-        # a subnormal or zero slope: move by the share of the rise, on
-        # halves, so a gap past the floating range stays finite
-        return 2.0 * (0.5 * prev + (alpha - cdf_prev) / (cdf_left - cdf_prev) * (0.5 * y - 0.5 * prev))
-    return y
+
+def _exact_gap(alpha: float, cols: Columns, t: float, strict: bool) -> float:
+    """Pr(Y <= t), or Pr(Y < t) where strict, less alpha, in `Fraction`s,
+    rounded to a float of its sign; a segment wider than the range across
+    t raises, as `segment_width` does."""
+    exact = -Fraction(alpha)
+    for w, lo, hi in zip(*cols):
+        if hi < t or hi == t and not (strict and lo == hi):
+            exact += Fraction(w)
+        elif lo < t < hi and w > 0.0:
+            exact += Fraction(w) * (Fraction(t) - Fraction(lo)) / Fraction(segment_width(lo, hi))
+    return float(exact) or math.copysign(5e-324, exact) if exact else 0.0
 
 
 def cte(alpha: float, dist: MixedDistribution) -> float:
@@ -634,58 +589,51 @@ def cte(alpha: float, dist: MixedDistribution) -> float:
 
 
 def _cte(alpha: float, cols: Columns) -> float:
-    v, tail = _quantile_pass(alpha, cols) or (_quantile_walk(alpha, cols), None)
-    tail_p, tail_parts = tail or _scan(cols, v, -math.inf)[3]
-    if tail_p <= 0.0:
-        return v
-    value = (checked_fsum(tail_parts, "tail expectation") + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
-    # the exact value lies at or below the top of the law, so a division that
-    # overflows gives that top
-    return value if value < math.inf else column_sup(cols)
+    return _ctes((alpha,), cols)[0]
+
+
+def _ctes(alphas: Sequence[float], cols: Columns) -> List[float]:
+    """The tail expectation on columns at each checked level, the law read
+    once: (E[Y; Y > v] + (1 - alpha - Pr(Y > v)) v) / (1 - alpha) at the
+    lower quantile v, or v where no mass lies above it.  The exact value
+    lies between v and the top break, so a rounded one is kept there,
+    and a division that overflows gives the top.  On a law of atoms the
+    tail is the fsum of the weights and of the parts of the atoms past
+    v, summed when a level first ends at v, so a tail sum that overflows
+    raises at the first level that reads it; on any other law it comes
+    with the quantile (`_segment_quantile`).
+    """
+    breaks = _breaks(cols, max(alphas))
+    atoms = cols[1] is cols[2]
+    if atoms:
+        keys, masses, levels, bound, zero = breaks
+        last = len(keys) - 1
+    top = breaks[0][-1] if atoms else breaks[-1][0]
+    tails: Dict[int, Tail] = {}
+    out = []
+    for alpha in alphas:
+        if not atoms:
+            v, (tail_p, tail_sum) = _segment_quantile(alpha, cols, breaks, True)
+        else:
+            k = bisect_left(levels, alpha, 0, last)
+            if not (levels[k] - alpha > bound and (not k or alpha - levels[k - 1] > bound)):
+                k = _atom_walk(alpha, masses, k)
+            v = keys[k] or zero
+            if k not in tails:
+                j = bisect_right(keys, v)
+                tails[k] = math.fsum(masses[j:]), checked_fsum(map(mul, masses[j:], keys[j:]), "tail expectation")
+            tail_p, tail_sum = tails[k]
+        value = (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
+        out.append(v if tail_p <= 0.0 else value if v <= value <= top else v if value < v else top)
+    return out
 
 
 def _cte_levels(alphas: Sequence[float], weights: Sequence[float], values: Sequence[float]) -> List[float]:
-    """``[_on_atoms(_kernel(Cte(a)), weights, values) for a in alphas]``
-    for one or more checked levels, with the same bits and the same error
-    at the same first level, the law's breakpoint statistics read once.
-
-    `_value_at_risk` ends its walk at the first break whose CDF, as
-    ``column_cdf`` takes it in component order, reaches the level.  Those
-    CDFs never decrease (the weights are nonnegative and rounding is
-    monotone), so a bisection finds that break.  A level whose walk ends
-    in the linear inversion or past every break, which only float dust in
-    the weights allows on atoms, is handed to `_cte`.  One `_scan` per
-    break gives its CDF, its atom mass and its tail; the tail parts are
-    summed when a level first ends there, so a tail sum that overflows
-    where no level ends raises nothing.  The scans cost O(n²) in the
-    atom count: this is for laws of few atoms read at many levels.
-    """
+    """``[_on_atoms(_kernel(Cte(a)), weights, values) for a in alphas]``:
+    `_ctes` on the atoms, checked as `_on_atoms` checks them, one atom
+    giving itself at every level; for the fig1 sweep."""
     _check_atoms(values)
-    if len(values) == 1:
-        return [values[0]] * len(alphas)
-    cols = (weights, values, values)
-    breaks: List[float] = []  # as `_value_at_risk` sorts and keeps them
-    for y, _ in sorted((v, w) for w, v in zip(weights, values) if w > 0.0):
-        if not breaks or y != breaks[-1]:
-            breaks.append(y)
-    scans = [_scan(cols, y, -math.inf) for y in breaks]
-    cdfs = [cdf for cdf, _, _, _ in scans]
-    lefts = [cdf - math.fsum(at_y) for cdf, _, at_y, _ in scans]  # Pr(Y < y)
-    tail_sums: Dict[int, float] = {}
-    out = []
-    for alpha in alphas:
-        k = bisect_left(cdfs, alpha)
-        if k == len(breaks) or (k and lefts[k] >= alpha):
-            out.append(_cte(alpha, cols))
-            continue
-        tail_p, tail_parts = scans[k][3]
-        if k not in tail_sums:
-            tail_sums[k] = checked_fsum(tail_parts, "tail expectation")
-        tail_sum = tail_sums[k]
-        v = column_inf(cols) if alpha == 0.0 else breaks[k]  # the sign of a zero, as `_value_at_risk` gives it
-        value = (tail_sum + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
-        out.append(v if tail_p <= 0.0 else value if value < math.inf else column_sup(cols))
-    return out
+    return [values[0]] * len(alphas) if len(values) == 1 else _ctes(alphas, (weights, values, values))
 
 
 def evaluate(rf: RiskFunctional, dist: MixedDistribution) -> float:

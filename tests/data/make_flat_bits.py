@@ -10,10 +10,10 @@ and 0.75 land on atoms.  Some edges and cost components carry the tiny
 weight 1e-170; a path that takes two of them has probability zero, so
 the laws hold zero-weight components.  Every path carries at most one
 segment-valued cost, and two trees have a single path.  Values are
-recorded with float.hex.  The committed file was written before the
-flat law was built as columns, and its recursion values before each
-node's one-step law was compiled into the tree's plan; test_tree checks
-that the library still reproduces it bit for bit.
+recorded with float.hex.  The committed file was last written when
+the lower quantile came to be decided on the exact CDF, with tail
+masses taken by fsum; test_tree checks that the library still
+reproduces it bit for bit.
 """
 import json
 import random

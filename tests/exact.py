@@ -35,6 +35,11 @@ def _cdf(law: Law, y: Fraction, strict: bool = False) -> Fraction:
     return total
 
 
+def cdf(t: Fraction, comps: Sequence[Tuple[float, float, float]], strict: bool = False) -> Fraction:
+    """Pr(Y <= t), or Pr(Y < t) where strict, at a rational t."""
+    return _cdf(_exact(comps), Fraction(t), strict)
+
+
 def quantile(alpha: float, comps: Sequence[Tuple[float, float, float]]) -> Fraction:
     """The lower quantile min{y : CDF(y) >= alpha}; at alpha = 0 the least
     break, and where alpha passes the total weight the greatest."""

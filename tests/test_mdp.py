@@ -366,25 +366,25 @@ def test_solver_reproduces_the_pinned_bits():
             assert [[n, s, v.hex()] for (n, s), v in pinned.items()] == want["last_action_values"], label
 
 
-def test_tail_solves_of_a_tie_free_model_scan_no_cdf(monkeypatch):
+def test_tail_solves_of_a_tie_free_model_take_no_exact_walk(monkeypatch):
     """Every cell law is a law of atoms, and without ties or float dust
-    each takes the one-sort atoms route of the quantile kernel: no
-    `column_cdf` scan.  A level past every break of a law whose weights
-    sum a little below one, which the walk decides, does scan, which
-    shows the count is taken."""
-    scans = []
-    scan = measures.column_cdf
-    monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
+    each is decided on the running sum of its sorted weights: no exact
+    walk (`_atom_walk`).  A level past every break of a law of atoms whose
+    weights sum a little below one, which the running sum cannot decide,
+    does walk, which shows the count is taken."""
+    walks = []
+    walk = measures._atom_walk
+    monkeypatch.setattr(measures, "_atom_walk", lambda *args: walks.append(args) or walk(*args))
     mdp = random_mdp(random.Random(3), 0.9, max_horizon=4, max_states=4)
     assert any(len(mdp.transitions[key]) > 1 for key in mdp.transitions)
     for rf in (Cte(0.9), ValueAtRisk(0.9)):
         solve_dp(mdp, IrmSpec.repeat(rf, mdp.horizon))
-        assert scans == [], rf
+        assert walks == [], rf
     law = measures.MixedDistribution.from_json_dict(
-        {"components": [{"w": 0.5, "point": 1.0}, {"w": 0.4999999999995, "uniform": [1.0, 2.0]}]}
+        {"components": [{"w": 0.5, "point": 1.0}, {"w": 0.4999999999995, "point": 2.0}]}
     )
     assert measures.value_at_risk(0.9999999999999, law) == 2.0
-    assert scans
+    assert walks
 
 
 def _reference_induction(mdp, spec, policy=None):

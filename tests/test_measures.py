@@ -7,10 +7,13 @@ import itertools
 import json
 import math
 import random
+import sys
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskdp import (
@@ -59,7 +62,7 @@ from riskdp import (
     value_at_risk,
 )
 from riskdp import measures
-from riskdp.distributions import column_sup, column_tail_mass, column_tail_sum
+from riskdp.distributions import column_cdf
 from riskdp.measures import _cte_levels, _kernel, _on_atoms
 from riskdp.properties import _random_mixed
 
@@ -271,10 +274,16 @@ def test_value_at_risk_matches_a_sorted_cumulative_quantile_on_tied_laws():
         for a in (levels if dyadic else [0.0]) + randoms:
             assert_close(value_at_risk(a, d), _sorted_cumulative_quantile(a, d)[0], rel=1e-12)
             checked += 1
+        comps = list(zip(*d.columns()))
         for w, o in d.components:
-            # the CDF's own level at an atom is first reached at that atom
+            # the CDF's own level at an atom is first reached at that atom;
+            # a rounded CDF above the exact one is reached past it
             if w > 0.0 and isinstance(o, PointMass) and d.cdf(o.value) < 1.0:
-                assert value_at_risk(d.cdf(o.value), d) == o.value
+                got, want = value_at_risk(d.cdf(o.value), d), exact.quantile(d.cdf(o.value), comps)
+                if want == o.value:
+                    assert got == o.value
+                else:
+                    assert_close(got, float(want), rel=1e-12)
     assert checked > 3000
 
 
@@ -324,18 +333,12 @@ def test_cte_levels_gives_the_bits_of_the_kernel_at_every_level(case):
     assert got == [x.hex() for x in _cte_per_level(alphas, weights, values)]
 
 
-# The quantile decision sums the CDF in component order, so a law's value
-# can depend on the order of its components (ROADMAP items 8 and 11); these
-# pins fail until the decision is exact, and strict makes a pass show.
-LAW_INVARIANCE_BROKEN = pytest.mark.xfail(strict=True, reason="the quantile decision sums the CDF in component order")
-
-
 # the tie of ROADMAP item 8: summed in the first order, the CDF at 4.0
 # reaches 0.45; exactly, it falls short by 1.39e-17, so 5.0 is the quantile
 TIE_ATOMS = [(0.1, 1.0), (0.3, 2.0), (0.05, 4.0), (0.25, 5.0), (0.30000000000000004, 6.0)]
+TIE_COMPS = [(w, v, v) for w, v in TIE_ATOMS]
 
 
-@LAW_INVARIANCE_BROKEN
 def test_a_tied_quantile_is_the_exact_one_in_every_order():
     assert exact.quantile(0.45, [(w, v, v) for w, v in TIE_ATOMS]) == 5
     for atoms in (TIE_ATOMS, [TIE_ATOMS[i] for i in (1, 2, 4, 0, 3)]):
@@ -378,8 +381,8 @@ def _permutation_functionals(*orders):
     return out
 
 
-@LAW_INVARIANCE_BROKEN
 @given(_laws_and_a_permutation())
+@example((TIE_COMPS, [TIE_COMPS[i] for i in (1, 2, 4, 0, 3)]))
 @settings(max_examples=200, deadline=None)
 def test_every_functional_depends_only_on_the_law(case):
     """`evaluate` gives a law the same bits, the sign of a zero included,
@@ -405,8 +408,8 @@ def _permuted_children(node, rng):
         _permuted_children(edge["node"], rng)
 
 
-@LAW_INVARIANCE_BROKEN
 @given(st.integers(0, 2**32 - 1))
+@example(3)  # a seed whose tree and MDP a component-order decision splits
 @settings(max_examples=100, deadline=None)
 def test_the_recursion_and_the_solver_depend_only_on_the_laws(seed):
     """`irm_root_value` gives a random tree the same bits with the edges
@@ -437,21 +440,56 @@ def test_the_recursion_and_the_solver_depend_only_on_the_laws(seed):
         assert policy == other_policy, rf
 
 
-def test_cte_levels_follows_the_walk_where_float_dust_ends_it(monkeypatch):
-    """Float dust in the weights sends `_value_at_risk` at 2/3 to its
-    linear inversion, and near 1 past every break to `column_sup`, which
-    keeps the sign of its zero; `_cte_levels` leaves both to `_cte`."""
-    linear = ([1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0], [0.5, 2 / 3, 0.9])
-    past = ([0.25, 0.5 - 2.0**-40, 0.25], [-1.0, 0.0, -0.0], [0.5, 1.0 - 2.0**-53])
-    wants = [[x.hex() for x in _cte_per_level(alphas, w, v)] for w, v, alphas in (linear, past)]
-    # the sort puts -0.0 first among the top values; column_sup keeps 0.0
-    assert wants[1] == ["-0x0.0p+0", "0x0.0p+0"]
-    handed = []
-    kernel = measures._cte
-    monkeypatch.setattr(measures, "_cte", lambda alpha, cols: handed.append(alpha) or kernel(alpha, cols))
-    for (w, v, alphas), want in zip((linear, past), wants):
-        assert [x.hex() for x in _cte_levels(alphas, w, v)] == want
-    assert handed == [2 / 3, 1.0 - 2.0**-53]
+# laws whose weights carry float dust: at 2/3 the CDF of `linear` summed in
+# any order reaches the level at 1.0, where exactly it falls short until the
+# segment-free rise ends; near 1 `past` reaches the level only past every
+# break; and at its second level the CDF of `early` summed in component order
+# reaches the level at -1.0, where exactly it does so only at 2.0
+DUST_LAWS = [
+    ([1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0], [0.5, 2 / 3, 0.9]),
+    ([0.25, 0.5 - 2.0**-40, 0.25], [-1.0, 0.0, -0.0], [0.5, 1.0 - 2.0**-53]),
+    (
+        [0.17793427210397902, 0.1344832459520809, 0.0, 0.3710668226529772, 0.10298105178064217, 0.21353460751112083],
+        [-3.0, -2.0, -3.0, -1.0, -2.0, 2.0],
+        [0.5, 0.7864653924896793],
+    ),
+]
+
+
+def test_float_dust_levels_take_the_exact_quantile():
+    """On the dust laws, the quantile of a law of atoms is the oracle's to
+    the bit, by the atoms route and the general route alike, and a zero
+    quantile is +0.0 where some atom there is; the tail expectation is
+    the oracle's within `CTE_ULPS`, and `_cte_levels` gives the kernel's
+    bits at every level."""
+    for weights, values, alphas in DUST_LAWS:
+        atoms, general = (weights, values, values), (weights, values, list(values))
+        comps = list(zip(*atoms))
+        for alpha in alphas:
+            want = exact.quantile(alpha, comps)
+            for cols in (atoms, general):
+                assert measures._value_at_risk(alpha, cols) == want, alpha
+                assert _outcome(measures._cte, alpha, cols) == _outcome(measures._cte, alpha, atoms)
+            _assert_cte_near(measures._cte(alpha, atoms), alpha, comps)
+        got = [x.hex() for x in _cte_levels(alphas, weights, values)]
+        assert got == [x.hex() for x in _cte_per_level(alphas, weights, values)]
+    assert [measures._value_at_risk(a, (DUST_LAWS[1][0], DUST_LAWS[1][1], DUST_LAWS[1][1])).hex() for a in DUST_LAWS[1][2]] == [
+        "0x0.0p+0"
+    ] * 2
+    weights, values, (_, level) = DUST_LAWS[2]
+    assert measures._value_at_risk(level, (weights, values, values)) == 2.0
+
+
+# the tail expectation is within this many units of eps * max|x| / (1 - alpha)
+# of the oracle's: 0.89 was the worst measured on 1,800 random laws with
+# segments, and 0.5 on the atom laws of `_atom_laws_to_the_float_limit`
+CTE_ULPS = 4.0
+
+
+def _assert_cte_near(got, alpha, comps):
+    scale = max(1.0, *(abs(x) for _, lo, hi in comps for x in (lo, hi)))
+    err = abs(Fraction(got) - exact.tail_expectation(alpha, comps))
+    assert err <= Fraction(CTE_ULPS * sys.float_info.epsilon) * Fraction(scale) / (1 - Fraction(alpha)), (alpha, got)
 
 
 def test_cte_levels_raises_at_the_first_level_whose_tail_sum_overflows():
@@ -472,18 +510,24 @@ def test_cte_levels_of_one_atom_is_the_constant():
         _cte_levels([0.5], [1.0], [math.inf])
 
 
-def test_the_preference_sweep_takes_one_pass_per_break(monkeypatch):
-    """`_cte_levels` reads each break's CDF, atom mass and tail from one
-    `_scan`: the 100 x 100 preference sweep makes no `column_cdf` scan,
-    and one `_scan` at each of the two breaks of each of its 100 root
-    laws."""
-    cdfs, scans = [], []
-    cdf, scan = measures.column_cdf, measures._scan
-    monkeypatch.setattr(measures, "column_cdf", lambda *args: cdfs.append(args) or cdf(*args))
-    monkeypatch.setattr(measures, "_scan", lambda *args: scans.append(args) or scan(*args))
+def test_the_preference_sweep_reads_each_root_law_once(monkeypatch):
+    """`_cte_levels` reads each root law of the 100 x 100 preference sweep
+    once (`_breaks`) and sums each tail once per break that its levels
+    end at: one read for each of the 100 root laws, and one or two tail
+    sums for each.  Every level of the sweep clears the running sum of
+    the weights, so none takes the exact walk (`_atom_walk`)."""
+    reads, sums, walks = [], [], []
+    for name, seen in (("_breaks", reads), ("checked_fsum", sums), ("_atom_walk", walks)):
+        monkeypatch.setattr(measures, name, partial(_spy, getattr(measures, name), seen))
     casebook.preference_region(100, 100)
-    assert cdfs == []
-    assert len(scans) == 200
+    assert len(reads) == 100
+    assert 100 <= sum(what == "tail expectation" for _, what in sums) <= 200
+    assert walks == []
+
+
+def _spy(kernel, seen, *args, **kwargs):
+    seen.append(args)
+    return kernel(*args, **kwargs)
 
 
 def _outcome(kernel, *args):
@@ -549,48 +593,6 @@ def test_zero_weight_atoms_change_no_entropic_bits(case):
     assert _outcome(measures._erm, gamma, (padded_weights, padded_values, padded_values)) == want
 
 
-def test_the_atoms_route_leaves_float_dust_to_the_walk(monkeypatch):
-    """The dust laws of `test_cte_levels_follows_the_walk_where_float_dust_ends_it`:
-    at 2/3 the walk ends in its linear inversion, and near 1 past every
-    break.  In a third, the CDF summed in component order reaches the
-    level at -1.0, and summed in sorted order only at 2.0.  The atoms
-    route declines those levels, and only those, and the walk gives the
-    bits of the general route."""
-    linear = ([1 / 6, 1 / 6, 1 / 6, 0.4999999999999999], [0.0, 1.0, 2.0, 0.0], [0.5, 2 / 3, 0.9])
-    past = ([0.25, 0.5 - 2.0**-40, 0.25], [-1.0, 0.0, -0.0], [0.5, 1.0 - 2.0**-53])
-    early = (
-        [0.17793427210397902, 0.1344832459520809, 0.0, 0.3710668226529772, 0.10298105178064217, 0.21353460751112083],
-        [-3.0, -2.0, -3.0, -1.0, -2.0, 2.0],
-        [0.5, 0.7864653924896793],
-    )
-    walked = []
-    walk = measures._quantile_walk
-    monkeypatch.setattr(
-        measures, "_quantile_walk", lambda alpha, cols: walked.append((alpha, cols[1] is cols[2])) or walk(alpha, cols)
-    )
-    for weights, values, alphas in (linear, past, early):
-        for alpha in alphas:
-            for kernel in (measures._value_at_risk, measures._cte):
-                assert _outcome(kernel, alpha, (weights, values, values)) == _outcome(
-                    kernel, alpha, (weights, values, list(values))
-                )
-    declined = [2 / 3, 1.0 - 2.0**-53, 0.7864653924896793]
-    assert [alpha for alpha, atoms in walked if atoms] == [a for a in declined for _ in range(2)]
-    weights, values, (_, level) = early
-    assert measures._value_at_risk(level, (weights, values, values)) == -1.0
-
-
-def _walk_cte(alpha, cols):
-    """`_cte` as the walk and the two tail scans take it, a division that
-    overflows giving the top of the law."""
-    v = measures._quantile_walk(alpha, cols)
-    tail_p = column_tail_mass(cols, v)
-    if tail_p <= 0.0:
-        return v
-    value = (column_tail_sum(cols, v) + (1.0 - tail_p - alpha) * v) / (1.0 - alpha)
-    return value if value < math.inf else column_sup(cols)
-
-
 @st.composite
 def _segment_laws_and_levels(draw):
     """The columns of a `random_tied_law`, so segments start and end on
@@ -618,7 +620,7 @@ def _segment_laws_and_levels(draw):
     levels = [0.0, *itertools.accumulate(weights), *draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))]
     for y in lows + highs:
         try:
-            cdf = measures.column_cdf(cols, y)
+            cdf = column_cdf(cols, y)
         except EvaluationOverflowError:  # a segment wider than the range lies across y
             continue
         levels += [math.nextafter(cdf, 0.0), cdf, math.nextafter(cdf, 1.0)]
@@ -627,31 +629,46 @@ def _segment_laws_and_levels(draw):
 
 @given(_segment_laws_and_levels())
 @settings(max_examples=300, deadline=None)
-def test_the_quantile_kernels_give_the_bits_and_errors_of_the_walk_and_the_tail_scans(case):
-    """On laws with segments, `_value_at_risk` gives the bits, the sign
-    of a zero included, or the error of `_quantile_walk`, and `_cte` those
-    of the walk followed by the ``column_tail_mass`` and
-    ``column_tail_sum`` scans."""
+def test_the_quantile_kernels_are_the_oracle_within_bounds_on_laws_with_segments(case):
+    """On laws with segments, the exact CDF reaches the level within 2
+    eps at most two ulps above `_value_at_risk`, and falls short of it
+    within 2 eps two ulps below (0.69 eps was the worst measured); `_cte`
+    is the oracle's within `CTE_ULPS`.  The one error of either is a
+    positive-weight segment wider than the range at a level above 0, and
+    `_cte` may also find its tail sum past the floating range."""
     cols, levels = case
+    comps = list(zip(*cols))
+    wide = any(w > 0.0 and hi - lo == math.inf for w, lo, hi in comps)
     for alpha in levels:
-        assert _outcome(measures._value_at_risk, alpha, cols) == _outcome(measures._quantile_walk, alpha, cols), alpha
-        assert _outcome(measures._cte, alpha, cols) == _outcome(_walk_cte, alpha, cols), alpha
+        try:
+            v = measures._value_at_risk(alpha, cols)
+        except EvaluationOverflowError as e:
+            assert wide and alpha > 0.0 and str(e).endswith("is wider than the floating range"), alpha
+            continue
+        slack, a = Fraction(math.ulp(v)) * 2, Fraction(alpha)
+        assert exact.cdf(Fraction(v) + slack, comps) >= a - 2 * Fraction(sys.float_info.epsilon), alpha
+        assert exact.cdf(Fraction(v) - slack, comps, strict=True) <= a + 2 * Fraction(sys.float_info.epsilon), alpha
+        try:
+            c = measures._cte(alpha, cols)
+        except EvaluationOverflowError as e:
+            assert str(e) == "tail expectation overflowed the floating range", alpha
+            continue
+        _assert_cte_near(c, alpha, comps)
 
 
 def test_a_law_of_atoms_takes_the_atoms_route_however_it_is_built(monkeypatch, tmp_path):
     """Every builder of a law of atoms (the constructor, `of_atoms`, `mix`,
     the JSON reader, `affine_transform`, `merge_atoms` and the flat law of
     a tree) keeps one list as its lows and its highs, so the quantile and
-    tail-expectation kernels reach it by the one-sort atoms route, through
-    `value_at_risk`, `cte`, `evaluate`, `rmd` and `riskdp eval`: no
-    `column_cdf` scan."""
-    scans = []
-    scan = measures.column_cdf
-    monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
+    tail-expectation kernels read it as a law of atoms, through
+    `value_at_risk`, `cte`, `evaluate`, `rmd` and `riskdp eval`: every
+    read (`_breaks`) gets columns whose lows are their highs."""
+    reads = []
+    monkeypatch.setattr(measures, "_breaks", partial(_spy, measures._breaks, reads))
     pairs = [(0.25, 3.0), (0.5, -1.0), (0.25, 2.0)]
     law = MixedDistribution.of_atoms(pairs)
     assert value_at_risk(0.9, law) == 3.0
-    assert scans == []
+    assert len(reads) == 1
     tree = casebook.installment_tree()
     laws = [
         law,
@@ -674,17 +691,16 @@ def test_a_law_of_atoms_takes_the_atoms_route_however_it_is_built(monkeypatch, t
     path = tmp_path / "atoms.json"
     path.write_text(json.dumps(law.to_json_dict()))
     assert run_cli(["eval", str(path), "--cte", "0.9"]).exit_code == 0
-    assert scans == []
+    assert len(reads) > 30 and all(cols[1] is cols[2] for cols, _ in reads)
 
 
-def test_flat_laws_with_segments_take_the_one_pass_route(monkeypatch):
+def test_flat_laws_with_segments_are_decided_in_floats(monkeypatch):
     """The flat law of every tree in data/flat_bits.json whose law has a
     segment gives its quantile and tail expectation at 0.6 and 0.9, and
-    their composite, by the one sort and one pass of the kernels: no
-    `column_cdf` scan."""
+    their composite, deciding each level by the fsums of its CDFs: no
+    `_exact_gap` in `Fraction`s."""
     scans = []
-    scan = measures.column_cdf
-    monkeypatch.setattr(measures, "column_cdf", lambda *args: scans.append(args) or scan(*args))
+    monkeypatch.setattr(measures, "_exact_gap", partial(_spy, measures._exact_gap, scans))
     cases = json.loads((Path(__file__).parent / "data" / "flat_bits.json").read_text())["cases"]
     laws = [discounted_total_distribution(tree_from_json_dict(case["tree"]), case["lambda"]) for case in cases]
     laws = [law for law in laws if law.columns()[1] != law.columns()[2]]

@@ -605,10 +605,9 @@ def test_below_its_root_the_installment_tree_has_one_scalar_edge_per_node():
 
 
 def test_preference_region_makes_no_single_level_tail_call(monkeypatch):
-    """The sweep reads every tail level from the root law's breakpoint
-    statistics; the recursion below the root needs no tail level, so on
-    atom laws that leave `_cte_levels` no float dust to hand off, the
-    single-level kernel is never called."""
+    """The sweep reads every tail level of a root law in one call of the
+    many-level kernel (`_cte_levels`); the recursion below the root needs
+    no tail level, so the single-level kernel is never called."""
     calls = []
     single = measures._cte
 
