@@ -1,7 +1,7 @@
 """Run one seeded corpus through riskdp at a base revision and in the
 working tree, each package in its own process, and compare every outcome.
 
-    python3 scripts/differential.py --base REV [--cases N] [--exact]
+    python3 scripts/differential.py --base REV [--cases N]
 
 `git archive REV` is unpacked into a temporary directory outside the
 repository.  The corpus is made once, from the suite's generators
@@ -20,9 +20,9 @@ on MDPs.  An outcome is each value's bits (`float.hex`, which keeps the
 sign of a zero), or the error's type and message.  Per entry it prints
 the outcome count, one SHA-256 digest of the outcome stream per side,
 and, where they differ, the number of differing outcomes and the first
-one with both sides' outcomes; with --exact, a differing
-`value_at_risk`, `cte` or `_cte_levels` law also shows the exact value
-at each level from the tests' oracle, tests/exact.py.  The exit status
+one with both sides' outcomes; a differing `value_at_risk`, `cte` or
+`_cte_levels` law also shows the exact value at each level from the
+tests' oracle, tests/exact.py.  The exit status
 is 1 when any entry differs, and 2 when a side fails or runs past
 SIDE_TIMEOUT_S.  Standard library only, besides what the suite's generators
 import.
@@ -426,7 +426,6 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision to compare the working tree with")
     parser.add_argument("--cases", type=int, default=100_000, help="corpus size (default 100000)")
-    parser.add_argument("--exact", action="store_true", help="print the exact quantiles and tail expectations of a differing law")
     args = parser.parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)  # the sides print between these lines
     start = time.perf_counter()
@@ -470,8 +469,7 @@ def main(argv: List[str]) -> int:
                 print(f" {name}:")
                 if not _finished([_side(src, "--show", str(corpus), entry, str(case))]):
                     return 2
-            if args.exact:
-                show_exact(str(corpus), entry, case)
+            show_exact(str(corpus), entry, case)
         print(f"{time.perf_counter() - start:.1f} s")
         return 1 if differs else 0
     finally:

@@ -22,20 +22,29 @@ is :func:`evaluate` on the law of its discounted total.  ``_on_atoms``
 is the door for the atoms of a one-step law that is never built: it
 checks that they are finite, as ``PointMass`` does.  The MDP solver and
 the tree recursion pick a kernel once per stage functional and hand it
-each cell or node law of atoms there.  On every law the quantile
-and tail-expectation kernels take one sort and one pass
-(``_quantile_pass``): a law of atoms sorts its atoms, any other law the
-breakpoints of its atoms and segments, and one pass in component order
-checks the candidate on the CDF itself.  They leave to the walk
-(``_quantile_walk``) only a level of 0, float dust, a subnormal slope
-and a zero-weight segment wider than the range, with the bits and errors
-of the walk either way.  A law of atoms comes as columns whose lows are
-its highs, and on it the entropic kernel takes gamma * v as each atom's
-log-moment; it leaves zero weights out only where some weight is not
-positive, which in an MDP cell none is.  ``_cte_levels`` reads a law of
-atoms at many tail levels: it takes one pass (``_scan``) per break of
-the law and gives each level the bits of the tail-expectation kernel,
-as the fig1 sweep needs at the installment tree's root.
+each cell or node law of atoms there.  A law of atoms comes as columns
+whose lows are their highs, and on it the entropic kernel takes gamma *
+v as each atom's log-moment; it leaves zero weights out only where some
+weight is not positive, which in an MDP cell none is.
+
+The lower quantile decides CDF(y) >= alpha exactly, so its value depends
+only on the law, never on the order of its components, and every law
+takes the same route (Shewchuk's adaptive design: a float filter, and
+exact arithmetic only where it cannot decide).  A law of atoms sorts its
+atoms once (`_breaks`); their running sum locates the first atom whose
+weights reach alpha and decides it where the sum clears alpha by more
+than its rounding bound, and otherwise the sign of an fsum does
+(`_atom_walk`).  A law with segments sorts its events; a running CDF
+from the top locates a candidate break (`_locate`), and one pass takes
+the CDF at it and at the break below as fsums of their terms
+(`_gaps`), in `Fraction`s where a rounded segment share could flip a
+sign (`_exact_gap`).  A crossing inside a segment's rise is inverted
+linearly.  A zero quantile is +0.0 where some break at zero is, and
+-0.0 where all are.  The tail expectation takes its tail mass and parts
+by fsum and keeps a rounded value between the quantile and the top of
+the law; one kernel, `_ctes`, reads a law once for any number of
+levels, as the fig1 sweep needs at the installment tree's root, and
+`_cte` is that kernel at one level.
 
 Each disutility is taken by one route too.  ``_disutility`` picks its
 kind once per call: the name its overflow messages use, and its value at
@@ -422,8 +431,9 @@ def _breaks(cols: Columns, alpha: float) -> Breaks:
     its last place, within the bound 4 n eps times the sum.  The zero of
     a law of atoms is +0.0 where some atom at zero is, as a sum of signed
     zeros is, and -0.0 where all are.  A positive-weight segment wider
-    than the range has no density to take and raises, unless alpha is
-    0, whose quantile is the least break.
+    than the range has no density to take and raises, the least such
+    segment whatever the order of the components, unless alpha is 0,
+    whose quantile is the least break.
     """
     weights, lows, highs = cols
     if lows is highs:
@@ -443,8 +453,9 @@ def _breaks(cols: Columns, alpha: float) -> Breaks:
             events.append((lo, w, 0.0))
         elif w > 0.0:
             rate = w / (hi - lo)
-            if not rate and alpha:
-                segment_width(lo, hi)
+            if not rate and alpha:  # the least segment wider than the range raises
+                wide = ((x, z) for v, x, z in zip(*cols) if v > 0.0 and z - x == math.inf)
+                segment_width(*min(wide, default=(lo, hi)))
             events += ((lo, 0.0, rate), (hi, 0.0, -rate))
     events.sort(key=itemgetter(0))
     return events

@@ -43,20 +43,27 @@ def cdf(t: Fraction, comps: Sequence[Tuple[float, float, float]], strict: bool =
 def quantile(alpha: float, comps: Sequence[Tuple[float, float, float]]) -> Fraction:
     """The lower quantile min{y : CDF(y) >= alpha}; at alpha = 0 the least
     break, and where alpha passes the total weight the greatest."""
-    law = _exact(comps)
-    a = Fraction(alpha)
+    return _quantile(_exact(comps), Fraction(alpha))
+
+
+def _quantile(law: Law, a: Fraction) -> Fraction:
     breaks = sorted({lo for _, lo, _ in law} | {hi for _, _, hi in law})
-    prev = None
-    for b in breaks:
-        if _cdf(law, b) >= a:
-            left = _cdf(law, b, strict=True)
-            if prev is None or left < a:
-                return b
-            # the CDF rises linearly from prev to b
-            low = _cdf(law, prev)
-            return prev + (a - low) * (b - prev) / (left - low)
-        prev = b
-    return breaks[-1]
+    # the first break whose CDF reaches a, by bisection: the CDF never decreases
+    first, last = 0, len(breaks) - 1
+    while first < last:
+        mid = (first + last) // 2
+        if _cdf(law, breaks[mid]) >= a:
+            last = mid
+        else:
+            first = mid + 1
+    b = breaks[first]
+    left = _cdf(law, b, strict=True)
+    if first == 0 or left < a or _cdf(law, b) < a:
+        return b
+    # the CDF rises linearly from the break below to b
+    prev = breaks[first - 1]
+    low = _cdf(law, prev)
+    return prev + (a - low) * (b - prev) / (left - low)
 
 
 def tail_expectation(alpha: float, comps: Sequence[Tuple[float, float, float]]) -> Fraction:
@@ -64,7 +71,7 @@ def tail_expectation(alpha: float, comps: Sequence[Tuple[float, float, float]]) 
     quantile v, v itself where no mass lies above it, and never above the
     greatest break, which weights summing above one would pass."""
     law = _exact(comps)
-    v = quantile(alpha, comps)
+    v = _quantile(law, Fraction(alpha))
     mass = total = Fraction(0)
     for w, lo, hi in law:
         if lo == hi:

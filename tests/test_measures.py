@@ -628,7 +628,7 @@ def _segment_laws_and_levels(draw):
 
 
 @given(_segment_laws_and_levels())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)  # about 40 levels a law, each read by the oracle in Fractions
 def test_the_quantile_kernels_are_the_oracle_within_bounds_on_laws_with_segments(case):
     """On laws with segments, the exact CDF reaches the level within 2
     eps at most two ulps above `_value_at_risk`, and falls short of it
@@ -1228,15 +1228,22 @@ def test_a_sum_past_the_float_range_is_reported(case):
     assert str(info.value) == message
 
 
-def test_a_tail_expectation_whose_division_overflows_is_the_top_of_the_law():
+def test_a_tail_expectation_whose_division_overflows_stays_in_the_law():
     """The tail sum 0.1 * LIMIT is finite, but dividing it by 1 - 0.9 =
     0.09999999999999998 is not; a tail expectation never exceeds the
-    essential supremum, so the value is LIMIT."""
+    essential supremum, so the value is LIMIT.  Mirrored, the quotient
+    is exactly -2**1024 and the value lies between the quantile -LIMIT
+    and the top, one ulp above it, so the value is -LIMIT."""
     atoms = [(0.9, 0.0), (0.1, LIMIT)]
     law = MixedDistribution.of_atoms(atoms)
     assert cte(0.9, law) == evaluate(Cte(0.9), law) == LIMIT
     assert _cte_levels([0.5, 0.9], [0.9, 0.1], [0.0, LIMIT]) == [cte(0.5, law), LIMIT]
     assert float(exact.tail_expectation(0.9, [(w, v, v) for w, v in atoms])) == LIMIT
+    below = math.nextafter(-LIMIT, 0.0)
+    mirrored = MixedDistribution.of_atoms([(0.9, -LIMIT), (0.1, below)])
+    assert cte(0.9, mirrored) == evaluate(Cte(0.9), mirrored) == -LIMIT
+    assert _cte_levels([0.9], [0.9, 0.1], [-LIMIT, below]) == [-LIMIT]
+    assert float(exact.tail_expectation(0.9, [(0.9, -LIMIT, -LIMIT), (0.1, below, below)])) == below
 
 
 @pytest.mark.parametrize("gamma", [1e10, -1e10], ids=["averse", "seeking"])
@@ -1291,6 +1298,18 @@ def test_a_segment_wider_than_the_float_range_keeps_what_needs_no_density():
     assert mean(FULL_RANGE) == 0.0
     assert FULL_RANGE.cdf(LIMIT) == 1.0 and FULL_RANGE.tail_mass(-LIMIT) == 1.0
     assert value_at_risk(0.0, FULL_RANGE) == -LIMIT
+
+
+def test_the_least_segment_wider_than_the_range_is_named_in_any_order():
+    wide = [(0.5, UniformSegment(-LIMIT, LIMIT)), (0.5, UniformSegment(-LIMIT, 1e308))]
+    least = f"segment {UniformSegment(-LIMIT, 1e308)!r} is wider than the floating range"
+    for comps in (wide, wide[::-1]):
+        law = MixedDistribution(comps)
+        for run in (lambda: value_at_risk(0.5, law), lambda: cte(0.5, law)):
+            with pytest.raises(EvaluationOverflowError) as got:
+                run()
+            assert str(got.value) == least
+        assert value_at_risk(0.0, law) == -LIMIT
 
 
 def test_a_quantile_under_a_vanishing_slope_is_interpolated():
