@@ -68,9 +68,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import add, itemgetter, mul, sub
+from operator import itemgetter, mul, sub
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .distributions import (
