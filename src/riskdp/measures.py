@@ -484,10 +484,10 @@ def _segment_quantile(
     rises linearly from prev to y, which only segments bring about, and
     the quantile v is found on that rise by the share of it that alpha
     takes: on halves where the slope is subnormal, so a gap past the
-    floating range stays finite.  The tail above v is then the one above
-    y, the atoms at y and that rise past alpha, Pr(v < Y < y), whose
-    mean is the midpoint of v and y.  A zero break is +0.0 where some
-    event there is, -0.0 where all are.
+    floating range stays finite.  The tail above v is what the pass
+    found above y, the atoms at y where v lies below y, and the share
+    above v of each segment open on (prev, y), with its mean.  A zero
+    break is +0.0 where some event there is, -0.0 where all are.
     """
     y, prev = _locate(alpha, cols, events) if alpha else (events[0][0], -math.inf)
     low, left, reach, at_y, above = _gaps(alpha, cols, prev, y, tails)
@@ -497,10 +497,11 @@ def _segment_quantile(
         else:
             y, prev = prev, max((e[0] for e in events if e[0] < prev), default=-math.inf)
         low, left, reach, at_y, above = _gaps(alpha, cols, prev, y, tails)
+    slope = (left - low) / (y - prev)  # 0 where prev is -inf
     if prev == -math.inf or left < 0.0:
         v = y or max((e[0] for e in events if e[0] == 0.0), key=partial(math.copysign, 1.0))
-    elif (left - low) / (y - prev) >= sys.float_info.min:
-        v = prev - low / ((left - low) / (y - prev))
+    elif slope >= sys.float_info.min:
+        v = prev - low / slope
     else:
         v = 2.0 * (0.5 * prev - low / (left - low) * (0.5 * y - 0.5 * prev))
     if not tails:
@@ -543,7 +544,8 @@ def _gaps(alpha: float, cols: Columns, prev: float, y: float, tails: bool) -> Tu
     """For adjacent breaks prev < y, in one pass: CDF(prev), Pr(Y < y)
     and CDF(y), each less alpha, with the signs of the exact
     differences; the weights of the atoms at y; and, where tails is set,
-    the masses above y and their parts of E[Y; Y > y].  Each difference
+    the masses of the components above y with their parts of E[Y; Y > y],
+    and the positive-weight segments open on (prev, y).  Each difference
     is the fsum of its terms or, where a segment's rounded share (off by
     4 units in the last place at most, and by 2**-1074 more in the
     subnormal range) could flip a sign, taken in `Fraction`s
