@@ -15,9 +15,13 @@ with its own constructors.
 Every numeric entry both packages have is called on each case of its
 kind: `evaluate` and `mean`, `erm`, `value_at_risk`, `cte`,
 `pushforward_mean` per disutility and `_cte_levels` on laws; `irm_evaluate`,
-`rmd` and `eud` on trees; `solve_dp`, `evaluate_policy` and `tail_mdp`
-on MDPs.  An outcome is each value's bits (`float.hex`, which keeps the
-sign of a zero), or the error's type and message.  Per entry it prints
+`rmd` and `eud` on trees, each on a tree of its own, and, as the
+`[kept]` entries, `discounted_total_distribution`, `rmd` and `eud` all
+on one tree at the case's discount, a second one and the first again,
+so that a tree's kept flat law is read and rebuilt; `solve_dp`,
+`evaluate_policy` and `tail_mdp` on MDPs.  An outcome is each value's
+bits (`float.hex`, which keeps the sign of a zero), or the error's type
+and message.  Per entry it prints
 the outcome count, one SHA-256 digest of the outcome stream per side,
 and, where they differ, the number of differing outcomes and the first
 one with both sides' outcomes; a differing `value_at_risk`, `cte` or
@@ -270,10 +274,10 @@ def _tree_calls(rd: Any, case: Tuple[dict, list, float, dict]) -> Calls:
     data, stages, lam, flat = case
     built = {}
 
-    def tree():
-        if "tree" not in built:
-            built["tree"] = rd.tree_from_json_dict(data)
-        return built["tree"]
+    def tree(name: str = "tree"):
+        if name not in built:
+            built[name] = rd.tree_from_json_dict(data)
+        return built[name]
 
     def spec():
         return rd.IrmSpec(tuple(map(rd.rf_from_json_dict, stages)))
@@ -286,6 +290,12 @@ def _tree_calls(rd: Any, case: Tuple[dict, list, float, dict]) -> Calls:
     yield "rmd", repr(flat), lambda: rd.rmd(tree(), rd.rf_from_json_dict(flat), lam)
     for name, u in _disutilities(rd):
         yield f"eud[{name}]", "", lambda u=u: rd.eud(tree(), u, lam)
+    # one more tree for every [kept] call
+    for d in (lam, 0.5 if lam != 0.5 else 0.9, lam):
+        yield "discounted_total_distribution[kept]", repr(d), lambda d=d: rd.discounted_total_distribution(tree("kept"), d).columns()
+        yield "rmd[kept]", f"{flat!r} at {d!r}", lambda d=d: rd.rmd(tree("kept"), rd.rf_from_json_dict(flat), d)
+        for name, u in _disutilities(rd):
+            yield "eud[kept]", f"{name} at {d!r}", lambda u=u, d=d: rd.eud(tree("kept"), u, d)
 
 
 def _mdp_calls(rd: Any, case: Tuple[dict, list, list, tuple]) -> Calls:
@@ -326,6 +336,7 @@ ENTRIES = (
     "evaluate", "mean", "erm", "value_at_risk", "cte",
     *(f"pushforward_mean[{u}]" for u in ("exponential", "linear", "power", "piecewise-linear")),
     "_cte_levels", "irm_evaluate", "rmd", *(f"eud[{u}]" for u in ("exponential", "linear", "power", "piecewise-linear")),
+    "discounted_total_distribution[kept]", "rmd[kept]", "eud[kept]",
     "solve_dp", "evaluate_policy", "tail_mdp",
 )
 KINDS = {"law": _law_calls, "tree": _tree_calls, "mdp": _mdp_calls}

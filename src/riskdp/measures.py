@@ -341,7 +341,8 @@ def _erm(gamma: float, cols: Columns) -> float:
     """The entropic value on columns.  Components of weight zero are left
     out, and the filter runs only where some weight is not positive:
     never on an MDP cell, whose outcomes of probability zero the plan
-    drops."""
+    drops.  The sum is taken relative to the total weight, which a law
+    lets lie within 1e-12 of one (`_log_share`)."""
     if gamma == 0.0:
         return _mean(cols)
     weights, lows, highs = cols
@@ -357,10 +358,19 @@ def _erm(gamma: float, cols: Columns) -> float:
     if not math.isfinite(shift):
         return _erm_from_end(gamma, cols)
     total = math.fsum(map(mul, weights, map(math.exp, map(sub, terms, repeat(shift)))))
-    value = (shift + math.log(total)) / gamma
+    value = (shift + _log_share(total, weights)) / gamma
     if not math.isfinite(value):
         return _erm_from_end(gamma, cols)
     return value
+
+
+def _log_share(total: float, weights: Sequence[float]) -> float:
+    """ln(total / the fsum of the weights), as ln total less ln of that
+    sum; ln total alone where the sum is exactly one.  Unnormalised, ln of
+    a total weight off one by 1e-12, divided by a small gamma, would move
+    the entropic value out of the law's range."""
+    mass = math.fsum(weights)
+    return math.log(total) if mass == 1.0 else math.log(total) - math.log(mass)
 
 
 def _erm_from_end(gamma: float, cols: Columns) -> float:
@@ -391,7 +401,7 @@ def _erm_from_end(gamma: float, cols: Columns) -> float:
     # the term at the end is finite
     shift = max(terms)
     total = math.fsum(w * math.exp(t - shift) for w, t in zip(weights, terms))
-    value = end + (shift + math.log(total)) / gamma
+    value = end + (shift + _log_share(total, weights)) / gamma
     if not math.isfinite(value):
         raise EvaluationOverflowError(
             f"entropic evaluation overflowed at gamma={gamma!r}"
@@ -548,8 +558,8 @@ def _gaps(alpha: float, cols: Columns, prev: float, y: float, tails: bool) -> Tu
     and the positive-weight segments open on (prev, y).  Each difference
     is the fsum of its terms or, where a segment's rounded share (off by
     4 units in the last place at most, and by 2**-1074 more in the
-    subnormal range) could flip a sign, taken in `Fraction`s
-    (`_exact_gap`)."""
+    subnormal range) could flip a sign, all three taken in `Fraction`s
+    in one more pass (`_exact_gap`)."""
     below, at_prev, at, at_y, above, parts, across = [-alpha], [], [], [], [], [], []
     for w, lo, hi in zip(*cols):
         if hi <= prev:
@@ -574,21 +584,34 @@ def _gaps(alpha: float, cols: Columns, prev: float, y: float, tails: bool) -> Tu
     reach = math.fsum(below + at + at_y) if at_y else left
     bound = 1e-15 * (left + alpha) + 1e-300  # past 4 eps times the shares, and their subnormal dust
     if abs(low) <= bound or abs(left) <= bound or abs(reach) <= bound:
-        low, left, reach = (_exact_gap(alpha, cols, t, strict) for t, strict in ((prev, False), (y, True), (y, False)))
+        low, left, reach = _exact_gap(alpha, cols, prev, y)
     return low, left, reach, at_y, (above, parts, across)
 
 
-def _exact_gap(alpha: float, cols: Columns, t: float, strict: bool) -> float:
-    """Pr(Y <= t), or Pr(Y < t) where strict, less alpha, in `Fraction`s,
-    rounded to a float of its sign; a segment wider than the range across
-    t raises, as `segment_width` does."""
-    exact = -Fraction(alpha)
+def _exact_gap(alpha: float, cols: Columns, prev: float, y: float) -> List[float]:
+    """CDF(prev), Pr(Y < y) and CDF(y), each less alpha, for prev < y, in
+    `Fraction`s in one pass, each rounded to a float of its sign; a
+    segment wider than the range across prev or y raises, as
+    `segment_width` does."""
+    below, low, left, reach = -Fraction(alpha), Fraction(0), Fraction(0), Fraction(0)
     for w, lo, hi in zip(*cols):
-        if hi < t or hi == t and not (strict and lo == hi):
-            exact += Fraction(w)
-        elif lo < t < hi and w > 0.0:
-            exact += Fraction(w) * (Fraction(t) - Fraction(lo)) / Fraction(segment_width(lo, hi))
-    return float(exact) or math.copysign(5e-324, exact) if exact else 0.0
+        if hi <= prev:
+            below += Fraction(w)
+        elif hi <= y:
+            weight = Fraction(w)
+            reach += weight
+            if hi < y or lo < hi:  # all but an atom at y lie below y
+                left += weight
+            if lo < prev and w > 0.0:
+                low += weight * (Fraction(prev) - Fraction(lo)) / Fraction(segment_width(lo, hi))
+        elif lo < y and w > 0.0:  # a segment across y
+            weight, width = Fraction(w), Fraction(segment_width(lo, hi))
+            share = weight * (Fraction(y) - Fraction(lo)) / width
+            left, reach = left + share, reach + share
+            if lo < prev:
+                low += weight * (Fraction(prev) - Fraction(lo)) / width
+    exacts = (below + low, below + left, below + reach)
+    return [float(exact) or math.copysign(5e-324, exact) if exact else 0.0 for exact in exacts]
 
 
 def cte(alpha: float, dist: MixedDistribution) -> float:

@@ -7,8 +7,9 @@ the current period's cost), and the flat route that builds the single
 distribution of the discounted total cost and applies one measure or
 disutility to it: `rmd` and `eud` are `measures.evaluate` and
 `measures.pushforward_mean` on `discounted_total_distribution`, which
-builds the law as its columns, with no object per component, afresh on
-every call.
+builds the law as its columns, with no object per component, and keeps
+the columns of the last law it built on the tree, keyed by the
+discount's bits, so questions asked of one total build it once.
 
 A tree is its plan.  One compiler, `_compile`, checks a tree's nodes,
 listed in pre-order as (stage, [(probability, cost) per edge]), and
@@ -30,7 +31,8 @@ child value, and moves each other node's columns by the discounted child
 values and hands them to its stage's kernel, which the `IrmSpec` picked
 when it was built.  The plan depends on neither the risk functionals nor
 the discount, and is not a dataclass field, so `==`, `hash`, `repr` and
-the JSON form of a tree do not see it.
+the JSON form of a tree do not see it; nor do they see the kept flat
+law, `_flat`.
 """
 from __future__ import annotations
 
@@ -196,9 +198,11 @@ class ScenarioTree:
 
     Strict means no node object is reachable twice; sharing would make
     the per-node value table ambiguous.  Construction checks the nodes
-    and compiles them into the tree's plan, held as `_plan`.  A tree that
-    a builder compiled from its pre-order list holds only the plan until
-    `root` is read; `==`, `hash` and `repr` read `root`.
+    and compiles them into the tree's plan, held as `_plan`, and starts
+    with no kept flat law, `_flat` None (see
+    `discounted_total_distribution`).  A tree that a builder compiled
+    from its pre-order list holds only the plan until `root` is read;
+    `==`, `hash` and `repr` read `root`.
     """
 
     horizon: int
@@ -207,6 +211,7 @@ class ScenarioTree:
     def __post_init__(self) -> None:
         _check_horizon(self.horizon)
         object.__setattr__(self, "_plan", _compile(_preorder(self.root), self.horizon))
+        object.__setattr__(self, "_flat", None)
 
     def __getattr__(self, name: str) -> Any:
         """Build `root` from the plan on its first read and keep it; called
@@ -234,6 +239,7 @@ def _tree(horizon: int, nodes: Iterable[_Listed]) -> ScenarioTree:
     tree = object.__new__(ScenarioTree)
     object.__setattr__(tree, "horizon", _check_horizon(horizon))
     object.__setattr__(tree, "_plan", _compile(nodes, horizon))
+    object.__setattr__(tree, "_flat", None)
     return tree
 
 
@@ -580,8 +586,17 @@ def discounted_total_distribution(
     (value, weight) atoms and (lo, hi, weight) segments for
     `merge_columns` (see `_flat_leaves`).  A leaf is checked as
     `PointMass` or `UniformSegment` would check it, and errors come in the
-    same order as they would with the law built object by object.  Each
-    call builds the law afresh and keeps nothing.
+    same order as they would with the law built object by object.
+
+    The tree keeps the merged columns of the last law built on it as
+    `_flat`, (discount bits, columns), one entry whatever the discounts
+    asked: a call at the same discount, by `float.hex`, so 0.0 and -0.0
+    apart, reads them instead of walking again.  Every call checks the
+    discount, the path limit and the path count first, and a build that
+    raises keeps nothing, so the same error raises again.  The law
+    returned holds copies of the kept lists, one list as its lows and
+    highs for a law of atoms, so a caller writing into its columns
+    changes no later law.
     """
     lam = _check_discount(lam)
     if not _is_int(path_limit):
@@ -590,9 +605,15 @@ def discounted_total_distribution(
         raise EnumerationLimitError(
             f"tree has more than {path_limit} root-to-leaf paths"
         )
-    steps = tree._plan.steps
-    leaves = _flat_leaves(steps, tree.horizon, lam, False) or _flat_leaves(steps, tree.horizon, lam, True)
-    return MixedDistribution._from_columns(merge_columns(*leaves))
+    key, kept = lam.hex(), tree._flat
+    if kept is None or kept[0] != key:
+        steps = tree._plan.steps
+        leaves = _flat_leaves(steps, tree.horizon, lam, False) or _flat_leaves(steps, tree.horizon, lam, True)
+        kept = key, merge_columns(*leaves)
+        object.__setattr__(tree, "_flat", kept)
+    weights, lows, highs = kept[1]
+    copied = lows[:]
+    return MixedDistribution._from_columns((weights[:], copied, copied if highs is lows else highs[:]))
 
 
 def _flat_leaves(steps: tuple, horizon: int, lam: float, checked: bool) -> Optional[Tuple[list, list]]:
@@ -675,8 +696,8 @@ def _edge_columns(cost: EdgeCost) -> Iterable[Tuple[float, float, float]]:
 def rmd(tree: ScenarioTree, rf: RiskFunctional, lam: float) -> float:
     """One risk functional applied to the discounted total cost:
     `evaluate` on `discounted_total_distribution`, the functional checked
-    first.  Each call builds the law; a caller with several questions of
-    one total builds it once and calls `evaluate` on it."""
+    first.  Calls at one discount build the law once: the tree keeps it
+    (see `discounted_total_distribution`)."""
     if not isinstance(rf, RF_CLASSES):
         raise ValidationError(f"unknown risk functional {rf!r}")
     return evaluate(rf, discounted_total_distribution(tree, lam))

@@ -24,6 +24,7 @@ from riskdp import (
     EvaluationOverflowError,
     Expectation,
     Exponential,
+    FiniteHorizonMdp,
     IrmSpec,
     Linear,
     MixedDistribution,
@@ -146,6 +147,26 @@ def test_erm_log_domain_branches():
     assert erm(2.0, MixedDistribution.point(400.0)) == 400.0
     d = MixedDistribution.of_atoms([(0.5, 400.0), (0.5, 0.0)])
     assert_close(erm(2.0, d), 400.0 + math.log(0.5) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 8e-13, 1.0 - 8e-13])
+def test_the_entropic_value_of_weights_off_one_stays_in_the_range_of_the_law(scale):
+    """Weights may sum to one within 1e-12, and the entropic value is
+    taken relative to their sum, so however small gamma is it lies
+    between the law's inf and sup: through `erm` and `evaluate` on a law
+    of atoms and on one with a segment, and in a cell of the solver."""
+    pairs = [(0.5 * scale, 1.0), (0.5 * scale, 2.0)]
+    laws = [MixedDistribution.of_atoms(pairs), mixture([(0.5 * scale, 1.0), (0.5 * scale, (1.5, 2.0))])]
+    assert [math.fsum(law.columns()[0]) != 1.0 for law in laws] == [True, True]
+    mdp = FiniteHorizonMdp(
+        horizon=1, states=(("s",), ("a", "b")), actions=("go",), initial="s", discount=1.0,
+        transitions={(0, "s", "go"): tuple(Transition(t, w, v) for t, (w, v) in zip("ab", pairs))},
+    )
+    for size in (1e-300, 1e-12, 1e-3, 1.0):
+        for gamma in (size, -size):
+            values = [f(law) for law in laws for f in (partial(erm, gamma), partial(evaluate, Erm(gamma)))]
+            values.append(solve_dp(mdp, IrmSpec((Erm(gamma),))).values[(0, "s")])
+            assert all(1.0 <= v <= 2.0 for v in values), (gamma, values)
 
 
 def test_erm_rejects_non_finite_gamma():

@@ -986,6 +986,139 @@ def test_rmd_and_eud_read_the_law_of_their_own_discount():
                 assert eud(tree, u, lam).hex() == measures.pushforward_mean(u, law).hex(), (case["name"], lam, u)
 
 
+def flat_outcomes(tree: ScenarioTree, lam: float, functionals: list, disutilities: list) -> list:
+    """The flat law's columns and each rmd and eud value on one tree at one
+    discount, every number by float.hex, an error by type and message."""
+
+    def outcome(call):
+        try:
+            value = call()
+        except (ValidationError, EvaluationOverflowError) as e:
+            return type(e).__name__, str(e)
+        if isinstance(value, float):
+            return value.hex()
+        return [[x.hex() for x in column] for column in value.columns()]
+
+    calls = [lambda: discounted_total_distribution(tree, lam)]
+    calls += [lambda rf=rf: rmd(tree, rf, lam) for rf in functionals]
+    calls += [lambda u=u: eud(tree, u, lam) for u in disutilities]
+    return [outcome(call) for call in calls]
+
+
+def spy_on_flat_builds(monkeypatch) -> list:
+    """The `checked` flag of every `_flat_leaves` walk, in order; a build
+    walks unchecked first, so the unchecked walks count the builds."""
+    walks = []
+    walk = tree_module._flat_leaves
+
+    def spy(steps, horizon, lam, checked):
+        walks.append(checked)
+        return walk(steps, horizon, lam, checked)
+
+    monkeypatch.setattr(tree_module, "_flat_leaves", spy)
+    return walks
+
+
+def test_a_tree_keeps_its_flat_law_for_one_discount(monkeypatch):
+    """On the pinned trees, eight rmd and two eud calls at one discount
+    walk the plan once, a checked walk after an unchecked one being the
+    same build; a call at another discount builds again, as do the way
+    back to the first and 0.0 after -0.0 or the reverse.  Every law and
+    value has the bits a fresh tree gives, errors included."""
+    fixture = json.loads((DATA / "flat_bits.json").read_text())
+    functionals = [rf_from_json_dict(rf) for rf in fixture["functionals"].values()][:8]
+    disutilities = [Exponential(0.5), PiecewiseLinear(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (5.0, 8.0)))]
+    walks = spy_on_flat_builds(monkeypatch)
+    for case in fixture["cases"]:
+        tree, a = tree_from_json_dict(case["tree"]), case["lambda"]
+        last = None
+        for lam in (a, a, 0.5 if a != 0.5 else 1.0, a, 0.0, -0.0, -0.0, 0.0):
+            fresh = flat_outcomes(tree_from_json_dict(case["tree"]), lam, functionals, disutilities)
+            del walks[:]
+            calls = [lambda rf=rf: rmd(tree, rf, lam) for rf in functionals]
+            calls += [lambda u=u: eud(tree, u, lam) for u in disutilities]
+            for call in calls:
+                try:
+                    call()
+                except ValidationError:  # a discount of 0 collapses a segment
+                    assert lam == 0.0
+            built = walks.count(False)
+            if isinstance(fresh[0], tuple):  # a build that raises keeps nothing
+                assert built == len(calls), (case["name"], lam)
+            else:
+                assert built == (lam.hex() != last), (case["name"], lam)
+                last = lam.hex()
+            assert flat_outcomes(tree, lam, functionals, disutilities) == fresh, (case["name"], lam)
+
+
+def test_flat_law_errors_raise_on_every_call_even_with_a_kept_law(monkeypatch):
+    """A bad discount, then a path limit below the path count, then two
+    segments on one path raise in that order on every call, whatever the
+    tree keeps; a bad functional raises in rmd before any law is built."""
+    seg = MixedDistribution.uniform(0.0, 1.0)
+    two = two_outcome_tree(0.5, 10.0)
+    doubled = deterministic_tree([seg, seg])
+    limit = (EnumerationLimitError, "tree has more than 1 root-to-leaf paths")
+    walks = spy_on_flat_builds(monkeypatch)
+    with pytest.raises(ValidationError, match="unknown risk functional"):
+        rmd(two, "mean", 1.0)
+    assert walks == []
+    law = discounted_total_distribution(two, 1.0)  # kept from here on
+    cases = [
+        (two, 1.5, 1, BAD_DISCOUNT),
+        (two, 1.0, 1, limit),
+        (two, 1.0, "1", (ValidationError, "path_limit must be an integer, got '1'")),
+        (doubled, 1.5, 0, BAD_DISCOUNT),
+        (doubled, 1.0, 0, (EnumerationLimitError, "tree has more than 0 root-to-leaf paths")),
+        (doubled, 1.0, 1, TWO_SEGMENTS),
+    ]
+    for tree, lam, paths, (kind, message) in cases:
+        for _ in range(3):
+            with pytest.raises(kind) as info:
+                discounted_total_distribution(tree, lam, path_limit=paths)
+            assert (type(info.value), str(info.value)) == (kind, message)
+    for call in (lambda: rmd(doubled, Cte(0.5), 1.0), lambda: eud(doubled, Linear(), 1.0)) * 2:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == TWO_SEGMENTS[1]
+    with pytest.raises(ValidationError, match="unknown risk functional"):
+        rmd(two, "mean", 1.0)
+    assert discounted_total_distribution(two, 1.0) == law
+
+
+def test_writing_into_a_returned_law_changes_no_later_value():
+    """Each law returned holds its own lists, the lows being the highs for
+    a law of atoms, so a caller writing into them changes neither a later
+    law nor a later rmd or eud, at the kept discount or after a rebuild."""
+    segments = deterministic_tree([MixedDistribution.uniform(0.0, 1.0), 2.0])
+    for tree, atoms in ((two_outcome_tree(0.5, 10.0), True), (segments, False)):
+        fresh = tree_from_json_dict(tree_to_json_dict(tree))
+        want = flat_outcomes(fresh, 0.9, [Cte(0.5), Expectation()], [Exponential(0.5)])
+        for lam in (0.9, 0.9, 0.5, 0.9):
+            one = discounted_total_distribution(tree, lam)
+            weights, lows, highs = one.columns()
+            assert (lows is highs) == atoms
+            other = discounted_total_distribution(tree, lam)
+            assert not {id(column) for column in one.columns()} & {id(column) for column in other.columns()}
+            weights[0] += 0.5
+            lows[0] -= 100.0
+            highs[-1] += 100.0
+        assert flat_outcomes(tree, 0.9, [Cte(0.5), Expectation()], [Exponential(0.5)]) == want
+
+
+def test_the_kept_law_is_not_seen_by_equality_hash_repr_or_json():
+    """On the pinned trees, ==, hash, repr and the JSON form read the same
+    before and after rmd at two discounts, and match a fresh tree's."""
+    for case in json.loads((DATA / "flat_bits.json").read_text())["cases"]:
+        tree, fresh = tree_from_json_dict(case["tree"]), tree_from_json_dict(case["tree"])
+        before = (hash(tree), repr(tree), tree_to_json_dict(tree))
+        for lam in (case["lambda"], 0.5):
+            rmd(tree, Expectation(), lam)
+            assert (hash(tree), repr(tree), tree_to_json_dict(tree)) == before
+            assert tree == fresh and fresh == tree and hash(fresh) == hash(tree)
+            assert dataclasses.fields(tree) == dataclasses.fields(fresh)
+
+
 def test_recursion_reproduces_the_pinned_bits():
     """The same trees under the stagewise recursion: every node value of
     irm_evaluate, in key order and by float.hex, for each functional at
